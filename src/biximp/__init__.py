@@ -28,7 +28,7 @@ from .params import ModelParams, WavevectorIndex, k_grid
 from .projected import (BoundStateRecord, ProjectedHamiltonian, SpectrumResult,
                         build_projected_hamiltonian, classify_bound_states,
                         count_bound_states, diagonalize_projected,
-                        phase_diagram, potential_matrix)
+                        impurity_overlap, phase_diagram, potential_matrix)
 from .scattering import (FirstOrderScattering, PoleResult,
                          biexciton_reflection_amplitude,
                          continued_fraction_first_order, find_pole,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ExistenceError, NumericalError
+from .errors import ExistenceError, NumericalError, ParameterError
 from .params import WavevectorIndex, k_grid
 
 _LN2 = math.log(2.0)
@@ -53,7 +53,6 @@ def log_sinh(x):
 def alpha(K, params):
     """Dimensionless pairing parameter alpha_K = 2 J cos K / D."""
     if params.D == 0.0:
-        from .errors import ParameterError
         raise ParameterError("alpha undefined for D = 0")
     return 2.0 * params.J * math.cos(K) / params.D
 
@@ -87,7 +86,7 @@ def solve_relative_decay(K, params, parity, method="exact"):
                 f"no bound relative solution: |2J cos K| > |D| at K={K:.6f}")
         return seed if seed > 0 else 0.0
     if method != "exact":
-        raise ValueError(f"unknown method {method!r}")
+        raise ParameterError(f"unknown method {method!r}")
 
     N = params.N
     inv_alpha_log = -math.log(a)
@@ -227,7 +226,6 @@ class BiexcitonMode:
 
     def phi_at(self, s, N):
         if not -N < s < N:
-            from .errors import ParameterError
             raise ParameterError(f"s={s} outside (-N, N)")
         return self.phi[s + N - 1]
 

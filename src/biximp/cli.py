@@ -9,9 +9,7 @@ byte-identical CSV output.  Exit codes: 0 ok, 1 numerical failure,
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +17,7 @@ import yaml
 
 from . import dynamics, pairbasis, projected, scattering
 from .csvio import write_grid_binary, write_gnuplot_script, write_table
-from .errors import (BiximpError, ConfigError, ExistenceError, NumericalError,
-                     RegimeError)
+from .errors import BiximpError, ConfigError, NumericalError, RegimeError
 from .exciton import solve_exciton_spectrum
 from .params import ModelParams
 
@@ -45,8 +42,8 @@ def model_from_config(cfg, **overrides):
     try:
         return ModelParams(N=int(m["N"]), J=float(m["J"]), D=float(m["D"]),
                            E0=float(m.get("E0", 0.0)), V0=float(m.get("V0", 0.0)))
-    except KeyError as exc:
-        raise ConfigError(f"model section missing key {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"model section: bad or missing {exc}") from exc
 
 
 def section(cfg, name, default=None):
@@ -115,7 +112,7 @@ def cmd_biexciton_spectrum(cfg, out, fmt, plots):
     return 0
 
 
-def cmd_phase_diagram(cfg, out, fmt, plots, threads=0):
+def cmd_phase_diagram(cfg, out, fmt, plots):
     params = model_from_config(cfg)
     sec = section(cfg, "phase_diagram")
     try:
@@ -123,35 +120,9 @@ def cmd_phase_diagram(cfg, out, fmt, plots, threads=0):
                              int(sec["n_D"]))
         v_vals = np.linspace(float(sec["V0_min"]), float(sec["V0_max"]),
                              int(sec["n_V0"]))
-    except KeyError as exc:
-        raise ConfigError(f"phase_diagram section missing {exc}") from exc
-
-    for d in d_vals:
-        if abs(d) <= 2.0 * abs(params.J):
-            raise RegimeError(f"phase diagram cell |D|={abs(d):.3f} <= 2|J|")
-
-    def cell(args):
-        i, d, j, v = args
-        trial = params.replace(D=float(d), V0=float(v),
-                               J=abs(params.J) * np.sign(d))
-        try:
-            return i, j, projected.count_bound_states(trial)
-        except (NumericalError, ExistenceError):
-            return i, j, -1
-
-    jobs = [(i, d, j, v) for i, d in enumerate(d_vals)
-            for j, v in enumerate(v_vals)]
-    counts = np.zeros((len(d_vals), len(v_vals)), dtype=int)
-    if threads == 0:
-        threads = min(4, os.cpu_count() or 1)    # 0 = auto
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for i, j, c in ex.map(cell, jobs):
-                counts[i, j] = c
-    else:
-        for job in jobs:
-            i, j, c = cell(job)
-            counts[i, j] = c
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"phase_diagram section: bad or missing {exc}") from exc
+    counts = projected.phase_diagram(d_vals, v_vals, params)
     rows = [(d_vals[i], v_vals[j], counts[i, j])
             for i in range(len(d_vals)) for j in range(len(v_vals))]
     write_table(out / "phase_diagram.csv", ("D", "V0", "count"), rows, fmt)
@@ -243,12 +214,13 @@ def cmd_wavepacket(cfg, out, fmt, plots):
             t_start=float(sec["t_start"]), t_end=float(sec["t_end"]),
             sample_dt=float(sec.get("sample_dt", 1.0)),
             r_offset=sec.get("r_offset"))
-    except KeyError as exc:
-        raise ConfigError(f"wavepacket section missing {exc}") from exc
+        target = float(sec.get("split_target", 0.5))
+        snapshots = [(t, float(t)) for t in sec.get("snapshots", [])]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"wavepacket section: bad or missing {exc}") from exc
     dynamics.validate_dynamics_regime(params)
     if sec.get("calibrate_v0", False):
-        v0 = dynamics.calibrate_v0(params, config,
-                                   target=float(sec.get("split_target", 0.5)))
+        v0 = dynamics.calibrate_v0(params, config, target=target)
         params = params.replace(V0=v0)
     ph = projected.build_projected_hamiltonian(params)
     traj = dynamics.run_trajectory(params, config, ph)
@@ -256,9 +228,9 @@ def cmd_wavepacket(cfg, out, fmt, plots):
                 ("t", "entropy_bits", "norm", "energy", "reflected_prob"),
                 [(s.t, s.entropy, s.norm, s.energy, s.reflected)
                  for s in traj.samples], fmt)
-    for t_snap in sec.get("snapshots", []):
+    for t_snap, t in snapshots:
         st = dynamics.propagate(dynamics.init_wavepacket(config, ph.modes),
-                                ph, float(t_snap))
+                                ph, t)
         _, _, psi = dynamics.realspace_amplitude(st, ph.modes)
         write_grid_binary(out / f"snapshot_psi2_t{t_snap}.f64", np.abs(psi) ** 2)
         rho = dynamics.reduced_density(st, ph.modes)
@@ -291,8 +263,6 @@ def main(argv=None):
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--config", required=True, help="YAML configuration file")
     ap.add_argument("--out", default=".", help="output directory")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker threads for grid commands (0 = auto)")
     ap.add_argument("--format", choices=("csv", "json"), default="csv")
     ap.add_argument("--plots", action="store_true",
                     help="emit companion gnuplot scripts")
@@ -302,9 +272,6 @@ def main(argv=None):
         cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "phase-diagram":
-            return cmd_phase_diagram(cfg, out, args.format, args.plots,
-                                     threads=args.threads)
         return COMMANDS[args.command](cfg, out, args.format, args.plots)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,11 +1,14 @@
 """Deterministic tabular and binary output.
 
 CSV: comma separated, one header row, floats at 17 significant digits
-so that identical runs produce byte-identical files.  Binary grids:
+so that identical runs produce byte-identical files.  JSON is strict:
+non-finite floats are written as null.  Binary grids:
 row-major little-endian float64.
 """
 
 import json
+import math
+
 import numpy as np
 
 
@@ -28,11 +31,16 @@ def write_csv(path, header, rows):
             fh.write(",".join(format_value(v) for v in row) + "\n")
 
 
+def json_value(v):
+    """Plain Python value for JSON; non-finite floats become null."""
+    v = v.item() if isinstance(v, np.generic) else v
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def write_json(path, header, rows):
-    payload = [dict(zip(header, [v if not isinstance(v, (np.generic,)) else v.item()
-                                 for v in row])) for row in rows]
+    payload = [dict(zip(header, map(json_value, row))) for row in rows]
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, default=format_value)
+        json.dump(payload, fh, indent=1, default=format_value, allow_nan=False)
         fh.write("\n")
 
 

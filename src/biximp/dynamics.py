@@ -26,9 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, RegimeError, TimingError
+from .biexciton import ModeBasis
+from .errors import NumericalError, ParameterError, RegimeError, TimingError
 from .exciton import exciton_dispersion
-from .projected import ProjectedHamiltonian, build_projected_hamiltonian
+from .projected import (ProjectedHamiltonian, build_projected_hamiltonian,
+                        impurity_overlap)
 
 ENTROPY_EIG_CLIP = 1e-12
 SPLIT_BUFFER = 4          # half-width of the partition buffer zones (r sites)
@@ -172,7 +174,7 @@ def reduced_density(state, modes):
     rho /= np.real(np.trace(rho))
     ev = np.linalg.eigvalsh(rho)
     if ev.min() < -1e-10:
-        raise RuntimeError(f"reduced density not PSD: min eig {ev.min():.2e}")
+        raise NumericalError(f"reduced density not PSD: min eig {ev.min():.2e}")
     return ReducedDensity(rho, np.clip(ev, 0.0, None))
 
 
@@ -279,9 +281,12 @@ def calibrate_v0(params_template, config, target=0.5, tol=0.02,
     if v0_max is None:
         v0_max = abs(params_template.D)
 
+    modes = ModeBasis(params_template)
+    G = impurity_overlap(modes)
+
     def reflected(v0_abs):
         trial = params_template.replace(V0=float(sgn * v0_abs))
-        ph = build_projected_hamiltonian(trial)
+        ph = build_projected_hamiltonian(trial, modes=modes, overlap=G)
         u0 = init_wavepacket(config, ph.modes)
         u = propagate(u0, ph, t_measure)
         # scan probes skip the timing gate: strong trial potentials leave

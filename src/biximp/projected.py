@@ -26,6 +26,7 @@ from scipy.optimize import minimize_scalar
 
 from .biexciton import ModeBasis
 from .errors import ExistenceError, NumericalError, ParameterError
+from .params import ModelParams
 
 PROFILE_FLOOR = 1e-18    # relative |Psi|^2 floor: excludes eigensolver noise
 CLASS_K_SPLIT = np.pi / 4
@@ -35,32 +36,36 @@ CLASS_K_SPLIT = np.pi / 4
 TAIL_FRACTION_MAX = 0.10
 
 
-def potential_matrix(modes, params=None):
-    """Hermitian N x N impurity coupling in the mode basis.
+def impurity_overlap(modes):
+    """V0-independent overlap G = B* B^T with B_Ks = phi_K(s) e^{iKs}.
+
+    Depends on the basis only, so one G serves every V0 of a basis.
+    """
+    N = modes.params.N
+    sel = (modes.s >= -N // 2 + 1) & (modes.s <= N // 2) & (modes.s != 0)
+    B = modes.phi[:, sel] * np.exp(1j * np.outer(modes.K, modes.s[sel]))
+    return B.conj() @ B.T
+
+
+def potential_matrix(modes, params=None, overlap=None):
+    """Hermitian N x N impurity coupling V = (4 V0 / N) G in the mode basis.
 
     Real phi and the symmetric one-period s window make V Hermitian by
-    construction; V = 0 for V0 = 0.
+    construction; V = 0 for V0 = 0.  `overlap` passes a prebuilt G.
     """
     p = modes.params if params is None else params
-    N = p.N
-    sel = (modes.s >= -N // 2 + 1) & (modes.s <= N // 2) & (modes.s != 0)
-    sv = modes.s[sel]
-    B = modes.phi[:, sel] * np.exp(1j * np.outer(modes.K, sv))
-    V = (4.0 * p.V0 / N) * (B.conj() @ B.T)
-    return V
+    G = impurity_overlap(modes) if overlap is None else overlap
+    return (4.0 * p.V0 / p.N) * G
 
 
 @dataclass
 class ProjectedHamiltonian:
-    """M = diag(E_b) + V over the N-mode basis, with cached eigensystem."""
+    """M = diag(E_b) + V for `params`, with cached eigensystem."""
 
     modes: ModeBasis
     M: np.ndarray
+    params: ModelParams
     _eig: tuple = field(default=None, repr=False)
-
-    @property
-    def params(self):
-        return self.modes.params
 
     def eigensystem(self):
         if self._eig is None:
@@ -69,13 +74,17 @@ class ProjectedHamiltonian:
         return self._eig
 
 
-def build_projected_hamiltonian(params, method="auto"):
-    modes = ModeBasis(params, method)
-    M = np.diag(modes.energies.astype(complex)) + potential_matrix(modes)
+def build_projected_hamiltonian(params, method="auto", modes=None, overlap=None):
+    """M for `params`; a prebuilt basis (and its overlap) of the same D,
+    J, E0 and N may be passed in, since neither depends on V0."""
+    if modes is None:
+        modes = ModeBasis(params, method)
+    M = np.diag(modes.energies.astype(complex)) + potential_matrix(modes, params,
+                                                                   overlap)
     herm = np.max(np.abs(M - M.conj().T))
     if herm > 1e-12 * abs(params.J):
         raise NumericalError(f"projected Hamiltonian not Hermitian: {herm:.2e}")
-    return ProjectedHamiltonian(modes, M)
+    return ProjectedHamiltonian(modes, M, params)
 
 
 @dataclass
@@ -111,14 +120,10 @@ def ring_decay_profile(u, modes, s_value=1):
     """
     N = modes.params.N
     r, psi = cm_amplitude(u, modes, s_value)
-    amp2 = np.abs(psi) ** 2
-    d = np.minimum(np.abs(r), 2 * N - np.abs(r))
     keep = (r % 2) == (s_value % 2)
-    prof = {}
-    for di, a2 in zip(d[keep], amp2[keep]):
-        prof[di] = prof.get(di, 0.0) + a2
-    ds = np.array(sorted(prof))
-    return ds, np.array([prof[x] for x in ds])
+    d = np.minimum(np.abs(r), 2 * N - np.abs(r))[keep]
+    ds = np.unique(d)
+    return ds, np.bincount(d, weights=np.abs(psi[keep]) ** 2)[ds]
 
 
 def fit_ring_decay(ds, ps, N, d_lo=4, d_hi=None):
@@ -181,34 +186,43 @@ class BoundStateRecord:
     state_index: int
 
 
-def classify_bound_states(spectrum, modes, params=None):
-    """Bound-state records: energy outside the discrete band and CM decay.
+def bound_candidates(spectrum, modes, params=None):
+    """Yield (mu, ds, ps) for the states that pass both bound-state gates.
 
-    Decay is gated on the far-tail mass of |Psi(r, 1)|^2 (beyond
-    mid-ring) staying below TAIL_FRACTION_MAX; the ring-model fit
-    supplies the decay rate and its quality.  Labels follow the split
-    ordering: states near K ~ 0 get a, b, c, ... by decreasing band
-    split; states near |K| ~ pi/2 continue with e, f, ... as long as at
-    most four near-zero states exist.
+    A state is bound when its energy leaves the discrete impurity-free
+    band and the far-tail mass of |Psi(r, 1)|^2 (beyond mid-ring) stays
+    below TAIL_FRACTION_MAX; (ds, ps) is its ring decay profile.
     """
     p = modes.params if params is None else params
     lo, hi = modes.band_edges()
     tol = 1e-9 * abs(p.J)
+    for mu in range(len(spectrum)):
+        if lo - tol <= spectrum.energies[mu] <= hi + tol:
+            continue
+        ds, ps = ring_decay_profile(spectrum.states[:, mu], modes)
+        if ps[ds > p.N // 2].sum() / ps.sum() > TAIL_FRACTION_MAX:
+            continue
+        yield mu, ds, ps
+
+
+def classify_bound_states(spectrum, modes, params=None):
+    """Bound-state records for the states that pass `bound_candidates`.
+
+    The ring-model fit supplies the decay rate and its quality.  Labels
+    follow the split ordering: states near K ~ 0 get a, b, c, ... by
+    decreasing band split; states near |K| ~ pi/2 continue with e, f,
+    ... as long as at most four near-zero states exist.
+    """
+    p = modes.params if params is None else params
+    lo, hi = modes.band_edges()
     # |K| of the band edges: a state splits off the edge it is nearer to
     k_at_max = abs(float(modes.K[int(np.argmax(modes.energies))]))
     k_at_min = abs(float(modes.K[int(np.argmin(modes.energies))]))
     recs = []
-    for mu in range(len(spectrum)):
+    for mu, ds, ps in bound_candidates(spectrum, modes, p):
         e = spectrum.energies[mu]
-        if lo - tol <= e <= hi + tol:
-            continue
-        u = spectrum.states[:, mu]
-        ds, ps = ring_decay_profile(u, modes)
-        tail = float(ps[ds > p.N // 2].sum() / ps.sum())
-        if tail > TAIL_FRACTION_MAX:
-            continue
         kappa, r2 = fit_ring_decay(ds, ps, p.N)
-        w = np.abs(u) ** 2
+        w = np.abs(spectrum.states[:, mu]) ** 2
         dom = abs(float(modes.K[int(np.argmax(w))]))
         edge_k = k_at_max if e > hi else k_at_min
         cls = "near_zero" if edge_k < CLASS_K_SPLIT else "near_half_pi"
@@ -226,31 +240,39 @@ def classify_bound_states(spectrum, modes, params=None):
     return sorted(recs, key=lambda r: r.label)
 
 
-def count_bound_states(params, method="auto"):
-    ph = build_projected_hamiltonian(params, method)
+def count_bound_states(params, method="auto", modes=None, overlap=None):
+    """Number of bound states; same gates as classify_bound_states, no fit."""
+    ph = build_projected_hamiltonian(params, method, modes, overlap)
     spec = diagonalize_projected(ph)
-    return len(classify_bound_states(spec, ph.modes))
+    return sum(1 for _ in bound_candidates(spec, ph.modes, params))
 
 
 def phase_diagram(d_values, v0_values, params_template, method="auto"):
     """Bound-state count per (D, V0) cell; solver failures yield -1.
 
-    Every cell must satisfy |D| > 2|J|; V0 = 0 columns count zero.
+    Every cell must satisfy |D| > 2|J|; V0 = 0 columns count zero.  One
+    basis and impurity overlap per D row serve all its V0 cells.
     """
     for d in d_values:
         if abs(d) <= 2.0 * abs(params_template.J):
             raise ParameterError(f"phase diagram cell |D|={abs(d)} <= 2|J|")
-    counts = np.zeros((len(d_values), len(v0_values)), dtype=int)
+    counts = np.full((len(d_values), len(v0_values)), -1, dtype=int)
     for i, d in enumerate(d_values):
         j_sign = abs(params_template.J) * np.sign(d)
+        row = params_template.replace(D=float(d), J=float(j_sign))
+        try:
+            modes = ModeBasis(row, method)
+        except (NumericalError, ExistenceError):
+            # just above |D| = 2|J| the odd-branch pairing root can be
+            # absent at finite N: the whole row keeps the sentinel
+            continue
+        G = impurity_overlap(modes)
         for j, v in enumerate(v0_values):
-            trial = params_template.replace(D=float(d), V0=float(v), J=float(j_sign))
             try:
-                counts[i, j] = count_bound_states(trial, method)
-            except (NumericalError, ExistenceError):
-                # just above |D| = 2|J| the odd-branch pairing root can be
-                # absent at finite N: record the sentinel, keep scanning
-                counts[i, j] = -1
+                counts[i, j] = count_bound_states(row.replace(V0=float(v)),
+                                                  method, modes, G)
+            except NumericalError:
+                pass        # Hermiticity check failed: the cell keeps -1
     return counts
 
 

@@ -25,6 +25,28 @@ def test_malformed_config(tmp_path):
     assert main(["exciton", "--config", str(path)]) == 2
 
 
+def test_malformed_model_value_exit_code(tmp_path):
+    cfg = write_cfg(tmp_path / "c.yaml",
+                    {"model": {"N": "abc", "J": 1.0, "D": 4.1}})
+    assert main(["exciton", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_malformed_phase_diagram_value_exit_code(tmp_path):
+    cfg = dict(BASE)
+    cfg["phase_diagram"] = {"D_min": 4.1, "D_max": 6.0, "n_D": "x",
+                            "V0_min": -4.0, "V0_max": 4.0, "n_V0": 3}
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    assert main(["phase-diagram", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+def test_malformed_wavepacket_value_exit_code(tmp_path):
+    cfg = {"model": {"N": 40, "J": -1.0, "D": -4.5, "V0": 0.5474},
+           "wavepacket": {"K0": "fast", "dK0": 0.1,
+                          "t_start": -30.0, "t_end": -25.0}}
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    assert main(["wavepacket", "--config", path, "--out", str(tmp_path)]) == 2
+
+
 def test_regime_violation_exit_code(tmp_path):
     cfg = write_cfg(tmp_path / "c.yaml",
                     {"model": {"N": 40, "J": 1.0, "D": 2.0, "V0": 4.0}})
@@ -78,8 +100,7 @@ def test_phase_diagram_command(tmp_path):
     cfg["phase_diagram"] = {"D_min": 4.1, "D_max": 6.0, "n_D": 2,
                             "V0_min": -4.0, "V0_max": 4.0, "n_V0": 3}
     path = write_cfg(tmp_path / "c.yaml", cfg)
-    assert main(["phase-diagram", "--config", path, "--out", str(tmp_path),
-                 "--threads", "2"]) == 0
+    assert main(["phase-diagram", "--config", path, "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "phase_diagram.csv").read_text().splitlines()
     assert lines[0] == "D,V0,count"
     assert len(lines) == 7
@@ -140,5 +161,31 @@ def test_json_format(tmp_path):
     cfg = write_cfg(tmp_path / "c.yaml", BASE)
     assert main(["biexciton-spectrum", "--config", cfg, "--out",
                  str(tmp_path), "--format", "json"]) == 0
-    data = json.loads((tmp_path / "biexciton_spectrum.json").read_text())
+    text = (tmp_path / "biexciton_spectrum.json").read_text()
+
+    def reject(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+
+    data = json.loads(text, parse_constant=reject)
     assert len(data) == 40
+    # scattering rows have no dominant K: written as null, not NaN
+    assert any(row["dominant_K"] is None for row in data)
+    assert all(row["dominant_K"] is not None for row in data
+               if row["bound_flag"])
+
+
+def test_src_raises_only_package_errors():
+    """No bare RuntimeError/ValueError: main maps only BiximpError to exit codes."""
+    import ast
+    from pathlib import Path
+
+    import biximp
+
+    bad = []
+    for path in sorted(Path(biximp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", None) in ("RuntimeError", "ValueError"):
+                    bad.append(f"{path.name}:{node.lineno}")
+    assert bad == []

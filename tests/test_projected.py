@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from biximp import (ModeBasis, ModelParams, ParameterError,
-                    build_projected_hamiltonian, classify_bound_states,
-                    count_bound_states, diagonalize_projected, phase_diagram,
+from biximp import (ExistenceError, ModeBasis, ModelParams, NumericalError,
+                    ParameterError, build_projected_hamiltonian,
+                    classify_bound_states, count_bound_states,
+                    diagonalize_projected, impurity_overlap, phase_diagram,
                     potential_matrix)
 from biximp.pairbasis import build_pair_hamiltonian
 from biximp.projected import participation_ratio
@@ -148,3 +149,51 @@ def test_phase_diagram_plateau():
     for eps in (1e-4, -1e-4):
         assert count_bound_states(base.replace(D=4.1 + eps)) == c0
         assert count_bound_states(base.replace(V0=4.0 + eps)) == c0
+
+
+def test_phase_diagram_matches_fresh_basis_per_cell(fig2_params):
+    """Basis and overlap reuse per D row changes no count: the grid spans
+    a J-sign flip, a -1 sentinel row, the V0 = 0 column and a second |D|
+    (rows at +-D share one overlap, so only a new |D| exposes a stale one)."""
+    d_vals = [-4.1, 2.02, 4.1, 6.0]
+    v_vals = [-3.0, 0.0, 3.0]
+    counts = phase_diagram(d_vals, v_vals, fig2_params)
+    for i, d in enumerate(d_vals):
+        for j, v in enumerate(v_vals):
+            trial = fig2_params.replace(D=d, V0=v, J=float(np.sign(d)))
+            try:
+                expected = count_bound_states(trial)
+            except (NumericalError, ExistenceError):
+                expected = -1
+            assert counts[i, j] == expected, (d, v)
+    assert list(counts[1]) == [-1, -1, -1]
+    assert list(counts[:, 1]) == [0, -1, 0, 0]
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(N=40, J=1.0, D=6.0, V0=5.0),
+    ModelParams(N=40, J=1.0, D=6.0, V0=-5.0),
+    ModelParams(N=40, J=1.0, D=2.1, V0=5.0),
+    ModelParams(N=40, J=1.0, D=2.1, V0=-5.0),
+    ModelParams(N=40, J=1.0, D=4.1, V0=4.0),
+])
+def test_count_equals_classified_records(params):
+    """The fit-free count sees the same gates as classification."""
+    ph = build_projected_hamiltonian(params)
+    recs = classify_bound_states(diagonalize_projected(ph), ph.modes)
+    assert count_bound_states(params) == len(recs)
+
+
+def test_potential_matrix_with_reused_overlap(fig2_params):
+    """One overlap G serves every V0 and still matches the brute-force oracle."""
+    modes = ModeBasis(fig2_params.replace(V0=0.0), "exact")
+    G = impurity_overlap(modes)
+    C = np.array([modes.pair_amplitudes(i) for i in range(len(modes))])
+    basis, _ = build_pair_hamiltonian(fig2_params.replace(V0=0.0))
+    site0 = np.array([(m == 0) + (n == 0) for m, n in basis.pairs], dtype=float)
+    for v0 in (-3.0, 4.0):
+        p = fig2_params.replace(V0=v0)
+        V = potential_matrix(modes, p, G)
+        V_exact = np.einsum("ip,p,jp->ij", C.conj(), v0 * site0, C)
+        assert np.abs(V - V_exact).max() < 1e-10
+        assert np.array_equal(V, potential_matrix(ModeBasis(p, "exact")))
