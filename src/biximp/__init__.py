@@ -13,7 +13,7 @@ from .dynamics import (ReducedDensity, Trajectory, WavepacketConfig,
                        fringe_visibility, init_wavepacket,
                        interference_profile, mode_distribution, propagate,
                        realspace_amplitude, reduced_density, run_trajectory,
-                       split_ratio)
+                       schmidt_weights, split_ratio)
 from .errors import (BiximpError, ConfigError, ExistenceError, NumericalError,
                      ParameterError, RangeError, RegimeError, TimingError)
 from .exciton import (ExcitonBoundState, ExcitonSpectrum, effective_mass,

@@ -10,12 +10,14 @@ byte-identical CSV output.  Exit codes: 0 ok, 1 numerical failure,
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import dynamics, pairbasis, projected, scattering
+from .biexciton import ModeBasis
 from .csvio import write_grid_binary, write_gnuplot_script, write_table
 from .errors import BiximpError, ConfigError, NumericalError, RegimeError
 from .exciton import solve_exciton_spectrum
@@ -36,14 +38,21 @@ def load_config(path):
     return cfg
 
 
+@contextmanager
+def parsing(name):
+    """Turn a bad or missing value of section `name` into ConfigError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} section: bad or missing {exc}") from exc
+
+
 def model_from_config(cfg, **overrides):
     m = dict(cfg["model"])
     m.update(overrides)
-    try:
+    with parsing("model"):
         return ModelParams(N=int(m["N"]), J=float(m["J"]), D=float(m["D"]),
                            E0=float(m.get("E0", 0.0)), V0=float(m.get("V0", 0.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"model section: bad or missing {exc}") from exc
 
 
 def section(cfg, name, default=None):
@@ -115,13 +124,11 @@ def cmd_biexciton_spectrum(cfg, out, fmt, plots):
 def cmd_phase_diagram(cfg, out, fmt, plots):
     params = model_from_config(cfg)
     sec = section(cfg, "phase_diagram")
-    try:
+    with parsing("phase_diagram"):
         d_vals = np.linspace(float(sec["D_min"]), float(sec["D_max"]),
                              int(sec["n_D"]))
         v_vals = np.linspace(float(sec["V0_min"]), float(sec["V0_max"]),
                              int(sec["n_V0"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"phase_diagram section: bad or missing {exc}") from exc
     counts = projected.phase_diagram(d_vals, v_vals, params)
     rows = [(d_vals[i], v_vals[j], counts[i, j])
             for i in range(len(d_vals)) for j in range(len(v_vals))]
@@ -135,8 +142,9 @@ def cmd_phase_diagram(cfg, out, fmt, plots):
 def cmd_poles(cfg, out, fmt, plots):
     params = model_from_config(cfg)
     sec = section(cfg, "poles")
-    kpp_max = float(sec.get("K_doubleprime_max", 2.0))
-    n_scan = int(sec.get("n_scan", 200))
+    with parsing("poles"):
+        kpp_max = float(sec.get("K_doubleprime_max", 2.0))
+        n_scan = int(sec.get("n_scan", 200))
     rows = []
     for branch, v0 in ((0.0, abs(params.V0)), (math.pi / 2, -abs(params.V0))):
         p = params.replace(V0=v0)
@@ -175,7 +183,8 @@ def cmd_poles(cfg, out, fmt, plots):
 def cmd_bic(cfg, out, fmt, plots):
     params = model_from_config(cfg)
     sec = section(cfg, "bic")
-    tol = float(sec.get("flag_tolerance", 5e-2))
+    with parsing("bic"):
+        tol = float(sec.get("flag_tolerance", 5e-2))
     basis, spec = pairbasis.diagonalize_full(params)
     try:
         e1, e2 = pairbasis.bic_energies(params)
@@ -208,7 +217,7 @@ def cmd_bic(cfg, out, fmt, plots):
 def cmd_wavepacket(cfg, out, fmt, plots):
     params = model_from_config(cfg)
     sec = section(cfg, "wavepacket")
-    try:
+    with parsing("wavepacket"):
         config = dynamics.WavepacketConfig(
             K0=float(sec["K0"]), dK0=float(sec["dK0"]),
             t_start=float(sec["t_start"]), t_end=float(sec["t_end"]),
@@ -216,21 +225,23 @@ def cmd_wavepacket(cfg, out, fmt, plots):
             r_offset=sec.get("r_offset"))
         target = float(sec.get("split_target", 0.5))
         snapshots = [(t, float(t)) for t in sec.get("snapshots", [])]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"wavepacket section: bad or missing {exc}") from exc
     dynamics.validate_dynamics_regime(params)
+    # one basis and impurity overlap serve the calibration and the run:
+    # neither depends on V0
+    modes = ModeBasis(params)
+    G = projected.impurity_overlap(modes)
     if sec.get("calibrate_v0", False):
-        v0 = dynamics.calibrate_v0(params, config, target=target)
+        v0 = dynamics.calibrate_v0(params, config, target=target,
+                                   modes=modes, overlap=G)
         params = params.replace(V0=v0)
-    ph = projected.build_projected_hamiltonian(params)
+    ph = projected.build_projected_hamiltonian(params, modes=modes, overlap=G)
     traj = dynamics.run_trajectory(params, config, ph)
     write_table(out / "wavepacket_timeseries.csv",
                 ("t", "entropy_bits", "norm", "energy", "reflected_prob"),
                 [(s.t, s.entropy, s.norm, s.energy, s.reflected)
                  for s in traj.samples], fmt)
     for t_snap, t in snapshots:
-        st = dynamics.propagate(dynamics.init_wavepacket(config, ph.modes),
-                                ph, t)
+        st = dynamics.propagate(traj.initial, ph, t)
         _, _, psi = dynamics.realspace_amplitude(st, ph.modes)
         write_grid_binary(out / f"snapshot_psi2_t{t_snap}.f64", np.abs(psi) ** 2)
         rho = dynamics.reduced_density(st, ph.modes)

@@ -18,6 +18,24 @@ bits.  Interference of the reflected and transmitted halves is read off
 the diagonal of rho around the ring antipode; fringe visibility is
 (max - min)/(max + min) over interior fringe extrema, zero when the
 window holds no interior minimum.
+
+The eigenvalues never need rho itself.  The even-(r+s) mask splits rho
+into two blocks by the parity p of r, each fed only by the s of the
+same parity: rho_p = A_p A_p^H with A_p(r, s) = Psi(r, s), r and s of
+parity p.  The Gram matrix A_p^H A_p has the same nonzero spectrum, and
+its r-sum is a discrete orthogonality on the K grid of spacing pi/N:
+r = p + 2m runs over N consecutive m, so
+
+    sum_{r of parity p} e^{i(K'-K) r} = N delta_{KK'}
+
+for K, K' in (-pi/2, pi/2].  Hence
+
+    (A_p^H A_p)(s, s') = sum_K |u_K|^2 phi_K(s) phi_K(s'),
+
+a real N/2 x N/2 matrix per parity over the window's s.  Its spectrum
+is the Schmidt spectrum of the CM/relative split (schmidt_weights); it
+depends on the |u_K|^2 only, so with V0 = 0 the entropy is exactly
+conserved.
 """
 
 import math
@@ -124,6 +142,8 @@ class _Grids:
         win = (modes.s >= -N // 2 + 1) & (modes.s <= N // 2)
         self.s_win = modes.s[win]
         self.phi_win = modes.phi[:, win].astype(complex)
+        self.phi_parity = [modes.phi[:, win][:, self.s_win % 2 == p]
+                           for p in (0, 1)]
         self.mask_win = ((self.r[:, None] + self.s_win[None, :]) % 2 == 0)
         self.fold_weight = np.where(np.abs(self.s_win) == N // 2, 1.0, 2.0)
         self.mask_full = ((self.r[:, None] + modes.s[None, :]) % 2 == 0)
@@ -167,20 +187,36 @@ class ReducedDensity:
         return np.real(np.diag(self.rho)).copy()
 
 
+def schmidt_weights(u, modes):
+    """Eigenvalues of the trace-normalized CM density matrix, ascending.
+
+    Computed from the two parity Gram blocks sum_K |u_K|^2 phi_K phi_K^T
+    (module docstring) and zero-padded to the 2N eigenvalues of rho.
+    """
+    g = _grids(modes)
+    w = np.abs(u) ** 2
+    blocks = [(phi.T * w) @ phi for phi in g.phi_parity]
+    trace = sum(np.trace(b) for b in blocks)
+    ev = np.concatenate([np.linalg.eigvalsh(b / trace) for b in blocks])
+    if ev.min() < -1e-10:
+        raise NumericalError(f"reduced density not PSD: min eig {ev.min():.2e}")
+    return np.sort(np.concatenate([np.clip(ev, 0.0, None),
+                                   np.zeros(2 * g.N - len(ev))]))
+
+
 def reduced_density(state, modes):
     """Trace-normalized CM density matrix on the 2N ring."""
     psi = _window_amplitude(state, modes)
     rho = psi @ psi.conj().T
     rho /= np.real(np.trace(rho))
-    ev = np.linalg.eigvalsh(rho)
-    if ev.min() < -1e-10:
-        raise NumericalError(f"reduced density not PSD: min eig {ev.min():.2e}")
-    return ReducedDensity(rho, np.clip(ev, 0.0, None))
+    return ReducedDensity(rho, schmidt_weights(state.u, modes))
 
 
 def entropy(rho):
-    """Von Neumann entropy in bits; eigenvalues below the clip are dropped."""
-    ev = rho.eigenvalues[rho.eigenvalues > ENTROPY_EIG_CLIP]
+    """Von Neumann entropy in bits of a ReducedDensity or its eigenvalues;
+    eigenvalues below the clip are dropped."""
+    ev = np.asarray(getattr(rho, "eigenvalues", rho))
+    ev = ev[ev > ENTROPY_EIG_CLIP]
     return float(-np.sum(ev * np.log2(ev)))
 
 
@@ -220,14 +256,18 @@ def fringe_visibility(profile, N, halfwidth=None):
     w_even = profile[idx[r[idx] % 2 == 0]].sum()
     w_odd = profile[idx[r[idx] % 2 != 0]].sum()
     keep = idx[r[idx] % 2 == (0 if w_even >= w_odd else 1)]
-    vals = profile[keep]
-    mins = [vals[i] for i in range(1, len(vals) - 1)
-            if vals[i] < vals[i - 1] and vals[i] <= vals[i + 1]]
-    maxs = [vals[i] for i in range(1, len(vals) - 1)
-            if vals[i] > vals[i - 1] and vals[i] >= vals[i + 1]]
-    if not mins or not maxs:
+    return _extrema_contrast(profile[keep])
+
+
+def _extrema_contrast(vals):
+    """(max - min)/(max + min) over the interior local extrema of vals;
+    zero unless both an interior maximum and minimum exist."""
+    mid, prev, nxt = vals[1:-1], vals[:-2], vals[2:]
+    maxs = mid[(mid > prev) & (mid >= nxt)]
+    mins = mid[(mid < prev) & (mid <= nxt)]
+    if not len(mins) or not len(maxs):
         return 0.0
-    vmax, vmin = max(maxs), min(mins)
+    vmax, vmin = maxs.max(), mins.min()
     return float((vmax - vmin) / (vmax + vmin))
 
 
@@ -265,13 +305,14 @@ def split_ratio(state, modes, buffer=SPLIT_BUFFER, strict=True):
 
 
 def calibrate_v0(params_template, config, target=0.5, tol=0.02,
-                 t_measure=None, v0_max=None):
+                 t_measure=None, v0_max=None, modes=None, overlap=None):
     """Impurity strength giving the target reflected fraction.
 
     Bisection on |V0| with the sign opposite to D; reflection is
     measured at t_measure (default 35).  target = 0 returns 0.  If the
     scan endpoint does not bracket the target the best candidate is
-    returned with a warning.
+    returned with a warning.  `modes` (and its `overlap`) pass a
+    prebuilt basis of the same D, as in build_projected_hamiltonian.
     """
     if target == 0.0:
         return 0.0
@@ -281,17 +322,19 @@ def calibrate_v0(params_template, config, target=0.5, tol=0.02,
     if v0_max is None:
         v0_max = abs(params_template.D)
 
-    modes = ModeBasis(params_template)
-    G = impurity_overlap(modes)
+    if modes is None:
+        modes = ModeBasis(params_template)
+    if overlap is None:
+        overlap = impurity_overlap(modes)
+    u0 = init_wavepacket(config, modes)
 
     def reflected(v0_abs):
         trial = params_template.replace(V0=float(sgn * v0_abs))
-        ph = build_projected_hamiltonian(trial, modes=modes, overlap=G)
-        u0 = init_wavepacket(config, ph.modes)
+        ph = build_projected_hamiltonian(trial, modes=modes, overlap=overlap)
         u = propagate(u0, ph, t_measure)
         # scan probes skip the timing gate: strong trial potentials leave
         # lingering weight near the impurity by design
-        return split_ratio(u, ph.modes, strict=False)[0]
+        return split_ratio(u, modes, strict=False)[0]
 
     lo, hi = 0.0, v0_max
     r_hi = reflected(hi)
@@ -333,32 +376,40 @@ class Trajectory:
     samples: list
     config: WavepacketConfig
     ph: ProjectedHamiltonian = field(repr=False, default=None)
+    initial: WavepacketState = field(repr=False, default=None)
 
     def at(self, t):
         for s in self.samples:
             if abs(s.t - t) < 1e-9:
                 return s
-        raise KeyError(f"no sample at t={t}")
+        raise TimingError(f"no sample at t={t}")
 
 
 def run_trajectory(params, config, ph=None):
-    """Propagate the packet and record (t, S, norm, energy, reflected)."""
+    """Propagate the packet and record (t, S, norm, energy, reflected).
+
+    Every sample time comes from one product over the time grid,
+    u(t) = W exp(-i E (t - t0)) W^H u(t0), as in propagate.
+    """
     validate_dynamics_regime(params)
     if ph is None:
         ph = build_projected_hamiltonian(params)
     state = init_wavepacket(config, ph.modes)
     ts = np.arange(config.t_start, config.t_end + 1e-9, config.sample_dt)
+    w, W = ph.eigensystem()
+    c0 = W.conj().T @ state.u
+    us = (np.exp(-1j * np.outer(ts - state.t, w)) * c0) @ W.T
     samples = []
-    for t in ts:
-        st = propagate(state, ph, float(t))
-        rho = reduced_density(st, ph.modes)
+    for t, u in zip(ts, us):
+        st = WavepacketState(float(t), u)
         try:
             refl, _ = split_ratio(st, ph.modes)
         except TimingError:
             refl = math.nan
-        samples.append(TrajectorySample(float(t), entropy(rho), st.norm,
-                                        energy_expectation(st, ph), refl))
-    return Trajectory(samples, config, ph)
+        samples.append(TrajectorySample(
+            st.t, entropy(schmidt_weights(u, ph.modes)), st.norm,
+            energy_expectation(st, ph), refl))
+    return Trajectory(samples, config, ph, state)
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +472,7 @@ class ExcitonPacketModel:
         dist = np.abs(np.abs(self.x) - N // 2)
         win = np.where(np.minimum(dist, N - dist) <= halfwidth)[0]
         order = np.argsort((self.x[win] - (N // 2 - halfwidth)) % N)
-        vals = prof[win[order]]
-        mins = [vals[i] for i in range(1, len(vals) - 1)
-                if vals[i] < vals[i - 1] and vals[i] <= vals[i + 1]]
-        maxs = [vals[i] for i in range(1, len(vals) - 1)
-                if vals[i] > vals[i - 1] and vals[i] >= vals[i + 1]]
-        if not mins or not maxs:
-            return 0.0
-        vmax, vmin = max(maxs), min(mins)
-        return float((vmax - vmin) / (vmax + vmin))
+        return _extrema_contrast(prof[win[order]])
 
 
 def calibrate_exciton_v0(params_template, k0, dk0, t_flight, v0_max=None):

@@ -47,6 +47,22 @@ def test_malformed_wavepacket_value_exit_code(tmp_path):
     assert main(["wavepacket", "--config", path, "--out", str(tmp_path)]) == 2
 
 
+def test_malformed_poles_value_exit_code(tmp_path, capsys):
+    cfg = dict(BASE, poles={"K_doubleprime_max": 1.0, "n_scan": "many"})
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    assert main(["poles", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: poles section") and err.count("\n") == 1
+
+
+def test_malformed_bic_value_exit_code(tmp_path, capsys):
+    cfg = dict(BASE, bic={"flag_tolerance": "tight"})
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    assert main(["bic", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bic section") and err.count("\n") == 1
+
+
 def test_regime_violation_exit_code(tmp_path):
     cfg = write_cfg(tmp_path / "c.yaml",
                     {"model": {"N": 40, "J": 1.0, "D": 2.0, "V0": 4.0}})

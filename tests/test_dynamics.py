@@ -10,10 +10,11 @@ from biximp import (ModelParams, RegimeError, TimingError,
                     calibrate_v0, contrast, entropy, fringe_visibility,
                     init_wavepacket, interference_profile, mode_distribution,
                     propagate, realspace_amplitude, reduced_density,
-                    split_ratio)
+                    schmidt_weights, split_ratio)
 from biximp.dynamics import (ExcitonPacketModel, WavepacketState,
-                             calibrate_exciton_v0, energy_expectation,
-                             run_trajectory, validate_dynamics_regime)
+                             _extrema_contrast, calibrate_exciton_v0,
+                             energy_expectation, run_trajectory,
+                             validate_dynamics_regime)
 
 K0, DK0 = 3 * np.pi / 8, np.pi / 24
 
@@ -134,6 +135,79 @@ def test_product_state_is_pure(ph):
     assert entropy(rho2) <= 1.0
 
 
+def _k_space_states(N):
+    """(label, state) pairs: random complex, canonical packet, single modes."""
+    ph = build_projected_hamiltonian(canonical_params().replace(N=N))
+    rng = np.random.default_rng(N)
+    states = []
+    for seed in range(3):
+        u = rng.normal(size=N) + 1j * rng.normal(size=N)
+        states.append((f"random{seed}", WavepacketState(0.0, u / np.linalg.norm(u))))
+    u0 = init_wavepacket(canonical_config(), ph.modes)
+    states += [(f"packet t={t}", propagate(u0, ph, t)) for t in (-30.0, -2.0, 35.0)]
+    for i in (N - 1, 7):      # the single modes of test_product_state_is_pure
+        u = np.zeros(N, dtype=complex)
+        u[i] = 1.0
+        states.append((f"mode {i}", WavepacketState(0.0, u)))
+    return ph, states
+
+
+@pytest.mark.filterwarnings("ignore:packet clipped")
+@pytest.mark.parametrize("N", [12, 40, 200])
+def test_schmidt_weights_match_explicit_density(N):
+    """The K-space Schmidt spectrum equals eigvalsh of the explicit 2N x 2N rho."""
+    ph, states = _k_space_states(N)
+    for label, st in states:
+        rho = reduced_density(st, ph.modes).rho
+        want = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+        got = schmidt_weights(st.u, ph.modes)
+        assert got.shape == (2 * N,), label
+        assert np.all(np.diff(got) >= 0.0), label
+        assert np.abs(got - want).max() < 1e-12, label
+        assert abs(entropy(got) - entropy(want)) < 1e-12, label
+
+
+def test_trajectory_entropy_matches_reduced_density():
+    """run_trajectory's batched propagation and K-space entropy reproduce
+    the single-time path sample by sample, through the collision."""
+    p = canonical_params(V0=0.5474)
+    ph = build_projected_hamiltonian(p)
+    traj = run_trajectory(p, canonical_config(), ph)
+    assert len(traj.samples) == 91
+    for smp in traj.samples:
+        st = propagate(traj.initial, ph, smp.t)
+        assert abs(smp.entropy - entropy(reduced_density(st, ph.modes))) < 1e-12
+        assert abs(smp.energy - energy_expectation(st, ph)) < 1e-12
+        assert abs(smp.norm - st.norm) < 1e-12
+
+
+def _extrema_contrast_loop(vals):
+    """Reference: the per-element scan the visibility routines used."""
+    mins = [vals[i] for i in range(1, len(vals) - 1)
+            if vals[i] < vals[i - 1] and vals[i] <= vals[i + 1]]
+    maxs = [vals[i] for i in range(1, len(vals) - 1)
+            if vals[i] > vals[i - 1] and vals[i] >= vals[i + 1]]
+    if not mins or not maxs:
+        return 0.0
+    vmax, vmin = max(maxs), min(mins)
+    return float((vmax - vmin) / (vmax + vmin))
+
+
+def test_extrema_contrast():
+    # interior maxima 3, 2 and minima 1, 0.5; the end points never count
+    vals = np.array([1.0, 3.0, 1.0, 2.0, 0.5, 4.0])
+    assert _extrema_contrast(vals) == pytest.approx(2.5 / 3.5)
+    assert _extrema_contrast(np.arange(5.0)) == 0.0
+    assert _extrema_contrast(np.array([1.0, 2.0, 2.0, 1.0])) == 0.0  # no minimum
+    # same comparisons and arithmetic as the loop: equal, not close;
+    # rounding makes plateaus
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 2, 3, 10, 41):
+        for _ in range(20):
+            vals = np.round(rng.random(n), 1)
+            assert _extrema_contrast(vals) == _extrema_contrast_loop(vals)
+
+
 def test_entropy_corner_cases():
     class Dummy:
         eigenvalues = np.array([0.5, 0.5])
@@ -218,6 +292,8 @@ def test_trajectory_sampling():
     assert all(abs(s.norm - 1.0) < 1e-10 for s in traj.samples)
     s0 = traj.at(-30.0)
     assert s0.entropy == pytest.approx(0.192, abs=0.01)
+    with pytest.raises(TimingError):
+        traj.at(-29.5)
 
 
 def _full_basis_reflected(exact_pair_run, p, cfg, t_measure):
