@@ -7,7 +7,7 @@ dynamics.  See README.md for the command-line interface.
 """
 
 from .biexciton import (BiexcitonMode, ModeBasis, alpha, biexciton_energy,
-                        continuum_energy, solve_relative_wavevector)
+                        continuum_energy)
 from .dynamics import (ReducedDensity, Trajectory, WavepacketConfig,
                        WavepacketState, calibrate_v0, contrast, entropy,
                        fringe_visibility, init_wavepacket,

@@ -30,6 +30,7 @@ from scipy.optimize import brentq
 
 from .errors import ExistenceError, NumericalError, ParameterError
 from .params import WavevectorIndex, k_grid
+from .roots import scan_roots
 
 _LN2 = math.log(2.0)
 
@@ -111,12 +112,6 @@ def solve_relative_decay(K, params, parity, method="exact"):
     return root
 
 
-def solve_relative_wavevector(K, params, parity, method="exact"):
-    """Complex relative wavevector k = i k_i (k_r = 0 convention)."""
-    k_i = solve_relative_decay(K, params, parity, method)
-    return complex(0.0, k_i)
-
-
 def biexciton_energy(K, params, parity=0, method="exact"):
     """Pair energy at CM mode K.
 
@@ -154,17 +149,9 @@ def free_relative_roots(K, params, parity):
             return c * math.cos(k * N / 2) - params.D * math.cos(k * (N / 2 - 1))
         return c * math.sin(k * N / 2) - params.D * math.sin(k * (N / 2 - 1))
 
-    ks = np.linspace(1e-9, math.pi - 1e-9, 8 * N)
-    vals = np.array([g(k) for k in ks])
-    roots = []
-    for i in range(len(ks) - 1):
-        if vals[i] == 0.0:
-            roots.append(ks[i])
-        elif vals[i] * vals[i + 1] < 0:
-            roots.append(brentq(g, ks[i], ks[i + 1], xtol=1e-14))
     # drop roots whose sampled wavefunction vanishes identically
     out = []
-    for k in roots:
+    for k in scan_roots(g, np.linspace(1e-9, math.pi - 1e-9, 8 * N)):
         s = np.arange(1, N)
         w = np.cos(k * (N / 2 - s)) if parity == 0 else np.sin(k * (N / 2 - s))
         if np.max(np.abs(w)) > 1e-9:
@@ -307,10 +294,7 @@ class ModeBasis:
         """
         p = self.params
         m = self.modes[mode_i]
-        sites = p.sites
-        out = []
-        for a in range(p.N):
-            for b in range(a + 1, p.N):
-                ma, nb = sites[a], sites[b]
-                out.append(np.exp(1j * m.K * (ma + nb)) * m.phi_at(nb - ma, p.N))
-        return 2.0 / math.sqrt(p.N) * np.array(out)
+        a, b = np.triu_indices(p.N, 1)
+        ma, nb = p.sites[a], p.sites[b]
+        return 2.0 / math.sqrt(p.N) * (np.exp(1j * m.K * (ma + nb))
+                                       * m.phi[nb - ma + p.N - 1])

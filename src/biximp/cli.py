@@ -204,13 +204,9 @@ def cmd_bic(cfg, out, fmt, plots):
                 ("index", "energy", "type", "in_continuum", "schmidt_number",
                  "decay_r", "decay_s", "mismatch_flag"), rows, fmt)
     if dump and rows:
-        e_num, vec, _ = pairbasis.find_bic_state(params)
-        amps = pairbasis.folded_amplitudes(vec, basis)
-        N = params.N
-        grid = np.zeros((2 * N, N // 2 + 1))
-        for (r, s), a in amps.items():
-            grid[r + N - 1, s] = a
-        write_grid_binary(out / "bic_amplitude.f64", grid)
+        _, vec, _ = pairbasis.find_bic_state(params)
+        write_grid_binary(out / "bic_amplitude.f64",
+                          pairbasis.folded_amplitudes(vec, basis))
     return 0
 
 

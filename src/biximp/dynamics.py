@@ -480,7 +480,6 @@ def calibrate_exciton_v0(params_template, k0, dk0, t_flight, v0_max=None):
     sgn = -np.sign(params_template.J)
     if v0_max is None:
         v0_max = 6.0 * abs(params_template.J)
-    x0 = None
 
     def reflected(v0_abs):
         model = ExcitonPacketModel(params_template.replace(V0=float(sgn * v0_abs)))

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NumericalError, ParameterError
+from .roots import scan_roots
 
 BOUND_SPLIT_TOL = 1e-9  # energy split below this does not count as bound
 
@@ -132,14 +133,7 @@ def solve_exciton_spectrum(params):
     t = params.V0 / (2.0 * params.J)
     g = lambda k: math.sin(k * N / 2.0) * math.sin(k) + t * math.cos(k * N / 2.0)
     ks = np.linspace(1e-12, math.pi - 1e-12, 16 * N)
-    vals = np.array([g(k) for k in ks])
-    roots = []
-    for i in range(len(ks) - 1):
-        if vals[i] * vals[i + 1] < 0:
-            roots.append(brentq(g, ks[i], ks[i + 1], xtol=1e-14))
-        elif vals[i] == 0.0:
-            roots.append(ks[i])
-    k_s = np.array(sorted(roots))
+    k_s = np.array(sorted(scan_roots(g, ks)))
     if len(k_s) != N // 2:
         raise NumericalError(
             f"symmetric root count {len(k_s)} != N/2 = {N // 2}: completeness failed")

@@ -39,39 +39,58 @@ SITE_CORE_MIN = 0.30     # occupation within 2 sites of the impurity
 
 
 class PairBasis:
-    """Ordered site pairs (m, n), m < n, with index lookup."""
+    """Ordered site pairs (m, n), m < n, with their folded coordinates.
+
+    Every per-pair array runs in pair order (`np.triu_indices` over the
+    site window).  The folded coordinates place each pair once on the
+    (r, sigma) grid: sigma = n - m and r = m + n, except that a pair
+    with n - m > N/2 is re-expressed through the wrapped ordering,
+    sigma = N - (n - m) and r - N for r > 0, r + N otherwise.  `cm_dist` is
+    the CM ring distance min(|r|, 2N - |r|) and `mirror` the index of
+    each pair's image under the reflection P: (m, n) -> (-n, -m).
+    """
 
     def __init__(self, N):
         self.N = N
-        sites = np.arange(-N // 2 + 1, N // 2 + 1)
-        self.pairs = [(int(m), int(n)) for i, m in enumerate(sites)
-                      for n in sites[i + 1:]]
-        self.index = {p: i for i, p in enumerate(self.pairs)}
+        i, j = np.triu_indices(N, 1)
+        self.m, self.n = i - N // 2 + 1, j - N // 2 + 1
+        self.pairs = list(zip(self.m.tolist(), self.n.tolist()))
+        r, s = self.m + self.n, self.n - self.m
+        wrapped = s > N // 2
+        self.r = np.where(wrapped, np.where(r > 0, r - N, r + N), r)
+        self.sigma = np.where(wrapped, N - s, s)
+        self.cm_dist = np.minimum(np.abs(self.r), 2 * N - np.abs(self.r))
+        self.mirror = self.locate(-self.n, -self.m)
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.m)
 
     def locate(self, a, b):
-        a, b = wrap_site(a, self.N), wrap_site(b, self.N)
-        if a == b:
-            return None
-        return self.index[(min(a, b), max(a, b))]
+        """Pair index of sites a, b wrapped onto the ring; -1 where they coincide."""
+        N = self.N
+        i = wrap_site(np.asarray(a), N) + N // 2 - 1
+        j = wrap_site(np.asarray(b), N) + N // 2 - 1
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        return np.where(lo == hi, -1, lo * N - lo * (lo + 1) // 2 + hi - lo - 1)
 
 
 def build_pair_hamiltonian(params, basis=None):
     """Dense real symmetric Hamiltonian over the pair basis."""
     N = params.N
     basis = basis or PairBasis(N)
+    m, n = basis.m, basis.n
     H = np.zeros((len(basis), len(basis)))
-    for i, (m, n) in enumerate(basis.pairs):
-        ringsep = (n - m) % N
-        adjacent = ringsep == 1 or ringsep == N - 1
-        H[i, i] = 2.0 * params.E0 + (params.D if adjacent else 0.0) \
-            + params.V0 * ((m == 0) + (n == 0))
-        for a, b in ((m + 1, n), (m - 1, n), (m, n + 1), (m, n - 1)):
-            j = basis.locate(a, b)
-            if j is not None:
-                H[i, j] += params.J
+    ringsep = (n - m) % N
+    adjacent = (ringsep == 1) | (ringsep == N - 1)
+    # m < n, so at most one excitation sits on the impurity
+    H[np.diag_indices(len(basis))] = 2.0 * params.E0 \
+        + np.where(adjacent, params.D, 0.0) + params.V0 * ((m == 0) | (n == 0))
+    # one excitation hops to a neighbour; a hop onto the other is blocked
+    rows = np.tile(np.arange(len(basis)), 4)
+    cols = basis.locate(np.concatenate((m + 1, m - 1, m, m)),
+                        np.concatenate((n, n, n + 1, n - 1)))
+    hop = cols >= 0
+    np.add.at(H, (rows[hop], cols[hop]), params.J)
     return basis, H
 
 
@@ -86,11 +105,7 @@ def diagonalize_full(params, basis=None):
 
 def reflection_expectation(vec, basis):
     """<v| P |v> for the site reflection P: (m, n) -> (-n, -m)."""
-    out = 0.0
-    for i, (m, n) in enumerate(basis.pairs):
-        j = basis.locate(-n, -m)
-        out += vec[i] * vec[j]
-    return float(out)
+    return float(vec @ vec[basis.mirror])
 
 
 def in_continuum(energy, params):
@@ -102,59 +117,23 @@ def in_continuum(energy, params):
 
 
 def folded_amplitudes(vec, basis):
-    """Map pair amplitudes onto folded CM/relative coordinates.
+    """Pair amplitudes on the folded (r, sigma) grid of shape (2N, N/2 + 1).
 
-    Every pair is represented once, at the smaller ring separation
-    sigma = min(s, N - s) <= N/2 with the CM coordinate of that
-    representation; returns a dict {(r, sigma): amplitude}.
+    Row r + N - 1 holds CM coordinate r in [-N+1, N] and column sigma
+    the ring separation in [0, N/2]; each pair fills its one slot and
+    the rest of the grid is zero.
     """
     N = basis.N
-    out = {}
-    for i, (m, n) in enumerate(basis.pairs):
-        r, s = m + n, n - m
-        if s > N // 2:
-            # re-express through the wrapped pair ordering
-            r = r - N if r > 0 else r + N
-            s = N - s
-        out[(r, s)] = vec[i]
-    return out
+    grid = np.zeros((2 * N, N // 2 + 1))
+    grid[basis.r + N - 1, basis.sigma] = vec
+    return grid
 
 
-def cm_ring_profile(vec, basis, s_max=2):
-    """|amplitude|^2 vs CM ring distance, restricted to small separations."""
-    N = basis.N
-    prof = {}
-    for (r, s), a in folded_amplitudes(vec, basis).items():
-        if s > s_max:
-            continue
-        d = min(abs(r), 2 * N - abs(r))
-        prof[d] = prof.get(d, 0.0) + a * a
-    ds = np.array(sorted(prof))
-    return ds, np.array([prof[d] for d in ds])
-
-
-def separation_profile(vec, basis, r_max=None):
-    """|amplitude|^2 vs ring separation sigma, restricted to CM near 0."""
-    prof = {}
-    for (r, s), a in folded_amplitudes(vec, basis).items():
-        if r_max is not None and abs(r) > r_max:
-            continue
-        prof[s] = prof.get(s, 0.0) + a * a
-    ds = np.array(sorted(prof))
-    return ds, np.array([prof[d] for d in ds])
-
-
-def site_profile(vec, basis):
-    """Occupation probability vs site ring distance from the impurity."""
-    N = basis.N
-    prof = {}
-    for i, (m, n) in enumerate(basis.pairs):
-        w = vec[i] ** 2
-        for x in (m, n):
-            d = min(abs(x), N - abs(x))
-            prof[d] = prof.get(d, 0.0) + w
-    ds = np.array(sorted(prof))
-    return ds, np.array([prof[d] for d in ds])
+def _profile(d, w):
+    """Weights w summed per distance d, in input order; returns (ds, p)
+    for the distances present."""
+    ds = np.unique(d)
+    return ds, np.bincount(d, weights=w)[ds]
 
 
 def _fit_decay(ds, ps, period_half, d_lo, d_hi):
@@ -191,15 +170,12 @@ def schmidt_number(vec, basis):
     window; the maximum over blocks is reported, so a genuine product
     state scores ~1 in spite of the sublattice structure.
     """
-    N = basis.N
-    amps = folded_amplitudes(vec, basis)
+    grid = folded_amplitudes(vec, basis)
     ranks = []
     for par in (0, 1):
-        rows = [r for r in range(-N + 1, N + 1) if abs(r) % 2 == par]
-        cols = [s for s in range(1, N // 2 + 1) if s % 2 == par]
-        if not cols:
-            continue
-        M = np.array([[amps.get((r, s), 0.0) for s in cols] for r in rows])
+        # rows r + N - 1 and columns s with r, s of parity par; a
+        # contiguous copy keeps the norm and the SVD bit-stable
+        M = np.ascontiguousarray(grid[1 - par::2, 2 - par::2])
         fro = np.linalg.norm(M)
         if fro < 1e-8:
             continue
@@ -219,16 +195,17 @@ def classify_state(energy, vec, params, basis):
     occupation pinned at the impurity is a single bound exciton.
     """
     N = params.N
-    amps = folded_amplitudes(vec, basis)
-    tot = sum(a * a for a in amps.values())
-    tail_r = sum(a * a for (r, s), a in amps.items()
-                 if min(abs(r), 2 * N - abs(r)) > N // 2) / tot
-    tail_s = sum(a * a for (r, s), a in amps.items() if s > N // 4) / tot
+    w = vec * vec
+    tot = w.sum()
+    tail_r = w[basis.cm_dist > N // 2].sum() / tot
+    tail_s = w[basis.sigma > N // 4].sum() / tot
 
-    ds_r, ps_r = cm_ring_profile(vec, basis, s_max=2)
-    kr, r2r, _ = _fit_decay(ds_r, ps_r, N, d_lo=4, d_hi=N - 6)
-    ds_s, ps_s = separation_profile(vec, basis, r_max=3)
-    ks, r2s, _ = _fit_decay(ds_s, ps_s, N // 2, d_lo=3, d_hi=N // 2 - 3)
+    near_s = basis.sigma <= 2
+    kr, r2r, _ = _fit_decay(*_profile(basis.cm_dist[near_s], w[near_s]),
+                            N, d_lo=4, d_hi=N - 6)
+    near_r = np.abs(basis.r) <= 3
+    ks, r2s, _ = _fit_decay(*_profile(basis.sigma[near_r], w[near_r]),
+                            N // 2, d_lo=3, d_hi=N // 2 - 3)
 
     r_bound = tail_r < TAIL_BOUND_MAX
     s_bound = tail_s < TAIL_BOUND_MAX
@@ -244,17 +221,18 @@ def classify_state(energy, vec, params, basis):
         # distinguish a pinned CM (mass stays near r = 0 at all
         # separations) from one pinned excitation (mass rides the
         # r = +-sigma diagonals, away from r = 0 at large sigma)
-        far = [(r, s, a) for (r, s), a in amps.items() if s >= 8]
-        far_tot = sum(a * a for _, _, a in far)
-        near0 = sum(a * a for r, s, a in far
-                    if min(abs(r), 2 * N - abs(r)) <= 6)
+        far = basis.sigma >= 8
+        far_tot = w[far].sum()
+        near0 = w[far & (basis.cm_dist <= 6)].sum()
         diag["cm_fraction_at_large_s"] = near0 / far_tot if far_tot > 0 else 1.0
         if far_tot > 1e-6 and near0 / far_tot < 0.2:
             label = "one_exciton_bound"
         else:
             label = "cm_bound_pair"
     else:
-        ds_x, ps_x = site_profile(vec, basis)
+        # occupation vs site ring distance from the impurity, m then n
+        x = np.abs(np.stack((basis.m, basis.n), axis=1).ravel())
+        ds_x, ps_x = _profile(np.minimum(x, N - x), np.repeat(w, 2))
         core = ps_x[ds_x <= 2].sum() / ps_x.sum()
         diag["site_core"] = core
         if core >= SITE_CORE_MIN:
@@ -387,14 +365,8 @@ def find_bic_state(params, window=0.05):
     cands = np.where(np.abs(spec.energies - target) < window)[0]
     if len(cands) == 0:
         raise NumericalError(f"no eigenvalue within {window} of {target:.6f}")
-    N = basis.N
-    best, best_core = None, -1.0
-    for c in cands:
-        amps = folded_amplitudes(spec.states[:, c], basis)
-        core = sum(a * a for (r, s), a in amps.items()
-                   if s <= 3 and min(abs(r), 2 * N - abs(r)) <= 8)
-        if core > best_core:
-            best, best_core = int(c), core
+    core = (basis.sigma <= 3) & (basis.cm_dist <= 8)
+    best = int(cands[np.argmax((spec.states[np.ix_(core, cands)] ** 2).sum(axis=0))])
     vec = spec.states[:, best]
     cls = classify_state(spec.energies[best], vec, params, basis)
     return spec.energies[best], vec, cls

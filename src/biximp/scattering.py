@@ -33,9 +33,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import NumericalError, RangeError
+from .errors import NumericalError, ParameterError, RangeError
+from .roots import scan_roots
 
 POLE_RESIDUAL_TOL = 1e-10
 _EXP_LIMIT = 690.0
@@ -112,7 +112,6 @@ class PoleResult:
 def pole_branch(params):
     """K' = 0 for sgn(D) = sgn(V0), K' = pi/2 for opposite signs."""
     if params.V0 == 0.0 or params.D == 0.0:
-        from .errors import ParameterError
         raise ParameterError("pole branch undefined for D V0 = 0")
     return 0.0 if params.D * params.V0 > 0 else math.pi / 2
 
@@ -132,21 +131,19 @@ def find_pole(params, k_max=4.0, n_scan=800):
     def f(k):
         return math.sinh(2.0 * k) - 2.0 * p.D * p.V0 * s_function(kp, k, p) / (p.J ** 2 * c2)
 
-    ks = np.linspace(1e-6, k_max, n_scan)
-    vals = np.array([f(k) for k in ks])
-    for i in range(len(ks) - 1):
-        if vals[i] * vals[i + 1] < 0:
-            k = brentq(f, ks[i], ks[i + 1], xtol=1e-14)
-            resid = abs(f(k))
-            if resid > POLE_RESIDUAL_TOL:
-                raise NumericalError("pole residual above tolerance", residual=resid)
-            Kc = kp + 1j * k
-            a = 2.0 * p.J * cmath.cos(Kc) / p.D
-            energy = 2.0 * p.E0 + (p.D * (1.0 + a * a)).real
-            return PoleResult(kp, k, energy, resid)
-    raise NumericalError(
-        f"no pole found on branch K'={kp:.4f} for D={p.D}, V0={p.V0} "
-        f"(scanned K'' up to {k_max})")
+    k = next(scan_roots(f, np.linspace(1e-6, k_max, n_scan), exact_zeros=False),
+             None)
+    if k is None:
+        raise NumericalError(
+            f"no pole found on branch K'={kp:.4f} for D={p.D}, V0={p.V0} "
+            f"(scanned K'' up to {k_max})")
+    resid = abs(f(k))
+    if resid > POLE_RESIDUAL_TOL:
+        raise NumericalError("pole residual above tolerance", residual=resid)
+    Kc = kp + 1j * k
+    a = 2.0 * p.J * cmath.cos(Kc) / p.D
+    energy = 2.0 * p.E0 + (p.D * (1.0 + a * a)).real
+    return PoleResult(kp, k, energy, resid)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ import pytest
 from biximp import (ExistenceError, ModeBasis, ModelParams, ParameterError,
                     antisymmetric_cm_wavevector, bic_energies,
                     build_pair_hamiltonian, diagonalize_full, find_bic_state)
-from biximp.pairbasis import (PairBasis, classify_state, in_continuum,
-                              reflection_expectation, schmidt_number)
+from biximp.pairbasis import (PairBasis, classify_state, folded_amplitudes,
+                              in_continuum, reflection_expectation,
+                              schmidt_number)
+from biximp.params import wrap_site
 
 
 def test_basis_size_and_uniqueness():
@@ -18,6 +20,71 @@ def test_basis_size_and_uniqueness():
         assert len(b) == N * (N - 1) // 2
         assert len(set(b.pairs)) == len(b)
         assert all(m < n for m, n in b.pairs)
+
+
+def _scalar_pairs(N):
+    """Reference pair list and a scalar lookup that wraps both sites."""
+    sites = range(-N // 2 + 1, N // 2 + 1)
+    pairs = [(m, n) for m in sites for n in sites if m < n]
+    index = {pq: i for i, pq in enumerate(pairs)}
+
+    def locate(a, b):
+        a, b = wrap_site(a, N), wrap_site(b, N)
+        return None if a == b else index[(min(a, b), max(a, b))]
+    return pairs, locate
+
+
+@pytest.mark.parametrize("N", (4, 6, 40))
+def test_pair_hamiltonian_matches_scalar_reference(N):
+    """The array build equals a per-pair loop exactly; N = 4 wraps the
+    neighbours of every pair."""
+    p = ModelParams(N=N, J=0.7, D=-2.3, E0=0.4, V0=-1.9)
+    pairs, locate = _scalar_pairs(N)
+    ref = np.zeros((len(pairs), len(pairs)))
+    for i, (m, n) in enumerate(pairs):
+        adjacent = (n - m) % N in (1, N - 1)
+        ref[i, i] = 2.0 * p.E0 + (p.D if adjacent else 0.0) \
+            + p.V0 * ((m == 0) + (n == 0))
+        for a, b in ((m + 1, n), (m - 1, n), (m, n + 1), (m, n - 1)):
+            j = locate(a, b)
+            if j is not None:
+                ref[i, j] += p.J
+    basis, H = build_pair_hamiltonian(p)
+    assert basis.pairs == pairs
+    assert np.array_equal(H, ref)
+    assert basis.locate(3, 3 + N) == -1
+
+
+@pytest.mark.parametrize("N", (4, 8, 40))
+def test_every_pair_fills_one_folded_slot(N):
+    basis = PairBasis(N)
+    vec = np.arange(1.0, len(basis) + 1)
+    grid = folded_amplitudes(vec, basis)
+    assert grid.shape == (2 * N, N // 2 + 1)
+    assert np.count_nonzero(grid) == N * (N - 1) // 2
+    assert np.array_equal(grid[basis.r + N - 1, basis.sigma], vec)
+    for i, (m, n) in enumerate(basis.pairs):
+        r, s = m + n, n - m
+        if s > N // 2:
+            r = r - N if r > 0 else r + N
+            s = N - s
+        assert (basis.r[i], basis.sigma[i]) == (r, s)
+        assert basis.cm_dist[i] == min(abs(r), 2 * N - abs(r))
+
+
+@pytest.mark.parametrize("N", (4, 8, 40))
+def test_mirror_and_reflection_expectation(N):
+    basis = PairBasis(N)
+    assert np.array_equal(basis.mirror[basis.mirror], np.arange(len(basis)))
+    pairs, locate = _scalar_pairs(N)
+    vec = np.random.default_rng(N).standard_normal(len(basis))
+    vec /= np.linalg.norm(vec)
+    ref = 0.0
+    for i, (m, n) in enumerate(pairs):
+        j = locate(-n, -m)
+        assert basis.mirror[i] == j
+        ref += vec[i] * vec[j]
+    assert abs(reflection_expectation(vec, basis) - ref) < 1e-14
 
 
 def test_hamiltonian_symmetry_and_row_sums(fig2_params):
