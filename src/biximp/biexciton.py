@@ -18,8 +18,8 @@ which in the large-N form becomes 2 E0 + D (1 + alpha_K^2).  At
 K = pi/2 (alpha = 0) the relative wavefunction collapses onto
 |s| = 1 and |s| = N-1 with weight 1/2 each and the energy is 2 E0 + D.
 
-All hyperbolic evaluations run in log space so that N up to several
-hundred does not overflow.
+All hyperbolic evaluations run in log space, so no N overflows; the
+same closed form (closed_phi) serves the continuation to complex K.
 """
 
 import math
@@ -42,13 +42,14 @@ DELTA_LIMIT_KI = 30.0
 
 
 def log_cosh(x):
-    ax = abs(x)
-    return ax - _LN2 + math.log1p(math.exp(-2.0 * ax))
+    """log cosh(x), elementwise for real or complex x."""
+    x = np.where(np.real(x) < 0, -x, x)
+    return x - _LN2 + np.log1p(np.exp(-2.0 * x))
 
 
 def log_sinh(x):
-    """log sinh(x) for x > 0."""
-    return x - _LN2 + math.log1p(-math.exp(-2.0 * x))
+    """log sinh(x), elementwise for real or complex x with Re x > 0."""
+    return x - _LN2 + np.log1p(-np.exp(-2.0 * x))
 
 
 def alpha(K, params):
@@ -59,9 +60,14 @@ def alpha(K, params):
 
 
 def _ratio_residual(k_i, inv_alpha_log, N, parity):
-    if parity == 0:
-        return log_cosh(k_i * N / 2) - log_cosh(k_i * (N / 2 - 1)) - inv_alpha_log
-    return log_sinh(k_i * N / 2) - log_sinh(k_i * (N / 2 - 1)) - inv_alpha_log
+    """log f(k N/2) - log f(k (N/2 - 1)) - log(1/alpha) for f = cosh, sinh.
+
+    Closed-form difference k + log1p(+-e^{-kN}) - log1p(+-e^{-k(N-2)}), in
+    scalar math: brentq calls it ~1e5 times per phase diagram.
+    """
+    sign = (-1.0) ** parity
+    return (k_i + math.log1p(sign * math.exp(-k_i * N))
+            - math.log1p(sign * math.exp(-k_i * (N - 2))) - inv_alpha_log)
 
 
 def solve_relative_decay(K, params, parity, method="exact"):
@@ -146,8 +152,8 @@ def free_relative_roots(K, params, parity):
 
     def g(k):
         if parity == 0:
-            return c * math.cos(k * N / 2) - params.D * math.cos(k * (N / 2 - 1))
-        return c * math.sin(k * N / 2) - params.D * math.sin(k * (N / 2 - 1))
+            return c * np.cos(k * N / 2) - params.D * np.cos(k * (N / 2 - 1))
+        return c * np.sin(k * N / 2) - params.D * np.sin(k * (N / 2 - 1))
 
     # drop roots whose sampled wavefunction vanishes identically
     out = []
@@ -157,6 +163,28 @@ def free_relative_roots(K, params, parity):
         if np.max(np.abs(w)) > 1e-9:
             out.append(k)
     return out
+
+
+def closed_phi(k, s, N, parity=0):
+    """Unit-norm closed pair wavefunction f(k (N/2 - |s|)) / Norm, elementwise.
+
+    f = cosh (parity 0) or sinh (parity 1), Norm^2 = (N-1) +- sinh(k(N-1))/sinh k
+    and phi(0) = 0 (hard core); k and s broadcast.  Evaluated in log space,
+    so finite at any N.  Complex k is allowed for parity 0 (phi is even in
+    k; the root of Norm^2 is the principal one); parity 1 needs real k > 0.
+    """
+    k = np.where(np.real(k) < 0, -k, k)
+    big = log_sinh(k * (N - 1)) - log_sinh(k)       # log sinh(k(N-1)) / sinh k
+    log_norm2 = big + np.log1p((-1.0) ** parity * np.exp(math.log(N - 1.0) - big))
+    if np.iscomplexobj(log_norm2):
+        log_norm2 = log_norm2.real + 1j * np.angle(np.exp(1j * log_norm2.imag))
+    x = k * (N / 2.0 - np.abs(s))
+    if parity == 0:
+        phi = np.exp(log_cosh(x) - 0.5 * log_norm2)
+    else:
+        with np.errstate(divide="ignore"):          # log sinh 0 at |s| = N/2
+            phi = np.sign(x) * np.exp(log_sinh(np.abs(x)) - 0.5 * log_norm2)
+    return np.where(s == 0, 0.0, phi)
 
 
 def phi_samples(index, k_i, params):
@@ -169,26 +197,12 @@ def phi_samples(index, k_i, params):
     """
     N = params.N
     s = np.arange(-N + 1, N)
+    if not math.isinf(k_i):
+        return closed_phi(k_i, s, N, index.parity)
     out = np.zeros(2 * N - 1)
-    if math.isinf(k_i):
-        out[np.abs(s) == 1] = 0.5
-        out[np.abs(s) == N - 1] += 0.5 * (-1) ** index.l_K
-        # |s| = 1 and |s| = N-1 coincide only for N = 2, excluded by params
-        return out
-    x = k_i * (N / 2.0 - np.abs(s))
-    if index.parity == 0:
-        log_norm2 = np.logaddexp(math.log(N - 1.0),
-                                 log_sinh(k_i * (N - 1)) - log_sinh(k_i))
-        out = np.exp(np.array([log_cosh(v) for v in x]) - 0.5 * log_norm2)
-    else:
-        big = log_sinh(k_i * (N - 1)) - log_sinh(k_i)
-        log_norm2 = big + math.log1p(-math.exp(math.log(N - 1.0) - big))
-        vals = np.zeros_like(x)
-        nz = x != 0.0
-        vals[nz] = np.sign(x[nz]) * np.exp(
-            np.array([log_sinh(abs(v)) for v in x[nz]]) - 0.5 * log_norm2)
-        out = vals
-    out[s == 0] = 0.0
+    out[np.abs(s) == 1] = 0.5
+    out[np.abs(s) == N - 1] += 0.5 * (-1) ** index.l_K
+    # |s| = 1 and |s| = N-1 coincide only for N = 2, excluded by params
     return out
 
 

@@ -9,6 +9,7 @@ byte-identical CSV output.  Exit codes: 0 ok, 1 numerical failure,
 
 import argparse
 import math
+import operator
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -144,14 +145,16 @@ def cmd_poles(cfg, out, fmt, plots):
     sec = section(cfg, "poles")
     with parsing("poles"):
         kpp_max = float(sec.get("K_doubleprime_max", 2.0))
-        n_scan = int(sec.get("n_scan", 200))
+        n_scan = operator.index(sec.get("n_scan", 200))
+    if n_scan < 2 or not 1e-3 < kpp_max < math.inf:
+        raise ConfigError(f"poles section: need integer n_scan >= 2 and finite "
+                          f"K_doubleprime_max > 1e-3, got {n_scan}, {kpp_max}")
+    kpp = np.linspace(1e-3, kpp_max, n_scan)
     rows = []
     for branch, v0 in ((0.0, abs(params.V0)), (math.pi / 2, -abs(params.V0))):
-        p = params.replace(V0=v0)
-        for kpp in np.linspace(1e-3, kpp_max, n_scan):
-            amp = scattering.biexciton_reflection_amplitude(
-                complex(branch, kpp), p)
-            rows.append((branch, kpp, v0, abs(amp)))
+        amp = np.abs(scattering.biexciton_reflection_amplitude(
+            branch + 1j * kpp, params.replace(V0=v0)))
+        rows += [(branch, k, v0, a) for k, a in zip(kpp, amp)]
     write_table(out / "pole_scan.csv",
                 ("K_prime", "K_doubleprime", "V0", "abs_R_b"), rows, fmt)
 

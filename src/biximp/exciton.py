@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
+from .biexciton import log_cosh
 from .errors import NumericalError, ParameterError
 from .roots import scan_roots
 
@@ -106,10 +107,7 @@ def _bound_profile(kb, params):
     cancellation-free ring form cosh(k''(N/2 - |n|)), evaluated in log
     space so deep tails stay accurate.
     """
-    from .biexciton import log_cosh
-    kpp = abs(kb.imag)
-    n = params.sites.astype(float)
-    logs = np.array([log_cosh(kpp * (params.N / 2.0 - abs(x))) for x in n])
+    logs = log_cosh(abs(kb.imag) * (params.N / 2.0 - np.abs(params.sites)))
     amp = np.exp(logs - logs.max())
     return amp / np.linalg.norm(amp)
 
@@ -131,7 +129,7 @@ def solve_exciton_spectrum(params):
         return ExcitonSpectrum(k_a, k_s, np.zeros_like(k_s), None, params)
 
     t = params.V0 / (2.0 * params.J)
-    g = lambda k: math.sin(k * N / 2.0) * math.sin(k) + t * math.cos(k * N / 2.0)
+    g = lambda k: np.sin(k * N / 2.0) * np.sin(k) + t * np.cos(k * N / 2.0)
     ks = np.linspace(1e-12, math.pi - 1e-12, 16 * N)
     k_s = np.array(sorted(scan_roots(g, ks)))
     if len(k_s) != N // 2:

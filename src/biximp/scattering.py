@@ -28,17 +28,16 @@ gamma = i N D beta^2 / (2 J^2 sin 2K); the amplitude satisfies
 R_b = gamma / (beta - gamma) identically.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .biexciton import closed_phi
 from .errors import NumericalError, ParameterError, RangeError
 from .roots import scan_roots
 
 POLE_RESIDUAL_TOL = 1e-10
-_EXP_LIMIT = 690.0
 
 
 def phi_complex_k(Kc, s, params):
@@ -46,55 +45,46 @@ def phi_complex_k(Kc, s, params):
 
     alpha and the decay constant k_c = -log(alpha) go complex; the
     even/odd distinction is exponentially small in N and the even form
-    is used.  phi(0) = 0 by the hard core.
+    is used.  phi(0) = 0 by the hard core.  Elementwise in Kc and s.
     """
-    if s == 0:
-        return 0.0 + 0.0j
-    a = 2.0 * params.J * cmath.cos(Kc) / params.D
-    if a == 0:
+    a = 2.0 * params.J * np.cos(np.asarray(Kc, dtype=complex)) / params.D
+    if np.any(a == 0):
         raise RangeError("alpha = 0 at complex K: delta limit not continuable")
-    k_c = -cmath.log(a)
-    N = params.N
-    if abs(k_c.real) * (N - 1) > _EXP_LIMIT:
-        raise RangeError(
-            f"hyperbolic overflow: |Re k_c| (N-1) = {abs(k_c.real) * (N - 1):.1f}")
-    norm2 = (N - 1) + cmath.sinh(k_c * (N - 1)) / cmath.sinh(k_c)
-    return cmath.cosh(k_c * (N / 2.0 - abs(s))) / cmath.sqrt(norm2)
+    return closed_phi(-np.log(a), s, params.N)
 
 
 def s_function(k_prime, k_doubleprime, params):
-    """Averaged-potential function S(K', |K''|); real by construction.
+    """Averaged-potential function S(K', |K''|), elementwise in K' and K''.
 
-    An imaginary residue above 1e-10 of the magnitude raises
-    NumericalError instead of being silently dropped.
+    cos of the conjugate is the conjugate of cos, so the two continued
+    wavefunctions are complex conjugates and
+    S = sum_s e^{-2|K''||s|} |phi_{K'-i|K''|}(s)|^2 is real by construction.
     """
-    kpp = abs(k_doubleprime)
     N = params.N
-    tot = 0.0 + 0.0j
-    for s in range(-N // 2 + 1, N // 2 + 1):
-        if s == 0:
-            continue
-        damp = math.exp(-2.0 * kpp * abs(s))
-        tot += damp * phi_complex_k(k_prime - 1j * kpp, s, params) \
-            * phi_complex_k(k_prime + 1j * kpp, s, params)
-    if abs(tot.imag) > 1e-10 * max(abs(tot), 1e-300):
-        raise NumericalError(f"S not real: {tot}", residual=abs(tot.imag))
-    return tot.real
+    s = np.arange(-N // 2 + 1, N // 2 + 1)
+    kp = np.asarray(k_prime, dtype=float)[..., None]
+    kpp = np.abs(np.asarray(k_doubleprime, dtype=float))[..., None]
+    phi = phi_complex_k(kp - 1j * kpp, s, params)
+    return np.sum(np.exp(-2.0 * kpp * np.abs(s)) * np.abs(phi) ** 2, axis=-1)
 
 
 def biexciton_reflection_amplitude(Kc, params):
-    """R_b at complex K; returns complex infinity at the pole."""
+    """R_b at complex K, elementwise; complex infinity at the pole.
+
+    Numerator and denominator are divided by cosh 2|K''|, so both stay
+    finite as |K''| grows and R_b goes to zero.
+    """
+    Kc = np.asarray(Kc, dtype=complex)
     if params.V0 == 0.0:
-        return 0.0 + 0.0j
+        return np.zeros_like(Kc)[()]
     p = params
-    kp, kpp = Kc.real, abs(Kc.imag)
-    S = s_function(kp, kpp, p)
-    num = 2.0 * p.D * p.V0 * S
-    den = (p.J ** 2 * math.cos(2 * kp) * math.sinh(2 * kpp) - num) \
-        - 1j * p.J ** 2 * math.sin(2 * kp) * math.cosh(2 * kpp)
-    if abs(den) < 1e-12 * max(abs(num), 1.0):
-        return complex(math.inf, 0.0)
-    return num / den
+    kp, kpp = Kc.real, np.abs(Kc.imag)
+    sech = 2.0 * np.exp(-2.0 * kpp) / (1.0 + np.exp(-4.0 * kpp))
+    num = 2.0 * p.D * p.V0 * s_function(kp, kpp, p) * sech
+    den = p.J ** 2 * (np.cos(2 * kp) * np.tanh(2 * kpp) - 1j * np.sin(2 * kp)) - num
+    pole = np.abs(den) < 1e-12 * np.maximum(np.abs(num), sech)
+    return np.where(pole, complex(math.inf, 0.0),
+                    num / np.where(pole, 1.0, den))[()]
 
 
 @dataclass(frozen=True)
@@ -129,7 +119,7 @@ def find_pole(params, k_max=4.0, n_scan=800):
     c2 = math.cos(2.0 * kp)
 
     def f(k):
-        return math.sinh(2.0 * k) - 2.0 * p.D * p.V0 * s_function(kp, k, p) / (p.J ** 2 * c2)
+        return np.sinh(2.0 * k) - 2.0 * p.D * p.V0 * s_function(kp, k, p) / (p.J ** 2 * c2)
 
     k = next(scan_roots(f, np.linspace(1e-6, k_max, n_scan), exact_zeros=False),
              None)
@@ -140,8 +130,7 @@ def find_pole(params, k_max=4.0, n_scan=800):
     resid = abs(f(k))
     if resid > POLE_RESIDUAL_TOL:
         raise NumericalError("pole residual above tolerance", residual=resid)
-    Kc = kp + 1j * k
-    a = 2.0 * p.J * cmath.cos(Kc) / p.D
+    a = 2.0 * p.J * np.cos(kp + 1j * k) / p.D
     energy = 2.0 * p.E0 + (p.D * (1.0 + a * a)).real
     return PoleResult(kp, k, energy, resid)
 
@@ -167,7 +156,7 @@ def continued_fraction_first_order(Kc, params, modes=None):
     if p.V0 == 0.0:
         n = p.N if modes is None else len(modes)
         return FirstOrderScattering(0.0, 0.0, 0.0, np.zeros(n, dtype=complex))
-    sin2K = cmath.sin(2.0 * Kc)
+    sin2K = np.sin(2.0 * Kc)
     if abs(sin2K) < 1e-12:
         raise RangeError("sin 2K = 0: first-order correction singular")
     S = s_function(Kc.real, Kc.imag, p)
@@ -176,23 +165,13 @@ def continued_fraction_first_order(Kc, params, modes=None):
     refl = gamma / (beta - gamma)
     correction = np.zeros(0, dtype=complex)
     if modes is not None:
-        a = 2.0 * p.J * cmath.cos(Kc) / p.D
-        eK = 2.0 * p.E0 + p.D * (1.0 + a * a)
-        pref = beta / (beta - gamma)
-        correction = np.zeros(len(modes), dtype=complex)
-        for q in range(len(modes)):
-            de = eK - modes.energies[q]
-            if abs(de) < 1e-12:
-                correction[q] = 0.0
-                continue
-            # V_QK continued to complex K on the one-period window
-            v = 0.0 + 0.0j
-            N = p.N
-            for s in range(-N // 2 + 1, N // 2 + 1):
-                if s == 0:
-                    continue
-                v += modes.phi[q, s + N - 1] * phi_complex_k(Kc, s, p) \
-                    * cmath.exp(1j * (Kc - modes.K[q]) * s)
-            v *= 4.0 * p.V0 / N
-            correction[q] = pref * v / de
+        a = 2.0 * p.J * np.cos(Kc) / p.D
+        de = 2.0 * p.E0 + p.D * (1.0 + a * a) - modes.energies
+        # V_QK continued to complex K on the one-period window, all Q at once
+        N = p.N
+        s = np.arange(-N // 2 + 1, N // 2 + 1)
+        phase = np.exp(1j * (Kc - modes.K[:, None]) * s)
+        v = 4.0 * p.V0 / N * (modes.phi[:, s + N - 1] * phase) @ phi_complex_k(Kc, s, p)
+        de[np.abs(de) < 1e-12] = np.inf         # resonant mode: no correction
+        correction = beta / (beta - gamma) * v / de
     return FirstOrderScattering(beta, gamma, refl, correction)

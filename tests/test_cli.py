@@ -1,5 +1,7 @@
 """Command-line surface: configs in, deterministic CSV out, exit codes."""
 
+import csv
+
 import numpy as np
 import yaml
 
@@ -48,11 +50,14 @@ def test_malformed_wavepacket_value_exit_code(tmp_path):
 
 
 def test_malformed_poles_value_exit_code(tmp_path, capsys):
-    cfg = dict(BASE, poles={"K_doubleprime_max": 1.0, "n_scan": "many"})
-    path = write_cfg(tmp_path / "c.yaml", cfg)
-    assert main(["poles", "--config", path, "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: poles section") and err.count("\n") == 1
+    for bad in ({"n_scan": "many"}, {"n_scan": -3}, {"n_scan": 0}, {"n_scan": 2.5},
+                {"K_doubleprime_max": float("nan")}, {"K_doubleprime_max": -1.0}):
+        cfg = dict(BASE, poles=dict({"K_doubleprime_max": 1.0, "n_scan": 40}, **bad))
+        path = write_cfg(tmp_path / "c.yaml", cfg)
+        assert main(["poles", "--config", path, "--out", str(tmp_path)]) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith("config error: poles section") and err.count("\n") == 1
+    assert not (tmp_path / "pole_scan.csv").exists()
 
 
 def test_malformed_bic_value_exit_code(tmp_path, capsys):
@@ -123,6 +128,25 @@ def test_phase_diagram_command(tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     v0_zero = [r for r in rows if float(r[1]) == 0.0]
     assert all(int(r[2]) == 0 for r in v0_zero)
+
+
+def test_poles_independent_of_n(tmp_path):
+    """The pole and its distance to the projected bound state do not move
+    with the ring length (the K' = pi/2 branch reaches deep continuations)."""
+    summaries = []
+    for N in (40, 60, 100):
+        cfg = {"model": {"N": N, "J": 1.0, "D": 4.0, "E0": 0.0, "V0": 0.25},
+               "poles": {"K_doubleprime_max": 1.5, "n_scan": 200}}
+        out = tmp_path / f"N{N}"
+        assert main(["poles", "--config", write_cfg(tmp_path / f"N{N}.yaml", cfg),
+                     "--out", str(out)]) == 0
+        with open(out / "pole_summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        summaries.append([[float(r[c]) for c in ("K_doubleprime_pole", "E_pole", "rel_err")]
+                          for r in rows])
+    ref = np.array(summaries[0])
+    for summary in summaries[1:]:
+        np.testing.assert_allclose(summary, ref, rtol=1e-9, atol=0.0)
 
 
 def test_poles_command(tmp_path):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from biximp import ModelParams, RangeError, s_function
+from biximp import ModelParams, s_function
 from biximp.csvio import format_value, write_csv, write_grid_binary, write_json
 
 
@@ -42,10 +42,25 @@ def test_binary_grid_roundtrip(tmp_path):
     np.testing.assert_array_equal(back, arr)
 
 
-def test_hyperbolic_overflow_guard():
-    # deep complex continuation on a long ring overflows with a clear error
-    with pytest.raises(RangeError):
-        s_function(0.0, 7.0, ModelParams(N=200, J=1.0, D=4.1))
+def test_s_function_finite_on_long_ring():
+    """Deep complex continuation on a long ring: S stays finite and exact.
+
+    The reference is a term-by-term 50-digit sum of the closed form, whose
+    hyperbolic functions overflow double precision at this point.
+    """
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    N, kpp = 200, mp.mpf(7)
+
+    def phi_mp(Kc, s):
+        kc = -mp.log(2 * mp.cos(Kc) / mp.mpf("4.1"))
+        norm2 = (N - 1) + mp.sinh(kc * (N - 1)) / mp.sinh(kc)
+        return mp.cosh(kc * (N / 2 - abs(s))) / mp.sqrt(norm2)
+
+    total = mp.fsum(mp.e ** (-2 * kpp * abs(s)) * phi_mp(-1j * kpp, s) * phi_mp(1j * kpp, s)
+                    for s in range(-N // 2 + 1, N // 2 + 1) if s != 0)
+    ours = s_function(0.0, 7.0, ModelParams(N=N, J=1.0, D=4.1))
+    assert ours == pytest.approx(float(total.real), rel=1e-12)
 
 
 def test_large_ring_modes_stay_normalized():

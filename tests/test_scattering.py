@@ -1,11 +1,13 @@
 """Averaging function, reflection amplitude, pole equations."""
 
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from biximp import (ModelParams, ParameterError,
+from biximp import (ModeBasis, ModelParams, ParameterError,
                     biexciton_reflection_amplitude, build_projected_hamiltonian,
                     continued_fraction_first_order, diagonalize_projected,
                     exciton_bound_wavevector_largen, find_pole, s_function)
@@ -63,9 +65,13 @@ def test_reflection_trivial_zero():
 def test_reflection_single_divergence_scan():
     """|R_b| on the bound branch has exactly one sharp peak in K''."""
     p = P(V0=0.25)
-    ks = np.linspace(0.01, 1.2, 400)
-    vals = np.array([abs(biexciton_reflection_amplitude(complex(0.0, k), p))
-                     for k in ks])
+    # K'' = 400 is far past where cosh 2K'' overflows: R_b must still go to zero
+    ks = np.append(np.linspace(0.01, 1.2, 400), 400.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals = np.array([abs(biexciton_reflection_amplitude(complex(0.0, k), p))
+                         for k in ks])
+    assert np.all(np.isfinite(vals)) and vals[-1] < 1e-12
     pole = find_pole(p)
     peaks = [i for i in range(1, len(ks) - 1)
              if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]
@@ -134,6 +140,26 @@ def test_first_order_identities():
         rb = biexciton_reflection_amplitude(Kc, p)
         assert abs(rb - fo.gamma1 / (fo.beta0 - fo.gamma1)) < 1e-10
         assert fo.correction.shape == (p.N,)
+
+
+def test_first_order_correction_against_scalar_reference():
+    """The (Q x s) correction equals the term-by-term sum over the scalar
+    cmath continuation, whose Norm root is the principal one."""
+    p = P(V0=0.25)
+    modes = ModeBasis(p)
+    N = p.N
+    for Kc in (0.35 + 0.1j, complex(math.pi / 2 - 0.02, 0.22), complex(1.2, 0.05)):
+        fo = continued_fraction_first_order(Kc, p, modes)
+        a = 2 * p.J * cmath.cos(Kc) / p.D
+        k_c = -cmath.log(a)
+        norm = cmath.sqrt((N - 1) + cmath.sinh(k_c * (N - 1)) / cmath.sinh(k_c))
+        for q in range(N):
+            v = sum(modes.phi[q, s + N - 1] * cmath.cosh(k_c * (N / 2 - abs(s))) / norm
+                    * cmath.exp(1j * (Kc - modes.K[q]) * s)
+                    for s in range(-N // 2 + 1, N // 2 + 1) if s != 0)
+            de = 2 * p.E0 + p.D * (1 + a * a) - modes.energies[q]
+            ref = fo.beta0 / (fo.beta0 - fo.gamma1) * 4 * p.V0 / N * v / de
+            assert abs(fo.correction[q] - ref) <= 1e-10 * np.abs(fo.correction).max()
 
 
 def test_first_order_trivial():
