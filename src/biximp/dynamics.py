@@ -36,8 +36,39 @@ a real N/2 x N/2 matrix per parity over the window's s.  Its spectrum
 is the Schmidt spectrum of the CM/relative split (schmidt_weights); it
 depends on the |u_K|^2 only, so with V0 = 0 the entropy is exactly
 conserved.
+
+The split ratio needs only the fold-weighted weight of each r,
+
+    w(r) = sum_{s in window, r+s even} fold(s) |Psi(r, s)|^2,
+
+with fold(s) = 2 inside the window and 1 on its |s| = N/2 edge.
+Expanding |Psi|^2 over K = pi m/N and K' = pi m'/N and summing w
+against a region weight c(r) gives a Hermitian form on the K grid,
+
+    sum_r c(r) w(r) = sum_{K,K'} u_K Q_c[K, K'] u*_K',
+    Q_c = sum_p G_p o D_{c,p}   (o: elementwise product),
+    G_p[K, K'] = sum_{s of parity p} fold(s) phi_K(s) phi_K'(s),
+    D_{c,p}[K, K'] = sum_{r of parity p} c(r) e^{i pi (m - m') r / N}.
+
+D_{c,p} depends on m - m' only: a length-(2N - 1) sum indexed into
+an N x N matrix.  For c = 1 the orthogonality above makes the total
+diagonal, N sum_K |u_K|^2 (G_0 + G_1)[K, K].
+
+A weight even on the ring (c(-r) = c(r), with r = N the same site as
+r = -N) has a real symmetric Q_c, so with u = a + ib its sum is
+a^T Q_c a + b^T Q_c b.  The buffers |r| <= buffer around the impurity
+and ||r| - N| <= buffer around the antipode are even.  The reflected
+half-ring, r < 0 plus half of each cut point r = 0 and r = N, has
+c = (1 - sigma)/2, where sigma(r) = sign(r) with sigma(N) = 0 is odd on
+the ring.  Its form is i R with R real antisymmetric, and
+sum_r sigma(r) w(r) = 2 a^T R b.  So the reflected fraction is
+(1 - 2 a^T R b / total)/2, and the transmitted one takes the other
+sign.  The three real forms are built once per basis and buffer: a
+split costs one (3N x N)(N x 2) product, not the 2N^3 operations of
+the window amplitude.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -49,6 +80,7 @@ from .errors import NumericalError, ParameterError, RegimeError, TimingError
 from .exciton import exciton_dispersion
 from .projected import (ProjectedHamiltonian, build_projected_hamiltonian,
                         impurity_overlap)
+from .roots import steered_bisection
 
 ENTROPY_EIG_CLIP = 1e-12
 SPLIT_BUFFER = 4          # half-width of the partition buffer zones (r sites)
@@ -132,22 +164,48 @@ def energy_expectation(state, ph):
 
 
 class _Grids:
-    """Cached geometric arrays for one mode basis."""
+    """Cached geometric arrays and split-ratio forms for one mode basis."""
 
     def __init__(self, modes):
         N = modes.params.N
         self.N = N
         self.r = np.arange(-N + 1, N + 1)
+        self.l_K = modes.l_K
         self.FK = np.exp(1j * np.outer(self.r, modes.K))
         win = (modes.s >= -N // 2 + 1) & (modes.s <= N // 2)
         self.s_win = modes.s[win]
-        self.phi_win = modes.phi[:, win].astype(complex)
-        self.phi_parity = [modes.phi[:, win][:, self.s_win % 2 == p]
-                           for p in (0, 1)]
+        self.phi_win = modes.phi[:, win]
+        self.phi_parity = [self.phi_win[:, self.s_win % 2 == p] for p in (0, 1)]
         self.mask_win = ((self.r[:, None] + self.s_win[None, :]) % 2 == 0)
-        self.fold_weight = np.where(np.abs(self.s_win) == N // 2, 1.0, 2.0)
         self.mask_full = ((self.r[:, None] + modes.s[None, :]) % 2 == 0)
-        self.phi_full = modes.phi.astype(complex)
+        self.fold = np.where(np.abs(self.s_win) == N // 2, 1.0, 2.0)
+        self.total_weight = N * (self.phi_win ** 2 @ self.fold)
+        self._forms = {}
+
+    def split_forms(self, buffer):
+        """The real forms Q_imp, Q_anti and R of the module docstring,
+        stacked row-wise into (3N, N).
+
+        sum_r c(r) e^{i pi k r / N} over the 2N sites r is 2N times the
+        inverse DFT of c, placed at r mod 2N, at frequency k mod 2N; it
+        is real for even c and imaginary for odd c.
+        """
+        Q = self._forms.get(buffer)
+        if Q is None:
+            r, N = self.r, self.N
+            c = np.array([np.abs(r) <= buffer, np.abs(np.abs(r) - N) <= buffer,
+                          np.where(r == N, 0, np.sign(r))], dtype=float)
+            x = np.zeros((2, 3, 2 * N))
+            for p in (0, 1):
+                x[p][:, r % (2 * N)] = c * (r % 2 == p)
+            d = 2 * N * np.fft.ifft(x)
+            d = np.concatenate([d.real[:, :2], d.imag[:, 2:]], axis=1)
+            dl = (self.l_K[:, None] - self.l_K[None, :]) % (2 * N)
+            Q = np.zeros((3, N, N))
+            for p, phi in enumerate(self.phi_parity):
+                Q += d[p][:, dl] * ((phi * self.fold[self.s_win % 2 == p]) @ phi.T)
+            Q = self._forms[buffer] = Q.reshape(3 * N, N)
+        return Q
 
 
 def _grids(modes):
@@ -165,7 +223,7 @@ def realspace_amplitude(state, modes):
     the 1/sqrt(N) prefactor makes the total grid weight exactly 1.
     """
     g = _grids(modes)
-    psi = (g.FK * state.u[None, :]) @ g.phi_full   # (2N, 2N-1)
+    psi = (g.FK * state.u[None, :]) @ modes.phi   # (2N, 2N-1)
     return g.r, modes.s, psi * g.mask_full / math.sqrt(g.N)
 
 
@@ -287,20 +345,19 @@ def split_ratio(state, modes, buffer=SPLIT_BUFFER, strict=True):
     With strict=True a TimingError flags ill-defined partitions: more
     than 5% of the weight near the impurity (packets not separated or
     lingering) or more than 10% near the antipode (halves re-merging).
+    Each weight is a real form on u (module docstring).
     """
     g = _grids(modes)
-    w = (np.abs(_window_amplitude(state, modes)) ** 2) @ g.fold_weight
-    w = w / w.sum()
-    if strict:
-        imp = w[np.abs(g.r) <= buffer].sum()
-        anti = w[np.abs(np.abs(g.r) - g.N) <= buffer].sum()
-        if imp > 0.05 or anti > 0.10:
-            raise TimingError(
-                f"partition ill-defined: {imp:.1%} at the impurity, "
-                f"{anti:.1%} at the antipode")
-    cut = 0.5 * w[(g.r == 0) | (g.r == g.N)].sum()
-    refl = w[g.r < 0].sum() + cut
-    trans = w[(g.r > 0) & (g.r != g.N)].sum() + cut
+    ab = np.stack([state.u.real, state.u.imag], axis=1)     # u = a + ib
+    y = (g.split_forms(buffer) @ ab).reshape(3, -1, 2)
+    total = g.total_weight @ np.abs(state.u) ** 2
+    imp, anti = np.sum(y[:2] * ab, axis=(1, 2)) / total
+    sigma = 2.0 * (ab[:, 0] @ y[2, :, 1]) / total
+    refl, trans = 0.5 - 0.5 * sigma, 0.5 + 0.5 * sigma
+    if strict and (imp > 0.05 or anti > 0.10):
+        raise TimingError(
+            f"partition ill-defined: {imp:.1%} at the impurity, "
+            f"{anti:.1%} at the antipode")
     return float(refl), float(trans)
 
 
@@ -308,11 +365,18 @@ def calibrate_v0(params_template, config, target=0.5, tol=0.02,
                  t_measure=None, v0_max=None, modes=None, overlap=None):
     """Impurity strength giving the target reflected fraction.
 
-    Bisection on |V0| with the sign opposite to D; reflection is
-    measured at t_measure (default 35).  target = 0 returns 0.  If the
-    scan endpoint does not bracket the target the best candidate is
+    Bisection on |V0| in [0, v0_max] (default |D|) with the sign
+    opposite to D, until the bracket is narrower than 1e-12; reflection
+    is measured at t_measure (default 35).  target = 0 returns 0.  If
+    the scan endpoint does not bracket the target the best candidate is
     returned with a warning.  `modes` (and its `overlap`) pass a
     prebuilt basis of the same D, as in build_projected_hamiltonian.
+
+    The bisection is steered by one Brent root (steered_bisection): at
+    and near the README packet a calibration builds 13-17 Hamiltonians,
+    where evaluating every midpoint builds 45.  Its V0 is bit for bit
+    that of evaluating every midpoint whenever reflected(|V0|) crosses
+    the target once on [0, v0_max].
     """
     if target == 0.0:
         return 0.0
@@ -328,6 +392,7 @@ def calibrate_v0(params_template, config, target=0.5, tol=0.02,
         overlap = impurity_overlap(modes)
     u0 = init_wavepacket(config, modes)
 
+    @functools.cache
     def reflected(v0_abs):
         trial = params_template.replace(V0=float(sgn * v0_abs))
         ph = build_projected_hamiltonian(trial, modes=modes, overlap=overlap)
@@ -336,21 +401,13 @@ def calibrate_v0(params_template, config, target=0.5, tol=0.02,
         # lingering weight near the impurity by design
         return split_ratio(u, modes, strict=False)[0]
 
-    lo, hi = 0.0, v0_max
-    r_hi = reflected(hi)
+    r_hi = reflected(v0_max)
     if r_hi < target:
-        warnings.warn(f"reflection at |V0|={hi} is only {r_hi:.3f} < target; "
-                      "returning scan endpoint")
-        return sgn * hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if reflected(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    v0 = sgn * 0.5 * (lo + hi)
+        warnings.warn(f"reflection at |V0|={v0_max} is only {r_hi:.3f} < "
+                      "target; returning scan endpoint")
+        return sgn * v0_max
+    v0 = sgn * steered_bisection(reflected, target, 0.0, v0_max, steps=60,
+                                 width=1e-12)
     r = reflected(abs(v0))
     if abs(r - target) > tol:
         warnings.warn(f"calibration reached reflected={r:.4f}, "
@@ -476,7 +533,11 @@ class ExcitonPacketModel:
 
 
 def calibrate_exciton_v0(params_template, k0, dk0, t_flight, v0_max=None):
-    """Bisection on |V0| for a 50/50 exciton split; sign opposite to J."""
+    """Bisection on |V0| for a 50/50 exciton split; sign opposite to J.
+
+    Sixty halvings of [0, v0_max] with no width stop, steered as in
+    calibrate_v0.
+    """
     sgn = -np.sign(params_template.J)
     if v0_max is None:
         v0_max = 6.0 * abs(params_template.J)
@@ -487,11 +548,4 @@ def calibrate_exciton_v0(params_template, k0, dk0, t_flight, v0_max=None):
         u = model.evolve(model.initial(k0, dk0, x_off), 2.0 * t_flight)
         return model.reflected_fraction(u, strict=False)
 
-    lo, hi = 0.0, v0_max
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if reflected(mid) < 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return float(sgn * 0.5 * (lo + hi))
+    return float(sgn * steered_bisection(reflected, 0.5, 0.0, v0_max, steps=60))

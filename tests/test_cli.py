@@ -188,6 +188,18 @@ def test_wavepacket_command(tmp_path):
     assert (tmp_path / "snapshot_psi2_t-28.0.f64").exists()
 
 
+def test_wavepacket_split_target_below_free_reflection(tmp_path):
+    # about 3% of the packet reflects at V0 = 0, so a 1% target has no
+    # sign change to bracket; the calibration must still finish
+    cfg = {"model": {"N": 40, "J": -1.0, "D": -4.5, "E0": 0.0, "V0": 0.0},
+           "wavepacket": {"K0": 3 * np.pi / 8, "dK0": np.pi / 24,
+                          "t_start": -30.0, "t_end": -25.0,
+                          "calibrate_v0": True, "split_target": 0.01}}
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    assert main(["wavepacket", "--config", path, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "wavepacket_timeseries.csv").exists()
+
+
 def test_wavepacket_regime_refusal(tmp_path):
     cfg = {"model": {"N": 40, "J": 1.0, "D": 4.0, "V0": 1.0},
            "wavepacket": {"K0": 3 * np.pi / 8, "dK0": np.pi / 24,

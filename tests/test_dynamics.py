@@ -11,10 +11,13 @@ from biximp import (ModelParams, RegimeError, TimingError,
                     init_wavepacket, interference_profile, mode_distribution,
                     propagate, realspace_amplitude, reduced_density,
                     schmidt_weights, split_ratio)
+from biximp import dynamics
+from biximp.biexciton import ModeBasis
 from biximp.dynamics import (ExcitonPacketModel, WavepacketState,
                              _extrema_contrast, calibrate_exciton_v0,
                              energy_expectation, run_trajectory,
                              validate_dynamics_regime)
+from biximp.projected import impurity_overlap
 
 K0, DK0 = 3 * np.pi / 8, np.pi / 24
 
@@ -273,6 +276,131 @@ def test_calibration(ph):
     assert abs(refl - 0.5) < 0.02
 
 
+def _window_split(st, modes, buffer):
+    """Reference: (reflected, transmitted, gate margin) from the explicit
+    fold-weighted sum of |Psi(r, s)|^2 over the |s| <= N/2 window; the
+    partition is ill-defined where the margin is positive."""
+    N = modes.params.N
+    r, s, psi = realspace_amplitude(st, modes)
+    win = (s > -N // 2) & (s <= N // 2)
+    w = np.abs(psi[:, win]) ** 2 @ np.where(np.abs(s[win]) == N // 2, 1.0, 2.0)
+    w /= w.sum()
+    imp = w[np.abs(r) <= buffer].sum()
+    anti = w[np.abs(np.abs(r) - N) <= buffer].sum()
+    cut = 0.5 * w[(r == 0) | (r == N)].sum()
+    return (w[r < 0].sum() + cut, w[(r > 0) & (r != N)].sum() + cut,
+            max(imp - 0.05, anti - 0.10))
+
+
+@pytest.mark.filterwarnings("ignore:packet clipped")
+@pytest.mark.parametrize("N", [12, 40, 200])
+def test_split_ratio_matches_window_sum(N):
+    """The K-space region forms give the explicit window sum's split and
+    raise TimingError for the same states and buffers.  The zone-edge
+    mode is flat in r, so at N = 40 and buffer 2 its impurity weight is
+    exactly 0.05: on such a tie rounding decides the gate, and it is not
+    compared."""
+    ph, states = _k_space_states(N)
+    for label, st in states:
+        for buffer in (2, 4, 6):
+            want_r, want_t, margin = _window_split(st, ph.modes, buffer)
+            refl, trans = split_ratio(st, ph.modes, buffer, strict=False)
+            assert abs(refl - want_r) < 1e-12, (label, buffer)
+            assert abs(trans - want_t) < 1e-12, (label, buffer)
+            assert abs(refl + trans - 1.0) < 1e-14, (label, buffer)
+            if abs(margin) < 1e-12:
+                continue
+            if margin > 0:
+                with pytest.raises(TimingError):
+                    split_ratio(st, ph.modes, buffer)
+            else:
+                assert split_ratio(st, ph.modes, buffer) == (refl, trans)
+
+
+def test_split_gate_same_samples_as_window_sum():
+    """Along the canonical trajectory the reflected fraction is NaN at
+    exactly the samples where the explicit window sum is ill-defined."""
+    p = canonical_params(V0=0.5474)
+    ph = build_projected_hamiltonian(p)
+    traj = run_trajectory(p, canonical_config(), ph)
+    gated = 0
+    for smp in traj.samples:
+        refl, _, margin = _window_split(propagate(traj.initial, ph, smp.t),
+                                        ph.modes, 4)
+        ill = margin > 0
+        assert math.isnan(smp.reflected) == ill, smp.t
+        if ill:
+            gated += 1
+        else:
+            assert abs(smp.reflected - refl) < 1e-12, smp.t
+    assert 0 < gated < len(traj.samples)
+
+
+def _calibrate_v0_loop(p, cfg, target=0.5):
+    """Reference: plain bisection on |V0| in [0, |D|], every midpoint
+    evaluated, stopping once the bracket is narrower than 1e-12."""
+    modes = ModeBasis(p)
+    G = impurity_overlap(modes)
+    u0 = init_wavepacket(cfg, modes)
+    sgn = -np.sign(p.D)
+
+    def reflected(v0_abs):
+        ph = build_projected_hamiltonian(p.replace(V0=float(sgn * v0_abs)),
+                                         modes=modes, overlap=G)
+        return split_ratio(propagate(u0, ph, 35.0), modes, strict=False)[0]
+
+    lo, hi = 0.0, abs(p.D)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if reflected(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12:
+            break
+    return float(sgn * 0.5 * (lo + hi))
+
+
+def _counting_builds(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build_projected_hamiltonian(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "build_projected_hamiltonian", counted)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:packet clipped")
+@pytest.mark.parametrize("N", [40, 200])
+@pytest.mark.parametrize("D, dK0", [(-4.5, DK0), (-4.43, DK0 - 0.0031),
+                                    (-4.58, DK0 - 0.0014)])
+def test_calibration_equals_plain_bisection(monkeypatch, N, D, dK0):
+    """The Brent-steered bisection returns the plain loop's V0 bit for
+    bit, with at most 20 Hamiltonian builds."""
+    p = canonical_params(V0=0.0).replace(N=N, D=D)
+    cfg = WavepacketConfig(K0=K0, dK0=dK0, t_start=-30.0, t_end=60.0)
+    want = _calibrate_v0_loop(p, cfg)
+    calls = _counting_builds(monkeypatch)
+    assert calibrate_v0(p, cfg) == want
+    assert len(calls) <= 20
+
+
+@pytest.mark.filterwarnings("ignore:packet clipped")
+def test_calibration_target_below_free_reflection(monkeypatch):
+    """A target at or below the V0 = 0 reflection has no sign change for
+    Brent's method: every midpoint is evaluated and no scipy error
+    escapes."""
+    p, cfg = canonical_params(V0=0.0), canonical_config()
+    ph0 = build_projected_hamiltonian(p)
+    st = propagate(init_wavepacket(cfg, ph0.modes), ph0, 35.0)
+    r0 = split_ratio(st, ph0.modes, strict=False)[0]
+    for target in (r0, 0.5 * r0):
+        want = _calibrate_v0_loop(p, cfg, target)
+        assert calibrate_v0(p, cfg, target=target) == want
+
+
 def test_mode_distribution(ph, u0):
     w = mode_distribution(u0)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
@@ -344,3 +472,23 @@ def test_exciton_comparator_full_visibility():
     # the short ring keeps tails near both cuts: skip the timing gate
     refl = model.reflected_fraction(model.evolve(u, 10.0), strict=False)
     assert abs(refl - 0.5) < 0.02
+
+
+def test_exciton_calibration_equals_plain_bisection():
+    """The steered exciton calibration gives the plain 60-step loop's V0."""
+    p = ModelParams(N=40, J=-1.0, D=-4.5, E0=0.0, V0=0.0)
+
+    def reflected(v0_abs):
+        model = ExcitonPacketModel(p.replace(V0=v0_abs))
+        u = model.evolve(model.initial(K0, DK0, model.group_velocity(K0) * -5.0),
+                         10.0)
+        return model.reflected_fraction(u, strict=False)
+
+    lo, hi = 0.0, 6.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if reflected(mid) < 0.5:
+            lo = mid
+        else:
+            hi = mid
+    assert calibrate_exciton_v0(p, K0, DK0, t_flight=5.0) == 0.5 * (lo + hi)
