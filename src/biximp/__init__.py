@@ -6,8 +6,7 @@ diagonalization with bound-state taxonomy, and wavepacket entanglement
 dynamics.  See README.md for the command-line interface.
 """
 
-from .biexciton import (BiexcitonMode, ModeBasis, alpha, biexciton_energy,
-                        continuum_energy)
+from .biexciton import ModeBasis, alpha, biexciton_energy, continuum_energy
 from .dynamics import (ReducedDensity, Trajectory, WavepacketConfig,
                        WavepacketState, calibrate_v0, contrast, entropy,
                        fringe_visibility, init_wavepacket,
@@ -24,7 +23,7 @@ from .pairbasis import (CMBoundMode, PairBasis, StateClassification,
                         antisymmetric_cm_wavevector, bic_energies,
                         build_pair_hamiltonian, classify_state,
                         diagonalize_full, find_bic_state, schmidt_number)
-from .params import ModelParams, WavevectorIndex, k_grid
+from .params import ModelParams, k_grid
 from .projected import (BoundStateRecord, ProjectedHamiltonian, SpectrumResult,
                         build_projected_hamiltonian, classify_bound_states,
                         count_bound_states, diagonalize_projected,

@@ -23,13 +23,12 @@ same closed form (closed_phi) serves the continuation to complex K.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ExistenceError, NumericalError, ParameterError
-from .params import WavevectorIndex, k_grid
+from .params import k_grid
 from .roots import scan_roots
 
 _LN2 = math.log(2.0)
@@ -118,20 +117,25 @@ def solve_relative_decay(K, params, parity, method="exact"):
     return root
 
 
-def biexciton_energy(K, params, parity=0, method="exact"):
-    """Pair energy at CM mode K.
+def _pair_energy(K, k_i, params, method):
+    """Pair energy at CM mode K with decay constant k_i (scalar math).
 
     exact:   2 E0 + 4 J cos K cosh k_i with the finite-N root,
     large_n: 2 E0 + D (1 + alpha_K^2).
-    Both give 2 E0 + D at K = pi/2.
+    Both give 2 E0 + D at the delta limit k_i = inf (K = pi/2).
     """
-    a = alpha(K, params)
-    if method == "large_n":
-        return 2.0 * params.E0 + params.D * (1.0 + a * a)
-    k_i = solve_relative_decay(K, params, parity, method)
     if math.isinf(k_i):
         return 2.0 * params.E0 + params.D
+    if method == "large_n":
+        a = alpha(K, params)
+        return 2.0 * params.E0 + params.D * (1.0 + a * a)
     return 2.0 * params.E0 + 4.0 * params.J * math.cos(K) * math.cosh(k_i)
+
+
+def biexciton_energy(K, params, parity=0, method="exact"):
+    """Pair energy at CM mode K; raises ExistenceError where no bound root exists."""
+    return _pair_energy(K, solve_relative_decay(K, params, parity, method),
+                        params, method)
 
 
 def continuum_energy(K, k, params):
@@ -187,48 +191,27 @@ def closed_phi(k, s, N, parity=0):
     return np.where(s == 0, 0.0, phi)
 
 
-def phi_samples(index, k_i, params):
-    """phi_K(s) sampled on s in [-N+1, N-1] (index s + N - 1), unit norm.
+def phi_samples(l_K, k_i, params):
+    """phi_K(s) of every mode on s in [-N+1, N-1] (column s + N - 1), unit norm.
 
-    Normalized so that sum_s phi^2 = 1 over the sampled range; the full
-    state norm over the even r+s sublattice then equals one with the
-    sqrt(2/N) CM prefactor.  At the delta limit (k_i = inf) the closed
-    half-half form on |s| = 1 and |s| = N-1 is used.
+    Row i belongs to the mode with index l_K[i] and decay constant
+    k_i[i].  Normalized so that sum_s phi^2 = 1 over the sampled range;
+    the full state norm over the even r+s sublattice then equals one
+    with the sqrt(2/N) CM prefactor.  At the delta limit (k_i = inf) the
+    closed half-half form on |s| = 1 and |s| = N-1 is used.
     """
     N = params.N
     s = np.arange(-N + 1, N)
-    if not math.isinf(k_i):
-        return closed_phi(k_i, s, N, index.parity)
-    out = np.zeros(2 * N - 1)
-    out[np.abs(s) == 1] = 0.5
-    out[np.abs(s) == N - 1] += 0.5 * (-1) ** index.l_K
+    parity = np.abs(l_K) % 2
+    delta = np.isinf(k_i)
+    phi = np.zeros((len(l_K), 2 * N - 1))
+    for par in (0, 1):
+        rows = ~delta & (parity == par)
+        phi[rows] = closed_phi(k_i[rows, None], s, N, par)
     # |s| = 1 and |s| = N-1 coincide only for N = 2, excluded by params
-    return out
-
-
-@dataclass(frozen=True)
-class BiexcitonMode:
-    """One CM mode with its relative-coordinate solution."""
-
-    index: WavevectorIndex
-    alpha: float
-    k: complex             # i * k_i; imag part inf marks the delta limit
-    energy: float
-    phi: np.ndarray        # phi_K(s), s in [-N+1, N-1]
-    norm: float            # normalization constant of the closed form
-
-    @property
-    def K(self):
-        return self.index.K
-
-    @property
-    def delta_limit(self):
-        return math.isinf(self.k.imag)
-
-    def phi_at(self, s, N):
-        if not -N < s < N:
-            raise ParameterError(f"s={s} outside (-N, N)")
-        return self.phi[s + N - 1]
+    phi[np.ix_(delta, np.abs(s) == 1)] = 0.5
+    phi[np.ix_(delta, np.abs(s) == N - 1)] = 0.5 * (-1.0) ** l_K[delta, None]
+    return phi
 
 
 def default_method(params):
@@ -238,35 +221,12 @@ def default_method(params):
     return "exact"
 
 
-def build_mode(index, params, method="exact"):
-    a = alpha(index.K, params)
-    k_i = solve_relative_decay(index.K, params, index.parity, method)
-    if math.isinf(k_i):
-        energy = 2.0 * params.E0 + params.D
-        norm = 2.0
-    else:
-        energy = (2.0 * params.E0 + params.D * (1.0 + a * a) if method == "large_n"
-                  else 2.0 * params.E0
-                  + 4.0 * params.J * math.cos(index.K) * math.cosh(k_i))
-        N = params.N
-        half_log = 0.5 * (log_sinh(k_i * (N - 1)) - log_sinh(k_i))
-        if half_log > 350.0:
-            norm = math.inf
-        else:
-            ratio = math.exp(2.0 * half_log)
-            norm = math.sqrt((N - 1) + ratio) if index.parity == 0 \
-                else math.sqrt(ratio - (N - 1))
-    return BiexcitonMode(index=index, alpha=a, k=complex(0.0, k_i),
-                         energy=energy, phi=phi_samples(index, k_i, params),
-                         norm=norm)
-
-
 class ModeBasis:
-    """All N biexciton modes of one parameter set, with sampled arrays.
+    """All N biexciton modes of one parameter set, as arrays.
 
-    Attributes are plain numpy arrays ordered by increasing K:
-    K (N,), l_K (N,), parity (N,), energies (N,), phi (N, 2N-1) with the
-    s axis running over [-N+1, N-1].
+    Ordered by increasing K: K (N,), l_K (N,), parity (N,), decay
+    constants k_i (N,; inf at the delta limit), energies (N,) and phi
+    (N, 2N-1) with the s axis running over [-N+1, N-1].
     """
 
     def __init__(self, params, method="auto"):
@@ -275,22 +235,18 @@ class ModeBasis:
             method = default_method(params)
         self.params = params
         self.method = method
-        self.modes = [build_mode(ix, params, method) for ix in k_grid(params)]
-        self.K = np.array([m.K for m in self.modes])
-        self.l_K = np.array([m.index.l_K for m in self.modes])
-        self.parity = np.array([m.index.parity for m in self.modes])
-        self.energies = np.array([m.energy for m in self.modes])
-        self.phi = np.array([m.phi for m in self.modes])
+        self.l_K, self.K = k_grid(params)
+        self.parity = np.abs(self.l_K) % 2
+        K = self.K.tolist()
+        self.k_i = np.array([solve_relative_decay(k, params, par, method)
+                             for k, par in zip(K, self.parity.tolist())])
+        self.energies = np.array([_pair_energy(k, ki, params, method)
+                                  for k, ki in zip(K, self.k_i.tolist())])
+        self.phi = phi_samples(self.l_K, self.k_i, params)
         self.s = np.arange(-params.N + 1, params.N)
 
     def __len__(self):
-        return len(self.modes)
-
-    def __iter__(self):
-        return iter(self.modes)
-
-    def __getitem__(self, i):
-        return self.modes[i]
+        return len(self.K)
 
     def band_edges(self):
         """Min/max of the discrete pair-energy band over the K grid."""
@@ -301,14 +257,13 @@ class ModeBasis:
         p = self.params
         return -4.0 * p.J * p.J * math.sin(2.0 * K) / p.D
 
-    def pair_amplitudes(self, mode_i):
-        """Coefficients of mode i over ordered site pairs (m < n).
+    def pair_amplitudes(self):
+        """Mode coefficients over ordered site pairs (m < n), one row per mode.
 
-        c_{mn} = (2/sqrt(N)) e^{iK(m+n)} phi_K(n-m); unit norm.
+        c_{K,mn} = (2/sqrt(N)) e^{iK(m+n)} phi_K(n-m); unit-norm rows.
         """
         p = self.params
-        m = self.modes[mode_i]
         a, b = np.triu_indices(p.N, 1)
         ma, nb = p.sites[a], p.sites[b]
-        return 2.0 / math.sqrt(p.N) * (np.exp(1j * m.K * (ma + nb))
-                                       * m.phi[nb - ma + p.N - 1])
+        return 2.0 / math.sqrt(p.N) * (np.exp(1j * np.outer(self.K, ma + nb))
+                                       * self.phi[:, nb - ma + p.N - 1])

@@ -369,8 +369,10 @@ def calibrate_v0(params_template, config, target=0.5, tol=0.02,
     opposite to D, until the bracket is narrower than 1e-12; reflection
     is measured at t_measure (default 35).  target = 0 returns 0.  If
     the scan endpoint does not bracket the target the best candidate is
-    returned with a warning.  `modes` (and its `overlap`) pass a
-    prebuilt basis of the same D, as in build_projected_hamiltonian.
+    returned with a warning; so is the bisection's result when the
+    target is at or below the reflection at V0 = 0.  `modes` (and its
+    `overlap`) pass a prebuilt basis of the same D, as in
+    build_projected_hamiltonian.
 
     The bisection is steered by one Brent root (steered_bisection): at
     and near the README packet a calibration builds 13-17 Hamiltonians,
@@ -408,8 +410,11 @@ def calibrate_v0(params_template, config, target=0.5, tol=0.02,
         return sgn * v0_max
     v0 = sgn * steered_bisection(reflected, target, 0.0, v0_max, steps=60,
                                  width=1e-12)
-    r = reflected(abs(v0))
-    if abs(r - target) > tol:
+    r0 = reflected(0.0)
+    if r0 >= target:
+        warnings.warn(f"split target {target} is at or below the V0 = 0 "
+                      f"reflection {r0:.4f}; returning |V0| = {abs(v0):.1e}")
+    elif abs((r := reflected(abs(v0))) - target) > tol:
         warnings.warn(f"calibration reached reflected={r:.4f}, "
                       f"outside target {target} +- {tol} (non-monotone?)")
     return float(v0)

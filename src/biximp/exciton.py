@@ -167,12 +167,11 @@ def exciton_site_hamiltonian(params):
     """N x N ring Hamiltonian: hopping J, diagonal E0, +V0 at site 0."""
     N = params.N
     H = np.zeros((N, N))
-    sites = params.sites
-    i0 = int(np.where(sites == 0)[0][0])
-    for i in range(N):
-        H[i, i] = params.E0
-        H[i, (i + 1) % N] = params.J
-        H[(i + 1) % N, i] = params.J
+    i = np.arange(N)
+    H[i, i] = params.E0
+    H[i, (i + 1) % N] = params.J
+    H[(i + 1) % N, i] = params.J
+    i0 = int(np.flatnonzero(params.sites == 0)[0])
     H[i0, i0] += params.V0
     return H
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ExistenceError, NumericalError, ParameterError
 from .params import wrap_site
-from .projected import SpectrumResult, fit_ring_decay
+from .projected import SpectrumResult, distance_profile, fit_ring_decay
 
 SCHMIDT_FACTORIZED = 1.1  # effective rank below this counts as factorized
 LOCALIZED_TAIL = 1e-10
@@ -54,7 +54,6 @@ class PairBasis:
         self.N = N
         i, j = np.triu_indices(N, 1)
         self.m, self.n = i - N // 2 + 1, j - N // 2 + 1
-        self.pairs = list(zip(self.m.tolist(), self.n.tolist()))
         r, s = self.m + self.n, self.n - self.m
         wrapped = s > N // 2
         self.r = np.where(wrapped, np.where(r > 0, r - N, r + N), r)
@@ -100,7 +99,7 @@ def diagonalize_full(params, basis=None):
     if herm > 1e-12 * max(1.0, abs(params.J)):
         raise NumericalError(f"pair Hamiltonian asymmetry {herm:.2e}")
     w, u = np.linalg.eigh(H)
-    return basis, SpectrumResult(w, u, ["unclassified"] * len(w))
+    return basis, SpectrumResult(w, u)
 
 
 def reflection_expectation(vec, basis):
@@ -127,13 +126,6 @@ def folded_amplitudes(vec, basis):
     grid = np.zeros((2 * N, N // 2 + 1))
     grid[basis.r + N - 1, basis.sigma] = vec
     return grid
-
-
-def _profile(d, w):
-    """Weights w summed per distance d, in input order; returns (ds, p)
-    for the distances present."""
-    ds = np.unique(d)
-    return ds, np.bincount(d, weights=w)[ds]
 
 
 def _fit_decay(ds, ps, period_half, d_lo, d_hi):
@@ -201,10 +193,10 @@ def classify_state(energy, vec, params, basis):
     tail_s = w[basis.sigma > N // 4].sum() / tot
 
     near_s = basis.sigma <= 2
-    kr, r2r, _ = _fit_decay(*_profile(basis.cm_dist[near_s], w[near_s]),
+    kr, r2r, _ = _fit_decay(*distance_profile(basis.cm_dist[near_s], w[near_s]),
                             N, d_lo=4, d_hi=N - 6)
     near_r = np.abs(basis.r) <= 3
-    ks, r2s, _ = _fit_decay(*_profile(basis.sigma[near_r], w[near_r]),
+    ks, r2s, _ = _fit_decay(*distance_profile(basis.sigma[near_r], w[near_r]),
                             N // 2, d_lo=3, d_hi=N // 2 - 3)
 
     r_bound = tail_r < TAIL_BOUND_MAX
@@ -232,7 +224,7 @@ def classify_state(energy, vec, params, basis):
     else:
         # occupation vs site ring distance from the impurity, m then n
         x = np.abs(np.stack((basis.m, basis.n), axis=1).ravel())
-        ds_x, ps_x = _profile(np.minimum(x, N - x), np.repeat(w, 2))
+        ds_x, ps_x = distance_profile(np.minimum(x, N - x), np.repeat(w, 2))
         core = ps_x[ds_x <= 2].sum() / ps_x.sum()
         diag["site_core"] = core
         if core >= SITE_CORE_MIN:

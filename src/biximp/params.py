@@ -68,27 +68,15 @@ class ModelParams:
         return np.arange(-self.N // 2 + 1, self.N // 2 + 1)
 
 
-@dataclass(frozen=True)
-class WavevectorIndex:
-    """One CM mode: integer index l_K with K = pi*l_K/N in (-pi/2, pi/2]."""
-
-    l_K: int
-    K: float
-
-    @property
-    def parity(self):
-        """0 for the even (cosh) branch, 1 for the odd (sinh) branch."""
-        return abs(self.l_K) % 2
-
-
 def k_grid(params):
-    """All N CM modes, strictly increasing K over the folded zone.
+    """All N CM modes as arrays (l_K, K), K strictly increasing.
 
-    l_K runs over (-N/2, N/2]; K = pi*l_K/N covers (-pi/2, pi/2] with
-    spacing pi/N, K = pi/2 attained exactly once at l_K = N/2.
+    l_K runs over (-N/2, N/2]; K = pi*l_K/N covers the folded zone
+    (-pi/2, pi/2] with spacing pi/N, K = pi/2 attained exactly once at
+    l_K = N/2.
     """
-    ls = np.arange(-params.N // 2 + 1, params.N // 2 + 1)
-    return [WavevectorIndex(int(l), np.pi * l / params.N) for l in ls]
+    l_K = np.arange(-params.N // 2 + 1, params.N // 2 + 1)
+    return l_K, np.pi * l_K / params.N
 
 
 def wrap_site(n, N):

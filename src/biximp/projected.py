@@ -89,11 +89,10 @@ def build_projected_hamiltonian(params, method="auto", modes=None, overlap=None)
 
 @dataclass
 class SpectrumResult:
-    """Eigenpairs of a Hermitian matrix plus per-state labels."""
+    """Eigenpairs of a Hermitian matrix."""
 
     energies: np.ndarray
     states: np.ndarray          # column i is eigenvector i
-    labels: list
 
     def __len__(self):
         return len(self.energies)
@@ -101,7 +100,7 @@ class SpectrumResult:
 
 def diagonalize_projected(ph):
     w, u = ph.eigensystem()
-    return SpectrumResult(w.copy(), u.copy(), ["scattering"] * len(w))
+    return SpectrumResult(w.copy(), u.copy())
 
 
 def cm_amplitude(u, modes, s_value=1):
@@ -121,9 +120,15 @@ def ring_decay_profile(u, modes, s_value=1):
     N = modes.params.N
     r, psi = cm_amplitude(u, modes, s_value)
     keep = (r % 2) == (s_value % 2)
-    d = np.minimum(np.abs(r), 2 * N - np.abs(r))[keep]
+    return distance_profile(np.minimum(np.abs(r), 2 * N - np.abs(r))[keep],
+                            np.abs(psi[keep]) ** 2)
+
+
+def distance_profile(d, w):
+    """Weights w summed per integer distance d; returns (ds, p) for the
+    distances present, ds increasing."""
     ds = np.unique(d)
-    return ds, np.bincount(d, weights=np.abs(psi[keep]) ** 2)[ds]
+    return ds, np.bincount(d, weights=w)[ds]
 
 
 def fit_ring_decay(ds, ps, N, d_lo=4, d_hi=None):
@@ -227,7 +232,6 @@ def classify_bound_states(spectrum, modes, params=None):
         edge_k = k_at_max if e > hi else k_at_min
         cls = "near_zero" if edge_k < CLASS_K_SPLIT else "near_half_pi"
         recs.append(BoundStateRecord("", e, dom, cls, kappa, r2, mu))
-        spectrum.labels[mu] = "bound"
     split = lambda r: max(lo - r.energy, r.energy - hi)
     near0 = sorted([r for r in recs if r.re_K_class == "near_zero"],
                    key=split, reverse=True)

@@ -26,8 +26,7 @@ class ExactPairRun:
 
     def __init__(self, params, modes, state0):
         self.basis, self.H = build_pair_hamiltonian(params)
-        lift = np.array([modes.pair_amplitudes(i) for i in range(len(modes))])
-        self.t0, self.psi0 = state0.t, state0.u @ lift
+        self.t0, self.psi0 = state0.t, state0.u @ modes.pair_amplitudes()
         self.w, self.U = np.linalg.eigh(self.H)
         self.c0 = self.U.T @ self.psi0
 

@@ -1,6 +1,7 @@
 """Wavepacket propagation, reduced density, entropy, splitting."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -401,6 +402,22 @@ def test_calibration_target_below_free_reflection(monkeypatch):
         assert calibrate_v0(p, cfg, target=target) == want
 
 
+@pytest.mark.filterwarnings("ignore:packet clipped")
+def test_calibration_warns_target_below_free_reflection():
+    """The warning names the target and the V0 = 0 reflection, and does
+    not blame non-monotonicity."""
+    p, cfg = canonical_params(V0=0.0), canonical_config()
+    ph0 = build_projected_hamiltonian(p)
+    st = propagate(init_wavepacket(cfg, ph0.modes), ph0, 35.0)
+    r0 = split_ratio(st, ph0.modes, strict=False)[0]
+    target = 0.5 * r0
+    match = re.escape(f"split target {target} is at or below the V0 = 0 "
+                      f"reflection {r0:.4f}")
+    with pytest.warns(UserWarning, match=match) as caught:
+        calibrate_v0(p, cfg, target=target)
+    assert not any("non-monotone" in str(w.message) for w in caught)
+
+
 def test_mode_distribution(ph, u0):
     w = mode_distribution(u0)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
@@ -432,7 +449,7 @@ def _full_basis_reflected(exact_pair_run, p, cfg, t_measure):
     run = exact_pair_run(p, ph.modes, st0)
     psi = run.state(t_measure)
     refl_full = 0.0
-    for i, (m, n) in enumerate(run.basis.pairs):
+    for i, (m, n) in enumerate(zip(run.basis.m.tolist(), run.basis.n.tolist())):
         wgt = abs(psi[i]) ** 2
         s, r = n - m, m + n
         if s > p.N // 2:

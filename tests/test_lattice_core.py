@@ -7,28 +7,26 @@ import pytest
 
 from biximp import (ExistenceError, ModeBasis, ModelParams, ParameterError,
                     alpha, biexciton_energy, continuum_energy, k_grid)
-from biximp.biexciton import (build_mode, default_method, free_relative_roots,
+from biximp.biexciton import (default_method, free_relative_roots,
                               solve_relative_decay)
 from biximp.pairbasis import build_pair_hamiltonian
 
 
 def test_k_grid_n4():
     p = ModelParams(N=4, J=1.0, D=4.1)
-    grid = k_grid(p)
-    assert [ix.l_K for ix in grid] == [-1, 0, 1, 2]
-    np.testing.assert_allclose([ix.K for ix in grid],
-                               [-np.pi / 4, 0.0, np.pi / 4, np.pi / 2])
+    l_K, K = k_grid(p)
+    assert l_K.tolist() == [-1, 0, 1, 2]
+    np.testing.assert_allclose(K, [-np.pi / 4, 0.0, np.pi / 4, np.pi / 2])
 
 
 def test_k_grid_n40():
     p = ModelParams(N=40, J=1.0, D=4.1)
-    grid = k_grid(p)
-    K = np.array([ix.K for ix in grid])
-    assert len(grid) == 40
+    l_K, K = k_grid(p)
+    assert len(K) == 40
     np.testing.assert_allclose(np.diff(K), np.pi / 40)
     assert K.max() == pytest.approx(np.pi / 2)
-    assert grid[-1].l_K == 20
-    assert all(ix.parity == abs(ix.l_K) % 2 for ix in grid)
+    assert l_K[-1] == 20
+    assert np.array_equal(ModeBasis(p, "exact").parity, np.abs(l_K) % 2)
 
 
 def test_alpha_values():
@@ -98,37 +96,35 @@ def test_phi_hard_core_and_norm():
     p = ModelParams(N=40, J=1.0, D=4.1)
     basis = ModeBasis(p, "exact")
     N = p.N
-    for m in basis:
-        assert m.phi_at(0, N) == 0.0
-        # sublattice norm: sum over the redundant domain with r-count N-|s|
-        s = np.arange(-N + 1, N)
-        w = (N - np.abs(s)) * m.phi ** 2
-        assert abs((2.0 / N) * w.sum() - 1.0) < 1e-10
+    assert np.all(basis.phi[:, N - 1] == 0.0)          # s = 0
+    # sublattice norm: sum over the redundant domain with r-count N-|s|
+    w = (N - np.abs(basis.s)) * basis.phi ** 2
+    assert np.all(np.abs((2.0 / N) * w.sum(axis=1) - 1.0) < 1e-10)
 
 
 def test_phi_symmetries_every_mode():
     p = ModelParams(N=40, J=1.0, D=4.1)
     basis = ModeBasis(p, "exact")
     N = p.N
-    for m in basis:
-        sign = (-1) ** m.index.l_K
-        for s in range(0, N):
-            assert m.phi_at(s, N) == pytest.approx(m.phi_at(-s, N), abs=1e-15)
-        for s in range(0, N // 2):
-            lhs = m.phi_at(N // 2 + s, N)
-            rhs = sign * m.phi_at(N // 2 - s, N)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+    phi = basis.phi                      # column of s is s + N - 1
+    sign = (-1.0) ** basis.l_K[:, None]
+    s = np.arange(0, N)
+    assert phi[:, s + N - 1] == pytest.approx(phi[:, -s + N - 1], abs=1e-15)
+    s = np.arange(0, N // 2)
+    lhs = phi[:, N // 2 + s + N - 1]
+    rhs = sign * phi[:, N // 2 - s + N - 1]
+    assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_delta_limit_mode():
     p = ModelParams(N=40, J=1.0, D=4.1)
     basis = ModeBasis(p, "exact")
-    m = basis[-1]          # K = pi/2
-    assert m.delta_limit
-    assert m.phi_at(1, p.N) == pytest.approx(0.5)
-    assert m.phi_at(2, p.N) == 0.0
-    assert m.phi_at(p.N - 1, p.N) == pytest.approx(0.5 * (-1) ** m.index.l_K)
-    assert m.energy == pytest.approx(2 * p.E0 + p.D)
+    phi = basis.phi[-1]    # K = pi/2; column of s is s + N - 1
+    assert math.isinf(basis.k_i[-1])
+    assert phi[1 + p.N - 1] == pytest.approx(0.5)
+    assert phi[2 + p.N - 1] == 0.0
+    assert phi[2 * p.N - 2] == pytest.approx(0.5 * (-1) ** basis.l_K[-1])
+    assert basis.energies[-1] == pytest.approx(2 * p.E0 + p.D)
 
 
 def test_default_method_rule():
@@ -143,7 +139,7 @@ def test_orthonormality_and_eigenvector_property(fig2_params):
     p = fig2_params.replace(V0=0.0)
     basis = ModeBasis(p, "exact")
     pb, H0 = build_pair_hamiltonian(p)
-    C = np.array([basis.pair_amplitudes(i) for i in range(len(basis))])
+    C = basis.pair_amplitudes()
     gram = C.conj() @ C.T
     assert np.abs(gram - np.eye(len(basis))).max() < 1e-8
     for i in range(len(basis)):
@@ -172,13 +168,29 @@ def test_free_relative_roots_n4():
     np.testing.assert_allclose(odd, [np.pi / 2], atol=1e-12)
 
 
-def test_build_mode_norm_constant():
+def test_phi_rows_match_normalized_closed_form():
+    """Each phi row is the cosh/sinh form divided by its sampled norm."""
     p = ModelParams(N=12, J=1.0, D=4.1)
-    m = build_mode(k_grid(p)[5], p, "exact")
-    # the closed-form normalization reproduces the sampled norm
-    k_i = m.k.imag
-    s = np.arange(-p.N + 1, p.N)
-    raw = np.where(s == 0, 0.0, np.cosh(k_i * (p.N / 2 - np.abs(s)))
-                   if m.index.parity == 0
-                   else np.sinh(k_i * (p.N / 2 - np.abs(s))))
-    assert np.linalg.norm(raw) == pytest.approx(m.norm, rel=1e-10)
+    basis = ModeBasis(p, "exact")
+    s = basis.s
+    for phi, k_i, parity in zip(basis.phi, basis.k_i, basis.parity):
+        if math.isinf(k_i):
+            continue                     # delta limit: test_delta_limit_mode
+        raw = np.where(s == 0, 0.0, np.cosh(k_i * (p.N / 2 - np.abs(s)))
+                       if parity == 0
+                       else np.sinh(k_i * (p.N / 2 - np.abs(s))))
+        assert phi == pytest.approx(raw / np.linalg.norm(raw), rel=1e-10)
+
+
+@pytest.mark.parametrize("N", (12, 40))
+@pytest.mark.parametrize("J, D", ((1.0, 4.1), (-1.0, -4.5)))
+@pytest.mark.parametrize("method", ("exact", "large_n"))
+def test_biexciton_energy_equals_basis_energies(N, J, D, method):
+    """The scalar energy and the basis energies come from one formula,
+    the K = pi/2 delta-limit mode included."""
+    p = ModelParams(N=N, J=J, D=D, E0=0.3)
+    basis = ModeBasis(p, method)
+    assert math.isinf(basis.k_i[-1])
+    want = [biexciton_energy(K, p, parity, method)
+            for K, parity in zip(basis.K, basis.parity)]
+    assert np.array_equal(basis.energies, want)

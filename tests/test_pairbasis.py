@@ -18,8 +18,8 @@ def test_basis_size_and_uniqueness():
     for N in (4, 8, 40):
         b = PairBasis(N)
         assert len(b) == N * (N - 1) // 2
-        assert len(set(b.pairs)) == len(b)
-        assert all(m < n for m, n in b.pairs)
+        assert len(set(zip(b.m.tolist(), b.n.tolist()))) == len(b)
+        assert np.all(b.m < b.n)
 
 
 def _scalar_pairs(N):
@@ -50,7 +50,7 @@ def test_pair_hamiltonian_matches_scalar_reference(N):
             if j is not None:
                 ref[i, j] += p.J
     basis, H = build_pair_hamiltonian(p)
-    assert basis.pairs == pairs
+    assert list(zip(basis.m.tolist(), basis.n.tolist())) == pairs
     assert np.array_equal(H, ref)
     assert basis.locate(3, 3 + N) == -1
 
@@ -63,7 +63,7 @@ def test_every_pair_fills_one_folded_slot(N):
     assert grid.shape == (2 * N, N // 2 + 1)
     assert np.count_nonzero(grid) == N * (N - 1) // 2
     assert np.array_equal(grid[basis.r + N - 1, basis.sigma], vec)
-    for i, (m, n) in enumerate(basis.pairs):
+    for i, (m, n) in enumerate(zip(basis.m.tolist(), basis.n.tolist())):
         r, s = m + n, n - m
         if s > N // 2:
             r = r - N if r > 0 else r + N
@@ -272,7 +272,7 @@ def test_schmidt_product_state():
     N = 16
     basis = PairBasis(N)
     vec = np.zeros(len(basis))
-    for i, (m, n) in enumerate(basis.pairs):
+    for i, (m, n) in enumerate(zip(basis.m.tolist(), basis.n.tolist())):
         r, s = m + n, n - m
         if s > N // 2:
             r = r - N if r > 0 else r + N

@@ -33,9 +33,8 @@ def test_brute_force_projection_oracle(fig2_params):
     modes = ModeBasis(p, "exact")
     V = potential_matrix(modes)
     basis, _ = build_pair_hamiltonian(p.replace(V0=0.0))
-    vdiag = np.array([p.V0 * ((m == 0) + (n == 0)) for m, n in basis.pairs],
-                     dtype=float)
-    C = np.array([modes.pair_amplitudes(i) for i in range(len(modes))])
+    vdiag = p.V0 * ((basis.m == 0).astype(float) + (basis.n == 0))
+    C = modes.pair_amplitudes()
     V_exact = np.einsum("ip,p,jp->ij", C.conj(), vdiag, C)
     assert np.abs(V - V_exact).max() < 1e-10
 
@@ -188,9 +187,9 @@ def test_potential_matrix_with_reused_overlap(fig2_params):
     """One overlap G serves every V0 and still matches the brute-force oracle."""
     modes = ModeBasis(fig2_params.replace(V0=0.0), "exact")
     G = impurity_overlap(modes)
-    C = np.array([modes.pair_amplitudes(i) for i in range(len(modes))])
+    C = modes.pair_amplitudes()
     basis, _ = build_pair_hamiltonian(fig2_params.replace(V0=0.0))
-    site0 = np.array([(m == 0) + (n == 0) for m, n in basis.pairs], dtype=float)
+    site0 = (basis.m == 0).astype(float) + (basis.n == 0)
     for v0 in (-3.0, 4.0):
         p = fig2_params.replace(V0=v0)
         V = potential_matrix(modes, p, G)
