@@ -188,13 +188,16 @@ def cmd_bic(cfg, out, fmt, plots):
     sec = section(cfg, "bic")
     with parsing("bic"):
         tol = float(sec.get("flag_tolerance", 5e-2))
+    dump = sec.get("dump_amplitudes", True)
+    if not (0.0 <= tol < math.inf and isinstance(dump, bool)):
+        raise ConfigError(f"bic section: need finite flag_tolerance >= 0 and "
+                          f"boolean dump_amplitudes, got {tol}, {dump!r}")
     basis, spec = pairbasis.diagonalize_full(params)
     try:
         e1, e2 = pairbasis.bic_energies(params)
     except BiximpError:
         e1 = e2 = math.nan
     rows = []
-    dump = sec.get("dump_amplitudes", True)
     for idx in range(len(spec)):
         e = spec.energies[idx]
         near = min(abs(e - e1), abs(e - e2)) if not math.isnan(e1) else math.inf

@@ -94,12 +94,54 @@ def build_pair_hamiltonian(params, basis=None):
 
 
 def diagonalize_full(params, basis=None):
+    """All eigenpairs of the pair Hamiltonian, solved in the two sectors of P.
+
+    The impurity sits on site 0, so the reflection P: (m, n) -> (-n, -m)
+    commutes with H.  Each pair i < mirror[i] spans the even state
+    (|i> + |Pi>)/sqrt2 and the odd state (|i> - |Pi>)/sqrt2; the
+    P-fixed pairs (m = -n, and (0, N/2)) are even.  The even block is
+    H[i, j] + H[i, Pj] (sqrt2 H[i, f] towards a fixed pair f, H[f, f']
+    between fixed pairs), the odd block H[i, j] - H[i, Pj].  Each block
+    is solved with eigh; the eigenvectors are scattered back onto the
+    pair basis and all eigenpairs stably sorted by energy, so every
+    column has <v|P|v> = +-1 and at an exact tie the even state comes
+    first.  Raises NumericalError unless H is symmetric and commutes
+    with P to 1e-12 max(1, |J|).
+    """
     basis, H = build_pair_hamiltonian(params, basis)
-    herm = np.max(np.abs(H - H.T))
-    if herm > 1e-12 * max(1.0, abs(params.J)):
-        raise NumericalError(f"pair Hamiltonian asymmetry {herm:.2e}")
-    w, u = np.linalg.eigh(H)
-    return basis, SpectrumResult(w, u)
+    P = basis.mirror
+    # each deviation is a full-size temporary: build one at a time
+    for what, image in (("asymmetry", lambda: H.T),
+                        ("P commutator", lambda: H[np.ix_(P, P)])):
+        dev = image() - H
+        dev = np.max(np.abs(dev, out=dev))
+        if dev > 1e-12 * max(1.0, abs(params.J)):
+            raise NumericalError(f"pair Hamiltonian {what} {dev:.2e}")
+    idx = np.arange(len(basis))
+    a, fixed = idx[idx < P], idx[idx == P]
+    na = len(a)
+    cross = H[np.ix_(a, P[a])]
+    even_rows = np.concatenate((a, fixed))
+    even = H[np.ix_(even_rows, even_rows)]
+    odd = even[:na, :na] - cross
+    even[:na, :na] += cross
+    even[:na, na:] *= math.sqrt(2.0)
+    even[na:, :na] *= math.sqrt(2.0)
+    w_even, y_even = np.linalg.eigh(even)
+    w_odd, y_odd = np.linalg.eigh(odd)
+    w = np.concatenate((w_even, w_odd))
+    order = np.argsort(w, kind="stable")
+    col = np.empty_like(order)
+    col[order] = idx
+    c_even, c_odd = col[:len(w_even)], col[len(w_even):]
+    u = np.zeros((len(basis), len(basis)))
+    half = math.sqrt(0.5)
+    u[np.ix_(a, c_even)] = half * y_even[:na]
+    u[np.ix_(P[a], c_even)] = half * y_even[:na]
+    u[np.ix_(fixed, c_even)] = y_even[na:]
+    u[np.ix_(a, c_odd)] = half * y_odd
+    u[np.ix_(P[a], c_odd)] = -half * y_odd
+    return basis, SpectrumResult(w[order], u)
 
 
 def reflection_expectation(vec, basis):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from biximp import ModelParams
-from biximp.pairbasis import build_pair_hamiltonian
+from biximp.pairbasis import diagonalize_full
 
 
 @pytest.fixture(scope="session")
@@ -20,18 +20,18 @@ class ExactPairRun:
     """Exact pair-basis propagation of a band-projected initial state.
 
     The state is lifted with ModeBasis.pair_amplitudes (unit-norm rows)
-    and evolved with eigh of build_pair_hamiltonian at the same
+    and evolved in the eigenbasis that diagonalize_full gives at the same
     parameters; `basis` indexes the amplitudes that `state(t)` returns.
     """
 
     def __init__(self, params, modes, state0):
-        self.basis, self.H = build_pair_hamiltonian(params)
+        self.basis, spec = diagonalize_full(params)
         self.t0, self.psi0 = state0.t, state0.u @ modes.pair_amplitudes()
-        self.w, self.U = np.linalg.eigh(self.H)
+        self.w, self.U = spec.energies, spec.states
         self.c0 = self.U.T @ self.psi0
 
     def energy(self):
-        return float(np.real(self.psi0.conj() @ self.H @ self.psi0))
+        return float(self.w @ np.abs(self.c0) ** 2)
 
     def state(self, t):
         return self.U @ (np.exp(-1j * self.w * (t - self.t0)) * self.c0)

@@ -61,11 +61,16 @@ def test_malformed_poles_value_exit_code(tmp_path, capsys):
 
 
 def test_malformed_bic_value_exit_code(tmp_path, capsys):
-    cfg = dict(BASE, bic={"flag_tolerance": "tight"})
-    path = write_cfg(tmp_path / "c.yaml", cfg)
-    assert main(["bic", "--config", path, "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: bic section") and err.count("\n") == 1
+    for bad in ({"flag_tolerance": "tight"}, {"flag_tolerance": float("nan")},
+                {"flag_tolerance": -0.05}, {"flag_tolerance": float("inf")},
+                {"dump_amplitudes": "no"}, {"dump_amplitudes": 0},
+                {"dump_amplitudes": None}):
+        cfg = dict(BASE, bic=bad)
+        path = write_cfg(tmp_path / "c.yaml", cfg)
+        assert main(["bic", "--config", path, "--out", str(tmp_path)]) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bic section") and err.count("\n") == 1
+    assert not (tmp_path / "bic_classification.csv").exists()
 
 
 def test_regime_violation_exit_code(tmp_path):
@@ -173,6 +178,17 @@ def test_bic_command(tmp_path):
     assert any("fully_bound" in line for line in lines[1:])
     grid = np.fromfile(tmp_path / "bic_amplitude.f64")
     assert grid.size == 80 * 21
+
+
+def test_bic_dump_off_and_zero_tolerance(tmp_path):
+    cfg = {"model": {"N": 12, "J": 1.0, "D": 4.1, "V0": 8.0},
+           "bic": {"flag_tolerance": 0.0, "dump_amplitudes": False}}
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    assert main(["bic", "--config", path, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "bic_classification.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(r["mismatch_flag"] == "true" for r in rows)
+    assert not (tmp_path / "bic_amplitude.f64").exists()
 
 
 def test_wavepacket_command(tmp_path):

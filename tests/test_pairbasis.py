@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from biximp import (ExistenceError, ModeBasis, ModelParams, ParameterError,
-                    antisymmetric_cm_wavevector, bic_energies,
-                    build_pair_hamiltonian, diagonalize_full, find_bic_state)
+from biximp import (ExistenceError, ModeBasis, ModelParams, NumericalError,
+                    ParameterError, antisymmetric_cm_wavevector, bic_energies,
+                    build_pair_hamiltonian, diagonalize_full, find_bic_state,
+                    pairbasis)
 from biximp.pairbasis import (PairBasis, classify_state, folded_amplitudes,
                               in_continuum, reflection_expectation,
                               schmidt_number)
@@ -92,6 +93,40 @@ def test_hamiltonian_symmetry_and_row_sums(fig2_params):
     assert np.abs(H - H.T).max() == 0.0
     off = np.abs(H - np.diag(np.diag(H)))
     assert off.sum(axis=1).max() <= 4 * abs(fig2_params.J) + 1e-12
+
+
+SIGN_CASES = [(sj * 1.0, sd * 4.1, sv * v0) for sj in (1, -1) for sd in (1, -1)
+              for sv, v0 in ((1, 2.5), (-1, 2.5), (1, 0.0))]
+
+
+@pytest.mark.parametrize("N", (4, 6, 8, 12, 40))
+@pytest.mark.parametrize("J, D, V0", SIGN_CASES)
+def test_sector_solver_is_full_eigensystem(N, J, D, V0):
+    """The two P sectors together give the dense spectrum and an
+    orthonormal eigenbasis of H in which every state has definite parity."""
+    p = ModelParams(N=N, J=J, D=D, E0=0.3, V0=V0)
+    basis, H = build_pair_hamiltonian(p)
+    _, spec = diagonalize_full(p)
+    w, U = spec.energies, spec.states
+    assert U.shape == (len(basis), len(basis))
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.abs(w - np.linalg.eigvalsh(H)).max() <= 1e-12
+    assert np.abs(U.T @ U - np.eye(len(basis))).max() <= 1e-12
+    assert np.linalg.norm(H @ U - U * w) <= 1e-10
+    parity = np.einsum("ij,ij->j", U, U[basis.mirror])
+    assert np.abs(np.abs(parity) - 1.0).max() <= 1e-12
+
+
+def test_sector_solver_rejects_broken_reflection(monkeypatch):
+    """An off-centre diagonal entry breaks [H, P] = 0: the sector split
+    no longer holds, and the solver must say so instead of solving."""
+    p = ModelParams(N=8, J=1.0, D=4.1, V0=2.0)
+    basis, H = build_pair_hamiltonian(p)
+    i = int(np.flatnonzero(basis.mirror != np.arange(len(basis)))[0])
+    H[i, i] += 1e-6
+    monkeypatch.setattr(pairbasis, "build_pair_hamiltonian", lambda *_: (basis, H))
+    with pytest.raises(NumericalError, match="P commutator"):
+        diagonalize_full(p)
 
 
 def test_trace_identity():
