@@ -22,6 +22,7 @@ All hyperbolic evaluations run in log space, so no N overflows; the
 same closed form (closed_phi) serves the continuation to complex K.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -247,6 +248,12 @@ class ModeBasis:
 
     def __len__(self):
         return len(self.K)
+
+    @functools.cached_property
+    def cm_phase(self):
+        """CM phase matrix e^{iKr}, (2N, N), on the extended ring r in (-N, N]."""
+        N = self.params.N
+        return np.exp(1j * np.outer(np.arange(-N + 1, N + 1), self.K))
 
     def band_edges(self):
         """Min/max of the discrete pair-energy band over the K grid."""

@@ -48,12 +48,21 @@ def parsing(name):
         raise ConfigError(f"{name} section: bad or missing {exc}") from exc
 
 
+def number(value, kind=float):
+    """`kind(value)` for a config number, with YAML booleans rejected first:
+    float(True), int(True) and operator.index(True) all read them as 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"number (got boolean {value})")
+    return kind(value)
+
+
 def model_from_config(cfg, **overrides):
     m = dict(cfg["model"])
     m.update(overrides)
     with parsing("model"):
-        return ModelParams(N=int(m["N"]), J=float(m["J"]), D=float(m["D"]),
-                           E0=float(m.get("E0", 0.0)), V0=float(m.get("V0", 0.0)))
+        return ModelParams(N=number(m["N"], int), J=number(m["J"]),
+                           D=number(m["D"]), E0=number(m.get("E0", 0.0)),
+                           V0=number(m.get("V0", 0.0)))
 
 
 def section(cfg, name, default=None):
@@ -126,10 +135,10 @@ def cmd_phase_diagram(cfg, out, fmt, plots):
     params = model_from_config(cfg)
     sec = section(cfg, "phase_diagram")
     with parsing("phase_diagram"):
-        d_vals = np.linspace(float(sec["D_min"]), float(sec["D_max"]),
-                             int(sec["n_D"]))
-        v_vals = np.linspace(float(sec["V0_min"]), float(sec["V0_max"]),
-                             int(sec["n_V0"]))
+        d_vals = np.linspace(number(sec["D_min"]), number(sec["D_max"]),
+                             number(sec["n_D"], int))
+        v_vals = np.linspace(number(sec["V0_min"]), number(sec["V0_max"]),
+                             number(sec["n_V0"], int))
     counts = projected.phase_diagram(d_vals, v_vals, params)
     rows = [(d_vals[i], v_vals[j], counts[i, j])
             for i in range(len(d_vals)) for j in range(len(v_vals))]
@@ -144,8 +153,8 @@ def cmd_poles(cfg, out, fmt, plots):
     params = model_from_config(cfg)
     sec = section(cfg, "poles")
     with parsing("poles"):
-        kpp_max = float(sec.get("K_doubleprime_max", 2.0))
-        n_scan = operator.index(sec.get("n_scan", 200))
+        kpp_max = number(sec.get("K_doubleprime_max", 2.0))
+        n_scan = number(sec.get("n_scan", 200), operator.index)
     if n_scan < 2 or not 1e-3 < kpp_max < math.inf:
         raise ConfigError(f"poles section: need integer n_scan >= 2 and finite "
                           f"K_doubleprime_max > 1e-3, got {n_scan}, {kpp_max}")
@@ -187,7 +196,7 @@ def cmd_bic(cfg, out, fmt, plots):
     params = model_from_config(cfg)
     sec = section(cfg, "bic")
     with parsing("bic"):
-        tol = float(sec.get("flag_tolerance", 5e-2))
+        tol = number(sec.get("flag_tolerance", 5e-2))
     dump = sec.get("dump_amplitudes", True)
     if not (0.0 <= tol < math.inf and isinstance(dump, bool)):
         raise ConfigError(f"bic section: need finite flag_tolerance >= 0 and "
@@ -220,13 +229,14 @@ def cmd_wavepacket(cfg, out, fmt, plots):
     params = model_from_config(cfg)
     sec = section(cfg, "wavepacket")
     with parsing("wavepacket"):
+        r_offset = sec.get("r_offset")
         config = dynamics.WavepacketConfig(
-            K0=float(sec["K0"]), dK0=float(sec["dK0"]),
-            t_start=float(sec["t_start"]), t_end=float(sec["t_end"]),
-            sample_dt=float(sec.get("sample_dt", 1.0)),
-            r_offset=sec.get("r_offset"))
-        target = float(sec.get("split_target", 0.5))
-        snapshots = [(t, float(t)) for t in sec.get("snapshots", [])]
+            K0=number(sec["K0"]), dK0=number(sec["dK0"]),
+            t_start=number(sec["t_start"]), t_end=number(sec["t_end"]),
+            sample_dt=number(sec.get("sample_dt", 1.0)),
+            r_offset=None if r_offset is None else number(r_offset))
+        target = number(sec.get("split_target", 0.5))
+        snapshots = [(t, number(t)) for t in sec.get("snapshots", [])]
     dynamics.validate_dynamics_regime(params)
     # one basis and impurity overlap serve the calibration and the run:
     # neither depends on V0

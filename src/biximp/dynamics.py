@@ -174,7 +174,7 @@ class _Grids:
         self.N = N
         self.r = np.arange(-N + 1, N + 1)
         self.l_K = modes.l_K
-        self.FK = np.exp(1j * np.outer(self.r, modes.K))
+        self.FK = modes.cm_phase
         win = (modes.s >= -N // 2 + 1) & (modes.s <= N // 2)
         self.s_win = modes.s[win]
         self.phi_win = modes.phi[:, win]

@@ -3,6 +3,7 @@
 import csv
 
 import numpy as np
+import pytest
 import yaml
 
 from biximp.cli import main
@@ -71,6 +72,38 @@ def test_malformed_bic_value_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: bic section") and err.count("\n") == 1
     assert not (tmp_path / "bic_classification.csv").exists()
+
+
+PACKET = {"model": {"N": 40, "J": -1.0, "D": -4.5, "E0": 0.0, "V0": 0.5474},
+          "wavepacket": {"K0": 3 * np.pi / 8, "dK0": np.pi / 24,
+                         "t_start": -30.0, "t_end": -25.0}}
+PHASE = {"D_min": 4.1, "D_max": 6.0, "n_D": 2, "V0_min": -4.0, "V0_max": 4.0,
+         "n_V0": 3}
+BOOLEAN_NUMBERS = (
+    [("exciton", "model", key, True) for key in ("N", "J", "D", "E0", "V0")]
+    + [("phase-diagram", "phase_diagram", key, True) for key in PHASE]
+    + [("poles", "poles", "K_doubleprime_max", True),
+       ("poles", "poles", "n_scan", True),
+       ("bic", "bic", "flag_tolerance", True)]
+    + [("wavepacket", "wavepacket", key, True)
+       for key in ("K0", "dK0", "t_start", "t_end", "sample_dt", "r_offset",
+                   "split_target")]
+    + [("wavepacket", "wavepacket", "snapshots", [-28.0, True])])
+
+
+@pytest.mark.parametrize("command, name, key, value", BOOLEAN_NUMBERS)
+def test_boolean_number_exit_code(tmp_path, capsys, command, name, key, value):
+    """A YAML boolean where a number belongs is a config error, not 1."""
+    cfg = PACKET if command == "wavepacket" else dict(BASE, phase_diagram=PHASE)
+    cfg = {sec: dict(vals) for sec, vals in cfg.items()}
+    cfg.setdefault(name, {})[key] = value
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name} section") and "boolean" in err
+    assert err.count("\n") == 1
+    assert not any(out.iterdir())
 
 
 def test_regime_violation_exit_code(tmp_path):

@@ -536,3 +536,9 @@ def test_exciton_calibration_equals_plain_bisection():
         else:
             hi = mid
     assert calibrate_exciton_v0(p, K0, DK0, t_flight=5.0) == 0.5 * (lo + hi)
+
+
+def test_grids_share_basis_phase_matrix():
+    """The dynamics grids hold the basis's one e^{iKr} matrix, not a copy."""
+    modes = ModeBasis(canonical_params())
+    assert dynamics._grids(modes).FK is modes.cm_phase

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from biximp import (ExistenceError, ModeBasis, ModelParams, NumericalError,
-                    ParameterError, build_projected_hamiltonian,
-                    classify_bound_states, count_bound_states,
-                    diagonalize_projected, impurity_overlap, phase_diagram,
-                    potential_matrix)
+                    ParameterError, SpectrumResult,
+                    build_projected_hamiltonian, classify_bound_states,
+                    count_bound_states, diagonalize_projected,
+                    impurity_overlap, phase_diagram, potential_matrix)
 from biximp.pairbasis import build_pair_hamiltonian
-from biximp.projected import participation_ratio
+from biximp.projected import (bound_candidates, cm_amplitude,
+                              participation_ratio)
 
 
 def test_v0_zero_matrix(fig2_params):
@@ -196,3 +197,50 @@ def test_potential_matrix_with_reused_overlap(fig2_params):
         V_exact = np.einsum("ip,p,jp->ij", C.conj(), v0 * site0, C)
         assert np.abs(V - V_exact).max() < 1e-10
         assert np.array_equal(V, potential_matrix(ModeBasis(p, "exact")))
+
+
+REAL_CASES = [(1.0, 4.1, 4.0), (1.0, 4.1, -4.0), (1.0, 2.1, 5.0),
+              (1.0, 2.1, -5.0), (-1.0, -4.5, 2.0)]
+
+
+@pytest.mark.parametrize("N", (40, 100, 200))
+@pytest.mark.parametrize("J, D, V0", REAL_CASES)
+def test_projected_hamiltonian_is_real(N, J, D, V0):
+    """M is real to rounding, and the real solve gives the complex spectrum."""
+    ph = build_projected_hamiltonian(ModelParams(N=N, J=J, D=D, V0=V0))
+    assert np.abs(ph.M.imag).max() <= 1e-15 * abs(J)
+    spec = diagonalize_projected(ph)
+    assert spec.states.dtype == float
+    assert np.abs(spec.energies - np.linalg.eigvalsh(ph.M)).max() <= 1e-12 * abs(J)
+
+
+@pytest.mark.parametrize("N", (40, 100))
+@pytest.mark.parametrize("J, D, V0", REAL_CASES)
+def test_real_spectrum_keeps_bound_states(N, J, D, V0):
+    """bound_candidates picks the same states from real and complex eigenvectors."""
+    p = ModelParams(N=N, J=J, D=D, V0=V0)
+    ph = build_projected_hamiltonian(p)
+    real = [mu for mu, _, _ in bound_candidates(diagonalize_projected(ph), ph.modes)]
+    cplx = SpectrumResult(*np.linalg.eigh(ph.M))
+    assert real == [mu for mu, _, _ in bound_candidates(cplx, ph.modes)]
+    assert real
+
+
+def test_real_spectrum_rejects_imaginary_coupling(fig2_params):
+    """A Hermitian M with a 1e-6 imaginary off-diagonal is refused."""
+    ph = build_projected_hamiltonian(fig2_params)
+    ph.M[0, 1] += 1e-6j
+    ph.M[1, 0] -= 1e-6j
+    with pytest.raises(NumericalError, match="not real"):
+        diagonalize_projected(ph)
+
+
+def test_cm_amplitude_uses_shared_phase(fig2_params):
+    """cm_amplitude through the cached phase matrix equals the direct product."""
+    modes = ModeBasis(fig2_params)
+    N = fig2_params.N
+    u = diagonalize_projected(build_projected_hamiltonian(fig2_params, modes)).states[:, 0]
+    r, psi = cm_amplitude(u, modes)
+    assert np.array_equal(r, np.arange(-N + 1, N + 1))
+    direct = np.exp(1j * np.outer(r, modes.K)) @ (u * modes.phi[:, N])
+    assert np.array_equal(psi, direct)
