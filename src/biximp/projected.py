@@ -31,11 +31,11 @@ cut-off.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .biexciton import ModeBasis
 from .errors import ExistenceError, NumericalError, ParameterError
 from .params import ModelParams
+from .roots import fminbound
 
 PROFILE_FLOOR = 1e-18    # relative |Psi|^2 floor: excludes eigensolver noise
 CLASS_K_SPLIT = np.pi / 4
@@ -187,9 +187,7 @@ def fit_ring_decay(ds, ps, N, d_lo=4, d_hi=None):
             c = np.mean(y - basis)
             return float(np.sum((y - basis - c) ** 2))
 
-        res = minimize_scalar(sse, bounds=(1e-6, 4.0), method="bounded",
-                              options={"xatol": 1e-10})
-        kappa = float(res.x)
+        kappa = fminbound(sse, 1e-6, 4.0, xtol=1e-10)
         sst = float(np.sum((y - np.mean(y)) ** 2))
         r2 = 1.0 - sse(kappa) / sst if sst > 0 else 1.0
         return kappa, r2

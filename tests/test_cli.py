@@ -290,3 +290,52 @@ def test_src_raises_only_package_errors():
                 if getattr(exc, "id", None) in ("RuntimeError", "ValueError"):
                     bad.append(f"{path.name}:{node.lineno}")
     assert bad == []
+
+
+SMALL_RUNS = {
+    "biexciton-spectrum": {"model": {"N": 16, "J": 1.0, "D": 4.1, "E0": 0.0, "V0": 4.0}},
+    "exciton": {"model": {"N": 16, "J": 1.0, "D": 5.0, "E0": 1000.0, "V0": 2.5},
+                "exciton": {"sign_cases": True}},
+    "poles": {"model": {"N": 8, "J": 1.0, "D": 4.0, "E0": 0.0, "V0": 1.0},
+              "poles": {"K_doubleprime_max": 1.5, "n_scan": 20}},
+    "phase-diagram": {"model": {"N": 8, "J": 1.0, "D": 4.1, "E0": 0.0, "V0": 4.0},
+                      "phase_diagram": {"D_min": 2.1, "D_max": 6.0, "n_D": 3,
+                                        "V0_min": -5.0, "V0_max": 5.0, "n_V0": 3}},
+    "wavepacket": {"model": {"N": 12, "J": -1.0, "D": -4.5, "E0": 0.0, "V0": 0.0},
+                   "wavepacket": {"K0": 1.1780972450961724, "dK0": 0.1308996938995747,
+                                  "t_start": -30.0, "t_end": -20.0, "sample_dt": 1.0,
+                                  "calibrate_v0": True, "snapshots": [-30.0]}},
+    "bic": {"model": {"N": 8, "J": 1.0, "D": 4.1, "E0": 0.0, "V0": 8.0},
+            "bic": {"flag_tolerance": 0.05}},
+}
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """A fresh process runs every command without importing scipy, whose
+    import alone would cost more than most runs compute."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import biximp
+
+    argvs = []
+    for command, cfg in SMALL_RUNS.items():
+        out = tmp_path / command
+        out.mkdir()
+        argvs.append([command, "--config", write_cfg(out / "c.yaml", cfg),
+                      "--out", str(out)])
+    script = ("import json, sys\n"
+              "from biximp.cli import main\n"
+              f"codes = [main(argv) for argv in {argvs!r}]\n"
+              "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+              "    if m == 'scipy' or m.startswith('scipy.'))]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(biximp.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    codes, scipy_modules = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0] * len(SMALL_RUNS)
+    assert scipy_modules == []

@@ -418,7 +418,7 @@ def test_calibration_equals_plain_bisection(monkeypatch, N, D, dK0):
 @pytest.mark.filterwarnings("ignore:packet clipped")
 def test_calibration_target_below_free_reflection(monkeypatch):
     """A target at or below the V0 = 0 reflection has no sign change for
-    Brent's method: every midpoint is evaluated and no scipy error
+    Brent's method: every midpoint is evaluated and no NumericalError
     escapes."""
     p, cfg = canonical_params(V0=0.0), canonical_config()
     ph0 = build_projected_hamiltonian(p)
