@@ -44,16 +44,21 @@ def parsing(name):
     """Turn a bad or missing value of section `name` into ConfigError."""
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} section: bad or missing {exc}") from exc
 
 
 def number(value, kind=float):
-    """`kind(value)` for a config number, with YAML booleans rejected first:
-    float(True), int(True) and operator.index(True) all read them as 1."""
+    """`kind(value)` for a config number, with YAML booleans rejected first
+    (float(True), int(True) and operator.index(True) all read them as 1)
+    and NaN or +-inf rejected for a float read: no computation takes them.
+    An int read of a non-finite float fails in `kind` itself."""
     if isinstance(value, bool):
         raise TypeError(f"number (got boolean {value})")
-    return kind(value)
+    x = kind(value)
+    if kind is float and not math.isfinite(x):
+        raise TypeError(f"number (got non-finite {x})")
+    return x
 
 
 def model_from_config(cfg, **overrides):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExistenceError, NumericalError, ParameterError
+from .errors import ExistenceError, NumericalError, ParameterError, RangeError
 from .params import wrap_site
 from .projected import SpectrumResult, distance_profile, fit_ring_decay
 
@@ -73,23 +73,33 @@ class PairBasis:
         return np.where(lo == hi, -1, lo * N - lo * (lo + 1) // 2 + hi - lo - 1)
 
 
-def build_pair_hamiltonian(params, basis=None):
-    """Dense real symmetric Hamiltonian over the pair basis."""
+def pair_hamiltonian_entries(params, basis=None):
+    """The pair Hamiltonian as O(N^2) entries: (basis, diag, (rows, cols)).
+
+    `diag` holds H[i, i]; each hop (rows[k], cols[k]) has the value J.
+    """
     N = params.N
     basis = basis or PairBasis(N)
     m, n = basis.m, basis.n
-    H = np.zeros((len(basis), len(basis)))
     ringsep = (n - m) % N
     adjacent = (ringsep == 1) | (ringsep == N - 1)
     # m < n, so at most one excitation sits on the impurity
-    H[np.diag_indices(len(basis))] = 2.0 * params.E0 \
-        + np.where(adjacent, params.D, 0.0) + params.V0 * ((m == 0) | (n == 0))
+    diag = 2.0 * params.E0 + np.where(adjacent, params.D, 0.0) \
+        + params.V0 * ((m == 0) | (n == 0))
     # one excitation hops to a neighbour; a hop onto the other is blocked
     rows = np.tile(np.arange(len(basis)), 4)
     cols = basis.locate(np.concatenate((m + 1, m - 1, m, m)),
                         np.concatenate((n, n, n + 1, n - 1)))
     hop = cols >= 0
-    np.add.at(H, (rows[hop], cols[hop]), params.J)
+    return basis, diag, (rows[hop], cols[hop])
+
+
+def build_pair_hamiltonian(params, basis=None):
+    """Dense real symmetric Hamiltonian over the pair basis."""
+    basis, diag, hops = pair_hamiltonian_entries(params, basis)
+    H = np.zeros((len(basis), len(basis)))
+    H[np.diag_indices(len(basis))] = diag
+    np.add.at(H, hops, params.J)
     return basis, H
 
 
@@ -101,40 +111,71 @@ def diagonalize_full(params, basis=None):
     (|i> + |Pi>)/sqrt2 and the odd state (|i> - |Pi>)/sqrt2; the
     P-fixed pairs (m = -n, and (0, N/2)) are even.  The even block is
     H[i, j] + H[i, Pj] (sqrt2 H[i, f] towards a fixed pair f, H[f, f']
-    between fixed pairs), the odd block H[i, j] - H[i, Pj].  Each block
-    is solved with eigh; the eigenvectors are scattered back onto the
-    pair basis and all eigenpairs stably sorted by energy, so every
-    column has <v|P|v> = +-1 and at an exact tie the even state comes
-    first.  Raises NumericalError unless H is symmetric and commutes
-    with P to 1e-12 max(1, |J|).
+    between fixed pairs), the odd block H[i, j] - H[i, Pj].
+
+    No dense H is built, and no L x L matrix but the eigenvectors: the
+    O(N^2) entries of `pair_hamiltonian_entries` are scattered straight
+    into both blocks through a slot map.  A pair i < Pi and its mirror
+    Pi share one slot, and the odd block gives the mirror the sign -1;
+    the fixed pairs take the slots after them.  An entry between a free
+    and a fixed pair carries sqrt2, and the row of a fixed pair takes
+    only its hops to pairs i < Pi.  Each block is solved with eigh; the
+    eigenvectors are scattered back onto the pair basis and all
+    eigenpairs stably sorted by energy, so every column has
+    <v|P|v> = +-1 and at an exact tie the even state comes first.
+
+    Before any solve, the entries are checked in O(N^2): J is finite,
+    the hop set equals its transpose (H symmetric) and its P-image, and
+    the diagonal is P-invariant to 1e-12 max(1, |J|) ([H, P] = 0).  A
+    NaN fails each check.  Raises NumericalError when a check fails or
+    eigh fails or returns a non-finite energy.
     """
-    basis, H = build_pair_hamiltonian(params, basis)
-    P = basis.mirror
-    # each deviation is a full-size temporary: build one at a time
-    for what, image in (("asymmetry", lambda: H.T),
-                        ("P commutator", lambda: H[np.ix_(P, P)])):
-        dev = image() - H
-        dev = np.max(np.abs(dev, out=dev))
-        if dev > 1e-12 * max(1.0, abs(params.J)):
-            raise NumericalError(f"pair Hamiltonian {what} {dev:.2e}")
-    idx = np.arange(len(basis))
-    a, fixed = idx[idx < P], idx[idx == P]
+    basis, diag, (rows, cols) = pair_hamiltonian_entries(params, basis)
+    L, P = len(basis), basis.mirror
+    if not math.isfinite(params.J):
+        raise NumericalError(f"pair Hamiltonian hop value J = {params.J}")
+    hop_keys = np.sort(rows * L + cols)
+    for what, (r, c) in (("asymmetry", (cols, rows)),
+                         ("P commutator", (P[rows], P[cols]))):
+        if not np.array_equal(np.sort(r * L + c), hop_keys):
+            raise NumericalError(f"pair Hamiltonian {what}: hop set not closed")
+    dev = np.max(np.abs(diag[P] - diag))
+    if not dev <= 1e-12 * max(1.0, abs(params.J)):
+        raise NumericalError(f"pair Hamiltonian P commutator {dev:.2e} on the diagonal")
+
+    idx = np.arange(L)
+    rep, img, fix = idx < P, idx > P, idx == P
+    a, fixed = idx[rep], idx[fix]
     na = len(a)
-    cross = H[np.ix_(a, P[a])]
-    even_rows = np.concatenate((a, fixed))
-    even = H[np.ix_(even_rows, even_rows)]
-    odd = even[:na, :na] - cross
-    even[:na, :na] += cross
-    even[:na, na:] *= math.sqrt(2.0)
-    even[na:, :na] *= math.sqrt(2.0)
-    w_even, y_even = np.linalg.eigh(even)
-    w_odd, y_odd = np.linalg.eigh(odd)
+    slot = np.empty(L, dtype=np.intp)
+    slot[a] = slot[P[a]] = np.arange(na)
+    slot[fixed] = na + np.arange(len(fixed))
+    r = np.concatenate((rows, idx))
+    c = np.concatenate((cols, idx))
+    v = np.concatenate((np.full(len(rows), params.J), diag))
+    # a mirror's row repeats its representative's, and a fixed pair's
+    # row takes only its hops to representatives
+    e = ~(img[r] | fix[r] & img[c])
+    even = np.zeros((L - na, L - na))
+    np.add.at(even, (slot[r[e]], slot[c[e]]),
+              np.where(fix[r[e]] != fix[c[e]], math.sqrt(2.0), 1.0) * v[e])
+    o = rep[r] & ~fix[c]
+    odd = np.zeros((na, na))
+    np.add.at(odd, (slot[r[o]], slot[c[o]]), np.where(img[c[o]], -1.0, 1.0) * v[o])
+    try:
+        w_even, y_even = np.linalg.eigh(even)
+        w_odd, y_odd = np.linalg.eigh(odd)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"pair Hamiltonian eigh: {exc}") from exc
+    del even, odd    # free both blocks before the L x L eigenvector matrix
     w = np.concatenate((w_even, w_odd))
+    if not np.isfinite(w).all():    # an entry overflowed in the blocks
+        raise NumericalError("pair Hamiltonian eigh: non-finite energies")
     order = np.argsort(w, kind="stable")
     col = np.empty_like(order)
     col[order] = idx
     c_even, c_odd = col[:len(w_even)], col[len(w_even):]
-    u = np.zeros((len(basis), len(basis)))
+    u = np.zeros((L, L))
     half = math.sqrt(0.5)
     u[np.ix_(a, c_even)] = half * y_even[:na]
     u[np.ix_(P[a], c_even)] = half * y_even[:na]
@@ -289,13 +330,18 @@ def classify_state(energy, vec, params, basis):
 def bic_energies(params):
     """Closed-form doubly-bound energies (E_b1, E_b2), including 2 E0."""
     p = params
-    den = 2.0 * (p.D * p.V0 - p.J ** 2)
-    if abs(den) < 1e-12 * p.J ** 2:
-        raise ParameterError("D V0 = J^2: doubly-bound closed form singular")
-    disc = math.sqrt(4.0 * p.J ** 2 + (p.D - p.V0) ** 2)
-    e1 = p.D * p.V0 * (p.D + p.V0 - disc) / den
-    e2 = p.D * p.V0 * (p.D + p.V0 + disc) / den
-    return 2.0 * p.E0 + e1, 2.0 * p.E0 + e2
+    try:
+        den = 2.0 * (p.D * p.V0 - p.J ** 2)
+        if abs(den) <= 1e-12 * p.J ** 2:
+            raise ParameterError("D V0 = J^2: doubly-bound closed form singular")
+        disc = math.sqrt(4.0 * p.J ** 2 + (p.D - p.V0) ** 2)
+        e1 = 2.0 * p.E0 + p.D * p.V0 * (p.D + p.V0 - disc) / den
+        e2 = 2.0 * p.E0 + p.D * p.V0 * (p.D + p.V0 + disc) / den
+    except OverflowError as exc:
+        raise RangeError(f"doubly-bound closed form: {exc}") from exc
+    if not (math.isfinite(e1) and math.isfinite(e2)):
+        raise RangeError(f"doubly-bound closed form not finite: {e1}, {e2}")
+    return e1, e2
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
 """Command-line surface: configs in, deterministic CSV out, exit codes."""
 
 import csv
+import math
+import warnings
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biximp.cli import main
 
@@ -91,9 +95,9 @@ BOOLEAN_NUMBERS = (
     + [("wavepacket", "wavepacket", "snapshots", [-28.0, True])])
 
 
-@pytest.mark.parametrize("command, name, key, value", BOOLEAN_NUMBERS)
-def test_boolean_number_exit_code(tmp_path, capsys, command, name, key, value):
-    """A YAML boolean where a number belongs is a config error, not 1."""
+def _config_error(tmp_path, capsys, command, name, key, value):
+    """Run `command` with `value` at section `name`, key `key`: it must exit
+    2 with one config-error line and write nothing.  Returns the line."""
     cfg = PACKET if command == "wavepacket" else dict(BASE, phase_diagram=PHASE)
     cfg = {sec: dict(vals) for sec, vals in cfg.items()}
     cfg.setdefault(name, {})[key] = value
@@ -101,9 +105,34 @@ def test_boolean_number_exit_code(tmp_path, capsys, command, name, key, value):
     out = tmp_path / "out"
     assert main([command, "--config", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {name} section") and "boolean" in err
+    assert err.startswith(f"config error: {name} section")
     assert err.count("\n") == 1
     assert not any(out.iterdir())
+    return err
+
+
+@pytest.mark.parametrize("command, name, key, value", BOOLEAN_NUMBERS)
+def test_boolean_number_exit_code(tmp_path, capsys, command, name, key, value):
+    """A YAML boolean where a number belongs is a config error, not 1."""
+    assert "boolean" in _config_error(tmp_path, capsys, command, name, key, value)
+
+
+NON_FINITE_NUMBERS = (
+    ("bic", "model", "E0", float("nan")),
+    ("biexciton-spectrum", "model", "V0", float("nan")),
+    ("wavepacket", "wavepacket", "t_end", float("inf")),
+    ("bic", "model", "D", float("inf")),
+    ("biexciton-spectrum", "model", "D", float("inf")),
+    ("biexciton-spectrum", "model", "E0", float("-inf")),
+    ("phase-diagram", "phase_diagram", "D_max", float("nan")),
+    ("exciton", "model", "N", float("inf")))
+
+
+@pytest.mark.parametrize("command, name, key, value", NON_FINITE_NUMBERS)
+def test_non_finite_number_exit_code(tmp_path, capsys, command, name, key, value):
+    """NaN or +-inf where a number belongs is a config error: no traceback,
+    no exit 0 with garbage written, no misleading regime message."""
+    _config_error(tmp_path, capsys, command, name, key, value)
 
 
 def test_regime_violation_exit_code(tmp_path):
@@ -339,3 +368,55 @@ def test_commands_run_without_scipy(tmp_path):
     codes, scipy_modules = json.loads(run.stdout.splitlines()[-1])
     assert codes == [0] * len(SMALL_RUNS)
     assert scipy_modules == []
+
+
+# any float, NaN and +-inf included, or one of the model's own scale
+FUZZ_VALUES = st.floats() | st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=100, deadline=None)
+# J^2 and (D - V0)^2 overflow in the closed form; D V0 = J^2 = 0 after
+# underflow; eigh does not converge; sqrt2 J overflows in the even block
+@example(N=4, J=1e200, D=4.1, V0=8.0, E0=0.0, tol=0.05, dump=True)
+@example(N=4, J=1.0, D=1e200, V0=-1e200, E0=0.0, tol=0.05, dump=True)
+@example(N=6, J=1e-300, D=0.0, V0=2.0, E0=0.0, tol=0.05, dump=True)
+@example(N=8, J=-0.213, D=-0.825, V0=2.1155826100356427e292, E0=1e-300,
+         tol=0.05, dump=False)
+@example(N=4, J=1e308, D=4.1, V0=8.0, E0=0.0, tol=0.05, dump=True)
+@given(N=st.sampled_from((4, 6, 8, 10, 12)), J=FUZZ_VALUES, D=FUZZ_VALUES,
+       V0=FUZZ_VALUES, E0=FUZZ_VALUES,
+       tol=st.floats() | st.sampled_from((0.0, 0.05)),
+       dump=st.booleans())
+def test_bic_config_fuzz(N, J, D, V0, E0, tol, dump):
+    """Any bic config ends in a known exit code, never a traceback; a
+    failure prints one line, and every file written is valid."""
+    import contextlib
+    import io
+    import tempfile
+    from pathlib import Path
+
+    cfg = {"model": {"N": N, "J": J, "D": D, "E0": E0, "V0": V0},
+           "bic": {"flag_tolerance": tol, "dump_amplitudes": dump}}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["bic", "--config", write_cfg(Path(tmp) / "c.yaml", cfg),
+                         "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+        table = out / "bic_classification.csv"
+        if table.exists():
+            with open(table) as fh:
+                reader = csv.DictReader(fh)
+                rows = list(reader)
+            assert reader.fieldnames == ["index", "energy", "type", "in_continuum",
+                                         "schmidt_number", "decay_r", "decay_s",
+                                         "mismatch_flag"]
+            for row in rows:
+                assert int(row["index"]) >= 0 and math.isfinite(float(row["energy"]))
+        grid = out / "bic_amplitude.f64"
+        if grid.exists():
+            assert np.fromfile(grid).size == 2 * N * (N // 2 + 1)

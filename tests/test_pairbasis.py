@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from biximp import (ExistenceError, ModeBasis, ModelParams, NumericalError,
-                    ParameterError, antisymmetric_cm_wavevector, bic_energies,
-                    build_pair_hamiltonian, diagonalize_full, find_bic_state,
-                    pairbasis)
+                    ParameterError, RangeError, antisymmetric_cm_wavevector,
+                    bic_energies, build_pair_hamiltonian, diagonalize_full,
+                    find_bic_state, pairbasis)
 from biximp.pairbasis import (PairBasis, classify_state, folded_amplitudes,
                               in_continuum, reflection_expectation,
                               schmidt_number)
@@ -117,16 +117,131 @@ def test_sector_solver_is_full_eigensystem(N, J, D, V0):
     assert np.abs(np.abs(parity) - 1.0).max() <= 1e-12
 
 
+def _dense_sector_blocks(H, P):
+    """Reference fold of the dense H into the even and odd P blocks."""
+    idx = np.arange(len(P))
+    a, fixed = idx[idx < P], idx[idx == P]
+    na = len(a)
+    cross = H[np.ix_(a, P[a])]
+    even_rows = np.concatenate((a, fixed))
+    even = H[np.ix_(even_rows, even_rows)]
+    odd = even[:na, :na] - cross
+    even[:na, :na] += cross
+    even[:na, na:] *= math.sqrt(2.0)
+    even[na:, :na] *= math.sqrt(2.0)
+    return even, odd
+
+
+@pytest.mark.parametrize("N", (4, 6, 8, 12, 40))
+@pytest.mark.parametrize("J, D, V0", SIGN_CASES)
+def test_sector_blocks_equal_dense_fold(monkeypatch, N, J, D, V0):
+    """The blocks scattered from the entry list are the dense fold, bit
+    for bit, and the solver never builds the dense H."""
+    p = ModelParams(N=N, J=J, D=D, E0=0.3, V0=V0)
+    basis, H = build_pair_hamiltonian(p)
+    blocks, eigh = [], np.linalg.eigh
+
+    def spy(M):
+        blocks.append(M.copy())
+        return eigh(M)
+
+    def no_dense(*_):
+        raise AssertionError("dense pair Hamiltonian built")
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(pairbasis, "build_pair_hamiltonian", no_dense)
+    diagonalize_full(p)
+    even, odd = _dense_sector_blocks(H, basis.mirror)
+    assert len(blocks) == 2
+    assert np.array_equal(blocks[0], even) and np.array_equal(blocks[1], odd)
+
+
+@pytest.mark.parametrize("N", (40, 60))
+def test_sector_solver_peak_allocation(N):
+    """Only the eigenvector matrix is L x L: the traced peak of one call
+    stays below 2 x 8 L^2 bytes (3.5 x with the dense H and its checks,
+    2.3 x if both blocks outlive their solve)."""
+    import tracemalloc
+
+    p = ModelParams(N=N, J=1.0, D=4.1, V0=8.0)
+    L = N * (N - 1) // 2
+    tracemalloc.start()
+    try:
+        diagonalize_full(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * 8 * L * L
+
+
+def _tampered_entries(monkeypatch, tamper):
+    """Feed diagonalize_full the entry list of N = 8 after `tamper`."""
+    entries = pairbasis.pair_hamiltonian_entries
+
+    def patched(params, basis=None):
+        basis, diag, (rows, cols) = entries(params, basis)
+        return (basis, *tamper(basis, diag.copy(), rows.copy(), cols.copy()))
+
+    monkeypatch.setattr(pairbasis, "pair_hamiltonian_entries", patched)
+    return ModelParams(N=8, J=1.0, D=4.1, V0=2.0)
+
+
+def _off_centre(basis):
+    return int(np.flatnonzero(basis.mirror != np.arange(len(basis)))[0])
+
+
 def test_sector_solver_rejects_broken_reflection(monkeypatch):
     """An off-centre diagonal entry breaks [H, P] = 0: the sector split
     no longer holds, and the solver must say so instead of solving."""
-    p = ModelParams(N=8, J=1.0, D=4.1, V0=2.0)
-    basis, H = build_pair_hamiltonian(p)
-    i = int(np.flatnonzero(basis.mirror != np.arange(len(basis)))[0])
-    H[i, i] += 1e-6
-    monkeypatch.setattr(pairbasis, "build_pair_hamiltonian", lambda *_: (basis, H))
+    def tamper(basis, diag, rows, cols):
+        diag[_off_centre(basis)] += 1e-6
+        return diag, (rows, cols)
+
+    p = _tampered_entries(monkeypatch, tamper)
     with pytest.raises(NumericalError, match="P commutator"):
         diagonalize_full(p)
+
+
+def test_sector_solver_rejects_nan_diagonal(monkeypatch):
+    """A NaN deviation fails the check instead of passing `dev > tol`."""
+    def tamper(basis, diag, rows, cols):
+        diag[_off_centre(basis)] = math.nan
+        return diag, (rows, cols)
+
+    p = _tampered_entries(monkeypatch, tamper)
+    with pytest.raises(NumericalError, match="P commutator nan"):
+        diagonalize_full(p)
+
+
+def test_sector_solver_rejects_dropped_hop(monkeypatch):
+    """One hop without its transpose: H is no longer symmetric."""
+    p = _tampered_entries(monkeypatch,
+                          lambda basis, diag, rows, cols: (diag, (rows[1:], cols[1:])))
+    with pytest.raises(NumericalError, match="asymmetry"):
+        diagonalize_full(p)
+
+
+def test_sector_solver_rejects_hop_without_mirror(monkeypatch):
+    """A symmetric pair of hops between i and j whose P-image, between
+    Pi and Pj, is missing: H stays symmetric but no longer commutes with P."""
+    def tamper(basis, diag, rows, cols):
+        i = _off_centre(basis)
+        j = int(basis.locate(basis.m[i] + 2, basis.n[i] + 2))
+        assert not np.any((rows == i) & (cols == j))
+        return diag, (np.append(rows, (i, j)), np.append(cols, (j, i)))
+
+    p = _tampered_entries(monkeypatch, tamper)
+    with pytest.raises(NumericalError, match="P commutator"):
+        diagonalize_full(p)
+
+
+@pytest.mark.parametrize("J, match", ((math.inf, "hop value"), (math.nan, "hop value"),
+                                      (1e308, "non-finite energies")))
+def test_sector_solver_rejects_non_finite_entries(J, match):
+    """A non-finite J, or a finite one whose sqrt2 J overflows in the even
+    block, raises NumericalError instead of returning NaN energies."""
+    with pytest.raises(NumericalError, match=match):
+        diagonalize_full(ModelParams(N=8, J=J, D=4.1, V0=2.0))
 
 
 def test_trace_identity():
@@ -196,6 +311,17 @@ def test_bic_band_membership_and_swap():
 def test_bic_singular_denominator():
     with pytest.raises(ParameterError):
         bic_energies(ModelParams(N=40, J=1.0, D=4.0, V0=0.25))
+    # J^2 underflows to 0 = D V0: singular, not a division by zero
+    with pytest.raises(ParameterError):
+        bic_energies(ModelParams(N=40, J=1e-300, D=0.0, V0=2.0))
+
+
+@pytest.mark.parametrize("J, D, V0, E0", ((1e200, 4.1, 8.0, 0.0),      # J^2 raises
+                                          (1.0, 1e200, 1e200, 0.0),    # D V0 = inf
+                                          (1.0, 4.1, 8.0, 1e308)))     # 2 E0 = inf
+def test_bic_energies_out_of_range(J, D, V0, E0):
+    with pytest.raises(RangeError):
+        bic_energies(ModelParams(N=40, J=J, D=D, V0=V0, E0=E0))
 
 
 def test_full_spectrum_contains_bic():
