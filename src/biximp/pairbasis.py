@@ -212,18 +212,18 @@ def folded_amplitudes(vec, basis):
 
 
 def _fit_decay(ds, ps, period_half, d_lo, d_hi):
-    """Ring-aware decay fit; returns (rate, r2, localized_shortcut)."""
+    """Ring-aware decay fit; returns (rate, r2), and (inf, 1) without a
+    fit when at most LOCALIZED_TAIL of the weight lies at d >= d_lo."""
     tot = ps.sum()
     if tot <= 0:
-        return 0.0, 0.0, False
+        return 0.0, 0.0
     tail = ps[ds >= d_lo].sum()
     if tail <= LOCALIZED_TAIL * tot:
-        return math.inf, 1.0, True
+        return math.inf, 1.0
     m = (ds >= d_lo) & (ds <= d_hi) & (ps > 1e-12 * ps.max())
     if m.sum() < 4:
-        return 0.0, 0.0, False
-    kappa, r2 = fit_ring_decay(ds, ps, period_half, d_lo=d_lo, d_hi=d_hi)
-    return kappa, r2, False
+        return 0.0, 0.0
+    return fit_ring_decay(ds, ps, period_half, d_lo=d_lo, d_hi=d_hi)
 
 
 @dataclass
@@ -276,11 +276,11 @@ def classify_state(energy, vec, params, basis):
     tail_s = w[basis.sigma > N // 4].sum() / tot
 
     near_s = basis.sigma <= 2
-    kr, r2r, _ = _fit_decay(*distance_profile(basis.cm_dist[near_s], w[near_s]),
-                            N, d_lo=4, d_hi=N - 6)
+    kr, r2r = _fit_decay(*distance_profile(basis.cm_dist[near_s], w[near_s]),
+                         N, d_lo=4, d_hi=N - 6)
     near_r = np.abs(basis.r) <= 3
-    ks, r2s, _ = _fit_decay(*distance_profile(basis.sigma[near_r], w[near_r]),
-                            N // 2, d_lo=3, d_hi=N // 2 - 3)
+    ks, r2s = _fit_decay(*distance_profile(basis.sigma[near_r], w[near_r]),
+                         N // 2, d_lo=3, d_hi=N // 2 - 3)
 
     r_bound = tail_r < TAIL_BOUND_MAX
     s_bound = tail_s < TAIL_BOUND_MAX

@@ -161,8 +161,17 @@ def fit_ring_decay(ds, ps, N, d_lo=4, d_hi=None):
     The window starts at max(d_lo, peak + 1), stops at the profile
     minimum within [.., d_hi] (default d_hi = N - 6; the tail past the
     minimum is wrap-around or admixture, not the decay law) and drops
-    points below the relative numerical floor.  Returns
-    (kappa, r_squared); kappa = 0 when no usable fit exists.
+    points below the relative numerical floor.  Node structure near the
+    impurity biases the first points of antisymmetric states, so fits
+    start at lo, lo + 2, ..., lo + 20; ds is sorted, so each start's
+    window is a suffix of the one kept window, and a later start wins
+    only with a strictly higher r^2.  Returns (kappa, r_squared);
+    kappa = 0 when no usable fit exists.
+
+    ln cosh overflows once 2 kappa (N - d) > 710.  A window whose
+    objective is NaN at the minimizer's first trial point gets NaN r^2,
+    which never wins; so every N = 400 bound state reports decay rate 0
+    (ROADMAP item 3: an overflow-free fit).
     """
     if d_hi is None:
         d_hi = N - 6
@@ -175,30 +184,28 @@ def fit_ring_decay(ds, ps, N, d_lo=4, d_hi=None):
     if win.sum() < 4:
         return 0.0, 0.0
     d_min = ds[win][int(np.argmin(ps[win]))]
+    keep = win & (ds <= d_min) & (ps > PROFILE_FLOOR * pmax)
+    xs = ds[keep]
+    nxs, ys = N - xs.astype(float), np.log(ps[keep])
 
-    def one_fit(start):
-        m = win & (ds >= start) & (ds <= d_min) & (ps > PROFILE_FLOOR * pmax)
-        if m.sum() < 4:
-            return None
-        x, y = ds[m].astype(float), np.log(ps[m])
-
-        def sse(kappa):
-            basis = np.log(np.cosh(2.0 * kappa * (N - x)))
-            c = np.mean(y - basis)
-            return float(np.sum((y - basis - c) ** 2))
-
-        kappa = fminbound(sse, 1e-6, 4.0, xtol=1e-10)
-        sst = float(np.sum((y - np.mean(y)) ** 2))
-        r2 = 1.0 - sse(kappa) / sst if sst > 0 else 1.0
-        return kappa, r2
-
-    # node structure near the impurity biases the first points of
-    # antisymmetric states; scan start offsets, keep the best fit
     best = (0.0, 0.0)
     for start in range(lo, lo + 21, 2):
-        got = one_fit(start)
-        if got is not None and got[1] > best[1]:
-            best = got
+        k0 = int(np.searchsorted(xs, start))
+        n = len(xs) - k0
+        if n < 4:
+            break
+        nx, y = nxs[k0:], ys[k0:]
+
+        def sse(kappa, nx=nx, y=y, n=n):
+            z = y - np.log(np.cosh(2.0 * kappa * nx))
+            z -= np.add.reduce(z) / n
+            return float(np.add.reduce(z * z))
+
+        kappa = fminbound(sse, 1e-6, 4.0, xtol=1e-10)
+        sst = sse(0.0)      # ln cosh 0 = 0 exactly: the flat model's SSE
+        r2 = 1.0 - sse(kappa) / sst if sst > 0 else 1.0
+        if r2 > best[1]:
+            best = (kappa, r2)
     return best
 
 

@@ -40,6 +40,14 @@ from .roots import scan_roots
 POLE_RESIDUAL_TOL = 1e-10
 
 
+def _j_squared(params):
+    """J^2, or RangeError when it overflows the float range."""
+    try:
+        return params.J ** 2
+    except OverflowError as exc:
+        raise RangeError(f"J^2 overflows for J = {params.J}") from exc
+
+
 def phi_complex_k(Kc, s, params):
     """Pair wavefunction continued to complex CM wavevector (even branch).
 
@@ -81,7 +89,7 @@ def biexciton_reflection_amplitude(Kc, params):
     kp, kpp = Kc.real, np.abs(Kc.imag)
     sech = 2.0 * np.exp(-2.0 * kpp) / (1.0 + np.exp(-4.0 * kpp))
     num = 2.0 * p.D * p.V0 * s_function(kp, kpp, p) * sech
-    den = p.J ** 2 * (np.cos(2 * kp) * np.tanh(2 * kpp) - 1j * np.sin(2 * kp)) - num
+    den = _j_squared(p) * (np.cos(2 * kp) * np.tanh(2 * kpp) - 1j * np.sin(2 * kp)) - num
     pole = np.abs(den) < 1e-12 * np.maximum(np.abs(num), sech)
     return np.where(pole, complex(math.inf, 0.0),
                     num / np.where(pole, 1.0, den))[()]
@@ -117,9 +125,10 @@ def find_pole(params, k_max=4.0, n_scan=800):
     p = params
     kp = pole_branch(p)
     c2 = math.cos(2.0 * kp)
+    j2 = _j_squared(p)
 
     def f(k):
-        return np.sinh(2.0 * k) - 2.0 * p.D * p.V0 * s_function(kp, k, p) / (p.J ** 2 * c2)
+        return np.sinh(2.0 * k) - 2.0 * p.D * p.V0 * s_function(kp, k, p) / (j2 * c2)
 
     k = next(scan_roots(f, np.linspace(1e-6, k_max, n_scan), exact_zeros=False),
              None)
@@ -161,7 +170,7 @@ def continued_fraction_first_order(Kc, params, modes=None):
         raise RangeError("sin 2K = 0: first-order correction singular")
     S = s_function(Kc.real, Kc.imag, p)
     beta = 4.0 * p.V0 * S / p.N
-    gamma = 1j * p.N * p.D * beta * beta / (2.0 * p.J ** 2 * sin2K)
+    gamma = 1j * p.N * p.D * beta * beta / (2.0 * _j_squared(p) * sin2K)
     refl = gamma / (beta - gamma)
     correction = np.zeros(0, dtype=complex)
     if modes is not None:

@@ -1,8 +1,12 @@
 """Command-line surface: configs in, deterministic CSV out, exit codes."""
 
+import contextlib
 import csv
+import io
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,6 +378,34 @@ def test_commands_run_without_scipy(tmp_path):
 FUZZ_VALUES = st.floats() | st.floats(-10.0, 10.0)
 
 
+@contextlib.contextmanager
+def fuzzed_run(command, cfg):
+    """Run one fuzzed config; it must end in a known exit code, never a
+    traceback, and a failure prints one line.  Yields the output
+    directory for the caller's checks of the files written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main([command, "--config", write_cfg(Path(tmp) / "c.yaml", cfg),
+                         "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+        yield out
+
+
+def read_csv(path, header):
+    """Rows of a CSV that has the given header and a value in every column."""
+    with open(path) as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == header
+    assert all(None not in row and None not in row.values() for row in rows)
+    return rows
+
+
 @settings(max_examples=100, deadline=None)
 # J^2 and (D - V0)^2 overflow in the closed form; D V0 = J^2 = 0 after
 # underflow; eigh does not converge; sqrt2 J overflows in the even block
@@ -390,33 +422,62 @@ FUZZ_VALUES = st.floats() | st.floats(-10.0, 10.0)
 def test_bic_config_fuzz(N, J, D, V0, E0, tol, dump):
     """Any bic config ends in a known exit code, never a traceback; a
     failure prints one line, and every file written is valid."""
-    import contextlib
-    import io
-    import tempfile
-    from pathlib import Path
-
     cfg = {"model": {"N": N, "J": J, "D": D, "E0": E0, "V0": V0},
            "bic": {"flag_tolerance": tol, "dump_amplitudes": dump}}
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = main(["bic", "--config", write_cfg(Path(tmp) / "c.yaml", cfg),
-                         "--out", str(out)])
-        assert code in (0, 1, 2, 3)
-        if code:
-            assert err.getvalue().count("\n") == 1, err.getvalue()
+    with fuzzed_run("bic", cfg) as out:
         table = out / "bic_classification.csv"
         if table.exists():
-            with open(table) as fh:
-                reader = csv.DictReader(fh)
-                rows = list(reader)
-            assert reader.fieldnames == ["index", "energy", "type", "in_continuum",
-                                         "schmidt_number", "decay_r", "decay_s",
-                                         "mismatch_flag"]
+            rows = read_csv(table, ["index", "energy", "type", "in_continuum",
+                                    "schmidt_number", "decay_r", "decay_s",
+                                    "mismatch_flag"])
             for row in rows:
                 assert int(row["index"]) >= 0 and math.isfinite(float(row["energy"]))
         grid = out / "bic_amplitude.f64"
         if grid.exists():
             assert np.fromfile(grid).size == 2 * N * (N // 2 + 1)
+
+
+@settings(max_examples=100, deadline=None)
+# J^2 overflows in the reflection amplitude; a run that finds both poles
+@example(N=40, J=1e200, D=4.0, V0=0.25, E0=0.0, kpp_max=1.5, n_scan=20)
+@example(N=8, J=1.0, D=4.0, V0=1.0, E0=0.0, kpp_max=1.5, n_scan=20)
+@given(N=st.sampled_from((4, 6, 8, 10, 12)), J=FUZZ_VALUES, D=FUZZ_VALUES,
+       V0=FUZZ_VALUES, E0=FUZZ_VALUES,
+       kpp_max=st.floats() | st.floats(0.01, 3.0), n_scan=st.integers(-2, 50))
+def test_poles_config_fuzz(N, J, D, V0, E0, kpp_max, n_scan):
+    """Any poles config ends in a known exit code, never a traceback; a
+    failure prints one line, and every CSV written parses."""
+    cfg = {"model": {"N": N, "J": J, "D": D, "E0": E0, "V0": V0},
+           "poles": {"K_doubleprime_max": kpp_max, "n_scan": n_scan}}
+    with fuzzed_run("poles", cfg) as out:
+        for name, header, n_rows in (
+                ("pole_scan.csv", ["K_prime", "K_doubleprime", "V0", "abs_R_b"],
+                 2 * n_scan),
+                ("pole_summary.csv", ["branch", "K_doubleprime_pole", "E_pole",
+                                      "E_numeric", "rel_err"], 2)):
+            if (out / name).exists():
+                rows = read_csv(out / name, header)
+                values = np.array([list(row.values()) for row in rows], dtype=float)
+                assert values.shape == (n_rows, len(header))
+
+
+@settings(max_examples=100, deadline=None)
+@given(N=st.sampled_from((4, 6, 8, 10, 12, 40)), J=FUZZ_VALUES, D=FUZZ_VALUES,
+       V0=FUZZ_VALUES, E0=FUZZ_VALUES, sign_cases=st.booleans())
+def test_exciton_config_fuzz(N, J, D, V0, E0, sign_cases):
+    """Any exciton config ends in a known exit code, never a traceback; a
+    failure prints one line, and every CSV written parses."""
+    cfg = {"model": {"N": N, "J": J, "D": D, "E0": E0, "V0": V0},
+           "exciton": {"sign_cases": sign_cases}}
+    with fuzzed_run("exciton", cfg) as out:
+        for table in out.glob("exciton*.csv"):
+            if table.name.endswith("_bound_profile.csv"):
+                rows = read_csv(table, ["site", "amplitude"])
+                assert np.array([list(row.values()) for row in rows],
+                                dtype=float).shape == (N, 2)
+            else:
+                rows = read_csv(table, ["branch", "k_real", "k_imag", "energy",
+                                        "bound_flag"])
+                np.array([[row["k_real"], row["k_imag"], row["energy"]]
+                          for row in rows], dtype=float)
+                assert {row["bound_flag"] for row in rows} <= {"true", "false"}

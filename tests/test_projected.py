@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from biximp import (ExistenceError, ModeBasis, ModelParams, NumericalError,
                     ParameterError, SpectrumResult,
                     build_projected_hamiltonian, classify_bound_states,
                     count_bound_states, diagonalize_projected,
-                    impurity_overlap, phase_diagram, potential_matrix)
+                    impurity_overlap, pairbasis, phase_diagram,
+                    potential_matrix, projected, roots)
+from biximp.cli import main
 from biximp.pairbasis import build_pair_hamiltonian
-from biximp.projected import (bound_candidates, cm_amplitude,
+from biximp.projected import (PROFILE_FLOOR, bound_candidates, cm_amplitude,
                               participation_ratio)
 
 
@@ -244,3 +247,119 @@ def test_cm_amplitude_uses_shared_phase(fig2_params):
     assert np.array_equal(r, np.arange(-N + 1, N + 1))
     direct = np.exp(1j * np.outer(r, modes.K)) @ (u * modes.phi[:, N])
     assert np.array_equal(psi, direct)
+
+
+# CLI runs whose ring-decay fits the tests replay: the three seed-0
+# exact_arbiter bic configs and both N = 400 biexciton-spectrum configs
+FIT_TASKS = {
+    "bic_N40_V8": ("bic", {"model": {"N": 40, "J": 1.0, "D": 4.1, "E0": 0.0, "V0": 8.0},
+                           "bic": {"flag_tolerance": 0.05}}),
+    "bic_N40_V1": ("bic", {"model": {"N": 40, "J": 1.0, "D": 4.1, "E0": 0.0, "V0": 1.0},
+                           "bic": {"flag_tolerance": 0.05}}),
+    "bic_N60_V8": ("bic", {"model": {"N": 60, "J": 1.0, "D": 4.1, "E0": 0.0, "V0": 8.0},
+                           "bic": {"flag_tolerance": 0.05}}),
+    "spectrum_N400_V+": ("biexciton-spectrum",
+                         {"model": {"N": 400, "J": 1.0, "D": 4.1, "E0": 1000.0, "V0": 4.0}}),
+    "spectrum_N400_V-": ("biexciton-spectrum",
+                         {"model": {"N": 400, "J": 1.0, "D": 4.1, "E0": 1000.0, "V0": -4.0}}),
+}
+
+
+def per_start_fit(ds, ps, N, d_lo=4, d_hi=None):
+    """Reference ring-decay fit: one masked window and one bounded fit
+    per start offset, with np.mean and np.sum in the objective."""
+    if d_hi is None:
+        d_hi = N - 6
+    pmax = ps.max()
+    if pmax <= 0:
+        return 0.0, 0.0
+    d_peak = ds[int(np.argmax(np.where(ds <= N // 2, ps, -1.0)))]
+    lo = max(d_lo, d_peak + 1)
+    win = (ds >= lo) & (ds <= d_hi)
+    if win.sum() < 4:
+        return 0.0, 0.0
+    d_min = ds[win][int(np.argmin(ps[win]))]
+
+    def one_fit(start):
+        m = win & (ds >= start) & (ds <= d_min) & (ps > PROFILE_FLOOR * pmax)
+        if m.sum() < 4:
+            return None
+        x, y = ds[m].astype(float), np.log(ps[m])
+
+        def sse(kappa):
+            basis = np.log(np.cosh(2.0 * kappa * (N - x)))
+            c = np.mean(y - basis)
+            return float(np.sum((y - basis - c) ** 2))
+
+        kappa = roots.fminbound(sse, 1e-6, 4.0, xtol=1e-10)
+        sst = float(np.sum((y - np.mean(y)) ** 2))
+        r2 = 1.0 - sse(kappa) / sst if sst > 0 else 1.0
+        return kappa, r2
+
+    best = (0.0, 0.0)
+    for start in range(lo, lo + 21, 2):
+        got = one_fit(start)
+        if got is not None and got[1] > best[1]:
+            best = got
+    return best
+
+
+def random_fit_inputs(rng, N):
+    """A noisy ring-decay profile at N, with nodes near the impurity,
+    points under the numerical floor and a random window."""
+    ds = np.arange(rng.integers(2), N + 1, rng.integers(1, 3))
+    x = 2.0 * rng.uniform(0.02, 1.5) * (N - ds)
+    log_p = np.logaddexp(x, -x) + rng.normal(0.0, rng.uniform(0.0, 0.5), ds.size)
+    log_p[:rng.integers(6)] -= rng.uniform(0.0, 8.0)
+    ps = np.exp(log_p - log_p.max())
+    ps[rng.random(ds.size) < 0.05] = rng.choice((0.0, 1e-25))
+    d_lo, d_hi = ((4, None), (4, N - 6), (3, N // 2 - 3))[rng.integers(3)]
+    return ds, ps, N if d_lo == 4 else N // 2, d_lo, d_hi
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Record the inputs and result of every fit_ring_decay call made
+    through projected or pairbasis."""
+    calls = []
+    fit = projected.fit_ring_decay
+
+    def recorded(*args, **kw):
+        got = fit(*args, **kw)
+        calls.append((args, kw, got))
+        return got
+
+    for module in (projected, pairbasis):
+        monkeypatch.setattr(module, "fit_ring_decay", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(FIT_TASKS) + ["random_N40", "random_N60",
+                                                      "random_N400"])
+def test_fit_matches_per_start_reference(fit_calls, tmp_path, case):
+    """fit_ring_decay gives the per-start reference's (kappa, r2) exactly,
+    on every fit the CLI runs for the task and on random profiles.  At
+    N = 400 the ln cosh model overflows and every fit stays (0, 0)."""
+    with np.errstate(all="ignore"):
+        if case in FIT_TASKS:
+            command, cfg = FIT_TASKS[case]
+            path = tmp_path / "c.yaml"
+            path.write_text(yaml.safe_dump(cfg))
+            assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+        else:
+            N = int(case.removeprefix("random_N"))
+            rng = np.random.default_rng(N)
+            for _ in range(100):
+                *args, d_lo, d_hi = random_fit_inputs(rng, N)
+                projected.fit_ring_decay(*args, d_lo=d_lo, d_hi=d_hi)
+            # flat up to a zero at the window's end: every start ties at
+            # r2 = 1 with its own kappa, and the first start must win
+            ds = np.arange(N + 1)
+            projected.fit_ring_decay(ds, np.where(ds == N - 7, 0.0, 1.0), N)
+        want = [per_start_fit(*args, **kw) for args, kw, _ in fit_calls]
+    got = [got for _, _, got in fit_calls]
+    assert got == want
+    if case.startswith("spectrum_N400"):
+        assert got == [(0.0, 0.0)] * len(got) != []
+    else:
+        assert any(kappa > 0 for kappa, _ in got)

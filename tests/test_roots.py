@@ -16,6 +16,7 @@ from scipy import optimize
 from biximp import ModelParams, biexciton, exciton, projected, roots, scattering
 from biximp.cli import main
 from biximp.errors import ExistenceError, NumericalError
+from test_projected import FIT_TASKS
 
 PORT_BRENTQ = roots.brentq
 PORT_FMINBOUND = roots.fminbound
@@ -142,20 +143,6 @@ def test_brentq_matches_scipy_on_random_brackets(seed):
 def test_brentq_raises_numerical_error(f, a, b, kw, match):
     with pytest.raises(NumericalError, match=match):
         roots.brentq(f, a, b, **kw)
-
-
-FIT_TASKS = {
-    "bic_N40_V8": ("bic", {"model": {"N": 40, "J": 1.0, "D": 4.1, "E0": 0.0, "V0": 8.0},
-                           "bic": {"flag_tolerance": 0.05}}),
-    "bic_N40_V1": ("bic", {"model": {"N": 40, "J": 1.0, "D": 4.1, "E0": 0.0, "V0": 1.0},
-                           "bic": {"flag_tolerance": 0.05}}),
-    "bic_N60_V8": ("bic", {"model": {"N": 60, "J": 1.0, "D": 4.1, "E0": 0.0, "V0": 8.0},
-                           "bic": {"flag_tolerance": 0.05}}),
-    "spectrum_N400_V+": ("biexciton-spectrum",
-                         {"model": {"N": 400, "J": 1.0, "D": 4.1, "E0": 1000.0, "V0": 4.0}}),
-    "spectrum_N400_V-": ("biexciton-spectrum",
-                         {"model": {"N": 400, "J": 1.0, "D": 4.1, "E0": 1000.0, "V0": -4.0}}),
-}
 
 
 @pytest.mark.parametrize("task", sorted(FIT_TASKS))
