@@ -19,8 +19,7 @@ from .exciton import (ExcitonBoundState, ExcitonSpectrum, effective_mass,
                       exciton_bound_wavevector_largen, exciton_dispersion,
                       exciton_reflection_amplitude, exciton_site_hamiltonian,
                       solve_exciton_spectrum)
-from .pairbasis import (CMBoundMode, PairBasis, StateClassification,
-                        antisymmetric_cm_wavevector, bic_energies,
+from .pairbasis import (PairBasis, StateClassification, bic_energies,
                         build_pair_hamiltonian, classify_state,
                         diagonalize_full, find_bic_state, schmidt_number)
 from .params import ModelParams, k_grid

@@ -77,7 +77,6 @@ import numpy as np
 
 from .biexciton import ModeBasis
 from .errors import NumericalError, ParameterError, RegimeError, TimingError
-from .exciton import exciton_dispersion
 from .projected import (ProjectedHamiltonian, build_projected_hamiltonian,
                         impurity_overlap)
 from .roots import steered_bisection
@@ -87,6 +86,8 @@ SPLIT_BUFFER = 4          # half-width of the partition buffer zones (r sites)
 IMPURITY_WEIGHT_MAX = 0.05   # strict partition gates: largest buffer weights
 ANTIPODE_WEIGHT_MAX = 0.10
 SUM_ROUNDING = 1e-12      # slack for summation rounding at those limits
+CALIBRATION_T = 35.0      # time at which calibrate_v0 measures the split
+CALIBRATION_TOL = 0.02    # calibrate_v0 warns when it misses the target by more
 
 
 @dataclass(frozen=True)
@@ -338,7 +339,7 @@ def mode_distribution(state):
     return w / w.sum()
 
 
-def check_partition(imp, anti, what="partition"):
+def check_partition(imp, anti):
     """TimingError unless a two-way split of the weight is well defined.
 
     The limits are inclusive up to summation rounding: the impurity
@@ -349,7 +350,7 @@ def check_partition(imp, anti, what="partition"):
     passes however its sum rounds.
     """
     if max(imp - IMPURITY_WEIGHT_MAX, anti - ANTIPODE_WEIGHT_MAX) > SUM_ROUNDING:
-        raise TimingError(f"{what} ill-defined: {imp:.1%} at the impurity, "
+        raise TimingError(f"partition ill-defined: {imp:.1%} at the impurity, "
                           f"{anti:.1%} at the antipode")
 
 
@@ -378,32 +379,28 @@ def split_ratio(state, modes, buffer=SPLIT_BUFFER, strict=True):
     return float(refl), float(trans)
 
 
-def calibrate_v0(params_template, config, target=0.5, tol=0.02,
-                 t_measure=None, v0_max=None, modes=None, overlap=None):
+def calibrate_v0(params_template, config, target=0.5, modes=None, overlap=None):
     """Impurity strength giving the target reflected fraction.
 
-    Bisection on |V0| in [0, v0_max] (default |D|) with the sign
-    opposite to D, until the bracket is narrower than 1e-12; reflection
-    is measured at t_measure (default 35).  target = 0 returns 0.  If
-    the scan endpoint does not bracket the target the best candidate is
-    returned with a warning; so is the bisection's result when the
-    target is at or below the reflection at V0 = 0.  `modes` (and its
-    `overlap`) pass a prebuilt basis of the same D, as in
-    build_projected_hamiltonian.
+    Bisection on |V0| in [0, |D|] with the sign opposite to D, until
+    the bracket is narrower than 1e-12; reflection is measured at
+    t = CALIBRATION_T.  target = 0 returns 0.  If |V0| = |D| reflects
+    less than the target, that endpoint is returned with a warning; so
+    is the bisection's result when the target is at or below the
+    reflection at V0 = 0, or when it misses the target by more than
+    CALIBRATION_TOL.  `modes` (and its `overlap`) pass a prebuilt basis
+    of the same D, as in build_projected_hamiltonian.
 
     The bisection is steered by one Brent root (steered_bisection): at
     and near the README packet a calibration builds 13-17 Hamiltonians,
     where evaluating every midpoint builds 45.  Its V0 is bit for bit
     that of evaluating every midpoint whenever reflected(|V0|) crosses
-    the target once on [0, v0_max].
+    the target once on [0, |D|].
     """
     if target == 0.0:
         return 0.0
     sgn = -np.sign(params_template.D)
-    if t_measure is None:
-        t_measure = 35.0
-    if v0_max is None:
-        v0_max = abs(params_template.D)
+    v0_max = abs(params_template.D)
 
     if modes is None:
         modes = ModeBasis(params_template)
@@ -415,7 +412,7 @@ def calibrate_v0(params_template, config, target=0.5, tol=0.02,
     def reflected(v0_abs):
         trial = params_template.replace(V0=float(sgn * v0_abs))
         ph = build_projected_hamiltonian(trial, modes=modes, overlap=overlap)
-        u = propagate(u0, ph, t_measure)
+        u = propagate(u0, ph, CALIBRATION_T)
         # scan probes skip the timing gate: strong trial potentials leave
         # lingering weight near the impurity by design
         return split_ratio(u, modes, strict=False)[0]
@@ -431,9 +428,9 @@ def calibrate_v0(params_template, config, target=0.5, tol=0.02,
     if r0 >= target:
         warnings.warn(f"split target {target} is at or below the V0 = 0 "
                       f"reflection {r0:.4f}; returning |V0| = {abs(v0):.1e}")
-    elif abs((r := reflected(abs(v0))) - target) > tol:
-        warnings.warn(f"calibration reached reflected={r:.4f}, "
-                      f"outside target {target} +- {tol} (non-monotone?)")
+    elif abs((r := reflected(abs(v0))) - target) > CALIBRATION_TOL:
+        warnings.warn(f"calibration reached reflected={r:.4f}, outside "
+                      f"target {target} +- {CALIBRATION_TOL} (non-monotone?)")
     return float(v0)
 
 
@@ -489,85 +486,3 @@ def run_trajectory(params, config, ph=None):
             st.t, entropy(schmidt_weights(u, ph.modes)), st.norm,
             energy_expectation(st, ph), refl))
     return Trajectory(samples, config, ph, state)
-
-
-# ---------------------------------------------------------------------------
-# single-exciton comparator
-
-
-class ExcitonPacketModel:
-    """Exciton wavepacket on the N-site ring, same Gaussian shape.
-
-    Basis: free plane waves k = 2 pi nu / N over the full zone; the
-    impurity couples them all with constant element V0/N.  Thin driver
-    used to contrast a structureless packet with the composite one.
-    """
-
-    def __init__(self, params):
-        self.params = params
-        N = params.N
-        self.k = 2.0 * math.pi * np.arange(-N // 2 + 1, N // 2 + 1) / N
-        self.energies = np.array([exciton_dispersion(k, params.replace(V0=0.0))
-                                  for k in self.k])
-        H = np.diag(self.energies.astype(complex)) + params.V0 / N
-        self.w, self.W = np.linalg.eigh(H)
-        self.x = params.sites
-
-    def group_velocity(self, k0):
-        return -2.0 * self.params.J * math.sin(k0)
-
-    def initial(self, k0, dk0, x_offset):
-        g = np.exp(-0.5 * (self.k - k0) ** 2 / dk0 ** 2)
-        u = g * np.exp(-1j * self.k * x_offset)
-        return u / np.linalg.norm(u)
-
-    def evolve(self, u0, dt):
-        return self.W @ (np.exp(-1j * self.w * dt) * (self.W.conj().T @ u0))
-
-    def density_profile(self, u):
-        psi = np.exp(1j * np.outer(self.x, self.k)) @ u / math.sqrt(len(self.k))
-        prof = np.abs(psi) ** 2
-        return prof / prof.sum()
-
-    def reflected_fraction(self, u, buffer=2, strict=True):
-        """Probability on the sites x < 0, plus half of each cut point
-        x = 0 and x = N/2.  With strict=True the partition is gated as in
-        split_ratio, by check_partition on the weights within `buffer`
-        sites of the impurity and of the antipode."""
-        prof = self.density_profile(u)
-        N = self.params.N
-        dist_imp = np.minimum(np.abs(self.x), N - np.abs(self.x))
-        if strict:
-            check_partition(prof[dist_imp <= buffer].sum(),
-                            prof[dist_imp >= N // 2 - buffer].sum(), "exciton partition")
-        cut = 0.5 * prof[(self.x == 0) | (self.x == N // 2)].sum()
-        return float(prof[(self.x < 0) & (self.x > -N // 2)].sum() + cut)
-
-    def antipode_visibility(self, u, halfwidth=None):
-        N = self.params.N
-        if halfwidth is None:
-            halfwidth = N // 4
-        prof = self.density_profile(u)
-        dist = np.abs(np.abs(self.x) - N // 2)
-        win = np.where(np.minimum(dist, N - dist) <= halfwidth)[0]
-        order = np.argsort((self.x[win] - (N // 2 - halfwidth)) % N)
-        return _extrema_contrast(prof[win[order]])
-
-
-def calibrate_exciton_v0(params_template, k0, dk0, t_flight, v0_max=None):
-    """Bisection on |V0| for a 50/50 exciton split; sign opposite to J.
-
-    Sixty halvings of [0, v0_max] with no width stop, steered as in
-    calibrate_v0.
-    """
-    sgn = -np.sign(params_template.J)
-    if v0_max is None:
-        v0_max = 6.0 * abs(params_template.J)
-
-    def reflected(v0_abs):
-        model = ExcitonPacketModel(params_template.replace(V0=float(sgn * v0_abs)))
-        x_off = model.group_velocity(k0) * (-t_flight)
-        u = model.evolve(model.initial(k0, dk0, x_off), 2.0 * t_flight)
-        return model.reflected_fraction(u, strict=False)
-
-    return float(sgn * steered_bisection(reflected, 0.5, 0.0, v0_max, steps=60))

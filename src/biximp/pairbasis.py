@@ -18,11 +18,11 @@ closed-form energies
 one of which generically sits inside the two-exciton continuum
 [2 E0 - 4|J|, 2 E0 + 4|J|]: a bound state in the continuum.  The same
 energies follow from an antisymmetric product ansatz sin(K_a r) phi(s)
-with complex CM wavevector K_a on either the imaginary axis or the
-line Re K_a = pi/2.
+with complex CM wavevector cos K_a = sqrt(D (E - 2 E0 - D)) / 2J, on
+either the imaginary axis or the line Re K_a = pi/2; the finite-N
+correction to K_a is exponentially small in N.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -342,91 +342,6 @@ def bic_energies(params):
     if not (math.isfinite(e1) and math.isfinite(e2)):
         raise RangeError(f"doubly-bound closed form not finite: {e1}, {e2}")
     return e1, e2
-
-
-@dataclass(frozen=True)
-class CMBoundMode:
-    K_a: complex
-    energy: float
-    branch: str        # "imaginary_axis" | "half_pi_axis"
-    refined: bool
-    residual: float
-    reliable: bool
-
-
-def _cm_residual(Ka, params):
-    """Antisymmetric CM quantization residual at complex K_a.
-
-    F = 2J (cos K_a - sin K_a / tan(K_a (N/2-1))) cos k - V0 with the
-    relative closure cos k = (alpha + 1/alpha)/2, alpha = 2J cos K_a / D.
-    """
-    p = params
-    a = 2.0 * p.J * cmath.cos(Ka) / p.D
-    cosk = (a + 1.0 / a) / 2.0
-    z = Ka * (p.N / 2.0 - 1.0)
-    t = 1j * np.sign(z.imag) if abs(z.imag) > 20.0 else cmath.tan(z)
-    return 2.0 * p.J * (cmath.cos(Ka) - cmath.sin(Ka) / t) * cosk - p.V0
-
-
-def _refine_cm_root(Ka0, params, max_step=0.3, tol=1e-12):
-    """Damped complex Newton on the finite-N residual; None if divergent."""
-    Ka = Ka0
-    h = 1e-7
-    for _ in range(200):
-        try:
-            F = _cm_residual(Ka, params)
-            dF = (_cm_residual(Ka + h, params) - _cm_residual(Ka - h, params)) / (2 * h)
-        except (OverflowError, ZeroDivisionError):
-            return None
-        if dF == 0:
-            return None
-        step = F / dF
-        if abs(step) > max_step:
-            step *= max_step / abs(step)
-        Ka = Ka - step
-        if abs(Ka - Ka0) > 0.5:
-            return None
-        if abs(step) < tol:
-            break
-    res = abs(_cm_residual(Ka, params))
-    return (Ka, res) if res < 1e-9 * max(1.0, abs(params.V0)) else None
-
-
-def antisymmetric_cm_wavevector(params):
-    """Complex CM wavevectors of the antisymmetric doubly-bound modes.
-
-    Seeds come from inverting the dispersion at the closed-form
-    energies; each is refined on the finite-N quantization when the
-    damped Newton stays on the branch (at large N the correction is
-    exponentially small, so an unrefined seed is already the root).
-    Requires |D V0| > J^2, else no CM-bound antisymmetric mode exists.
-    """
-    p = params
-    if p.V0 == 0.0 or abs(p.D * p.V0) <= p.J ** 2:
-        raise ExistenceError(
-            "no CM-bound antisymmetric mode: requires |D V0| > J^2")
-    ratio = abs(p.V0) / abs(p.D)
-    reliable = ratio >= 1.5 or ratio <= 1.0 / 1.5
-    out = []
-    for e_full in bic_energies(params):
-        e = e_full - 2.0 * p.E0
-        y = cmath.sqrt(complex(p.D * (e - p.D)))
-        Ka = cmath.acos(y / (2.0 * p.J))
-        # canonical representative: Re in [0, pi/2], Im >= 0
-        Ka = complex(abs(Ka.real) % math.pi, abs(Ka.imag))
-        if Ka.real > math.pi / 2 + 1e-9:
-            Ka = complex(math.pi - Ka.real, Ka.imag)
-        branch = "imaginary_axis" if Ka.real < math.pi / 4 else "half_pi_axis"
-        refined = _refine_cm_root(Ka, params)
-        if refined is not None:
-            Ka_r, res = refined
-            a = 2.0 * p.J * cmath.cos(Ka_r) / p.D
-            e_r = (p.D * (1.0 + a * a)).real + 2.0 * p.E0
-            out.append(CMBoundMode(Ka_r, e_r, branch, True, res, reliable))
-        else:
-            out.append(CMBoundMode(Ka, e_full, branch, False,
-                                   abs(_cm_residual(Ka, params)), reliable))
-    return out
 
 
 def find_bic_state(params, window=0.05):

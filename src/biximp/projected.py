@@ -28,6 +28,7 @@ impurity, fitted outward from the profile peak with a numerical-floor
 cut-off.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,14 @@ def potential_matrix(modes, params=None, overlap=None):
     return (4.0 * p.V0 / p.N) * G
 
 
+def _eigh(M):
+    """np.linalg.eigh(M), with its failure raised as NumericalError."""
+    try:
+        return np.linalg.eigh(M)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"projected Hamiltonian eigh: {exc}") from exc
+
+
 @dataclass
 class ProjectedHamiltonian:
     """M = diag(E_b) + V for `params`, with cached eigensystem."""
@@ -87,8 +96,7 @@ class ProjectedHamiltonian:
         and 3.7e-9.  They merge once those references are re-recorded.
         """
         if self._eig is None:
-            w, u = np.linalg.eigh(self.M)
-            self._eig = (w, u)
+            self._eig = _eigh(self.M)
         return self._eig
 
 
@@ -97,10 +105,13 @@ def build_projected_hamiltonian(params, modes=None, overlap=None):
     J, E0 and N may be passed in, since neither depends on V0."""
     if modes is None:
         modes = ModeBasis(params)
-    M = np.diag(modes.energies.astype(complex)) + potential_matrix(modes, params,
-                                                                   overlap)
-    herm = np.max(np.abs(M - M.conj().T))
-    if herm > 1e-12 * abs(params.J):
+    # an overflowing V0 leaves inf * 0 and inf - inf, NaN, which fails
+    # the check below
+    with np.errstate(invalid="ignore", over="ignore"):
+        M = np.diag(modes.energies.astype(complex)) + potential_matrix(
+            modes, params, overlap)
+        herm = np.max(np.abs(M - M.conj().T))
+    if not herm <= 1e-12 * abs(params.J):
         raise NumericalError(f"projected Hamiltonian not Hermitian: {herm:.2e}")
     return ProjectedHamiltonian(modes, M, params)
 
@@ -120,12 +131,12 @@ def diagonalize_projected(ph):
     """Spectrum of M from a real symmetric eigh (see the module docstring).
 
     Raises NumericalError unless max |Im M| <= 1e-12 |J|, the bound of
-    the Hermiticity check.
+    the Hermiticity check, or when eigh fails.
     """
     imag = np.max(np.abs(ph.M.imag))
-    if imag > 1e-12 * abs(ph.params.J):
+    if not imag <= 1e-12 * abs(ph.params.J):    # a NaN fails too
         raise NumericalError(f"projected Hamiltonian not real: {imag:.2e}")
-    return SpectrumResult(*np.linalg.eigh(ph.M.real))
+    return SpectrumResult(*_eigh(ph.M.real))
 
 
 def cm_amplitude(u, modes, s_value=1):
@@ -170,8 +181,9 @@ def fit_ring_decay(ds, ps, N, d_lo=4, d_hi=None):
 
     ln cosh overflows once 2 kappa (N - d) > 710.  A window whose
     objective is NaN at the minimizer's first trial point gets NaN r^2,
-    which never wins; so every N = 400 bound state reports decay rate 0
-    (ROADMAP item 3: an overflow-free fit).
+    which never wins, even where the window is flat (SST = 0); so every
+    N = 400 bound state reports decay rate 0 (ROADMAP item 3: an
+    overflow-free fit).
     """
     if d_hi is None:
         d_hi = N - 6
@@ -202,8 +214,11 @@ def fit_ring_decay(ds, ps, N, d_lo=4, d_hi=None):
             return float(np.add.reduce(z * z))
 
         kappa = fminbound(sse, 1e-6, 4.0, xtol=1e-10)
+        err = sse(kappa)
+        if math.isnan(err):     # NaN r^2, even for a flat window: never wins
+            continue
         sst = sse(0.0)      # ln cosh 0 = 0 exactly: the flat model's SSE
-        r2 = 1.0 - sse(kappa) / sst if sst > 0 else 1.0
+        r2 = 1.0 - err / sst if sst > 0 else 1.0
         if r2 > best[1]:
             best = (kappa, r2)
     return best

@@ -1,6 +1,6 @@
 """Brent's root finder and bounded minimizer, the scan-and-polish root
 finding shared by the spectrum and pole solvers, and the Brent-steered
-bisection shared by the impurity calibrations.
+bisection of the wavepacket impurity calibration.
 
 brentq and fminbound are line-for-line ports of scipy's implementations
 of R. P. Brent's algorithms (Algorithms for Minimization without
@@ -203,7 +203,7 @@ def scan_roots(f, grid, exact_zeros=True):
             yield grid[i]
 
 
-def steered_bisection(f, target, lo, hi, steps, width=0.0):
+def steered_bisection(f, target, lo, hi, steps, width):
     """Bisection of [lo, hi] for f(x) = target, with f rising through it.
 
     Each of at most `steps` midpoints moves lo up when f(mid) < target

@@ -481,3 +481,81 @@ def test_exciton_config_fuzz(N, J, D, V0, E0, sign_cases):
                 np.array([[row["k_real"], row["k_imag"], row["energy"]]
                           for row in rows], dtype=float)
                 assert {row["bound_flag"] for row in rows} <= {"true", "false"}
+
+
+@settings(max_examples=100, deadline=None)
+# 4 V0 / N overflows: M holds NaN, which must fail the Hermiticity check
+@example(N=4, J=1.0, D_over_J=4.1, V0=1e308, E0=0.0)
+@given(N=st.sampled_from((4, 6, 8, 10, 12, 40)), J=FUZZ_VALUES,
+       D_over_J=st.floats() | st.floats(2.0, 8.0), V0=FUZZ_VALUES, E0=FUZZ_VALUES)
+def test_biexciton_spectrum_config_fuzz(N, J, D_over_J, V0, E0):
+    """Any biexciton-spectrum config ends in a known exit code, never a
+    traceback; a failure prints one line, and every file written is valid.
+    D is drawn relative to J, so that many configs are in the regime."""
+    cfg = {"model": {"N": N, "J": J, "D": J * D_over_J, "E0": E0, "V0": V0}}
+    with fuzzed_run("biexciton-spectrum", cfg) as out:
+        table = out / "biexciton_spectrum.csv"
+        if table.exists():
+            rows = read_csv(table, ["mu", "energy", "dominant_K", "class",
+                                    "decay_rate", "bound_flag"])
+            assert [int(row["mu"]) for row in rows] == list(range(N))
+            bound = 0
+            for row in rows:
+                assert math.isfinite(float(row["energy"]))
+                assert row["bound_flag"] in ("true", "false")
+                is_bound = row["bound_flag"] == "true"
+                bound += is_bound
+                assert row["class"] in (("near_zero", "near_half_pi") if is_bound
+                                        else ("scattering",))
+                assert math.isfinite(float(row["dominant_K"])) == is_bound
+            profiles = list(out.glob("bound_*_profile.f64"))
+            assert len(profiles) == bound
+            for grid in profiles:
+                assert np.fromfile(grid).size == 2 * N
+
+
+@pytest.mark.parametrize("command, section, want", [
+    ("biexciton-spectrum", {}, 1),
+    ("phase-diagram", {"phase_diagram": {"D_min": 4.1, "D_max": 4.1, "n_D": 1,
+                                         "V0_min": 1e308, "V0_max": 1e308,
+                                         "n_V0": 1}}, 0)])
+def test_overflowing_v0_exit_code(tmp_path, capsys, command, section, want):
+    """V0 = 1e308 overflows 4 V0 / N, which leaves NaN in M: the
+    Hermiticity check refuses it, so biexciton-spectrum exits 1 with one
+    line and the phase-diagram cell keeps -1 without a word."""
+    cfg = dict({"model": {"N": 4, "J": 1.0, "D": 4.1, "V0": 1e308}}, **section)
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == want
+    err = capsys.readouterr().err
+    if want:
+        assert err == "numerical failure: projected Hamiltonian not Hermitian: nan\n"
+    else:
+        assert err == ""
+        rows = read_csv(tmp_path / "phase_diagram.csv", ["D", "V0", "count"])
+        assert [row["count"] for row in rows] == ["-1"]
+
+
+@settings(max_examples=100, deadline=None)
+# every cell's V0 overflows 4 V0 / N: the cell keeps -1
+@example(N=4, J=1.0, d_range=(4.1, 4.1), v0_range=(1e308, 1e308), n_D=1, n_V0=1)
+@given(N=st.sampled_from((4, 6, 8, 10, 12)), J=FUZZ_VALUES,
+       d_range=st.tuples(FUZZ_VALUES, FUZZ_VALUES),
+       v0_range=st.tuples(FUZZ_VALUES, FUZZ_VALUES),
+       n_D=st.integers(-1, 4), n_V0=st.integers(-1, 4))
+def test_phase_diagram_config_fuzz(N, J, d_range, v0_range, n_D, n_V0):
+    """Any phase-diagram config ends in a known exit code, never a
+    traceback; a failure prints one line, and the CSV written has one
+    row per cell with a count of at least -1."""
+    cfg = {"model": {"N": N, "J": J, "D": 4.1, "E0": 0.0, "V0": 0.0},
+           "phase_diagram": {"D_min": d_range[0], "D_max": d_range[1], "n_D": n_D,
+                             "V0_min": v0_range[0], "V0_max": v0_range[1],
+                             "n_V0": n_V0}}
+    with fuzzed_run("phase-diagram", cfg) as out:
+        table = out / "phase_diagram.csv"
+        if table.exists():
+            rows = read_csv(table, ["D", "V0", "count"])
+            assert len(rows) == n_D * n_V0
+            for row in rows:
+                assert math.isfinite(float(row["D"]))
+                assert math.isfinite(float(row["V0"]))
+                assert int(row["count"]) >= -1

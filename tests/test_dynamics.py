@@ -14,8 +14,7 @@ from biximp import (ModelParams, RegimeError, TimingError,
                     schmidt_weights, split_ratio)
 from biximp import dynamics
 from biximp.biexciton import ModeBasis
-from biximp.dynamics import (ExcitonPacketModel, WavepacketState,
-                             _extrema_contrast, calibrate_exciton_v0,
+from biximp.dynamics import (WavepacketState, _extrema_contrast,
                              energy_expectation, run_trajectory,
                              validate_dynamics_regime)
 from biximp.projected import impurity_overlap
@@ -334,15 +333,6 @@ def test_partition_gate_passes_weight_at_limit():
     got = split_ratio(st, ph.modes, 2)
     assert abs(got[0] - refl) < 1e-12 and abs(got[1] - trans) < 1e-12
     assert _ill_defined(0.05 + 1e-9, 0.0) and _ill_defined(0.0, 0.10 + 1e-9)
-    # the exciton gate shares the rule: a plane wave on N = 20 sites puts
-    # exactly 1/20 on the impurity site (buffer 0)
-    model = ExcitonPacketModel(ModelParams(N=20, J=1.0, D=4.1, V0=0.0))
-    u = np.zeros(20, dtype=complex)
-    u[-1] = 1.0
-    assert abs(model.density_profile(u)[model.x == 0].sum() - 0.05) < 1e-15
-    assert model.reflected_fraction(u, buffer=0) == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(TimingError):
-        model.reflected_fraction(u, buffer=1)
 
 
 def test_split_gate_same_samples_as_window_sum():
@@ -499,43 +489,6 @@ def test_projected_dynamics_matches_full_basis(exact_pair_run):
     full, proj = _full_basis_reflected(exact_pair_run,
                                        canonical_params(V0=0.5474), cfg, 35.0)
     assert abs(full - proj) < 0.10
-
-
-def test_exciton_comparator_full_visibility():
-    """Structureless packet: fringe minima reach zero at maximal overlap."""
-    p = ModelParams(N=40, J=-1.0, D=-4.5, E0=0.0, V0=0.0)
-    v0 = calibrate_exciton_v0(p, K0, DK0, t_flight=5.0)
-    model = ExcitonPacketModel(p.replace(V0=v0))
-    x_off = model.group_velocity(K0) * (-5.0)
-    u = model.initial(K0, DK0, x_off)
-    # maximal overlap at the antipode: flight time to x = N/2
-    t_meet = 5.0 + (p.N / 2) / abs(model.group_velocity(K0))
-    vis = max(model.antipode_visibility(model.evolve(u, t))
-              for t in np.linspace(t_meet - 2, t_meet + 2, 9))
-    assert vis > 0.97
-    # the short ring keeps tails near both cuts: skip the timing gate
-    refl = model.reflected_fraction(model.evolve(u, 10.0), strict=False)
-    assert abs(refl - 0.5) < 0.02
-
-
-def test_exciton_calibration_equals_plain_bisection():
-    """The steered exciton calibration gives the plain 60-step loop's V0."""
-    p = ModelParams(N=40, J=-1.0, D=-4.5, E0=0.0, V0=0.0)
-
-    def reflected(v0_abs):
-        model = ExcitonPacketModel(p.replace(V0=v0_abs))
-        u = model.evolve(model.initial(K0, DK0, model.group_velocity(K0) * -5.0),
-                         10.0)
-        return model.reflected_fraction(u, strict=False)
-
-    lo, hi = 0.0, 6.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if reflected(mid) < 0.5:
-            lo = mid
-        else:
-            hi = mid
-    assert calibrate_exciton_v0(p, K0, DK0, t_flight=5.0) == 0.5 * (lo + hi)
 
 
 def test_grids_share_basis_phase_matrix():

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from biximp import (ExistenceError, ModeBasis, ModelParams, NumericalError,
-                    ParameterError, RangeError, antisymmetric_cm_wavevector,
-                    bic_energies, build_pair_hamiltonian, diagonalize_full,
-                    find_bic_state, pairbasis)
+from biximp import (ModeBasis, ModelParams, NumericalError, ParameterError,
+                    RangeError, bic_energies, build_pair_hamiltonian,
+                    diagonalize_full, find_bic_state, pairbasis)
 from biximp.pairbasis import (PairBasis, classify_state, folded_amplitudes,
                               in_continuum, reflection_expectation,
                               schmidt_number)
@@ -333,43 +332,6 @@ def test_full_spectrum_contains_bic():
     e1, _ = bic_energies(p)
     _, spec = diagonalize_full(p)
     assert np.min(np.abs(spec.energies - e1)) < 5e-2
-
-
-def test_cm_wavevector_branches():
-    p = ModelParams(N=40, J=1.0, D=4.1, V0=8.0)     # all signs equal
-    m1, m2 = antisymmetric_cm_wavevector(p)
-    branches = {m1.branch, m2.branch}
-    assert branches == {"imaginary_axis", "half_pi_axis"}
-    # the imaginary-axis root is the sign-matched case of the rule
-    im = m1 if m1.branch == "imaginary_axis" else m2
-    assert abs(im.K_a.real) < 1e-12
-    e1, e2 = bic_energies(p)
-    for m in (m1, m2):
-        assert min(abs(m.energy - e1), abs(m.energy - e2)) < 1e-6
-    assert m1.reliable and m2.reliable
-
-
-def test_cm_wavevector_regime_flag():
-    flagged = antisymmetric_cm_wavevector(
-        ModelParams(N=40, J=1.0, D=4.1, V0=4.5))
-    assert not flagged[0].reliable
-
-
-def test_cm_wavevector_no_bound_at_weak_v0():
-    with pytest.raises(ExistenceError):
-        antisymmetric_cm_wavevector(ModelParams(N=40, J=1.0, D=4.1, V0=0.1))
-    with pytest.raises(ExistenceError):
-        antisymmetric_cm_wavevector(ModelParams(N=40, J=1.0, D=4.1, V0=0.0))
-
-
-def test_cm_wavevector_refined_consistency():
-    """Refined finite-N roots stay on the closed-form energies."""
-    p = ModelParams(N=40, J=1.0, D=4.1, V0=1.0)
-    for m in antisymmetric_cm_wavevector(p):
-        e1, e2 = bic_energies(p)
-        assert min(abs(m.energy - e1), abs(m.energy - e2)) < 1e-6
-        if m.refined:
-            assert m.residual < 1e-9
 
 
 def test_free_biexciton_classification():

@@ -1,11 +1,13 @@
 """Projected impurity problem: V matrix oracle, bound-state counting."""
 
+import math
+
 import numpy as np
 import pytest
 import yaml
 
 from biximp import (ExistenceError, ModeBasis, ModelParams, NumericalError,
-                    ParameterError, SpectrumResult,
+                    ParameterError, ProjectedHamiltonian, SpectrumResult,
                     build_projected_hamiltonian, classify_bound_states,
                     count_bound_states, diagonalize_projected,
                     impurity_overlap, pairbasis, phase_diagram,
@@ -292,8 +294,11 @@ def per_start_fit(ds, ps, N, d_lo=4, d_hi=None):
             return float(np.sum((y - basis - c) ** 2))
 
         kappa = roots.fminbound(sse, 1e-6, 4.0, xtol=1e-10)
+        err = sse(kappa)
+        if math.isnan(err):
+            return kappa, math.nan
         sst = float(np.sum((y - np.mean(y)) ** 2))
-        r2 = 1.0 - sse(kappa) / sst if sst > 0 else 1.0
+        r2 = 1.0 - err / sst if sst > 0 else 1.0
         return kappa, r2
 
     best = (0.0, 0.0)
@@ -353,7 +358,8 @@ def test_fit_matches_per_start_reference(fit_calls, tmp_path, case):
                 *args, d_lo, d_hi = random_fit_inputs(rng, N)
                 projected.fit_ring_decay(*args, d_lo=d_lo, d_hi=d_hi)
             # flat up to a zero at the window's end: every start ties at
-            # r2 = 1 with its own kappa, and the first start must win
+            # r2 = 1 with its own kappa, and the first start must win; at
+            # N = 400 the objective overflows and no start wins
             ds = np.arange(N + 1)
             projected.fit_ring_decay(ds, np.where(ds == N - 7, 0.0, 1.0), N)
         want = [per_start_fit(*args, **kw) for args, kw, _ in fit_calls]
@@ -363,3 +369,29 @@ def test_fit_matches_per_start_reference(fit_calls, tmp_path, case):
         assert got == [(0.0, 0.0)] * len(got) != []
     else:
         assert any(kappa > 0 for kappa, _ in got)
+
+
+def test_flat_profile_with_overflowing_objective_is_no_fit():
+    """A window flat up to a zero has SST = 0.  At N = 400 the objective
+    is NaN at the minimizer's first trial point: no fit, not r2 = 1."""
+    N = 400
+    ds = np.arange(N + 1)
+    with np.errstate(all="ignore"):
+        got = projected.fit_ring_decay(ds, np.where(ds == N - 7, 0.0, 1.0), N)
+    assert got == (0.0, 0.0)
+
+
+def test_eigh_failure_is_a_numerical_error():
+    """An M with infinite entries that gets past the checks makes eigh
+    fail; both the real spectrum and the complex propagation path raise
+    NumericalError, not LinAlgError."""
+    p = ModelParams(N=4, J=1.0, D=4.1, V0=1e308)
+    modes = ModeBasis(p)
+    with np.errstate(all="ignore"):
+        M = np.diag(modes.energies.astype(complex)) + potential_matrix(modes, p)
+    with pytest.raises(NumericalError, match="not real"):
+        diagonalize_projected(ProjectedHamiltonian(modes, M, p))
+    with pytest.raises(NumericalError, match="eigh"):
+        diagonalize_projected(ProjectedHamiltonian(modes, M.real.copy(), p))
+    with pytest.raises(NumericalError, match="eigh"):
+        ProjectedHamiltonian(modes, M, p).eigensystem()
