@@ -90,6 +90,9 @@ ANTIPODE_WEIGHT_MAX = 0.10
 SUM_ROUNDING = 1e-12      # slack for summation rounding at those limits
 CALIBRATION_T = 35.0      # time at which calibrate_v0 measures the split
 CALIBRATION_TOL = 0.02    # calibrate_v0 warns when it misses the target by more
+# largest time grid a WavepacketConfig accepts: run_trajectory holds a
+# few (samples x N) complex arrays, 64 MB each at N = 400
+MAX_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,8 @@ class WavepacketConfig:
 
     r_offset positions the packet so that it reaches the impurity near
     t = 0: the default is group-velocity backtracking v_g(K0) * t_start.
+    The grid t_start, t_start + sample_dt, ... up to t_end holds at most
+    MAX_SAMPLES times.
     """
 
     K0: float
@@ -114,6 +119,12 @@ class WavepacketConfig:
             raise ParameterError("sample_dt must be positive")
         if self.t_start >= self.t_end:
             raise ParameterError("t_start must precede t_end")
+        # the sample count of run_trajectory's grid is ceil(span); a NaN
+        # or an overflow to inf fails too
+        span = (self.t_end + 1e-9 - self.t_start) / self.sample_dt
+        if not span <= MAX_SAMPLES:
+            raise ParameterError(f"time grid of {span:.3g} samples exceeds "
+                                 f"MAX_SAMPLES = {MAX_SAMPLES}")
         # localized packets must fit the folded zone; packets wider than
         # the zone itself are allowed (flat limit) and only warn at init
         if self.dK0 <= math.pi / 6 and not (

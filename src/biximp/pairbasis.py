@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import ExistenceError, NumericalError, ParameterError, RangeError
 from .params import wrap_site
-from .projected import SpectrumResult, distance_profile, fit_ring_decay
+from .projected import (checked_eigh, distance_profile, fit_ring_decay,
+                        sector_spectrum)
 
 SCHMIDT_FACTORIZED = 1.1  # effective rank below this counts as factorized
 LOCALIZED_TAIL = 1e-10
@@ -119,10 +120,11 @@ def diagonalize_full(params, basis=None):
     Pi share one slot, and the odd block gives the mirror the sign -1;
     the fixed pairs take the slots after them.  An entry between a free
     and a fixed pair carries sqrt2, and the row of a fixed pair takes
-    only its hops to pairs i < Pi.  Each block is solved with eigh; the
-    eigenvectors are scattered back onto the pair basis and all
-    eigenpairs stably sorted by energy, so every column has
-    <v|P|v> = +-1 and at an exact tie the even state comes first.
+    only its hops to pairs i < Pi.  Each block is solved with eigh and
+    both are freed; `projected.sector_spectrum` scatters the
+    eigenvectors back onto the pair basis with all eigenpairs stably
+    sorted by energy, so every column has <v|P|v> = +-1 and at an exact
+    tie the even state comes first.
 
     Before any solve, the entries are checked in O(N^2): J is finite,
     the hop set equals its transpose (H symmetric) and its P-image, and
@@ -162,27 +164,11 @@ def diagonalize_full(params, basis=None):
     o = rep[r] & ~fix[c]
     odd = np.zeros((na, na))
     np.add.at(odd, (slot[r[o]], slot[c[o]]), np.where(img[c[o]], -1.0, 1.0) * v[o])
-    try:
-        w_even, y_even = np.linalg.eigh(even)
-        w_odd, y_odd = np.linalg.eigh(odd)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"pair Hamiltonian eigh: {exc}") from exc
+    w_even, y_even = checked_eigh(even, "pair Hamiltonian")
+    w_odd, y_odd = checked_eigh(odd, "pair Hamiltonian")
     del even, odd    # free both blocks before the L x L eigenvector matrix
-    w = np.concatenate((w_even, w_odd))
-    if not np.isfinite(w).all():    # an entry overflowed in the blocks
-        raise NumericalError("pair Hamiltonian eigh: non-finite energies")
-    order = np.argsort(w, kind="stable")
-    col = np.empty_like(order)
-    col[order] = idx
-    c_even, c_odd = col[:len(w_even)], col[len(w_even):]
-    u = np.zeros((L, L))
-    half = math.sqrt(0.5)
-    u[np.ix_(a, c_even)] = half * y_even[:na]
-    u[np.ix_(P[a], c_even)] = half * y_even[:na]
-    u[np.ix_(fixed, c_even)] = y_even[na:]
-    u[np.ix_(a, c_odd)] = half * y_odd
-    u[np.ix_(P[a], c_odd)] = -half * y_odd
-    return basis, SpectrumResult(w[order], u)
+    return basis, sector_spectrum(((w_even, y_even, fixed), (w_odd, y_odd, fixed[:0])),
+                                  a, P[a], "pair Hamiltonian")
 
 
 def reflection_expectation(vec, basis):

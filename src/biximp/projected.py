@@ -15,11 +15,15 @@ impurity-free band and its CM profile decays away from the impurity.
 M is real symmetric: phi_K(s) is even in s, and the one unpaired term,
 s = N/2, carries sin(pi (l' - l)/2) with K = pi l/N, which vanishes
 because phi_K(N/2) = 0 for odd l and l' - l is even when both l are
-even.  Spectra (bound-state counts, classification, poles) are
-therefore solved in real arithmetic (diagonalize_projected), after a
-check that Im M is at rounding level.  Propagation keeps the complex
-solve (ProjectedHamiltonian.eigensystem): recorded N = 200 snapshot
-contrasts are pinned tighter than the real solve's rounding moves them.
+even.  The impurity sits on site 0, so M also commutes with the CM
+reflection P: u(l) -> s_l u(-l) on the l_K grid, with s_l = -1 only on
+l = N/2 (K = pi/2, its own image) and l = 0 even.  Spectra (bound-state
+counts, classification, poles) are therefore solved in real arithmetic
+and in the two sectors of P (diagonalize_projected), two N/2 x N/2
+blocks, after checks that Im M and M - PMP are at rounding level.
+Propagation keeps the complex solve (ProjectedHamiltonian.eigensystem):
+recorded N = 200 snapshot contrasts are pinned tighter than the real
+solve's rounding moves them.
 
 Bound-state profiles live on a ring of circumference 2N in the CM
 coordinate r, so decay fits use the ring model
@@ -28,6 +32,7 @@ impurity, fitted outward from the profile peak with a numerical-floor
 cut-off.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -76,12 +81,12 @@ def _rounding_tol(M, J):
     return 1e-12 * (max(abs(J), scale) if math.isfinite(scale) else abs(J))
 
 
-def _eigh(M):
+def checked_eigh(M, what="projected Hamiltonian"):
     """np.linalg.eigh(M), with its failure raised as NumericalError."""
     try:
         return np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"projected Hamiltonian eigh: {exc}") from exc
+        raise NumericalError(f"{what} eigh: {exc}") from exc
 
 
 @dataclass
@@ -104,7 +109,7 @@ class ProjectedHamiltonian:
         and 3.7e-9.  They merge once those references are re-recorded.
         """
         if self._eig is None:
-            self._eig = _eigh(self.M)
+            self._eig = checked_eigh(self.M)
         return self._eig
 
 
@@ -136,16 +141,92 @@ class SpectrumResult:
         return len(self.energies)
 
 
-def diagonalize_projected(ph):
-    """Spectrum of M from a real symmetric eigh (see the module docstring).
+def sector_spectrum(sectors, pairs, images, what):
+    """All eigenpairs of a real symmetric matrix that commutes with a
+    reflection P, from the eigenpairs of its two sector blocks.
 
-    Raises NumericalError unless max |Im M| <= 1e-12 max(|J|, max |M|),
-    the bound of the Hermiticity check, or when eigh fails.
+    Each index a in `pairs` and its image P a in `images` (P|a> = |Pa>)
+    span the even state (|a> + |Pa>)/sqrt2 and the odd state
+    (|a> - |Pa>)/sqrt2; an index that P maps to +-itself spans one state
+    of the even or the odd sector.  `sectors` is
+    ((w, y, fixed) of the even block, (w, y, fixed) of the odd block):
+    a block runs over its pair states, in the order of `pairs`, then the
+    states of its indices `fixed`; (w, y) is its eigh.  The caller
+    solves the blocks, so it decides how many live at once.  The
+    eigenvectors are scattered straight into the columns of the stably
+    sorted energies, even first at an exact tie, so every column has
+    <v|P|v> = +-1.  Raises NumericalError (prefixed with `what`) when an
+    energy is not finite: an entry overflowed in the blocks.
     """
-    imag = np.max(np.abs(ph.M.imag))
-    if not imag <= _rounding_tol(ph.M, ph.params.J):    # a NaN fails too
+    w = np.concatenate([sec[0] for sec in sectors])
+    if not np.isfinite(w).all():
+        raise NumericalError(f"{what} eigh: non-finite energies")
+    order = np.argsort(w, kind="stable")
+    col = np.empty_like(order)
+    col[order] = np.arange(len(w))
+    u = np.zeros((len(w), len(w)))
+    half, na, start = math.sqrt(0.5), len(pairs), 0
+    for sign, (_, y, fix) in zip((1.0, -1.0), sectors):
+        c = col[start:start + len(y)]
+        start += len(y)
+        u[pairs[:, None], c] = half * y[:na]
+        u[images[:, None], c] = sign * half * y[:na]
+        u[fix[:, None], c] = y[na:]
+    return SpectrumResult(w[order], u)
+
+
+@functools.lru_cache(maxsize=None)
+def _reflection(N):
+    """The CM reflection P on the l_K grid, index i holding l = i - N/2 + 1.
+
+    Returns (image, s, pairs, images, fixed): P u(l) = s_l u(-l) with
+    u(-l) at index image[i]; the pairs are l = 1 .. N/2 - 1, their
+    images l = -1 .. -(N/2 - 1), and fixed = (l = 0, l = N/2) adds one
+    state to the even and one to the odd sector.
+    """
+    n = N // 2
+    s = np.ones(N)
+    s[-1] = -1.0            # l = N/2 is its own image
+    return (np.arange(N - 2, -2, -1) % N, s, np.arange(n, N - 1),
+            np.arange(n - 2, -1, -1), np.array([n - 1, N - 1]))
+
+
+def diagonalize_projected(ph):
+    """Spectrum of M, solved real and in the two sectors of the CM
+    reflection P (see the module docstring and sector_spectrum).
+
+    Two O(N^2) gates come first, each against 1e-12 max(|J|, max |M|),
+    the bound of the Hermiticity check, and each failed by a NaN:
+    max |Im M| (not real) and max |M - PMP| (not P-symmetric).  Both
+    N/2 x N/2 blocks are sliced from M's pair rows (so the part of M
+    that breaks P, at most that bound, is dropped) and solved in one
+    stacked eigh.  Columns are sorted by energy, the even state first
+    at an exact tie.  Raises NumericalError when a gate fails, or when
+    eigh fails or returns a non-finite energy.
+    """
+    M, N = ph.M, ph.params.N
+    tol = _rounding_tol(M, ph.params.J)
+    imag = np.max(np.abs(M.imag))
+    if not imag <= tol:    # a NaN fails too
         raise NumericalError(f"projected Hamiltonian not real: {imag:.2e}")
-    return SpectrumResult(*_eigh(ph.M.real))
+    A = M.real
+    image, s, pairs, images, fixed = _reflection(N)
+    with np.errstate(invalid="ignore"):     # inf - inf: NaN, which fails
+        dev = np.max(np.abs(A - s[:, None] * A.take(image, 0).take(image, 1) * s))
+    if not dev <= tol:
+        raise NumericalError(f"projected Hamiltonian not P-symmetric: {dev:.2e}")
+
+    n = N // 2
+    pp, pm = A[n:N - 1, n:N - 1], A[n:N - 1, n - 2::-1]   # pair x pair, pair x image
+    blocks = np.empty((2, n, n))
+    np.add(pp, pm, out=blocks[0, :-1, :-1])
+    np.subtract(pp, pm, out=blocks[1, :-1, :-1])
+    # a fixed state meets the pair state of a with sqrt2 M[a, fixed]
+    blocks[:, :-1, -1] = blocks[:, -1, :-1] = math.sqrt(2.0) * A[n:N - 1, fixed].T
+    blocks[:, -1, -1] = A[fixed, fixed]
+    w, y = checked_eigh(blocks)
+    return sector_spectrum(((w[0], y[0], fixed[:1]), (w[1], y[1], fixed[1:])),
+                           pairs, images, "projected Hamiltonian")
 
 
 def cm_amplitude(u, modes, s_value=1):
@@ -155,17 +236,24 @@ def cm_amplitude(u, modes, s_value=1):
     return r, modes.cm_phase @ (u * modes.phi[:, s_value + N - 1])
 
 
-def ring_decay_profile(u, modes, s_value=1):
-    """|Psi(r, s)|^2 binned by ring distance d = min(|r|, 2N - |r|).
+def ring_decay_profile(U, modes, s_value=1):
+    """|Psi(r, s)|^2 of each column of U binned by ring distance
+    d = min(|r|, 2N - |r|), from one product.
 
-    Only physical slots contribute: at odd s the CM coordinate r is odd.
-    Returns (d, p) with d odd when s is odd.
+    Only physical slots contribute: the CM coordinate r has the parity
+    of s, which is every other row of modes.cm_phase, read as a slice
+    view.  Returns (ds, p): ds increasing (odd when s is odd) and column
+    j of p the profile of column j of U.
     """
     N = modes.params.N
-    r, psi = cm_amplitude(u, modes, s_value)
-    keep = (r % 2) == (s_value % 2)
-    return distance_profile(np.minimum(np.abs(r), 2 * N - np.abs(r))[keep],
-                            np.abs(psi[keep]) ** 2)
+    rows = slice((s_value + 1) % 2, None, 2)    # row i holds r = i - N + 1
+    r = np.arange(-N + 1, N + 1)[rows]
+    psi = modes.cm_phase[rows] @ (U * modes.phi[:, s_value + N - 1, None])
+    # the distances of one parity, 0 or 1 up to N: d sits in slot d // 2
+    ds = np.arange(s_value % 2, N + 1, 2)
+    p = np.zeros((len(ds), U.shape[1]))
+    np.add.at(p, np.minimum(np.abs(r), 2 * N - np.abs(r)) // 2, np.abs(psi) ** 2)
+    return ds, p
 
 
 def distance_profile(d, w):
@@ -188,11 +276,11 @@ def fit_ring_decay(ds, ps, N, d_lo=4, d_hi=None):
     only with a strictly higher r^2.  Returns (kappa, r_squared);
     kappa = 0 when no usable fit exists.
 
-    ln cosh overflows once 2 kappa (N - d) > 710.  A window whose
-    objective is NaN at the minimizer's first trial point gets NaN r^2,
-    which never wins, even where the window is flat (SST = 0); so every
-    N = 400 bound state reports decay rate 0 (ROADMAP item 3: an
-    overflow-free fit).
+    A flat window (total sum of squares SST = 0) has no decay rate, and
+    is no fit.  ln cosh overflows once 2 kappa (N - d) > 710; a window
+    whose objective is NaN at the minimizer's first trial point gets
+    NaN r^2, which never wins, so every N = 400 bound state reports
+    decay rate 0 (ROADMAP item 3: an overflow-free fit).
     """
     if d_hi is None:
         d_hi = N - 6
@@ -222,12 +310,14 @@ def fit_ring_decay(ds, ps, N, d_lo=4, d_hi=None):
             z -= np.add.reduce(z) / n
             return float(np.add.reduce(z * z))
 
+        sst = sse(0.0)      # ln cosh 0 = 0 exactly: the flat model's SSE
+        if not sst > 0:     # a flat window has no decay to fit
+            continue
         kappa = fminbound(sse, 1e-6, 4.0, xtol=1e-10)
         err = sse(kappa)
-        if math.isnan(err):     # NaN r^2, even for a flat window: never wins
+        if math.isnan(err):     # NaN r^2: never wins
             continue
-        sst = sse(0.0)      # ln cosh 0 = 0 exactly: the flat model's SSE
-        r2 = 1.0 - err / sst if sst > 0 else 1.0
+        r2 = 1.0 - err / sst
         if r2 > best[1]:
             best = (kappa, r2)
     return best
@@ -249,18 +339,19 @@ def bound_candidates(spectrum, modes, params=None):
 
     A state is bound when its energy leaves the discrete impurity-free
     band and the far-tail mass of |Psi(r, 1)|^2 (beyond mid-ring) stays
-    below TAIL_FRACTION_MAX; (ds, ps) is its ring decay profile.
+    below TAIL_FRACTION_MAX; (ds, ps) is its ring decay profile.  The
+    profiles of all out-of-band states come from one ring_decay_profile
+    product.
     """
     p = modes.params if params is None else params
     lo, hi = modes.band_edges()
     tol = 1e-9 * abs(p.J)
-    for mu in range(len(spectrum)):
-        if lo - tol <= spectrum.energies[mu] <= hi + tol:
-            continue
-        ds, ps = ring_decay_profile(spectrum.states[:, mu], modes)
-        if ps[ds > p.N // 2].sum() / ps.sum() > TAIL_FRACTION_MAX:
-            continue
-        yield mu, ds, ps
+    e = spectrum.energies
+    out = np.flatnonzero(~((lo - tol <= e) & (e <= hi + tol)))
+    ds, ps = ring_decay_profile(spectrum.states[:, out], modes)
+    tail = ps[ds > p.N // 2].sum(axis=0) / ps.sum(axis=0)
+    for j in np.flatnonzero(~(tail > TAIL_FRACTION_MAX)):
+        yield int(out[j]), ds, ps[:, j]
 
 
 def classify_bound_states(spectrum, modes, params=None):

@@ -574,6 +574,21 @@ def test_overflowing_v0_exit_code(tmp_path, capsys, command, section, want):
         assert [row["count"] for row in rows] == ["-1"]
 
 
+@pytest.mark.parametrize("sample_dt", (1.0e-300, 1e-6))
+def test_oversized_time_grid_exit_code(tmp_path, capsys, sample_dt):
+    """A time grid of more than MAX_SAMPLES samples is refused before
+    any array is made: exit 3 with one line, and no output file."""
+    cfg = {"model": {"N": 8, "J": -1.0, "D": -4.5, "V0": 0.5},
+           "wavepacket": {"K0": 3 * math.pi / 8, "dK0": math.pi / 24, "t_start": 0.0,
+                          "t_end": 90.0, "sample_dt": sample_dt}}
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    assert main(["wavepacket", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("regime violation: time grid of ") and err.count("\n") == 1
+    assert "MAX_SAMPLES = 10000" in err
+    assert not list((tmp_path / "out").glob("*"))
+
+
 @settings(max_examples=100, deadline=None)
 # every cell's V0 overflows 4 V0 / N: the cell keeps -1
 @example(N=4, J=1.0, d_range=(4.1, 4.1), v0_range=(1e308, 1e308), n_D=1, n_V0=1)
@@ -623,6 +638,13 @@ def test_phase_diagram_config_fuzz(N, J, d_range, v0_range, n_D, n_V0):
          calibrate=False, target=0.5, snapshots=[0.5])
 @example(N=8, J=1.0, D_over_J=5.0, V0=0.0, E0=0.0, K0=0.5, dK0=0.2,
          r_offset=1.7e308, t_start=0.0, duration=2.0, sample_dt=1.0,
+         calibrate=False, target=0.5, snapshots=[])
+# time grids of 4e300 and 4e6 samples, above MAX_SAMPLES
+@example(N=8, J=1.0, D_over_J=5.0, V0=0.0, E0=0.0, K0=0.5, dK0=0.2,
+         r_offset=None, t_start=0.0, duration=4.0, sample_dt=1.0e-300,
+         calibrate=False, target=0.5, snapshots=[])
+@example(N=8, J=1.0, D_over_J=5.0, V0=0.0, E0=0.0, K0=0.5, dK0=0.2,
+         r_offset=None, t_start=0.0, duration=4.0, sample_dt=1e-6,
          calibrate=False, target=0.5, snapshots=[])
 @given(N=st.sampled_from((8, 10, 12)), J=FUZZ_VALUES,
        D_over_J=st.floats() | st.floats(4.1, 6.0), V0=FUZZ_VALUES, E0=FUZZ_VALUES,

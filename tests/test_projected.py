@@ -1,10 +1,13 @@
 """Projected impurity problem: V matrix oracle, bound-state counting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biximp import (ExistenceError, ModeBasis, ModelParams, NumericalError,
                     ParameterError, ProjectedHamiltonian, SpectrumResult,
@@ -240,11 +243,12 @@ def test_real_spectrum_rejects_imaginary_coupling(fig2_params):
         diagonalize_projected(ph)
 
 
-@pytest.mark.parametrize("V0", (1e6, 1e8))
+@pytest.mark.parametrize("V0", (4.0, 1e6, 1e8))
 def test_gates_scale_with_the_matrix(monkeypatch, V0):
-    """The rounding of M grows with max |M|, and so do both gates: a
+    """The rounding of M grows with max |M|, and so do the gates: a
     strong impurity passes them, while a non-Hermitian part of
-    1e-10 max |M| fails both."""
+    1e-10 max |M| fails the Hermiticity and reality gates, and a real
+    symmetric part of that size that breaks P fails the P gate."""
     p = ModelParams(N=40, J=1.0, D=4.1, V0=V0)
     modes = ModeBasis(p)
     ph = build_projected_hamiltonian(p, modes=modes)
@@ -259,6 +263,91 @@ def test_gates_scale_with_the_matrix(monkeypatch, V0):
     M[0, 1] += eps * 1j
     with pytest.raises(NumericalError, match="not real"):
         diagonalize_projected(ProjectedHamiltonian(modes, M, p))
+    M = ph.M.copy()
+    M[0, 1] += eps
+    M[1, 0] += eps
+    with pytest.raises(NumericalError, match="not P-symmetric"):
+        diagonalize_projected(ProjectedHamiltonian(modes, M, p))
+
+
+def reflection(N):
+    """The CM reflection P: u(l) -> s_l u(-l) on the l_K grid, as a matrix."""
+    image = np.arange(N - 2, -2, -1) % N
+    P = np.zeros((N, N))
+    P[np.arange(N), image] = 1.0
+    P[-1, -1] = -1.0        # l = N/2 is its own image, with s = -1
+    return P
+
+
+@settings(max_examples=60, deadline=None)
+@example(N=40, J=1.0, ratio=4.1, V0=0.0, E0=0.0)
+@given(N=st.sampled_from((4, 6, 8, 40, 100)), J=st.sampled_from((1.0, -1.0)),
+       ratio=st.floats(3.0, 8.0), V0=st.just(0.0) | st.floats(-10.0, 10.0),
+       E0=st.floats(-2.0, 2.0))
+def test_sector_solve_is_an_eigensystem(N, J, ratio, V0, E0):
+    """The sector solve gives the full spectrum of M to 1e-13 max |M|,
+    orthonormal eigenvectors with a small residual, and every column is
+    even or odd under P, the even one first at an exact tie (V0 = 0
+    leaves E_b(K) = E_b(-K) tied)."""
+    ph = build_projected_hamiltonian(ModelParams(N=N, J=J, D=J * ratio, E0=E0, V0=V0))
+    A = ph.M.real
+    scale = np.abs(A).max()
+    spec = diagonalize_projected(ph)
+    w, U = spec.energies, spec.states
+    assert np.all(np.diff(w) >= 0)
+    assert np.abs(w - np.linalg.eigvalsh(A)).max() <= 1e-13 * scale
+    assert np.abs(A @ U - U * w).max() <= 1e-13 * scale
+    assert np.abs(U.T @ U - np.eye(N)).max() <= 1e-13
+    parity = np.einsum("im,ij,jm->m", U, reflection(N), U)
+    assert np.abs(np.abs(parity) - 1.0).max() <= 1e-13
+    tie = w[1:] == w[:-1]
+    assert not np.any(tie & (parity[:-1] < 0) & (parity[1:] > 0))
+
+
+@pytest.mark.parametrize("N, J", [(40, 1.0), (40, -1.0), (100, 1.0), (100, -1.0)])
+def test_count_matches_full_eigh(N, J):
+    """count_bound_states equals the count from a full eigh of M over a
+    (D, V0) grid."""
+    for D in J * np.linspace(2.2, 7.0, 5 if N == 40 else 3):
+        modes = ModeBasis(ModelParams(N=N, J=J, D=D))
+        G = impurity_overlap(modes)
+        for V0 in np.linspace(-8.0, 8.0, 9 if N == 40 else 5):
+            p = ModelParams(N=N, J=J, D=D, V0=V0)
+            ph = build_projected_hamiltonian(p, modes, G)
+            full = SpectrumResult(*np.linalg.eigh(ph.M.real))
+            want = sum(1 for _ in bound_candidates(full, modes, p))
+            assert count_bound_states(p, modes, G) == want, (D, V0)
+
+
+def test_sector_eigh_failure_is_a_numerical_error(monkeypatch):
+    """A failing eigh in a sector block raises NumericalError from both
+    the projected and the pair solve."""
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalError, match="projected Hamiltonian eigh"):
+        diagonalize_projected(build_projected_hamiltonian(ModelParams(N=8, J=1.0, D=4.1)))
+    with pytest.raises(NumericalError, match="pair Hamiltonian eigh"):
+        pairbasis.diagonalize_full(ModelParams(N=8, J=1.0, D=4.1))
+
+
+def test_spectrum_peak_allocation_at_n400(tmp_path):
+    """biexciton-spectrum at N = 400 peaks below 10 complex N x N
+    matrices (16 N^2 bytes each): the basis, M and the spectrum, with no
+    extra copy of the eigenvectors."""
+    N = 400
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({"model": {"N": N, "J": 1.0, "D": 4.1, "V0": 4.0}}))
+    tracemalloc.start()
+    try:
+        with np.errstate(all="ignore"):     # the N = 400 fits overflow (ROADMAP item 3)
+            code = main(["biexciton-spectrum", "--config", str(path), "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 10 * 16 * N * N, peak / (16 * N * N)
 
 
 def test_cm_amplitude_uses_shared_phase(fig2_params):
@@ -290,7 +379,8 @@ FIT_TASKS = {
 
 def per_start_fit(ds, ps, N, d_lo=4, d_hi=None):
     """Reference ring-decay fit: one masked window and one bounded fit
-    per start offset, with np.mean and np.sum in the objective."""
+    per start offset, with np.mean and np.sum in the objective; a flat
+    window (SST = 0) is no fit."""
     if d_hi is None:
         d_hi = N - 6
     pmax = ps.max()
@@ -314,13 +404,14 @@ def per_start_fit(ds, ps, N, d_lo=4, d_hi=None):
             c = np.mean(y - basis)
             return float(np.sum((y - basis - c) ** 2))
 
+        sst = float(np.sum((y - np.mean(y)) ** 2))
+        if not sst > 0:
+            return None
         kappa = roots.fminbound(sse, 1e-6, 4.0, xtol=1e-10)
         err = sse(kappa)
         if math.isnan(err):
             return kappa, math.nan
-        sst = float(np.sum((y - np.mean(y)) ** 2))
-        r2 = 1.0 - err / sst if sst > 0 else 1.0
-        return kappa, r2
+        return kappa, 1.0 - err / sst
 
     best = (0.0, 0.0)
     for start in range(lo, lo + 21, 2):
@@ -378,9 +469,8 @@ def test_fit_matches_per_start_reference(fit_calls, tmp_path, case):
             for _ in range(100):
                 *args, d_lo, d_hi = random_fit_inputs(rng, N)
                 projected.fit_ring_decay(*args, d_lo=d_lo, d_hi=d_hi)
-            # flat up to a zero at the window's end: every start ties at
-            # r2 = 1 with its own kappa, and the first start must win; at
-            # N = 400 the objective overflows and no start wins
+            # flat up to a zero at the window's end: every start's window
+            # is flat (SST = 0), so no start fits
             ds = np.arange(N + 1)
             projected.fit_ring_decay(ds, np.where(ds == N - 7, 0.0, 1.0), N)
         want = [per_start_fit(*args, **kw) for args, kw, _ in fit_calls]
@@ -402,6 +492,14 @@ def test_flat_profile_with_overflowing_objective_is_no_fit():
     assert got == (0.0, 0.0)
 
 
+def test_flat_window_is_no_fit():
+    """A window flat up to a zero has SST = 0 and a finite objective at
+    N = 40: no fit, not r2 = 1 with the minimizer's last kappa."""
+    N = 40
+    ds = np.arange(N + 1)
+    assert projected.fit_ring_decay(ds, np.where(ds == N - 7, 0.0, 1.0), N) == (0.0, 0.0)
+
+
 def test_eigh_failure_is_a_numerical_error():
     """An M with infinite entries that gets past the checks makes eigh
     fail; both the real spectrum and the complex propagation path raise
@@ -412,7 +510,7 @@ def test_eigh_failure_is_a_numerical_error():
         M = np.diag(modes.energies.astype(complex)) + potential_matrix(modes, p)
     with pytest.raises(NumericalError, match="not real"):
         diagonalize_projected(ProjectedHamiltonian(modes, M, p))
-    with pytest.raises(NumericalError, match="eigh"):
+    with pytest.raises(NumericalError, match="not P-symmetric"):
         diagonalize_projected(ProjectedHamiltonian(modes, M.real.copy(), p))
     with pytest.raises(NumericalError, match="eigh"):
         ProjectedHamiltonian(modes, M, p).eigensystem()
