@@ -61,17 +61,16 @@ def number(value, kind=float):
     return x
 
 
-def model_from_config(cfg, **overrides):
-    m = dict(cfg["model"])
-    m.update(overrides)
+def model_from_config(cfg):
     with parsing("model"):
+        m = cfg["model"]
         return ModelParams(N=number(m["N"], int), J=number(m["J"]),
                            D=number(m["D"]), E0=number(m.get("E0", 0.0)),
                            V0=number(m.get("V0", 0.0)))
 
 
-def section(cfg, name, default=None):
-    val = cfg.get(name, default if default is not None else {})
+def section(cfg, name):
+    val = cfg.get(name, {})
     if not isinstance(val, dict):
         raise ConfigError(f"section '{name}' must be a mapping")
     return val
@@ -110,9 +109,11 @@ def cmd_exciton(cfg, out, fmt, plots):
 def cmd_biexciton_spectrum(cfg, out, fmt, plots):
     params = model_from_config(cfg)
     params.validate_biexciton_regime()
-    ph = projected.build_projected_hamiltonian(params)
-    spec = projected.diagonalize_projected(ph)
-    recs = projected.classify_bound_states(spec, ph.modes)
+    # classified from the basis and the spectrum: M is freed once solved
+    modes = ModeBasis(params)
+    spec = projected.diagonalize_projected(
+        projected.build_projected_hamiltonian(params, modes))
+    recs = projected.classify_bound_states(spec, modes)
     rows = []
     bound_idx = {r.state_index: r for r in recs}
     for mu in range(len(spec)):
@@ -126,7 +127,7 @@ def cmd_biexciton_spectrum(cfg, out, fmt, plots):
                 ("mu", "energy", "dominant_K", "class", "decay_rate", "bound_flag"),
                 rows, fmt)
     for r in recs:
-        _, psi = projected.cm_amplitude(spec.states[:, r.state_index], ph.modes)
+        _, psi = projected.cm_amplitude(spec.states[:, r.state_index], modes)
         write_grid_binary(out / f"bound_{r.label}_profile.f64",
                           np.abs(psi) ** 2)
     if plots:
@@ -164,17 +165,13 @@ def cmd_poles(cfg, out, fmt, plots):
         raise ConfigError(f"poles section: need integer n_scan >= 2 and finite "
                           f"K_doubleprime_max > 1e-3, got {n_scan}, {kpp_max}")
     kpp = np.linspace(1e-3, kpp_max, n_scan)
-    rows = []
-    for branch, v0 in ((0.0, abs(params.V0)), (math.pi / 2, -abs(params.V0))):
-        amp = np.abs(scattering.biexciton_reflection_amplitude(
-            branch + 1j * kpp, params.replace(V0=v0)))
-        rows += [(branch, k, v0, a) for k, a in zip(kpp, amp)]
-    write_table(out / "pole_scan.csv",
-                ("K_prime", "K_doubleprime", "V0", "abs_R_b"), rows, fmt)
-
-    summary = []
+    rows, summary = [], []
     for v0 in (abs(params.V0), -abs(params.V0)):
         p = params.replace(V0=v0)
+        # the scan runs the branch the pole is solved on
+        branch = scattering.pole_branch(p)
+        amp = np.abs(scattering.biexciton_reflection_amplitude(branch + 1j * kpp, p))
+        rows += [(branch, k, v0, a) for k, a in zip(kpp, amp)]
         pole = scattering.find_pole(p)
         ph = projected.build_projected_hamiltonian(p)
         spec = projected.diagonalize_projected(ph)
@@ -188,6 +185,8 @@ def cmd_poles(cfg, out, fmt, plots):
             e_num, rel = math.nan, math.nan
         summary.append((pole.K_prime, pole.K_doubleprime, pole.energy,
                         e_num, rel))
+    write_table(out / "pole_scan.csv",
+                ("K_prime", "K_doubleprime", "V0", "abs_R_b"), rows, fmt)
     write_table(out / "pole_summary.csv",
                 ("branch", "K_doubleprime_pole", "E_pole", "E_numeric", "rel_err"),
                 summary, fmt)
@@ -248,11 +247,10 @@ def cmd_wavepacket(cfg, out, fmt, plots):
     modes = ModeBasis(params)
     G = projected.impurity_overlap(modes)
     if sec.get("calibrate_v0", False):
-        v0 = dynamics.calibrate_v0(params, config, target=target,
-                                   modes=modes, overlap=G)
+        v0 = dynamics.calibrate_v0(modes, G, config, target=target)
         params = params.replace(V0=v0)
     ph = projected.build_projected_hamiltonian(params, modes=modes, overlap=G)
-    traj = dynamics.run_trajectory(params, config, ph)
+    traj = dynamics.run_trajectory(ph, config)
     write_table(out / "wavepacket_timeseries.csv",
                 ("t", "entropy_bits", "norm", "energy", "reflected_prob"),
                 [(s.t, s.entropy, s.norm, s.energy, s.reflected)

@@ -77,10 +77,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .biexciton import ModeBasis
 from .errors import NumericalError, ParameterError, RegimeError, TimingError
-from .projected import (ProjectedHamiltonian, build_projected_hamiltonian,
-                        impurity_overlap)
+from .projected import ProjectedHamiltonian, build_projected_hamiltonian
 from .roots import steered_bisection
 
 ENTROPY_EIG_CLIP = 1e-12
@@ -90,6 +88,7 @@ ANTIPODE_WEIGHT_MAX = 0.10
 SUM_ROUNDING = 1e-12      # slack for summation rounding at those limits
 CALIBRATION_T = 35.0      # time at which calibrate_v0 measures the split
 CALIBRATION_TOL = 0.02    # calibrate_v0 warns when it misses the target by more
+CONTRAST_FLOOR = 1e-14    # contrast is NaN where the mean density is below this
 # largest time grid a WavepacketConfig accepts: run_trajectory holds a
 # few (samples x N) complex arrays, 64 MB each at N = 400
 MAX_SAMPLES = 10_000
@@ -308,12 +307,12 @@ def entropy(rho):
     return float(-np.sum(ev * np.log2(ev)))
 
 
-def contrast(rho, floor=1e-14):
+def contrast(rho):
     """C(r, r') = |rho_rr'| / (|rho_rr + rho_r'r'| / 2); NaN where undefined."""
     d = np.real(np.diag(rho.rho))
     den = 0.5 * np.abs(d[:, None] + d[None, :])
     out = np.full_like(den, np.nan)
-    ok = den > floor
+    ok = den > CONTRAST_FLOOR
     out[ok] = np.abs(rho.rho)[ok] / den[ok]
     return out
 
@@ -325,7 +324,7 @@ def interference_profile(state, modes):
     return prof / prof.sum()
 
 
-def fringe_visibility(profile, N, halfwidth=None):
+def fringe_visibility(profile, N):
     """(max - min)/(max + min) over interior fringe extrema near r = +-N.
 
     The sublattice structure puts almost all weight on one r-parity
@@ -334,8 +333,7 @@ def fringe_visibility(profile, N, halfwidth=None):
     A window with no interior local minimum on that subsequence
     (an unsplit packet passing through) scores zero: no fringes.
     """
-    if halfwidth is None:
-        halfwidth = N // 4
+    halfwidth = N // 4
     r = np.arange(-N + 1, N + 1)
     dist = np.minimum(np.abs(r - N), np.abs(r + N))
     win = np.where(dist <= halfwidth)[0]
@@ -411,8 +409,9 @@ def split_ratio(state, modes, K0, buffer=SPLIT_BUFFER, strict=True):
     return float(refl), float(trans)
 
 
-def calibrate_v0(params_template, config, target=0.5, modes=None, overlap=None):
-    """Impurity strength giving the target reflected fraction.
+def calibrate_v0(modes, overlap, config, target=0.5):
+    """Impurity strength giving the target reflected fraction, on the
+    run's `modes` and their impurity `overlap` (neither depends on V0).
 
     Bisection on |V0| in [0, |D|] with the sign opposite to D, until
     the bracket is narrower than 1e-12; reflection is measured at
@@ -420,8 +419,7 @@ def calibrate_v0(params_template, config, target=0.5, modes=None, overlap=None):
     less than the target, that endpoint is returned with a warning; so
     is the bisection's result when the target is at or below the
     reflection at V0 = 0, or when it misses the target by more than
-    CALIBRATION_TOL.  `modes` (and its `overlap`) pass a prebuilt basis
-    of the same D, as in build_projected_hamiltonian.
+    CALIBRATION_TOL.
 
     The bisection is steered by one Brent root (steered_bisection): at
     and near the README packet a calibration builds 13-17 Hamiltonians,
@@ -431,13 +429,9 @@ def calibrate_v0(params_template, config, target=0.5, modes=None, overlap=None):
     """
     if target == 0.0:
         return 0.0
+    params_template = modes.params
     sgn = -np.sign(params_template.D)
     v0_max = abs(params_template.D)
-
-    if modes is None:
-        modes = ModeBasis(params_template)
-    if overlap is None:
-        overlap = impurity_overlap(modes)
     u0 = init_wavepacket(config, modes)
 
     @functools.cache
@@ -483,8 +477,8 @@ class TrajectorySample:
 class Trajectory:
     samples: list
     config: WavepacketConfig
-    ph: ProjectedHamiltonian = field(repr=False, default=None)
-    initial: WavepacketState = field(repr=False, default=None)
+    ph: ProjectedHamiltonian = field(repr=False)
+    initial: WavepacketState = field(repr=False)
 
     def at(self, t):
         for s in self.samples:
@@ -493,15 +487,13 @@ class Trajectory:
         raise TimingError(f"no sample at t={t}")
 
 
-def run_trajectory(params, config, ph=None):
-    """Propagate the packet and record (t, S, norm, energy, reflected).
+def run_trajectory(ph, config):
+    """Propagate the packet under `ph`; record (t, S, norm, energy, reflected).
 
     Every sample time comes from one product over the time grid,
     u(t) = W exp(-i E (t - t0)) W^H u(t0), as in propagate.
     """
-    validate_dynamics_regime(params)
-    if ph is None:
-        ph = build_projected_hamiltonian(params)
+    validate_dynamics_regime(ph.params)
     state = init_wavepacket(config, ph.modes)
     ts = np.arange(config.t_start, config.t_end + 1e-9, config.sample_dt)
     w, W = ph.eigensystem()

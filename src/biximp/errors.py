@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto process exit codes: numerical failures exit 1,
+cli.main maps these onto process exit codes: numerical failures exit 1,
 configuration/IO problems exit 2, physical-regime violations exit 3.
 """
 
@@ -12,13 +12,9 @@ class BiximpError(Exception):
 class ConfigError(BiximpError):
     """Malformed or missing configuration input."""
 
-    exit_code = 2
-
 
 class RegimeError(BiximpError):
     """Parameters outside the physical regime an operation supports."""
-
-    exit_code = 3
 
 
 class ParameterError(RegimeError):
@@ -35,8 +31,6 @@ class TimingError(RegimeError):
 
 class NumericalError(BiximpError):
     """Root search or eigensolver failed to converge to tolerance."""
-
-    exit_code = 1
 
     def __init__(self, message, residual=None):
         super().__init__(message)

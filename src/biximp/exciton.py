@@ -175,12 +175,13 @@ def exciton_site_hamiltonian(params):
     return H
 
 
-def bound_energies_from_matrix(params, tol=BOUND_SPLIT_TOL):
+def bound_energies_from_matrix(params):
     """Eigenvalues of the site Hamiltonian lying outside the free band."""
     ev = np.linalg.eigvalsh(exciton_site_hamiltonian(params))
     lo = params.E0 - 2.0 * abs(params.J)
     hi = params.E0 + 2.0 * abs(params.J)
-    return ev[(ev < lo - tol * abs(params.J)) | (ev > hi + tol * abs(params.J))]
+    tol = BOUND_SPLIT_TOL * abs(params.J)
+    return ev[(ev < lo - tol) | (ev > hi + tol)]
 
 
 def effective_mass(k, params):

@@ -37,6 +37,7 @@ SCHMIDT_FACTORIZED = 1.1  # effective rank below this counts as factorized
 LOCALIZED_TAIL = 1e-10
 TAIL_BOUND_MAX = 0.10    # far-tail mass gate for binding in a coordinate
 SITE_CORE_MIN = 0.30     # occupation within 2 sites of the impurity
+BIC_WINDOW = 0.05        # find_bic_state's half-width around the closed form
 
 
 class PairBasis:
@@ -74,13 +75,13 @@ class PairBasis:
         return np.where(lo == hi, -1, lo * N - lo * (lo + 1) // 2 + hi - lo - 1)
 
 
-def pair_hamiltonian_entries(params, basis=None):
+def pair_hamiltonian_entries(params):
     """The pair Hamiltonian as O(N^2) entries: (basis, diag, (rows, cols)).
 
     `diag` holds H[i, i]; each hop (rows[k], cols[k]) has the value J.
     """
     N = params.N
-    basis = basis or PairBasis(N)
+    basis = PairBasis(N)
     m, n = basis.m, basis.n
     ringsep = (n - m) % N
     adjacent = (ringsep == 1) | (ringsep == N - 1)
@@ -95,16 +96,16 @@ def pair_hamiltonian_entries(params, basis=None):
     return basis, diag, (rows[hop], cols[hop])
 
 
-def build_pair_hamiltonian(params, basis=None):
+def build_pair_hamiltonian(params):
     """Dense real symmetric Hamiltonian over the pair basis."""
-    basis, diag, hops = pair_hamiltonian_entries(params, basis)
+    basis, diag, hops = pair_hamiltonian_entries(params)
     H = np.zeros((len(basis), len(basis)))
     H[np.diag_indices(len(basis))] = diag
     np.add.at(H, hops, params.J)
     return basis, H
 
 
-def diagonalize_full(params, basis=None):
+def diagonalize_full(params):
     """All eigenpairs of the pair Hamiltonian, solved in the two sectors of P.
 
     The impurity sits on site 0, so the reflection P: (m, n) -> (-n, -m)
@@ -132,7 +133,7 @@ def diagonalize_full(params, basis=None):
     NaN fails each check.  Raises NumericalError when a check fails or
     eigh fails or returns a non-finite energy.
     """
-    basis, diag, (rows, cols) = pair_hamiltonian_entries(params, basis)
+    basis, diag, (rows, cols) = pair_hamiltonian_entries(params)
     L, P = len(basis), basis.mirror
     if not math.isfinite(params.J):
         raise NumericalError(f"pair Hamiltonian hop value J = {params.J}")
@@ -330,12 +331,12 @@ def bic_energies(params):
     return e1, e2
 
 
-def find_bic_state(params, basis, spec, window=0.05):
+def find_bic_state(params, basis, spec):
     """Most doubly-localized eigenstate near the in-band closed-form energy.
 
     `basis, spec` is the pair spectrum of `params` as `diagonalize_full`
     returns it; the caller solves it once and may reuse it, and nothing
-    here diagonalizes.  Candidates within +-window of E_b1 (or E_b2 when
+    here diagonalizes.  Candidates within +-BIC_WINDOW of E_b1 (or E_b2 when
     that one is in band) are ranked by the probability mass concentrated
     near the impurity in both coordinates (separation <= 3, CM ring
     distance <= 8).  Returns (energy, vector, classification).
@@ -344,9 +345,9 @@ def find_bic_state(params, basis, spec, window=0.05):
     target = e1 if in_continuum(e1, params) else e2
     if not in_continuum(target, params):
         raise ExistenceError("neither closed-form energy lies in the continuum")
-    cands = np.where(np.abs(spec.energies - target) < window)[0]
+    cands = np.where(np.abs(spec.energies - target) < BIC_WINDOW)[0]
     if len(cands) == 0:
-        raise NumericalError(f"no eigenvalue within {window} of {target:.6f}")
+        raise NumericalError(f"no eigenvalue within {BIC_WINDOW} of {target:.6f}")
     core = (basis.sigma <= 3) & (basis.cm_dist <= 8)
     best = int(cands[np.argmax((spec.states[np.ix_(core, cands)] ** 2).sum(axis=0))])
     vec = spec.states[:, best]

@@ -62,15 +62,13 @@ def impurity_overlap(modes):
     return B.conj() @ B.T
 
 
-def potential_matrix(modes, params=None, overlap=None):
+def potential_matrix(modes, params, overlap):
     """Hermitian N x N impurity coupling V = (4 V0 / N) G in the mode basis.
 
     Real phi and the symmetric one-period s window make V Hermitian by
-    construction; V = 0 for V0 = 0.  `overlap` passes a prebuilt G.
+    construction; V = 0 for V0 = 0.  `overlap` is G (impurity_overlap).
     """
-    p = modes.params if params is None else params
-    G = impurity_overlap(modes) if overlap is None else overlap
-    return (4.0 * p.V0 / p.N) * G
+    return (4.0 * params.V0 / params.N) * overlap
 
 
 def _rounding_tol(M, J):
@@ -91,12 +89,17 @@ def checked_eigh(M, what="projected Hamiltonian"):
 
 @dataclass
 class ProjectedHamiltonian:
-    """M = diag(E_b) + V for `params`, with cached eigensystem."""
+    """M = diag(E_b) + V for `params`, with cached eigensystem; `tol` is
+    the _rounding_tol of M, which every gate on M uses."""
 
     modes: ModeBasis
     M: np.ndarray
     params: ModelParams
-    _eig: tuple = field(default=None, repr=False)
+    _eig: tuple = field(default=None, init=False, repr=False)
+    tol: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.tol = _rounding_tol(self.M, self.params.J)
 
     def eigensystem(self):
         """Complex eigh of M, cached; the propagation path.
@@ -118,16 +121,18 @@ def build_projected_hamiltonian(params, modes=None, overlap=None):
     J, E0 and N may be passed in, since neither depends on V0."""
     if modes is None:
         modes = ModeBasis(params)
+    if overlap is None:
+        overlap = impurity_overlap(modes)
     # an overflowing V0 leaves inf * 0 and inf - inf, NaN, which fails
     # the check below
     with np.errstate(invalid="ignore", over="ignore"):
         M = np.diag(modes.energies.astype(complex)) + potential_matrix(
             modes, params, overlap)
+        ph = ProjectedHamiltonian(modes, M, params)
         herm = np.max(np.abs(M - M.conj().T))
-        tol = _rounding_tol(M, params.J)
-    if not herm <= tol:
+    if not herm <= ph.tol:
         raise NumericalError(f"projected Hamiltonian not Hermitian: {herm:.2e}")
-    return ProjectedHamiltonian(modes, M, params)
+    return ph
 
 
 @dataclass
@@ -204,8 +209,7 @@ def diagonalize_projected(ph):
     at an exact tie.  Raises NumericalError when a gate fails, or when
     eigh fails or returns a non-finite energy.
     """
-    M, N = ph.M, ph.params.N
-    tol = _rounding_tol(M, ph.params.J)
+    M, N, tol = ph.M, ph.params.N, ph.tol
     imag = np.max(np.abs(M.imag))
     if not imag <= tol:    # a NaN fails too
         raise NumericalError(f"projected Hamiltonian not real: {imag:.2e}")
@@ -229,28 +233,28 @@ def diagonalize_projected(ph):
                            pairs, images, "projected Hamiltonian")
 
 
-def cm_amplitude(u, modes, s_value=1):
-    """Psi(r, s) = sum_K u_K e^{iKr} phi_K(s) on the extended r ring (-N, N]."""
+def cm_amplitude(u, modes):
+    """Psi(r, 1) = sum_K u_K e^{iKr} phi_K(1) on the extended r ring (-N, N]."""
     N = modes.params.N
     r = np.arange(-N + 1, N + 1)
-    return r, modes.cm_phase @ (u * modes.phi[:, s_value + N - 1])
+    return r, modes.cm_phase @ (u * modes.phi[:, N])
 
 
-def ring_decay_profile(U, modes, s_value=1):
-    """|Psi(r, s)|^2 of each column of U binned by ring distance
+def ring_decay_profile(U, modes):
+    """|Psi(r, 1)|^2 of each column of U binned by ring distance
     d = min(|r|, 2N - |r|), from one product.
 
     Only physical slots contribute: the CM coordinate r has the parity
-    of s, which is every other row of modes.cm_phase, read as a slice
-    view.  Returns (ds, p): ds increasing (odd when s is odd) and column
-    j of p the profile of column j of U.
+    of s = 1, which is every other row of modes.cm_phase, read as a
+    slice view.  Returns (ds, p): ds the odd distances, increasing, and
+    column j of p the profile of column j of U.
     """
     N = modes.params.N
-    rows = slice((s_value + 1) % 2, None, 2)    # row i holds r = i - N + 1
+    rows = slice(0, None, 2)    # row i holds r = i - N + 1: r odd
     r = np.arange(-N + 1, N + 1)[rows]
-    psi = modes.cm_phase[rows] @ (U * modes.phi[:, s_value + N - 1, None])
-    # the distances of one parity, 0 or 1 up to N: d sits in slot d // 2
-    ds = np.arange(s_value % 2, N + 1, 2)
+    psi = modes.cm_phase[rows] @ (U * modes.phi[:, N, None])
+    # the odd distances 1 .. N - 1: d sits in slot d // 2
+    ds = np.arange(1, N + 1, 2)
     p = np.zeros((len(ds), U.shape[1]))
     np.add.at(p, np.minimum(np.abs(r), 2 * N - np.abs(r)) // 2, np.abs(psi) ** 2)
     return ds, p
@@ -305,7 +309,7 @@ def fit_ring_decay(ds, ps, N, d_lo=4, d_hi=None):
             break
         nx, y = nxs[k0:], ys[k0:]
 
-        def sse(kappa, nx=nx, y=y, n=n):
+        def sse(kappa):
             z = y - np.log(np.cosh(2.0 * kappa * nx))
             z -= np.add.reduce(z) / n
             return float(np.add.reduce(z * z))
@@ -334,16 +338,16 @@ class BoundStateRecord:
     state_index: int
 
 
-def bound_candidates(spectrum, modes, params=None):
+def bound_candidates(spectrum, modes):
     """Yield (mu, ds, ps) for the states that pass both bound-state gates.
 
     A state is bound when its energy leaves the discrete impurity-free
     band and the far-tail mass of |Psi(r, 1)|^2 (beyond mid-ring) stays
     below TAIL_FRACTION_MAX; (ds, ps) is its ring decay profile.  The
     profiles of all out-of-band states come from one ring_decay_profile
-    product.
+    product.  N and J are those of modes.params.
     """
-    p = modes.params if params is None else params
+    p = modes.params
     lo, hi = modes.band_edges()
     tol = 1e-9 * abs(p.J)
     e = spectrum.energies
@@ -354,7 +358,7 @@ def bound_candidates(spectrum, modes, params=None):
         yield int(out[j]), ds, ps[:, j]
 
 
-def classify_bound_states(spectrum, modes, params=None):
+def classify_bound_states(spectrum, modes):
     """Bound-state records for the states that pass `bound_candidates`.
 
     The ring-model fit supplies the decay rate and its quality.  Labels
@@ -362,13 +366,13 @@ def classify_bound_states(spectrum, modes, params=None):
     decreasing band split; states near |K| ~ pi/2 continue with e, f,
     ... as long as at most four near-zero states exist.
     """
-    p = modes.params if params is None else params
+    p = modes.params
     lo, hi = modes.band_edges()
     # |K| of the band edges: a state splits off the edge it is nearer to
     k_at_max = abs(float(modes.K[int(np.argmax(modes.energies))]))
     k_at_min = abs(float(modes.K[int(np.argmin(modes.energies))]))
     recs = []
-    for mu, ds, ps in bound_candidates(spectrum, modes, p):
+    for mu, ds, ps in bound_candidates(spectrum, modes):
         e = spectrum.energies[mu]
         kappa, r2 = fit_ring_decay(ds, ps, p.N)
         w = np.abs(spectrum.states[:, mu]) ** 2
@@ -388,11 +392,11 @@ def classify_bound_states(spectrum, modes, params=None):
     return sorted(recs, key=lambda r: r.label)
 
 
-def count_bound_states(params, modes=None, overlap=None):
-    """Number of bound states; same gates as classify_bound_states, no fit."""
-    ph = build_projected_hamiltonian(params, modes, overlap)
-    spec = diagonalize_projected(ph)
-    return sum(1 for _ in bound_candidates(spec, ph.modes, params))
+def count_bound_states(params, modes, overlap):
+    """Number of bound states of `params` on `modes` and their `overlap`;
+    same gates as classify_bound_states, no fit."""
+    spec = diagonalize_projected(build_projected_hamiltonian(params, modes, overlap))
+    return sum(1 for _ in bound_candidates(spec, modes))
 
 
 def phase_diagram(d_values, v0_values, params_template):
@@ -424,11 +428,10 @@ def phase_diagram(d_values, v0_values, params_template):
     return counts
 
 
-def participation_ratio(u, modes, s_value=1):
-    """Inverse participation ratio of |Psi(r, s)|^2 over physical r slots."""
-    N = modes.params.N
-    r, psi = cm_amplitude(u, modes, s_value)
-    keep = (r % 2) == (s_value % 2)
+def participation_ratio(u, modes):
+    """Inverse participation ratio of |Psi(r, 1)|^2 over physical r slots."""
+    r, psi = cm_amplitude(u, modes)
+    keep = (r % 2) == 1
     w = np.abs(psi[keep]) ** 2
     w = w / w.sum()
     return 1.0 / float(np.sum(w ** 2))

@@ -26,18 +26,19 @@ import math
 from .errors import NumericalError
 
 BRENTQ_RTOL = 4 * 2.220446049250313e-16   # 4 eps, scipy's floor on rtol
+BRENTQ_MAXITER = 100       # scipy's default
 FMINBOUND_MAXFUN = 500
 STEER_XTOL = 1e-14        # Brent tolerance on the steering root
 STEER_MARGIN = 1e-13      # midpoints this close to it are evaluated
 
 
-def brentq(f, a, b, xtol=2e-12, rtol=BRENTQ_RTOL, maxiter=100):
+def brentq(f, a, b, xtol=2e-12, rtol=BRENTQ_RTOL):
     """Root of f in [a, b], where f(a) and f(b) differ in sign.
 
     Stops when the bracket half-width falls below
     (xtol + rtol |x|) / 2.  Raises NumericalError when f(a) and f(b)
-    have the same sign, when f returns NaN, when maxiter iterations do
-    not converge, or when xtol <= 0 or rtol < 4 eps.
+    have the same sign, when f returns NaN, when BRENTQ_MAXITER
+    iterations do not converge, or when xtol <= 0 or rtol < 4 eps.
     """
     if xtol <= 0 or rtol < BRENTQ_RTOL:
         raise NumericalError(
@@ -59,7 +60,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=BRENTQ_RTOL, maxiter=100):
         raise NumericalError(
             f"f({xpre!r}) and f({xcur!r}) have the same sign; no bracketed root")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(BRENTQ_MAXITER):
         if (fpre != 0 and fcur != 0
                 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
             xblk, fblk = xpre, fpre
@@ -102,7 +103,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=BRENTQ_RTOL, maxiter=100):
             xcur += delta if sbis > 0 else -delta
         fcur = fx(xcur)
     raise NumericalError(
-        f"Brent's method did not converge in {maxiter} iterations; value {xcur!r}",
+        f"Brent's method did not converge in {BRENTQ_MAXITER} iterations; value {xcur!r}",
         residual=fcur)
 
 

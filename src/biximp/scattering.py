@@ -38,6 +38,8 @@ from .errors import NumericalError, ParameterError, RangeError
 from .roots import scan_roots
 
 POLE_RESIDUAL_TOL = 1e-10
+POLE_K_MAX = 4.0          # find_pole scans 1e-6 <= K'' <= POLE_K_MAX
+POLE_N_SCAN = 800         # on this many points
 
 
 def _j_squared(params):
@@ -114,7 +116,7 @@ def pole_branch(params):
     return 0.0 if params.D * params.V0 > 0 else math.pi / 2
 
 
-def find_pole(params, k_max=4.0, n_scan=800):
+def find_pole(params):
     """Root of sinh(2 K'') = 2 D V0 S / (J^2 cos 2K') on the sign branch.
 
     The equation is scanned for a sign change and polished with Brent;
@@ -130,12 +132,12 @@ def find_pole(params, k_max=4.0, n_scan=800):
     def f(k):
         return np.sinh(2.0 * k) - 2.0 * p.D * p.V0 * s_function(kp, k, p) / (j2 * c2)
 
-    k = next(scan_roots(f, np.linspace(1e-6, k_max, n_scan), exact_zeros=False),
-             None)
+    k = next(scan_roots(f, np.linspace(1e-6, POLE_K_MAX, POLE_N_SCAN),
+                        exact_zeros=False), None)
     if k is None:
         raise NumericalError(
             f"no pole found on branch K'={kp:.4f} for D={p.D}, V0={p.V0} "
-            f"(scanned K'' up to {k_max})")
+            f"(scanned K'' up to {POLE_K_MAX})")
     resid = abs(f(k))
     if resid > POLE_RESIDUAL_TOL:
         raise NumericalError("pole residual above tolerance", residual=resid)

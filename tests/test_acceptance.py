@@ -49,8 +49,9 @@ from biximp import (ModeBasis, ModelParams, ReducedDensity, WavepacketConfig,
                     classify_bound_states, diagonalize_full,
                     diagonalize_projected, entropy,
                     exciton_reflection_amplitude, find_bic_state, find_pole,
-                    fringe_visibility, init_wavepacket, interference_profile,
-                    phase_diagram, propagate, reduced_density, split_ratio)
+                    fringe_visibility, impurity_overlap, init_wavepacket,
+                    interference_profile, phase_diagram, propagate,
+                    reduced_density, split_ratio)
 from biximp.dynamics import energy_expectation
 from biximp.exciton import bound_energies_from_matrix
 from biximp.pairbasis import build_pair_hamiltonian
@@ -180,7 +181,8 @@ CONFIG = WavepacketConfig(K0=3 * np.pi / 8, dK0=np.pi / 24,
 
 @pytest.fixture(scope="module")
 def canonical_run():
-    v0 = calibrate_v0(CANON, CONFIG)
+    modes = ModeBasis(CANON)
+    v0 = calibrate_v0(modes, impurity_overlap(modes), CONFIG)
     params = CANON.replace(V0=v0)
     ph = build_projected_hamiltonian(params)
     state0 = init_wavepacket(CONFIG, ph.modes)

@@ -1,0 +1,83 @@
+"""The optional parameters of biximp: each one is a value some caller varies.
+
+Every optional parameter (one with a default, or a **kwargs) doubles the
+settings the tests must cover, so the package keeps only those that a
+caller in src/ or tests/ sets to more than one value.  A new option
+means a visible edit to ALLOWED, with the reason it exists.
+"""
+
+import ast
+from pathlib import Path
+
+import biximp
+
+# "module.qualified_function.parameter" -> why callers vary it
+ALLOWED = {
+    "biexciton.solve_relative_decay.method":
+        "'exact' root or the 'large_n' closed form, picked by ModeBasis",
+    "biexciton.biexciton_energy.parity": "even or odd relative branch",
+    "biexciton.biexciton_energy.method": "'exact' or 'large_n', as above",
+    "biexciton.closed_phi.parity": "even or odd relative branch",
+    "biexciton.ModeBasis.__init__.method":
+        "'auto' in the commands; tests force 'exact' or 'large_n'",
+    "cli.number.kind": "float, int or operator.index reads of a config value",
+    "cli.main.argv": "sys.argv for the console script, a list in tests",
+    "csvio.write_table.fmt": "--format csv or json",
+    "dynamics.split_ratio.buffer":
+        "tests check the split at buffers 2, 4 and 6 against the window sum",
+    "dynamics.split_ratio.strict": "calibration probes skip the timing gate",
+    "dynamics.calibrate_v0.target": "the wavepacket split_target key",
+    "errors.NumericalError.__init__.residual":
+        "root solvers attach their residual; other failures have none",
+    "params.ModelParams.replace.**kwargs": "any subset of the model fields",
+    "projected.checked_eigh.what":
+        "names the projected or the pair Hamiltonian in the error",
+    "projected.build_projected_hamiltonian.modes":
+        "V0 sweeps reuse one basis; single runs build their own",
+    "projected.build_projected_hamiltonian.overlap":
+        "V0 sweeps reuse one impurity overlap; single runs build their own",
+    "projected.fit_ring_decay.d_lo":
+        "the CM and the relative-coordinate fits start at different d",
+    "projected.fit_ring_decay.d_hi": "likewise their window ends",
+    "roots.brentq.xtol": "each root finder sets its own tolerance",
+    "roots.brentq.rtol": "the exciton decay root tightens it",
+    "roots.fminbound.xtol": "the ring-decay fit tightens it",
+    "roots.scan_roots.exact_zeros": "find_pole skips exact grid zeros",
+    "scattering.continued_fraction_first_order.modes":
+        "with a basis it also returns the scattered-state coefficients",
+}
+
+
+def defaulted(args):
+    """Names of the parameters of an ast.arguments that have a default."""
+    positional = args.posonlyargs + args.args
+    names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+    names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+              if d is not None]
+    return names + (["**" + args.kwarg.arg] if args.kwarg else [])
+
+
+def optional_parameters():
+    """Every optional parameter in src/biximp, keyed as in ALLOWED."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef, ast.Lambda)):
+                inner = scope + [getattr(child, "name", "<lambda>")]
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                found.extend(".".join(inner + [k]) for k in defaulted(child.args))
+            visit(child, inner)
+
+    for path in sorted(Path(biximp.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), [path.stem])
+    return found
+
+
+def test_every_optional_parameter_is_allowed():
+    found = optional_parameters()
+    assert len(found) == len(set(found))
+    assert sorted(found) == sorted(ALLOWED)

@@ -38,10 +38,13 @@ def test_malformed_config(tmp_path):
     assert main(["exciton", "--config", str(path)]) == 2
 
 
-def test_malformed_model_value_exit_code(tmp_path):
-    cfg = write_cfg(tmp_path / "c.yaml",
-                    {"model": {"N": "abc", "J": 1.0, "D": 4.1}})
-    assert main(["exciton", "--config", cfg, "--out", str(tmp_path)]) == 2
+def test_malformed_model_value_exit_code(tmp_path, capsys):
+    # a model section that is not a mapping is malformed too
+    for model in ({"N": "abc", "J": 1.0, "D": 4.1}, 5, [1, 2], None, "abc"):
+        cfg = write_cfg(tmp_path / "c.yaml", {"model": model})
+        assert main(["exciton", "--config", cfg, "--out", str(tmp_path)]) == 2, model
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model section") and err.count("\n") == 1
 
 
 def test_malformed_phase_diagram_value_exit_code(tmp_path):

@@ -31,6 +31,12 @@ def canonical_config(t_end=60.0):
     return WavepacketConfig(K0=K0, dK0=DK0, t_start=-30.0, t_end=t_end)
 
 
+def basis_and_overlap(p):
+    """The (modes, overlap) pair calibrate_v0 takes, built for p."""
+    modes = ModeBasis(p)
+    return modes, impurity_overlap(modes)
+
+
 @pytest.fixture(scope="module")
 def ph():
     return build_projected_hamiltonian(canonical_params())
@@ -175,7 +181,7 @@ def test_trajectory_entropy_matches_reduced_density():
     the single-time path sample by sample, through the collision."""
     p = canonical_params(V0=0.5474)
     ph = build_projected_hamiltonian(p)
-    traj = run_trajectory(p, canonical_config(), ph)
+    traj = run_trajectory(ph, canonical_config())
     assert len(traj.samples) == 91
     for smp in traj.samples:
         st = propagate(traj.initial, ph, smp.t)
@@ -265,10 +271,10 @@ def test_split_timing_error(ph, u0):
 def test_calibration(ph):
     p = canonical_params()
     cfg = canonical_config()
-    assert calibrate_v0(p, cfg, target=0.0) == 0.0
-    v0 = calibrate_v0(p, cfg)
+    assert calibrate_v0(*basis_and_overlap(p), cfg, target=0.0) == 0.0
+    v0 = calibrate_v0(*basis_and_overlap(p), cfg)
     assert v0 > 0  # opposite sign to D < 0
-    v0_again = calibrate_v0(p, cfg)
+    v0_again = calibrate_v0(*basis_and_overlap(p), cfg)
     assert v0 == v0_again     # deterministic
     phc = build_projected_hamiltonian(p.replace(V0=v0))
     st = propagate(init_wavepacket(cfg, phc.modes), phc, 35.0)
@@ -282,8 +288,8 @@ def test_mirrored_packet_calibration():
     tol = 1e-10
     p, cfg = canonical_params(V0=0.0), canonical_config()
     mirrored = p.replace(J=-p.J, D=-p.D)
-    v0 = calibrate_v0(p, cfg)
-    v0_m = calibrate_v0(mirrored, cfg)
+    v0 = calibrate_v0(*basis_and_overlap(p), cfg)
+    v0_m = calibrate_v0(*basis_and_overlap(mirrored), cfg)
     assert abs(v0_m + v0) <= tol * abs(v0)
     splits = []
     for q in (p.replace(V0=v0), mirrored.replace(V0=v0_m)):
@@ -360,7 +366,7 @@ def test_split_gate_same_samples_as_window_sum():
     exactly the samples where the explicit window sum is ill-defined."""
     p = canonical_params(V0=0.5474)
     ph = build_projected_hamiltonian(p)
-    traj = run_trajectory(p, canonical_config(), ph)
+    traj = run_trajectory(ph, canonical_config())
     gated = 0
     for smp in traj.samples:
         refl, _, imp, anti = _window_split(propagate(traj.initial, ph, smp.t),
@@ -422,7 +428,7 @@ def test_calibration_equals_plain_bisection(monkeypatch, N, D, dK0):
     cfg = WavepacketConfig(K0=K0, dK0=dK0, t_start=-30.0, t_end=60.0)
     want = _calibrate_v0_loop(p, cfg)
     calls = _counting_builds(monkeypatch)
-    assert calibrate_v0(p, cfg) == want
+    assert calibrate_v0(*basis_and_overlap(p), cfg) == want
     assert len(calls) <= 20
 
 
@@ -437,7 +443,7 @@ def test_calibration_target_below_free_reflection(monkeypatch):
     r0 = split_ratio(st, ph0.modes, K0, strict=False)[0]
     for target in (r0, 0.5 * r0):
         want = _calibrate_v0_loop(p, cfg, target)
-        assert calibrate_v0(p, cfg, target=target) == want
+        assert calibrate_v0(*basis_and_overlap(p), cfg, target=target) == want
 
 
 @pytest.mark.filterwarnings("ignore:packet clipped")
@@ -452,7 +458,7 @@ def test_calibration_warns_target_below_free_reflection():
     match = re.escape(f"split target {target} is at or below the V0 = 0 "
                       f"reflection {r0:.4f}")
     with pytest.warns(UserWarning, match=match) as caught:
-        calibrate_v0(p, cfg, target=target)
+        calibrate_v0(*basis_and_overlap(p), cfg, target=target)
     assert not any("non-monotone" in str(w.message) for w in caught)
 
 
@@ -470,7 +476,7 @@ def test_mode_distribution(ph, u0):
 def test_trajectory_sampling():
     p = canonical_params(V0=0.5474)
     cfg = WavepacketConfig(K0=K0, dK0=DK0, t_start=-30.0, t_end=-20.0)
-    traj = run_trajectory(p.replace(V0=0.5474), cfg)
+    traj = run_trajectory(build_projected_hamiltonian(p.replace(V0=0.5474)), cfg)
     assert len(traj.samples) == 11
     assert all(abs(s.norm - 1.0) < 1e-10 for s in traj.samples)
     s0 = traj.at(-30.0)

@@ -7,12 +7,15 @@ the pole energies are negated.  A sign error in a branch selector
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biximp import (BiximpError, ModelParams, build_projected_hamiltonian,
-                    count_bound_states, diagonalize_full,
-                    diagonalize_projected, find_pole)
+from biximp import (BiximpError, ModeBasis, ModelParams,
+                    build_projected_hamiltonian, count_bound_states,
+                    diagonalize_full, diagonalize_projected, find_pole,
+                    impurity_overlap)
+from biximp.cli import main
 
 SPECTRUM_RTOL = 1.2e-14     # relative to the largest |energy|
 
@@ -55,7 +58,11 @@ def test_projected_spectrum_is_negated(J, D_over_J, V0, E0):
        V0=COUPLING, E0=COUPLING)
 def test_bound_state_count_is_unchanged(N, J, D_over_J, V0, E0):
     p = ModelParams(N=N, J=J, D=J * D_over_J, E0=E0, V0=V0)
-    assert count_bound_states(mirror(p)) == count_bound_states(p)
+    counts = []
+    for q in (p, mirror(p)):
+        modes = ModeBasis(q)
+        counts.append(count_bound_states(q, modes, impurity_overlap(modes)))
+    assert counts[0] == counts[1]
 
 
 @settings(max_examples=50, deadline=None)
@@ -71,3 +78,23 @@ def test_pole_energy_is_negated(J, D_over_J, V0, E0):
             find_pole(mirror(p))
     else:
         assert find_pole(mirror(p)).energy == want
+
+
+def test_pole_scan_is_mirrored(tmp_path):
+    """`poles` scans each V0 sign on the branch its pole is solved on, so
+    at D < 0 the scan holds the poles too: the mirrored pole_scan.csv is
+    the original's with V0 negated, bit for bit."""
+    p = ModelParams(N=40, J=1.0, D=4.0, E0=0.0, V0=0.25)
+    tables = []
+    for q in (p, mirror(p)):
+        out = tmp_path / f"D{q.D:g}"
+        cfg = tmp_path / f"D{q.D:g}.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "model": {"N": q.N, "J": q.J, "D": q.D, "E0": q.E0, "V0": q.V0},
+            "poles": {"K_doubleprime_max": 1.5, "n_scan": 200}}))
+        assert main(["poles", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "pole_scan.csv").read_text().splitlines()[1:]
+        tables.append(np.array([line.split(",") for line in lines], dtype=float))
+    orig, mirrored = tables
+    mirrored[:, 2] *= -1.0
+    assert sorted(map(tuple, mirrored)) == sorted(map(tuple, orig))

@@ -177,8 +177,8 @@ def _tampered_entries(monkeypatch, tamper):
     """Feed diagonalize_full the entry list of N = 8 after `tamper`."""
     entries = pairbasis.pair_hamiltonian_entries
 
-    def patched(params, basis=None):
-        basis, diag, (rows, cols) = entries(params, basis)
+    def patched(params):
+        basis, diag, (rows, cols) = entries(params)
         return (basis, *tamper(basis, diag.copy(), rows.copy(), cols.copy()))
 
     monkeypatch.setattr(pairbasis, "pair_hamiltonian_entries", patched)

@@ -21,16 +21,22 @@ from biximp.projected import (PROFILE_FLOOR, bound_candidates, cm_amplitude,
                               participation_ratio)
 
 
+def count_fresh(params):
+    """count_bound_states on a basis built for `params` alone."""
+    modes = ModeBasis(params)
+    return count_bound_states(params, modes, impurity_overlap(modes))
+
+
 def test_v0_zero_matrix(fig2_params):
     modes = ModeBasis(fig2_params.replace(V0=0.0), "exact")
-    V = potential_matrix(modes)
+    V = potential_matrix(modes, modes.params, impurity_overlap(modes))
     assert np.abs(V).max() == 0.0
 
 
 def test_diagonal_sign_and_reality(fig2_params):
     for v0 in (4.0, -4.0):
         modes = ModeBasis(fig2_params.replace(V0=v0), "exact")
-        V = potential_matrix(modes)
+        V = potential_matrix(modes, modes.params, impurity_overlap(modes))
         d = np.diag(V)
         assert np.abs(d.imag).max() < 1e-14
         assert np.all(np.sign(d.real) == np.sign(v0))
@@ -40,7 +46,7 @@ def test_brute_force_projection_oracle(fig2_params):
     """V_KK' equals the site-basis impurity projected onto the modes."""
     p = fig2_params
     modes = ModeBasis(p, "exact")
-    V = potential_matrix(modes)
+    V = potential_matrix(modes, modes.params, impurity_overlap(modes))
     basis, _ = build_pair_hamiltonian(p.replace(V0=0.0))
     vdiag = p.V0 * ((basis.m == 0).astype(float) + (basis.n == 0))
     C = modes.pair_amplitudes()
@@ -118,14 +124,14 @@ def test_participation_ratio_invariant(fig2_params):
 
 
 def test_count_symmetry_at_large_d():
-    pos = count_bound_states(ModelParams(N=40, J=1.0, D=6.0, V0=5.0))
-    neg = count_bound_states(ModelParams(N=40, J=1.0, D=6.0, V0=-5.0))
+    pos = count_fresh(ModelParams(N=40, J=1.0, D=6.0, V0=5.0))
+    neg = count_fresh(ModelParams(N=40, J=1.0, D=6.0, V0=-5.0))
     assert pos == neg == 2
 
 
 def test_count_asymmetry_at_small_d():
-    pos = count_bound_states(ModelParams(N=40, J=1.0, D=2.1, V0=5.0))
-    neg = count_bound_states(ModelParams(N=40, J=1.0, D=2.1, V0=-5.0))
+    pos = count_fresh(ModelParams(N=40, J=1.0, D=2.1, V0=5.0))
+    neg = count_fresh(ModelParams(N=40, J=1.0, D=2.1, V0=-5.0))
     assert pos != neg
     # frozen regression values for these cells
     assert (pos, neg) == (6, 3)
@@ -153,10 +159,10 @@ def test_phase_diagram_sentinel_cell(fig2_params):
 def test_phase_diagram_plateau():
     """Counts are piecewise constant: tiny parameter shifts keep counts."""
     base = ModelParams(N=40, J=1.0, D=4.1, V0=4.0)
-    c0 = count_bound_states(base)
+    c0 = count_fresh(base)
     for eps in (1e-4, -1e-4):
-        assert count_bound_states(base.replace(D=4.1 + eps)) == c0
-        assert count_bound_states(base.replace(V0=4.0 + eps)) == c0
+        assert count_fresh(base.replace(D=4.1 + eps)) == c0
+        assert count_fresh(base.replace(V0=4.0 + eps)) == c0
 
 
 def test_phase_diagram_matches_fresh_basis_per_cell(fig2_params):
@@ -170,7 +176,7 @@ def test_phase_diagram_matches_fresh_basis_per_cell(fig2_params):
         for j, v in enumerate(v_vals):
             trial = fig2_params.replace(D=d, V0=v, J=float(np.sign(d)))
             try:
-                expected = count_bound_states(trial)
+                expected = count_fresh(trial)
             except (NumericalError, ExistenceError):
                 expected = -1
             assert counts[i, j] == expected, (d, v)
@@ -189,7 +195,7 @@ def test_count_equals_classified_records(params):
     """The fit-free count sees the same gates as classification."""
     ph = build_projected_hamiltonian(params)
     recs = classify_bound_states(diagonalize_projected(ph), ph.modes)
-    assert count_bound_states(params) == len(recs)
+    assert count_fresh(params) == len(recs)
 
 
 def test_potential_matrix_with_reused_overlap(fig2_params):
@@ -204,7 +210,8 @@ def test_potential_matrix_with_reused_overlap(fig2_params):
         V = potential_matrix(modes, p, G)
         V_exact = np.einsum("ip,p,jp->ij", C.conj(), v0 * site0, C)
         assert np.abs(V - V_exact).max() < 1e-10
-        assert np.array_equal(V, potential_matrix(ModeBasis(p, "exact")))
+        fresh = ModeBasis(p, "exact")
+        assert np.array_equal(V, potential_matrix(fresh, p, impurity_overlap(fresh)))
 
 
 REAL_CASES = [(1.0, 4.1, 4.0), (1.0, 4.1, -4.0), (1.0, 2.1, 5.0),
@@ -234,6 +241,23 @@ def test_real_spectrum_keeps_bound_states(N, J, D, V0):
     assert real
 
 
+def test_rounding_tolerance_once_per_hamiltonian(monkeypatch, fig2_params):
+    """max |M| is taken once per ProjectedHamiltonian: its build and its
+    spectrum share the gate tolerance."""
+    calls = []
+    rounding_tol = projected._rounding_tol
+
+    def counted(M, J):
+        calls.append(1)
+        return rounding_tol(M, J)
+
+    monkeypatch.setattr(projected, "_rounding_tol", counted)
+    ph = build_projected_hamiltonian(fig2_params)
+    diagonalize_projected(ph)
+    assert len(calls) == 1
+    assert ph.tol == rounding_tol(ph.M, fig2_params.J)
+
+
 def test_real_spectrum_rejects_imaginary_coupling(fig2_params):
     """A Hermitian M with a 1e-6 imaginary off-diagonal is refused."""
     ph = build_projected_hamiltonian(fig2_params)
@@ -254,7 +278,7 @@ def test_gates_scale_with_the_matrix(monkeypatch, V0):
     ph = build_projected_hamiltonian(p, modes=modes)
     diagonalize_projected(ph)
     eps = 1e-10 * np.abs(ph.M).max()
-    V = potential_matrix(modes, p)
+    V = potential_matrix(modes, p, impurity_overlap(modes))
     V[0, 1] += eps * 1j
     monkeypatch.setattr(projected, "potential_matrix", lambda *args: V)
     with pytest.raises(NumericalError, match="not Hermitian"):
@@ -315,7 +339,7 @@ def test_count_matches_full_eigh(N, J):
             p = ModelParams(N=N, J=J, D=D, V0=V0)
             ph = build_projected_hamiltonian(p, modes, G)
             full = SpectrumResult(*np.linalg.eigh(ph.M.real))
-            want = sum(1 for _ in bound_candidates(full, modes, p))
+            want = sum(1 for _ in bound_candidates(full, modes))
             assert count_bound_states(p, modes, G) == want, (D, V0)
 
 
@@ -507,7 +531,8 @@ def test_eigh_failure_is_a_numerical_error():
     p = ModelParams(N=4, J=1.0, D=4.1, V0=1e308)
     modes = ModeBasis(p)
     with np.errstate(all="ignore"):
-        M = np.diag(modes.energies.astype(complex)) + potential_matrix(modes, p)
+        M = np.diag(modes.energies.astype(complex)) + potential_matrix(
+            modes, p, impurity_overlap(modes))
     with pytest.raises(NumericalError, match="not real"):
         diagonalize_projected(ProjectedHamiltonian(modes, M, p))
     with pytest.raises(NumericalError, match="not P-symmetric"):

@@ -122,16 +122,19 @@ def outcome(solve, f, a, b, errors, **kw):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_brentq_matches_scipy_on_random_brackets(seed):
+def test_brentq_matches_scipy_on_random_brackets(monkeypatch, seed):
     rng = random.Random(seed)
     for _ in range(300):
         f = rng.choice(FAMILIES)(rng.uniform(0.1, 5.0), rng.uniform(-2.0, 2.0))
         a, b = rng.uniform(-4.0, 0.0), rng.uniform(0.0, 4.0)
         kw = {"xtol": 10 ** rng.uniform(-15, -8),
-              "rtol": max(roots.BRENTQ_RTOL, 10 ** rng.uniform(-15.06, -10)),
-              "maxiter": rng.choice((100, 100, 10, 5))}
-        want = outcome(optimize.brentq, f, a, b, (ValueError, RuntimeError), **kw)
-        assert outcome(roots.brentq, f, a, b, NumericalError, **kw) == want, (a, b, kw)
+              "rtol": max(roots.BRENTQ_RTOL, 10 ** rng.uniform(-15.06, -10))}
+        maxiter = rng.choice((100, 100, 10, 5))
+        monkeypatch.setattr(roots, "BRENTQ_MAXITER", maxiter)
+        want = outcome(optimize.brentq, f, a, b, (ValueError, RuntimeError),
+                       maxiter=maxiter, **kw)
+        assert outcome(roots.brentq, f, a, b, NumericalError, **kw) == want, (
+            a, b, kw, maxiter)
 
 
 @pytest.mark.parametrize("f, a, b, kw, match", [
@@ -140,7 +143,10 @@ def test_brentq_matches_scipy_on_random_brackets(seed):
     (lambda x: x ** 9 - 0.1, 0.0, 1.0, {"xtol": 1e-15, "maxiter": 3}, "converge"),
     (lambda x: x, -1.0, 1.0, {"rtol": 1e-16}, "tolerance"),
 ])
-def test_brentq_raises_numerical_error(f, a, b, kw, match):
+def test_brentq_raises_numerical_error(monkeypatch, f, a, b, kw, match):
+    kw = dict(kw)
+    # the iteration cap is the module constant BRENTQ_MAXITER
+    monkeypatch.setattr(roots, "BRENTQ_MAXITER", kw.pop("maxiter", roots.BRENTQ_MAXITER))
     with pytest.raises(NumericalError, match=match):
         roots.brentq(f, a, b, **kw)
 
@@ -162,7 +168,7 @@ def test_fminbound_matches_scipy_where_objective_overflows(fit_records):
     p = ModelParams(N=400, J=1.0, D=4.1, E0=1000.0, V0=4.0)
     ph = projected.build_projected_hamiltonian(p)
     spec = projected.diagonalize_projected(ph)
-    _, ds, ps = next(projected.bound_candidates(spec, ph.modes, p))
+    _, ds, ps = next(projected.bound_candidates(spec, ph.modes))
     with np.errstate(all="ignore"):
         assert projected.fit_ring_decay(ds, ps, p.N) == (0.0, 0.0)
         nan_fits = [(got, want) for func, got, want in fit_records
