@@ -7,12 +7,11 @@ dynamics.  See README.md for the command-line interface.
 """
 
 from .biexciton import ModeBasis, alpha, biexciton_energy, continuum_energy
-from .dynamics import (ReducedDensity, Trajectory, WavepacketConfig,
-                       WavepacketState, calibrate_v0, contrast, entropy,
-                       fringe_visibility, init_wavepacket,
-                       interference_profile, mode_distribution, propagate,
-                       realspace_amplitude, reduced_density, run_trajectory,
-                       schmidt_weights, split_ratio)
+from .dynamics import (WavepacketConfig, WavepacketState, calibrate_v0,
+                       contrast, entropy, fringe_visibility, init_wavepacket,
+                       mode_distribution, propagate, realspace_amplitude,
+                       reduced_density, run_trajectory, schmidt_weights,
+                       split_ratio)
 from .errors import (BiximpError, ConfigError, ExistenceError, NumericalError,
                      ParameterError, RangeError, RegimeError, TimingError)
 from .exciton import (ExcitonBoundState, ExcitonSpectrum, effective_mass,

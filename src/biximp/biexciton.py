@@ -109,12 +109,13 @@ def solve_relative_decay(K, params, parity, method="exact"):
     while f(hi) < 0.0:
         hi *= 2.0
         if hi > 1e6:
-            raise NumericalError("bound-root bracket expansion failed", residual=f(hi))
+            raise NumericalError(f"bound-root bracket expansion failed: "
+                                 f"residual {f(hi):.2e} at {hi:.3g}")
     root = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
     resid = f(root)
     if abs(resid) > 1e-12:
         raise NumericalError(
-            f"pairing-condition residual {resid:.2e} above tolerance", residual=resid)
+            f"pairing-condition residual {resid:.2e} above tolerance")
     return root
 
 

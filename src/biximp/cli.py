@@ -61,6 +61,15 @@ def number(value, kind=float):
     return x
 
 
+def flag(sec, name, key, default):
+    """The YAML boolean `key` of section `name`; anything else, such as
+    the string "false" that Python would read as true, is a ConfigError."""
+    value = sec.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} section: {key} must be a boolean, got {value!r}")
+    return value
+
+
 def model_from_config(cfg):
     with parsing("model"):
         m = cfg["model"]
@@ -82,34 +91,33 @@ def section(cfg, name):
 
 def cmd_exciton(cfg, out, fmt, plots):
     params = model_from_config(cfg)
-    sec = section(cfg, "exciton")
-    sign_cases = sec.get("sign_cases", False)
-    combos = [(params.J, params.V0)]
-    if sign_cases:
-        combos = [(sj * abs(params.J), sv * abs(params.V0))
-                  for sj in (1, -1) for sv in (1, -1)]
-    for j, v in combos:
-        p = params.replace(J=j, V0=v)
+    cases = [("", params)]
+    if flag(section(cfg, "exciton"), "exciton", "sign_cases", False):
+        # the tag names the sign multipliers, so V0 = 0 still gives 4 files
+        signs = ((1, "+"), (-1, "-"))
+        cases = [(f"_J{a}V{b}", params.replace(J=sj * abs(params.J),
+                                                V0=sv * abs(params.V0)))
+                 for sj, a in signs for sv, b in signs]
+    for tag, p in cases:
         spec = solve_exciton_spectrum(p)
-        tag = f"J{'+' if j > 0 else '-'}V{'+' if v > 0 else '-'}"
-        name = out / f"exciton_{tag}.csv" if sign_cases else out / "exciton.csv"
+        name = out / f"exciton{tag}.csv"
         write_table(name, ("branch", "k_real", "k_imag", "energy", "bound_flag"),
                     spec.rows(), fmt)
         if spec.bound is not None:
             prof = spec.bound.amplitude_profile
-            write_table(Path(str(name).replace(".csv", "_bound_profile.csv")),
+            write_table(name.with_name(f"{name.stem}_bound_profile.csv"),
                         ("site", "amplitude"),
                         list(zip(p.sites, prof)), fmt)
         if plots:
-            write_gnuplot_script(Path(str(name).replace(".csv", ".gp")),
+            write_gnuplot_script(name.with_suffix(".gp"),
                                  name.name, "2:4", "exciton spectrum")
     return 0
 
 
 def cmd_biexciton_spectrum(cfg, out, fmt, plots):
     params = model_from_config(cfg)
-    params.validate_biexciton_regime()
-    # classified from the basis and the spectrum: M is freed once solved
+    # classified from the basis (whose build checks the regime) and the
+    # spectrum: M is freed once solved
     modes = ModeBasis(params)
     spec = projected.diagonalize_projected(
         projected.build_projected_hamiltonian(params, modes))
@@ -166,6 +174,7 @@ def cmd_poles(cfg, out, fmt, plots):
                           f"K_doubleprime_max > 1e-3, got {n_scan}, {kpp_max}")
     kpp = np.linspace(1e-3, kpp_max, n_scan)
     rows, summary = [], []
+    modes = G = None
     for v0 in (abs(params.V0), -abs(params.V0)):
         p = params.replace(V0=v0)
         # the scan runs the branch the pole is solved on
@@ -173,9 +182,14 @@ def cmd_poles(cfg, out, fmt, plots):
         amp = np.abs(scattering.biexciton_reflection_amplitude(branch + 1j * kpp, p))
         rows += [(branch, k, v0, a) for k, a in zip(kpp, amp)]
         pole = scattering.find_pole(p)
-        ph = projected.build_projected_hamiltonian(p)
-        spec = projected.diagonalize_projected(ph)
-        lo, hi = ph.modes.band_edges()
+        if modes is None:
+            # one basis and impurity overlap serve both signs: neither
+            # depends on V0
+            modes = ModeBasis(p)
+            G = projected.impurity_overlap(modes)
+        spec = projected.diagonalize_projected(
+            projected.build_projected_hamiltonian(p, modes, G))
+        lo, hi = modes.band_edges()
         out_band = [(e, max(lo - e, e - hi)) for e in spec.energies
                     if e < lo - 1e-9 or e > hi + 1e-9]
         if out_band:
@@ -201,10 +215,9 @@ def cmd_bic(cfg, out, fmt, plots):
     sec = section(cfg, "bic")
     with parsing("bic"):
         tol = number(sec.get("flag_tolerance", 5e-2))
-    dump = sec.get("dump_amplitudes", True)
-    if not (0.0 <= tol < math.inf and isinstance(dump, bool)):
-        raise ConfigError(f"bic section: need finite flag_tolerance >= 0 and "
-                          f"boolean dump_amplitudes, got {tol}, {dump!r}")
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(f"bic section: need finite flag_tolerance >= 0, got {tol}")
+    dump = flag(sec, "bic", "dump_amplitudes", True)
     basis, spec = pairbasis.diagonalize_full(params)
     try:
         e1, e2 = pairbasis.bic_energies(params)
@@ -223,7 +236,8 @@ def cmd_bic(cfg, out, fmt, plots):
                 ("index", "energy", "type", "in_continuum", "schmidt_number",
                  "decay_r", "decay_s", "mismatch_flag"), rows, fmt)
     if dump and rows:
-        _, vec, _ = pairbasis.find_bic_state(params, basis, spec)
+        # the state is one of the rows, so it is classified there already
+        _, vec = pairbasis.find_bic_state(params, basis, spec)
         write_grid_binary(out / "bic_amplitude.f64",
                           pairbasis.folded_amplitudes(vec, basis))
     return 0
@@ -241,27 +255,28 @@ def cmd_wavepacket(cfg, out, fmt, plots):
             r_offset=None if r_offset is None else number(r_offset))
         target = number(sec.get("split_target", 0.5))
         snapshots = [(t, number(t)) for t in sec.get("snapshots", [])]
+    calibrate = flag(sec, "wavepacket", "calibrate_v0", False)
     dynamics.validate_dynamics_regime(params)
-    # one basis and impurity overlap serve the calibration and the run:
-    # neither depends on V0
+    # one basis, impurity overlap and initial packet serve the
+    # calibration and the run: none depends on V0
     modes = ModeBasis(params)
     G = projected.impurity_overlap(modes)
-    if sec.get("calibrate_v0", False):
-        v0 = dynamics.calibrate_v0(modes, G, config, target=target)
+    u0 = dynamics.init_wavepacket(config, modes)
+    if calibrate:
+        v0 = dynamics.calibrate_v0(modes, G, u0, config.K0, target=target)
         params = params.replace(V0=v0)
     ph = projected.build_projected_hamiltonian(params, modes=modes, overlap=G)
-    traj = dynamics.run_trajectory(ph, config)
     write_table(out / "wavepacket_timeseries.csv",
                 ("t", "entropy_bits", "norm", "energy", "reflected_prob"),
                 [(s.t, s.entropy, s.norm, s.energy, s.reflected)
-                 for s in traj.samples], fmt)
+                 for s in dynamics.run_trajectory(ph, u0, config)], fmt)
     for t_snap, t in snapshots:
-        st = dynamics.propagate(traj.initial, ph, t)
-        _, _, psi = dynamics.realspace_amplitude(st, ph.modes)
+        st = dynamics.propagate(u0, ph, t)
+        _, _, psi = dynamics.realspace_amplitude(st, modes)
         write_grid_binary(out / f"snapshot_psi2_t{t_snap}.f64", np.abs(psi) ** 2)
-        rho = dynamics.reduced_density(st, ph.modes)
+        rho = dynamics.reduced_density(st, modes)
         write_grid_binary(out / f"snapshot_rho_diag_t{t_snap}.f64",
-                          rho.diagonal())
+                          np.real(np.diag(rho)))
         write_grid_binary(out / f"snapshot_contrast_t{t_snap}.f64",
                           dynamics.contrast(rho))
         write_grid_binary(out / f"snapshot_modes_t{t_snap}.f64",

@@ -73,12 +73,12 @@ operations of the window amplitude.
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError, RegimeError, TimingError
-from .projected import ProjectedHamiltonian, build_projected_hamiltonian
+from .projected import build_projected_hamiltonian
 from .roots import steered_bisection
 
 ENTROPY_EIG_CLIP = 1e-12
@@ -256,24 +256,6 @@ def realspace_amplitude(state, modes):
     return g.r, modes.s, psi * g.mask_full / math.sqrt(g.N)
 
 
-def _window_amplitude(state, modes):
-    g = _grids(modes)
-    return (g.FK * state.u[None, :]) @ g.phi_win * g.mask_win
-
-
-@dataclass
-class ReducedDensity:
-    rho: np.ndarray
-    eigenvalues: np.ndarray
-
-    @property
-    def trace(self):
-        return float(np.real(np.trace(self.rho)))
-
-    def diagonal(self):
-        return np.real(np.diag(self.rho)).copy()
-
-
 def schmidt_weights(u, modes):
     """Eigenvalues of the trace-normalized CM density matrix, ascending.
 
@@ -292,36 +274,30 @@ def schmidt_weights(u, modes):
 
 
 def reduced_density(state, modes):
-    """Trace-normalized CM density matrix on the 2N ring."""
-    psi = _window_amplitude(state, modes)
+    """Trace-normalized CM density matrix rho on the 2N ring."""
+    g = _grids(modes)
+    psi = (g.FK * state.u[None, :]) @ g.phi_win * g.mask_win
     rho = psi @ psi.conj().T
     rho /= np.real(np.trace(rho))
-    return ReducedDensity(rho, schmidt_weights(state.u, modes))
+    return rho
 
 
-def entropy(rho):
-    """Von Neumann entropy in bits of a ReducedDensity or its eigenvalues;
+def entropy(eigenvalues):
+    """Von Neumann entropy in bits of a density matrix's eigenvalues;
     eigenvalues below the clip are dropped."""
-    ev = np.asarray(getattr(rho, "eigenvalues", rho))
+    ev = np.asarray(eigenvalues)
     ev = ev[ev > ENTROPY_EIG_CLIP]
     return float(-np.sum(ev * np.log2(ev)))
 
 
 def contrast(rho):
     """C(r, r') = |rho_rr'| / (|rho_rr + rho_r'r'| / 2); NaN where undefined."""
-    d = np.real(np.diag(rho.rho))
+    d = np.real(np.diag(rho))
     den = 0.5 * np.abs(d[:, None] + d[None, :])
     out = np.full_like(den, np.nan)
     ok = den > CONTRAST_FLOOR
-    out[ok] = np.abs(rho.rho)[ok] / den[ok]
+    out[ok] = np.abs(rho)[ok] / den[ok]
     return out
-
-
-def interference_profile(state, modes):
-    """Diagonal of the reduced density over r (sums to 1)."""
-    psi = _window_amplitude(state, modes)
-    prof = np.sum(np.abs(psi) ** 2, axis=1)
-    return prof / prof.sum()
 
 
 def fringe_visibility(profile, N):
@@ -409,9 +385,10 @@ def split_ratio(state, modes, K0, buffer=SPLIT_BUFFER, strict=True):
     return float(refl), float(trans)
 
 
-def calibrate_v0(modes, overlap, config, target=0.5):
-    """Impurity strength giving the target reflected fraction, on the
-    run's `modes` and their impurity `overlap` (neither depends on V0).
+def calibrate_v0(modes, overlap, u0, K0, target=0.5):
+    """Impurity strength giving the target reflected fraction of the
+    packet `u0` centred on K0, on the run's `modes` and their impurity
+    `overlap` (neither depends on V0).
 
     Bisection on |V0| in [0, |D|] with the sign opposite to D, until
     the bracket is narrower than 1e-12; reflection is measured at
@@ -432,7 +409,6 @@ def calibrate_v0(modes, overlap, config, target=0.5):
     params_template = modes.params
     sgn = -np.sign(params_template.D)
     v0_max = abs(params_template.D)
-    u0 = init_wavepacket(config, modes)
 
     @functools.cache
     def reflected(v0_abs):
@@ -441,7 +417,7 @@ def calibrate_v0(modes, overlap, config, target=0.5):
         u = propagate(u0, ph, CALIBRATION_T)
         # scan probes skip the timing gate: strong trial potentials leave
         # lingering weight near the impurity by design
-        return split_ratio(u, modes, config.K0, strict=False)[0]
+        return split_ratio(u, modes, K0, strict=False)[0]
 
     r_hi = reflected(v0_max)
     if r_hi < target:
@@ -473,28 +449,15 @@ class TrajectorySample:
     reflected: float      # NaN while the partition is ill-defined
 
 
-@dataclass
-class Trajectory:
-    samples: list
-    config: WavepacketConfig
-    ph: ProjectedHamiltonian = field(repr=False)
-    initial: WavepacketState = field(repr=False)
-
-    def at(self, t):
-        for s in self.samples:
-            if abs(s.t - t) < 1e-9:
-                return s
-        raise TimingError(f"no sample at t={t}")
-
-
-def run_trajectory(ph, config):
-    """Propagate the packet under `ph`; record (t, S, norm, energy, reflected).
+def run_trajectory(ph, state, config):
+    """Propagate the packet `state` (at t_start) under `ph`; returns one
+    TrajectorySample (t, S, norm, energy, reflected) per time of the
+    config's grid.
 
     Every sample time comes from one product over the time grid,
     u(t) = W exp(-i E (t - t0)) W^H u(t0), as in propagate.
     """
     validate_dynamics_regime(ph.params)
-    state = init_wavepacket(config, ph.modes)
     ts = np.arange(config.t_start, config.t_end + 1e-9, config.sample_dt)
     w, W = ph.eigensystem()
     c0 = W.conj().T @ state.u
@@ -509,4 +472,4 @@ def run_trajectory(ph, config):
         samples.append(TrajectorySample(
             st.t, entropy(schmidt_weights(u, ph.modes)), st.norm,
             energy_expectation(st, ph), refl))
-    return Trajectory(samples, config, ph, state)
+    return samples

@@ -32,10 +32,6 @@ class TimingError(RegimeError):
 class NumericalError(BiximpError):
     """Root search or eigensolver failed to converge to tolerance."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class RangeError(NumericalError):
     """Intermediate quantity overflowed the floating-point range."""

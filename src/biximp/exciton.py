@@ -73,7 +73,6 @@ class ExcitonBoundState:
 class ExcitonSpectrum:
     antisymmetric_k: np.ndarray
     symmetric_k: np.ndarray
-    alpha_mix: np.ndarray
     bound: "ExcitonBoundState | None"
     params: object = field(repr=False, default=None)
 
@@ -125,7 +124,7 @@ def solve_exciton_spectrum(params):
 
     if params.V0 == 0.0:
         k_s = 2.0 * math.pi * np.arange(0, N // 2 + 1) / N
-        return ExcitonSpectrum(k_a, k_s, np.zeros_like(k_s), None, params)
+        return ExcitonSpectrum(k_a, k_s, None, params)
 
     t = params.V0 / (2.0 * params.J)
     g = lambda k: np.sin(k * N / 2.0) * np.sin(k) + t * np.cos(k * N / 2.0)
@@ -136,14 +135,14 @@ def solve_exciton_spectrum(params):
             f"symmetric root count {len(k_s)} != N/2 = {N // 2}: completeness failed")
     resid = np.abs(np.tan(k_s * N / 2.0) * np.sin(k_s) + t)
     if np.max(resid) > 1e-7:
-        raise NumericalError("symmetric quantization residual above tolerance",
-                             residual=float(np.max(resid)))
+        raise NumericalError(f"symmetric quantization residual {np.max(resid):.2e} "
+                             "above tolerance")
 
     kpp = _bound_decay(params)
     kb = complex(0.0, kpp) if t > 0 else complex(math.pi, kpp)
     e_b = exciton_dispersion(kb, params)
     bound = ExcitonBoundState(kb, e_b, _bound_profile(kb, params))
-    return ExcitonSpectrum(k_a, k_s, np.tan(k_s * N / 2.0), bound, params)
+    return ExcitonSpectrum(k_a, k_s, bound, params)
 
 
 def exciton_reflection_amplitude(k, params):

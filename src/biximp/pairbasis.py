@@ -24,7 +24,7 @@ correction to K_a is exponentially small in N.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,18 +199,18 @@ def folded_amplitudes(vec, basis):
 
 
 def _fit_decay(ds, ps, period_half, d_lo, d_hi):
-    """Ring-aware decay fit; returns (rate, r2), and (inf, 1) without a
+    """Ring-aware decay rate; 0 without a usable fit, and inf without a
     fit when at most LOCALIZED_TAIL of the weight lies at d >= d_lo."""
     tot = ps.sum()
     if tot <= 0:
-        return 0.0, 0.0
+        return 0.0
     tail = ps[ds >= d_lo].sum()
     if tail <= LOCALIZED_TAIL * tot:
-        return math.inf, 1.0
+        return math.inf
     m = (ds >= d_lo) & (ds <= d_hi) & (ps > 1e-12 * ps.max())
     if m.sum() < 4:
-        return 0.0, 0.0
-    return fit_ring_decay(ds, ps, period_half, d_lo=d_lo, d_hi=d_hi)
+        return 0.0
+    return fit_ring_decay(ds, ps, period_half, d_lo=d_lo, d_hi=d_hi)[0]
 
 
 @dataclass
@@ -222,7 +222,6 @@ class StateClassification:
     decay_r: float
     decay_s: float
     antisymmetric: float      # <v|P|v>, -1 antisym / +1 sym
-    diagnostics: dict = field(default_factory=dict)
 
 
 def schmidt_number(vec, basis):
@@ -263,17 +262,16 @@ def classify_state(energy, vec, params, basis):
     tail_s = w[basis.sigma > N // 4].sum() / tot
 
     near_s = basis.sigma <= 2
-    kr, r2r = _fit_decay(*distance_profile(basis.cm_dist[near_s], w[near_s]),
-                         N, d_lo=4, d_hi=N - 6)
+    kr = _fit_decay(*distance_profile(basis.cm_dist[near_s], w[near_s]),
+                    N, d_lo=4, d_hi=N - 6)
     near_r = np.abs(basis.r) <= 3
-    ks, r2s = _fit_decay(*distance_profile(basis.sigma[near_r], w[near_r]),
-                         N // 2, d_lo=3, d_hi=N // 2 - 3)
+    ks = _fit_decay(*distance_profile(basis.sigma[near_r], w[near_r]),
+                    N // 2, d_lo=3, d_hi=N // 2 - 3)
 
     r_bound = tail_r < TAIL_BOUND_MAX
     s_bound = tail_s < TAIL_BOUND_MAX
 
     sym = reflection_expectation(vec, basis)
-    diag = {"tail_r": tail_r, "tail_s": tail_s, "r2_r": r2r, "r2_s": r2s}
 
     if r_bound and s_bound:
         label = "fully_bound"
@@ -286,7 +284,6 @@ def classify_state(energy, vec, params, basis):
         far = basis.sigma >= 8
         far_tot = w[far].sum()
         near0 = w[far & (basis.cm_dist <= 6)].sum()
-        diag["cm_fraction_at_large_s"] = near0 / far_tot if far_tot > 0 else 1.0
         if far_tot > 1e-6 and near0 / far_tot < 0.2:
             label = "one_exciton_bound"
         else:
@@ -295,9 +292,7 @@ def classify_state(energy, vec, params, basis):
         # occupation vs site ring distance from the impurity, m then n
         x = np.abs(np.stack((basis.m, basis.n), axis=1).ravel())
         ds_x, ps_x = distance_profile(np.minimum(x, N - x), np.repeat(w, 2))
-        core = ps_x[ds_x <= 2].sum() / ps_x.sum()
-        diag["site_core"] = core
-        if core >= SITE_CORE_MIN:
+        if ps_x[ds_x <= 2].sum() / ps_x.sum() >= SITE_CORE_MIN:
             label = "one_exciton_bound"
         else:
             label = "unclassified"
@@ -307,7 +302,7 @@ def classify_state(energy, vec, params, basis):
         type=label,
         in_continuum=in_continuum(energy, params),
         schmidt_number=schmidt_number(vec, basis),
-        decay_r=kr, decay_s=ks, antisymmetric=sym, diagnostics=diag)
+        decay_r=kr, decay_s=ks, antisymmetric=sym)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +334,8 @@ def find_bic_state(params, basis, spec):
     here diagonalizes.  Candidates within +-BIC_WINDOW of E_b1 (or E_b2 when
     that one is in band) are ranked by the probability mass concentrated
     near the impurity in both coordinates (separation <= 3, CM ring
-    distance <= 8).  Returns (energy, vector, classification).
+    distance <= 8).  Returns (energy, vector); the caller classifies the
+    state if it needs to (classify_state).
     """
     e1, e2 = bic_energies(params)
     target = e1 if in_continuum(e1, params) else e2
@@ -350,6 +346,4 @@ def find_bic_state(params, basis, spec):
         raise NumericalError(f"no eigenvalue within {BIC_WINDOW} of {target:.6f}")
     core = (basis.sigma <= 3) & (basis.cm_dist <= 8)
     best = int(cands[np.argmax((spec.states[np.ix_(core, cands)] ** 2).sum(axis=0))])
-    vec = spec.states[:, best]
-    cls = classify_state(spec.energies[best], vec, params, basis)
-    return spec.energies[best], vec, cls
+    return spec.energies[best], spec.states[:, best]

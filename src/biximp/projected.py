@@ -62,7 +62,7 @@ def impurity_overlap(modes):
     return B.conj() @ B.T
 
 
-def potential_matrix(modes, params, overlap):
+def potential_matrix(params, overlap):
     """Hermitian N x N impurity coupling V = (4 V0 / N) G in the mode basis.
 
     Real phi and the symmetric one-period s window make V Hermitian by
@@ -127,7 +127,7 @@ def build_projected_hamiltonian(params, modes=None, overlap=None):
     # the check below
     with np.errstate(invalid="ignore", over="ignore"):
         M = np.diag(modes.energies.astype(complex)) + potential_matrix(
-            modes, params, overlap)
+            params, overlap)
         ph = ProjectedHamiltonian(modes, M, params)
         herm = np.max(np.abs(M - M.conj().T))
     if not herm <= ph.tol:

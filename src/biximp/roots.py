@@ -103,8 +103,8 @@ def brentq(f, a, b, xtol=2e-12, rtol=BRENTQ_RTOL):
             xcur += delta if sbis > 0 else -delta
         fcur = fx(xcur)
     raise NumericalError(
-        f"Brent's method did not converge in {BRENTQ_MAXITER} iterations; value {xcur!r}",
-        residual=fcur)
+        f"Brent's method did not converge in {BRENTQ_MAXITER} iterations; "
+        f"value {xcur!r}, residual {fcur!r}")
 
 
 def fminbound(func, x1, x2, xtol=1e-5):

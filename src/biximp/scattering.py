@@ -140,7 +140,7 @@ def find_pole(params):
             f"(scanned K'' up to {POLE_K_MAX})")
     resid = abs(f(k))
     if resid > POLE_RESIDUAL_TOL:
-        raise NumericalError("pole residual above tolerance", residual=resid)
+        raise NumericalError(f"pole residual {resid:.2e} above tolerance")
     a = 2.0 * p.J * np.cos(kp + 1j * k) / p.D
     energy = 2.0 * p.E0 + (p.D * (1.0 + a * a)).real
     return PoleResult(kp, k, energy, resid)

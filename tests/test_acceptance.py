@@ -44,14 +44,14 @@ import time
 import numpy as np
 import pytest
 
-from biximp import (ModeBasis, ModelParams, ReducedDensity, WavepacketConfig,
-                    bic_energies, build_projected_hamiltonian, calibrate_v0,
-                    classify_bound_states, diagonalize_full,
+from biximp import (ModeBasis, ModelParams, WavepacketConfig, bic_energies,
+                    build_projected_hamiltonian, calibrate_v0,
+                    classify_bound_states, classify_state, diagonalize_full,
                     diagonalize_projected, entropy,
                     exciton_reflection_amplitude, find_bic_state, find_pole,
                     fringe_visibility, impurity_overlap, init_wavepacket,
-                    interference_profile, phase_diagram, propagate,
-                    reduced_density, split_ratio)
+                    phase_diagram, propagate, reduced_density, schmidt_weights,
+                    split_ratio)
 from biximp.dynamics import energy_expectation
 from biximp.exciton import bound_energies_from_matrix
 from biximp.pairbasis import build_pair_hamiltonian
@@ -153,16 +153,23 @@ def test_criterion_4_pole_agreement():
 
 # -- criterion 5: bound state in the continuum --------------------------------
 
+def classified_bic(p):
+    """find_bic_state's energy and the state's classification."""
+    basis, spec = diagonalize_full(p)
+    e_num, vec = find_bic_state(p, basis, spec)
+    return e_num, classify_state(e_num, vec, p, basis)
+
+
 def test_criterion_5_bic():
     t0 = time.perf_counter()
     p = ModelParams(N=40, J=1.0, D=4.1, E0=0.0, V0=8.0)
     e1, _ = bic_energies(p)
-    e_num, _, cls = find_bic_state(p, *diagonalize_full(p))
+    e_num, cls = classified_bic(p)
     ok_strong = (abs(e1 - 3.9799) < 1e-3 and abs(e_num - e1) < 1e-2
                  and cls.in_continuum and cls.schmidt_number < 1.1)
     p2 = p.replace(V0=1.0)
     f1, _ = bic_energies(p2)
-    f_num, _, cls2 = find_bic_state(p2, *diagonalize_full(p2))
+    f_num, cls2 = classified_bic(p2)
     ok_weak = abs(f_num - f1) < 5e-2 and cls2.schmidt_number > 1.1
     dt = budget(t0, 30.0, "criterion 5")
     report("criterion 5 (bound state in the continuum)",
@@ -182,10 +189,10 @@ CONFIG = WavepacketConfig(K0=3 * np.pi / 8, dK0=np.pi / 24,
 @pytest.fixture(scope="module")
 def canonical_run():
     modes = ModeBasis(CANON)
-    v0 = calibrate_v0(modes, impurity_overlap(modes), CONFIG)
+    state0 = init_wavepacket(CONFIG, modes)
+    v0 = calibrate_v0(modes, impurity_overlap(modes), state0, CONFIG.K0)
     params = CANON.replace(V0=v0)
     ph = build_projected_hamiltonian(params)
-    state0 = init_wavepacket(CONFIG, ph.modes)
     return params, ph, state0
 
 
@@ -207,7 +214,12 @@ def window_density(psi, slots):
     win = np.where(slots >= 0, psi[slots], 0.0)
     rho = win @ win.conj().T
     rho /= np.real(np.trace(rho))
-    return ReducedDensity(rho, np.clip(np.linalg.eigvalsh(rho), 0.0, None))
+    return rho
+
+
+def projected_entropy(state, modes):
+    """Entropy of the projected run's CM density matrix."""
+    return entropy(schmidt_weights(state.u, modes))
 
 
 @pytest.fixture(scope="module")
@@ -222,16 +234,16 @@ def exact_run(canonical_run, exact_pair_run):
 
 def test_criterion_6a_initial_entropy(canonical_run):
     _, ph, st0 = canonical_run
-    s0 = entropy(reduced_density(st0, ph.modes))
+    s0 = projected_entropy(st0, ph.modes)
     report("criterion 6a (initial entropy 0.18 +- 0.02)",
            abs(s0 - 0.18) <= 0.02, f"S(-30) = {s0:.4f}")
 
 
 def test_criterion_6b_free_flight_entropy(canonical_run):
     _, ph, st0 = canonical_run
-    s0 = entropy(reduced_density(st0, ph.modes))
-    drift = max(abs(entropy(reduced_density(propagate(st0, ph, t), ph.modes))
-                    - s0) for t in np.arange(-30.0, -24.9, 1.0))
+    s0 = projected_entropy(st0, ph.modes)
+    drift = max(abs(projected_entropy(propagate(st0, ph, t), ph.modes) - s0)
+                for t in np.arange(-30.0, -24.9, 1.0))
     report("criterion 6b (free-flight entropy drift <= 3e-2)",
            drift <= 3e-2, f"max |dS| = {drift:.4f}")
 
@@ -274,10 +286,10 @@ def test_criterion_6e_energy_expectation(canonical_run, exact_run):
 def test_criterion_6f_entropy_after_scattering(canonical_run, exact_run):
     _, ph, st0 = canonical_run
     _, exact_density = exact_run
-    s0 = entropy(reduced_density(st0, ph.modes))
-    s35 = entropy(reduced_density(propagate(st0, ph, 35.0), ph.modes))
-    x0 = entropy(exact_density(CONFIG.t_start))
-    x35 = entropy(exact_density(35.0))
+    s0 = projected_entropy(st0, ph.modes)
+    s35 = projected_entropy(propagate(st0, ph, 35.0), ph.modes)
+    x0 = entropy(np.linalg.eigvalsh(exact_density(CONFIG.t_start)))
+    x35 = entropy(np.linalg.eigvalsh(exact_density(35.0)))
     ds, dx = s35 - s0, x35 - x0
     # the same state on the same window before the collision; afterwards
     # the projection must carry the exact increment to within half of it
@@ -293,9 +305,9 @@ def test_criterion_6f_entropy_after_scattering(canonical_run, exact_run):
 def test_criterion_6g_visibility_loss(canonical_run, exact_run):
     params, ph, st0 = canonical_run
     _, exact_density = exact_run
-    prof = interference_profile(propagate(st0, ph, 54.0), ph.modes)
-    vis = fringe_visibility(prof, params.N)
-    vis_x = fringe_visibility(exact_density(54.0).diagonal(), params.N)
+    rho = reduced_density(propagate(st0, ph, 54.0), ph.modes)
+    vis = fringe_visibility(np.real(np.diag(rho)), params.N)
+    vis_x = fringe_visibility(np.real(np.diag(exact_density(54.0))), params.N)
     loss, loss_x = 100.0 * (1.0 - vis), 100.0 * (1.0 - vis_x)
     # fringes form (visibility > 0) and some coherence is lost (< 1)
     ok = (abs(loss - loss_x) <= 3.0

@@ -27,8 +27,6 @@ ALLOWED = {
         "tests check the split at buffers 2, 4 and 6 against the window sum",
     "dynamics.split_ratio.strict": "calibration probes skip the timing gate",
     "dynamics.calibrate_v0.target": "the wavepacket split_target key",
-    "errors.NumericalError.__init__.residual":
-        "root solvers attach their residual; other failures have none",
     "params.ModelParams.replace.**kwargs": "any subset of the model fields",
     "projected.checked_eigh.what":
         "names the projected or the pair Hamiltonian in the error",

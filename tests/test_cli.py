@@ -55,12 +55,17 @@ def test_malformed_phase_diagram_value_exit_code(tmp_path):
     assert main(["phase-diagram", "--config", path, "--out", str(tmp_path)]) == 2
 
 
-def test_malformed_wavepacket_value_exit_code(tmp_path):
-    cfg = {"model": {"N": 40, "J": -1.0, "D": -4.5, "V0": 0.5474},
-           "wavepacket": {"K0": "fast", "dK0": 0.1,
-                          "t_start": -30.0, "t_end": -25.0}}
-    path = write_cfg(tmp_path / "c.yaml", cfg)
-    assert main(["wavepacket", "--config", path, "--out", str(tmp_path)]) == 2
+def test_malformed_wavepacket_value_exit_code(tmp_path, capsys):
+    # calibrate_v0 takes YAML booleans only: the string "false" is truthy
+    for key, value in (("K0", "fast"), ("calibrate_v0", "false"),
+                       ("calibrate_v0", "no"), ("calibrate_v0", 1),
+                       ("calibrate_v0", None)):
+        _config_error(tmp_path, capsys, "wavepacket", "wavepacket", key, value)
+
+
+def test_malformed_exciton_value_exit_code(tmp_path, capsys):
+    for value in ("no", "false", 0, None):
+        _config_error(tmp_path, capsys, "exciton", "exciton", "sign_cases", value)
 
 
 def test_malformed_poles_value_exit_code(tmp_path, capsys):
@@ -164,6 +169,28 @@ def test_exciton_command(tmp_path):
     assert any(line.endswith(",true") for line in text[1:])
 
 
+def test_exciton_sign_cases_at_v0_zero(tmp_path):
+    """The four sign cases keep four names when V0 = 0 has no sign."""
+    cfg = write_cfg(tmp_path / "c.yaml", {
+        "model": {"N": 16, "J": 1.0, "D": 5.0, "V0": 0.0},
+        "exciton": {"sign_cases": True}})
+    assert main(["exciton", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+        "exciton_J+V+.csv", "exciton_J+V-.csv", "exciton_J-V+.csv",
+        "exciton_J-V-.csv"]
+
+
+def test_exciton_out_directory_named_csv(tmp_path):
+    """An output directory whose name contains ".csv" is not renamed."""
+    cfg = write_cfg(tmp_path / "c.yaml", dict(BASE, exciton={"sign_cases": True}))
+    out = tmp_path / "res.csv.d"
+    assert main(["exciton", "--config", cfg, "--out", str(out), "--plots"]) == 0
+    names = {p.name for p in out.iterdir()}
+    assert {"exciton_J+V+.csv", "exciton_J+V+_bound_profile.csv",
+            "exciton_J+V+.gp"} <= names and len(names) == 12
+    assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == ["res.csv.d"]
+
+
 def test_exciton_v0_zero_no_bound(tmp_path):
     cfg = write_cfg(tmp_path / "c.yaml", {
         "model": {"N": 40, "J": 1.0, "D": 5.0, "V0": 0.0}})
@@ -239,6 +266,31 @@ def test_poles_command(tmp_path):
     assert (tmp_path / "pole_scan.gp").exists()
 
 
+def test_poles_builds_one_basis(monkeypatch, tmp_path):
+    """Both V0 signs share one ModeBasis and one impurity overlap:
+    neither depends on V0."""
+    from biximp import projected
+    from biximp.biexciton import ModeBasis
+    init, overlap = ModeBasis.__init__, projected.impurity_overlap
+    calls = {"ModeBasis": 0, "impurity_overlap": 0}
+
+    def counted_init(self, *args, **kwargs):
+        calls["ModeBasis"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_overlap(*args):
+        calls["impurity_overlap"] += 1
+        return overlap(*args)
+
+    monkeypatch.setattr(ModeBasis, "__init__", counted_init)
+    monkeypatch.setattr(projected, "impurity_overlap", counted_overlap)
+    cfg = {"model": {"N": 40, "J": 1.0, "D": 4.0, "V0": 0.25},
+           "poles": {"K_doubleprime_max": 1.0, "n_scan": 40}}
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    assert main(["poles", "--config", path, "--out", str(tmp_path)]) == 0
+    assert calls == {"ModeBasis": 1, "impurity_overlap": 1}
+
+
 def test_bic_command(tmp_path):
     cfg = dict(BASE)
     cfg["model"] = {"N": 40, "J": 1.0, "D": 4.1, "V0": 8.0}
@@ -267,6 +319,27 @@ def test_bic_solves_once(tmp_path, monkeypatch):
     assert main(["bic", "--config", path, "--out", str(tmp_path)]) == 0
     assert (tmp_path / "bic_amplitude.f64").exists()
     assert len(calls) == 1
+
+
+def test_bic_classifies_each_row_once(monkeypatch, tmp_path):
+    """The dumped state is one of the rows: classify_state runs once per
+    row of bic_classification.csv, and never again for the dump."""
+    classify = pairbasis.classify_state
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(pairbasis, "classify_state", counted)
+    cfg = {"model": {"N": 40, "J": 1.0, "D": 4.1, "V0": 8.0},
+           "bic": {"dump_amplitudes": True}}
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    assert main(["bic", "--config", path, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "bic_amplitude.f64").exists()
+    with open(tmp_path / "bic_classification.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and len(calls) == len(rows)
 
 
 def test_bic_holds_one_spectrum(tmp_path):
@@ -322,6 +395,21 @@ def test_wavepacket_split_target_below_free_reflection(tmp_path):
     path = write_cfg(tmp_path / "c.yaml", cfg)
     assert main(["wavepacket", "--config", path, "--out", str(tmp_path)]) == 0
     assert (tmp_path / "wavepacket_timeseries.csv").exists()
+
+
+def test_wavepacket_builds_one_packet(tmp_path):
+    """The calibration and the run share one initial packet, so a packet
+    clipped by the zone boundary warns once."""
+    cfg = {"model": {"N": 40, "J": -1.0, "D": -4.5, "E0": 0.0, "V0": 0.0},
+           "wavepacket": {"K0": 3 * np.pi / 8, "dK0": np.pi / 24,
+                          "t_start": -30.0, "t_end": -25.0,
+                          "calibrate_v0": True}}
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["wavepacket", "--config", path, "--out", str(tmp_path)]) == 0
+    clipped = [w for w in caught if "packet clipped" in str(w.message)]
+    assert len(clipped) == 1
 
 
 def test_wavepacket_regime_refusal(tmp_path):

@@ -9,9 +9,9 @@ import pytest
 from biximp import (ModelParams, RegimeError, TimingError,
                     WavepacketConfig, build_projected_hamiltonian,
                     calibrate_v0, contrast, entropy, fringe_visibility,
-                    init_wavepacket, interference_profile, mode_distribution,
-                    propagate, realspace_amplitude, reduced_density,
-                    schmidt_weights, split_ratio)
+                    init_wavepacket, mode_distribution, propagate,
+                    realspace_amplitude, reduced_density, schmidt_weights,
+                    split_ratio)
 from biximp import dynamics
 from biximp.biexciton import ModeBasis
 from biximp.dynamics import (WavepacketState, _extrema_contrast,
@@ -31,10 +31,11 @@ def canonical_config(t_end=60.0):
     return WavepacketConfig(K0=K0, dK0=DK0, t_start=-30.0, t_end=t_end)
 
 
-def basis_and_overlap(p):
-    """The (modes, overlap) pair calibrate_v0 takes, built for p."""
+def calibration_args(p, cfg):
+    """The (modes, overlap, packet, K0) calibrate_v0 takes, built for p
+    and the packet of cfg."""
     modes = ModeBasis(p)
-    return modes, impurity_overlap(modes)
+    return modes, impurity_overlap(modes), init_wavepacket(cfg, modes), cfg.K0
 
 
 @pytest.fixture(scope="module")
@@ -120,12 +121,14 @@ def test_single_mode_flat_in_r(ph):
 
 
 def test_reduced_density_properties(ph, u0):
-    rho = reduced_density(propagate(u0, ph, 10.0), ph.modes)
-    assert rho.trace == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(rho.rho - rho.rho.conj().T).max() < 1e-12
-    assert rho.eigenvalues.min() >= 0.0
-    s = entropy(rho)
-    assert 0.0 <= s <= math.log2(len(rho.eigenvalues))
+    st = propagate(u0, ph, 10.0)
+    rho = reduced_density(st, ph.modes)
+    assert np.real(np.trace(rho)) == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(rho - rho.conj().T).max() < 1e-12
+    ev = schmidt_weights(st.u, ph.modes)
+    assert ev.min() >= 0.0
+    s = entropy(ev)
+    assert 0.0 <= s <= math.log2(len(ev))
 
 
 def test_product_state_is_pure(ph):
@@ -133,15 +136,15 @@ def test_product_state_is_pure(ph):
     # parity): rank-1 density, zero entropy
     u = np.zeros(len(ph.modes), dtype=complex)
     u[-1] = 1.0     # K = pi/2, delta-localized relative profile
-    rho = reduced_density(WavepacketState(0.0, u), ph.modes)
-    assert entropy(rho) == pytest.approx(0.0, abs=1e-9)
-    assert rho.eigenvalues[-1] == pytest.approx(1.0, abs=1e-9)
+    ev = schmidt_weights(u, ph.modes)
+    assert entropy(ev) == pytest.approx(0.0, abs=1e-9)
+    assert ev[-1] == pytest.approx(1.0, abs=1e-9)
     # a generic single mode splits only across the two r-parity blocks
     u2 = np.zeros(len(ph.modes), dtype=complex)
     u2[7] = 1.0
-    rho2 = reduced_density(WavepacketState(0.0, u2), ph.modes)
-    assert np.sum(rho2.eigenvalues > 1e-10) == 2
-    assert entropy(rho2) <= 1.0
+    ev2 = schmidt_weights(u2, ph.modes)
+    assert np.sum(ev2 > 1e-10) == 2
+    assert entropy(ev2) <= 1.0
 
 
 def _k_space_states(N):
@@ -167,7 +170,7 @@ def test_schmidt_weights_match_explicit_density(N):
     """The K-space Schmidt spectrum equals eigvalsh of the explicit 2N x 2N rho."""
     ph, states = _k_space_states(N)
     for label, st in states:
-        rho = reduced_density(st, ph.modes).rho
+        rho = reduced_density(st, ph.modes)
         want = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
         got = schmidt_weights(st.u, ph.modes)
         assert got.shape == (2 * N,), label
@@ -181,11 +184,12 @@ def test_trajectory_entropy_matches_reduced_density():
     the single-time path sample by sample, through the collision."""
     p = canonical_params(V0=0.5474)
     ph = build_projected_hamiltonian(p)
-    traj = run_trajectory(ph, canonical_config())
-    assert len(traj.samples) == 91
-    for smp in traj.samples:
-        st = propagate(traj.initial, ph, smp.t)
-        assert abs(smp.entropy - entropy(reduced_density(st, ph.modes))) < 1e-12
+    st0 = init_wavepacket(canonical_config(), ph.modes)
+    samples = run_trajectory(ph, st0, canonical_config())
+    assert len(samples) == 91
+    for smp in samples:
+        st = propagate(st0, ph, smp.t)
+        assert abs(smp.entropy - entropy(schmidt_weights(st.u, ph.modes))) < 1e-12
         assert abs(smp.energy - energy_expectation(st, ph)) < 1e-12
         assert abs(smp.norm - st.norm) < 1e-12
 
@@ -218,12 +222,8 @@ def test_extrema_contrast():
 
 
 def test_entropy_corner_cases():
-    class Dummy:
-        eigenvalues = np.array([0.5, 0.5])
-    assert entropy(Dummy()) == pytest.approx(1.0)
-    class Pure:
-        eigenvalues = np.array([0.0, 1.0])
-    assert entropy(Pure()) == pytest.approx(0.0)
+    assert entropy(np.array([0.5, 0.5])) == pytest.approx(1.0)
+    assert entropy(np.array([0.0, 1.0])) == pytest.approx(0.0)
 
 
 def test_contrast_matrix(ph, u0):
@@ -241,7 +241,7 @@ def test_visibility_no_fringes_for_single_packet(ph):
     cfg = WavepacketConfig(K0=K0, dK0=DK0, t_start=-30.0, t_end=60.0,
                            r_offset=40.0)
     st = init_wavepacket(cfg, ph.modes)
-    prof = interference_profile(st, ph.modes)
+    prof = np.real(np.diag(reduced_density(st, ph.modes)))
     assert fringe_visibility(prof, 40) == 0.0
 
 
@@ -271,10 +271,10 @@ def test_split_timing_error(ph, u0):
 def test_calibration(ph):
     p = canonical_params()
     cfg = canonical_config()
-    assert calibrate_v0(*basis_and_overlap(p), cfg, target=0.0) == 0.0
-    v0 = calibrate_v0(*basis_and_overlap(p), cfg)
+    assert calibrate_v0(*calibration_args(p, cfg), target=0.0) == 0.0
+    v0 = calibrate_v0(*calibration_args(p, cfg))
     assert v0 > 0  # opposite sign to D < 0
-    v0_again = calibrate_v0(*basis_and_overlap(p), cfg)
+    v0_again = calibrate_v0(*calibration_args(p, cfg))
     assert v0 == v0_again     # deterministic
     phc = build_projected_hamiltonian(p.replace(V0=v0))
     st = propagate(init_wavepacket(cfg, phc.modes), phc, 35.0)
@@ -288,8 +288,8 @@ def test_mirrored_packet_calibration():
     tol = 1e-10
     p, cfg = canonical_params(V0=0.0), canonical_config()
     mirrored = p.replace(J=-p.J, D=-p.D)
-    v0 = calibrate_v0(*basis_and_overlap(p), cfg)
-    v0_m = calibrate_v0(*basis_and_overlap(mirrored), cfg)
+    v0 = calibrate_v0(*calibration_args(p, cfg))
+    v0_m = calibrate_v0(*calibration_args(mirrored, cfg))
     assert abs(v0_m + v0) <= tol * abs(v0)
     splits = []
     for q in (p.replace(V0=v0), mirrored.replace(V0=v0_m)):
@@ -366,10 +366,11 @@ def test_split_gate_same_samples_as_window_sum():
     exactly the samples where the explicit window sum is ill-defined."""
     p = canonical_params(V0=0.5474)
     ph = build_projected_hamiltonian(p)
-    traj = run_trajectory(ph, canonical_config())
+    st0 = init_wavepacket(canonical_config(), ph.modes)
+    samples = run_trajectory(ph, st0, canonical_config())
     gated = 0
-    for smp in traj.samples:
-        refl, _, imp, anti = _window_split(propagate(traj.initial, ph, smp.t),
+    for smp in samples:
+        refl, _, imp, anti = _window_split(propagate(st0, ph, smp.t),
                                            ph.modes, 4)
         ill = _ill_defined(imp, anti)
         assert math.isnan(smp.reflected) == ill, smp.t
@@ -377,7 +378,7 @@ def test_split_gate_same_samples_as_window_sum():
             gated += 1
         else:
             assert abs(smp.reflected - refl) < 1e-12, smp.t
-    assert 0 < gated < len(traj.samples)
+    assert 0 < gated < len(samples)
 
 
 def _calibrate_v0_loop(p, cfg, target=0.5):
@@ -428,7 +429,7 @@ def test_calibration_equals_plain_bisection(monkeypatch, N, D, dK0):
     cfg = WavepacketConfig(K0=K0, dK0=dK0, t_start=-30.0, t_end=60.0)
     want = _calibrate_v0_loop(p, cfg)
     calls = _counting_builds(monkeypatch)
-    assert calibrate_v0(*basis_and_overlap(p), cfg) == want
+    assert calibrate_v0(*calibration_args(p, cfg)) == want
     assert len(calls) <= 20
 
 
@@ -443,7 +444,7 @@ def test_calibration_target_below_free_reflection(monkeypatch):
     r0 = split_ratio(st, ph0.modes, K0, strict=False)[0]
     for target in (r0, 0.5 * r0):
         want = _calibrate_v0_loop(p, cfg, target)
-        assert calibrate_v0(*basis_and_overlap(p), cfg, target=target) == want
+        assert calibrate_v0(*calibration_args(p, cfg), target=target) == want
 
 
 @pytest.mark.filterwarnings("ignore:packet clipped")
@@ -458,7 +459,7 @@ def test_calibration_warns_target_below_free_reflection():
     match = re.escape(f"split target {target} is at or below the V0 = 0 "
                       f"reflection {r0:.4f}")
     with pytest.warns(UserWarning, match=match) as caught:
-        calibrate_v0(*basis_and_overlap(p), cfg, target=target)
+        calibrate_v0(*calibration_args(p, cfg), target=target)
     assert not any("non-monotone" in str(w.message) for w in caught)
 
 
@@ -476,13 +477,11 @@ def test_mode_distribution(ph, u0):
 def test_trajectory_sampling():
     p = canonical_params(V0=0.5474)
     cfg = WavepacketConfig(K0=K0, dK0=DK0, t_start=-30.0, t_end=-20.0)
-    traj = run_trajectory(build_projected_hamiltonian(p.replace(V0=0.5474)), cfg)
-    assert len(traj.samples) == 11
-    assert all(abs(s.norm - 1.0) < 1e-10 for s in traj.samples)
-    s0 = traj.at(-30.0)
-    assert s0.entropy == pytest.approx(0.192, abs=0.01)
-    with pytest.raises(TimingError):
-        traj.at(-29.5)
+    ph = build_projected_hamiltonian(p.replace(V0=0.5474))
+    samples = run_trajectory(ph, init_wavepacket(cfg, ph.modes), cfg)
+    assert [s.t for s in samples] == [-30.0 + i for i in range(11)]
+    assert all(abs(s.norm - 1.0) < 1e-10 for s in samples)
+    assert samples[0].entropy == pytest.approx(0.192, abs=0.01)
 
 
 def _full_basis_reflected(exact_pair_run, p, cfg, t_measure):

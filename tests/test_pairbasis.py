@@ -343,10 +343,17 @@ def test_free_biexciton_classification():
     assert cls.decay_s > 0.3
 
 
+def classified_bic(p):
+    """find_bic_state's (energy, vector) and the state's classification."""
+    basis, spec = diagonalize_full(p)
+    e_num, vec = find_bic_state(p, basis, spec)
+    return e_num, vec, classify_state(e_num, vec, p, basis)
+
+
 def test_bic_strong_impurity_classification():
     p = ModelParams(N=40, J=1.0, D=4.1, V0=8.0)
     e1, _ = bic_energies(p)
-    e_num, vec, cls = find_bic_state(p, *diagonalize_full(p))
+    e_num, vec, cls = classified_bic(p)
     assert abs(e_num - e1) < 1e-2
     assert cls.type == "fully_bound"
     assert cls.in_continuum
@@ -357,7 +364,7 @@ def test_bic_strong_impurity_classification():
 def test_bic_weak_impurity_entangled():
     p = ModelParams(N=40, J=1.0, D=4.1, V0=1.0)
     e1, _ = bic_energies(p)
-    e_num, vec, cls = find_bic_state(p, *diagonalize_full(p))
+    e_num, vec, cls = classified_bic(p)
     assert abs(e_num - e1) < 5e-2
     assert cls.schmidt_number > 1.1
 
@@ -386,7 +393,7 @@ def test_reflection_operator_is_symmetry(fig2_params):
     # P commutes with H: a non-degenerate bound state has definite parity,
     # and the doubly-bound in-band state sits in the antisymmetric sector
     p = fig2_params.replace(V0=8.0)
-    _, vec, cls = find_bic_state(p, *diagonalize_full(p))
+    _, vec, cls = classified_bic(p)
     assert cls.antisymmetric == pytest.approx(-1.0, abs=1e-6)
 
 

@@ -29,14 +29,14 @@ def count_fresh(params):
 
 def test_v0_zero_matrix(fig2_params):
     modes = ModeBasis(fig2_params.replace(V0=0.0), "exact")
-    V = potential_matrix(modes, modes.params, impurity_overlap(modes))
+    V = potential_matrix(modes.params, impurity_overlap(modes))
     assert np.abs(V).max() == 0.0
 
 
 def test_diagonal_sign_and_reality(fig2_params):
     for v0 in (4.0, -4.0):
         modes = ModeBasis(fig2_params.replace(V0=v0), "exact")
-        V = potential_matrix(modes, modes.params, impurity_overlap(modes))
+        V = potential_matrix(modes.params, impurity_overlap(modes))
         d = np.diag(V)
         assert np.abs(d.imag).max() < 1e-14
         assert np.all(np.sign(d.real) == np.sign(v0))
@@ -46,7 +46,7 @@ def test_brute_force_projection_oracle(fig2_params):
     """V_KK' equals the site-basis impurity projected onto the modes."""
     p = fig2_params
     modes = ModeBasis(p, "exact")
-    V = potential_matrix(modes, modes.params, impurity_overlap(modes))
+    V = potential_matrix(modes.params, impurity_overlap(modes))
     basis, _ = build_pair_hamiltonian(p.replace(V0=0.0))
     vdiag = p.V0 * ((basis.m == 0).astype(float) + (basis.n == 0))
     C = modes.pair_amplitudes()
@@ -207,11 +207,11 @@ def test_potential_matrix_with_reused_overlap(fig2_params):
     site0 = (basis.m == 0).astype(float) + (basis.n == 0)
     for v0 in (-3.0, 4.0):
         p = fig2_params.replace(V0=v0)
-        V = potential_matrix(modes, p, G)
+        V = potential_matrix(p, G)
         V_exact = np.einsum("ip,p,jp->ij", C.conj(), v0 * site0, C)
         assert np.abs(V - V_exact).max() < 1e-10
         fresh = ModeBasis(p, "exact")
-        assert np.array_equal(V, potential_matrix(fresh, p, impurity_overlap(fresh)))
+        assert np.array_equal(V, potential_matrix(p, impurity_overlap(fresh)))
 
 
 REAL_CASES = [(1.0, 4.1, 4.0), (1.0, 4.1, -4.0), (1.0, 2.1, 5.0),
@@ -278,7 +278,7 @@ def test_gates_scale_with_the_matrix(monkeypatch, V0):
     ph = build_projected_hamiltonian(p, modes=modes)
     diagonalize_projected(ph)
     eps = 1e-10 * np.abs(ph.M).max()
-    V = potential_matrix(modes, p, impurity_overlap(modes))
+    V = potential_matrix(p, impurity_overlap(modes))
     V[0, 1] += eps * 1j
     monkeypatch.setattr(projected, "potential_matrix", lambda *args: V)
     with pytest.raises(NumericalError, match="not Hermitian"):
@@ -532,7 +532,7 @@ def test_eigh_failure_is_a_numerical_error():
     modes = ModeBasis(p)
     with np.errstate(all="ignore"):
         M = np.diag(modes.energies.astype(complex)) + potential_matrix(
-            modes, p, impurity_overlap(modes))
+            p, impurity_overlap(modes))
     with pytest.raises(NumericalError, match="not real"):
         diagonalize_projected(ProjectedHamiltonian(modes, M, p))
     with pytest.raises(NumericalError, match="not P-symmetric"):
