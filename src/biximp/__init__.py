@@ -6,7 +6,7 @@ diagonalization with bound-state taxonomy, and wavepacket entanglement
 dynamics.  See README.md for the command-line interface.
 """
 
-from .biexciton import ModeBasis, alpha, biexciton_energy, continuum_energy
+from .biexciton import ModeBasis, alpha, continuum_energy
 from .dynamics import (WavepacketConfig, WavepacketState, calibrate_v0,
                        contrast, entropy, fringe_visibility, init_wavepacket,
                        mode_distribution, propagate, realspace_amplitude,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ExistenceError, NumericalError, ParameterError
 from .params import k_grid
-from .roots import brentq, scan_roots
+from .roots import decay_root, scan_roots
 
 _LN2 = math.log(2.0)
 
@@ -103,15 +103,8 @@ def solve_relative_decay(K, params, parity, method="exact"):
             f"no bound relative root at K={K:.6f} "
             f"(parity {parity}, 1/alpha={1/a:.6f} below finite-N threshold)")
 
-    lo = 1e-14
-    hi = max(2.0 * seed, 1.0)
     f = lambda k: _ratio_residual(k, inv_alpha_log, N, parity)
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise NumericalError(f"bound-root bracket expansion failed: "
-                                 f"residual {f(hi):.2e} at {hi:.3g}")
-    root = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    root = decay_root(f, max(2.0 * seed, 1.0))
     resid = f(root)
     if abs(resid) > 1e-12:
         raise NumericalError(
@@ -132,12 +125,6 @@ def _pair_energy(K, k_i, params, method):
         a = alpha(K, params)
         return 2.0 * params.E0 + params.D * (1.0 + a * a)
     return 2.0 * params.E0 + 4.0 * params.J * math.cos(K) * math.cosh(k_i)
-
-
-def biexciton_energy(K, params, parity=0, method="exact"):
-    """Pair energy at CM mode K; raises ExistenceError where no bound root exists."""
-    return _pair_energy(K, solve_relative_decay(K, params, parity, method),
-                        params, method)
 
 
 def continuum_energy(K, k, params):
@@ -228,7 +215,10 @@ class ModeBasis:
 
     Ordered by increasing K: K (N,), l_K (N,), parity (N,), decay
     constants k_i (N,; inf at the delta limit), energies (N,) and phi
-    (N, 2N-1) with the s axis running over [-N+1, N-1].
+    (N, 2N-1) with the s axis running over [-N+1, N-1].  The lattice
+    conventions every observable shares: r (2N,), the extended CM ring
+    (-N, N]; and window (N,), the phi columns of one relative period
+    s in (-N/2, N/2].
     """
 
     def __init__(self, params, method="auto"):
@@ -236,7 +226,6 @@ class ModeBasis:
         if method == "auto":
             method = default_method(params)
         self.params = params
-        self.method = method
         self.l_K, self.K = k_grid(params)
         self.parity = np.abs(self.l_K) % 2
         K = self.K.tolist()
@@ -245,7 +234,11 @@ class ModeBasis:
         self.energies = np.array([_pair_energy(k, ki, params, method)
                                   for k, ki in zip(K, self.k_i.tolist())])
         self.phi = phi_samples(self.l_K, self.k_i, params)
-        self.s = np.arange(-params.N + 1, params.N)
+        N = params.N
+        self.s = np.arange(-N + 1, N)
+        self.r = np.arange(-N + 1, N + 1)
+        # index array, not a slice: products read the contiguous copy
+        self.window = np.arange(N // 2, N + N // 2)
 
     def __len__(self):
         return len(self.K)
@@ -253,12 +246,18 @@ class ModeBasis:
     @functools.cached_property
     def cm_phase(self):
         """CM phase matrix e^{iKr}, (2N, N), on the extended ring r in (-N, N]."""
-        N = self.params.N
-        return np.exp(1j * np.outer(np.arange(-N + 1, N + 1), self.K))
+        return np.exp(1j * np.outer(self.r, self.K))
 
     def band_edges(self):
         """Min/max of the discrete pair-energy band over the K grid."""
         return float(self.energies.min()), float(self.energies.max())
+
+    def out_of_band(self, e):
+        """Mask of the energies e that leave the band by more than 1e-9 |J|:
+        the bound-state energy gate."""
+        lo, hi = self.band_edges()
+        tol = 1e-9 * abs(self.params.J)
+        return (e < lo - tol) | (e > hi + tol)
 
     def group_velocity(self, K):
         """dE/dK of the large-N dispersion: -(4 J^2 / D) sin 2K."""

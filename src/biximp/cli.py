@@ -119,18 +119,14 @@ def cmd_biexciton_spectrum(cfg, out, fmt, plots):
     # classified from the basis (whose build checks the regime) and the
     # spectrum: M is freed once solved
     modes = ModeBasis(params)
-    spec = projected.diagonalize_projected(
-        projected.build_projected_hamiltonian(params, modes))
+    spec = projected.diagonalize_projected(projected.build_projected_hamiltonian(
+        params, modes, projected.impurity_overlap(modes)))
     recs = projected.classify_bound_states(spec, modes)
-    rows = []
-    bound_idx = {r.state_index: r for r in recs}
-    for mu in range(len(spec)):
-        r = bound_idx.get(mu)
-        rows.append((mu, spec.energies[mu],
-                     r.dominant_K if r else math.nan,
-                     r.re_K_class if r else "scattering",
-                     r.decay_rate if r else 0.0,
-                     r is not None))
+    rows = [(mu, e, math.nan, "scattering", 0.0, False)
+            for mu, e in enumerate(spec.energies)]
+    for r in recs:
+        rows[r.state_index] = (r.state_index, r.energy, r.dominant_K,
+                               r.re_K_class, r.decay_rate, True)
     write_table(out / "biexciton_spectrum.csv",
                 ("mu", "energy", "dominant_K", "class", "decay_rate", "bound_flag"),
                 rows, fmt)
@@ -190,10 +186,10 @@ def cmd_poles(cfg, out, fmt, plots):
         spec = projected.diagonalize_projected(
             projected.build_projected_hamiltonian(p, modes, G))
         lo, hi = modes.band_edges()
-        out_band = [(e, max(lo - e, e - hi)) for e in spec.energies
-                    if e < lo - 1e-9 or e > hi + 1e-9]
-        if out_band:
-            e_num = max(out_band, key=lambda t: t[1])[0]
+        e = spec.energies[modes.out_of_band(spec.energies)]
+        if len(e):
+            # the outermost state: the first of the largest band splits
+            e_num = e[np.argmax(np.maximum(lo - e, e - hi))]
             rel = abs(pole.energy - e_num) / abs(e_num - 2 * p.E0)
         else:
             e_num, rel = math.nan, math.nan
@@ -223,15 +219,14 @@ def cmd_bic(cfg, out, fmt, plots):
         e1, e2 = pairbasis.bic_energies(params)
     except BiximpError:
         e1 = e2 = math.nan
+    e = spec.energies
+    near = np.minimum(np.abs(e - e1), np.abs(e - e2))
     rows = []
-    for idx in range(len(spec)):
-        e = spec.energies[idx]
-        near = min(abs(e - e1), abs(e - e2)) if not math.isnan(e1) else math.inf
-        if near > 0.5:     # only analyze candidates near the closed forms
-            continue
-        cls = pairbasis.classify_state(e, spec.states[:, idx], params, basis)
-        rows.append((idx, e, cls.type, cls.in_continuum, cls.schmidt_number,
-                     cls.decay_r, cls.decay_s, near > tol))
+    # only candidates near the closed forms are analyzed; NaN selects none
+    for idx in np.flatnonzero(near <= 0.5):
+        cls = pairbasis.classify_state(e[idx], spec.states[:, idx], params, basis)
+        rows.append((idx, e[idx], cls.type, cls.in_continuum, cls.schmidt_number,
+                     cls.decay_r, cls.decay_s, near[idx] > tol))
     write_table(out / "bic_classification.csv",
                 ("index", "energy", "type", "in_continuum", "schmidt_number",
                  "decay_r", "decay_s", "mismatch_flag"), rows, fmt)
@@ -263,9 +258,9 @@ def cmd_wavepacket(cfg, out, fmt, plots):
     G = projected.impurity_overlap(modes)
     u0 = dynamics.init_wavepacket(config, modes)
     if calibrate:
-        v0 = dynamics.calibrate_v0(modes, G, u0, config.K0, target=target)
+        v0 = dynamics.calibrate_v0(modes, G, u0, config.K0, target)
         params = params.replace(V0=v0)
-    ph = projected.build_projected_hamiltonian(params, modes=modes, overlap=G)
+    ph = projected.build_projected_hamiltonian(params, modes, G)
     write_table(out / "wavepacket_timeseries.csv",
                 ("t", "entropy_bits", "norm", "energy", "reflected_prob"),
                 [(s.t, s.entropy, s.norm, s.energy, s.reflected)

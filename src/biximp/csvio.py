@@ -19,8 +19,6 @@ def format_value(v):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return f"{float(v):.17g}"
-    if isinstance(v, complex):
-        return f"{v.real:.17g}{v.imag:+.17g}j"
     return str(v)
 
 
@@ -40,7 +38,7 @@ def json_value(v):
 def write_json(path, header, rows):
     payload = [dict(zip(header, map(json_value, row))) for row in rows]
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, default=format_value, allow_nan=False)
+        json.dump(payload, fh, indent=1, allow_nan=False)
         fh.write("\n")
 
 

@@ -56,18 +56,18 @@ diagonal, N sum_K |u_K|^2 (G_0 + G_1)[K, K].
 
 A weight even on the ring (c(-r) = c(r), with r = N the same site as
 r = -N) has a real symmetric Q_c, so with u = a + ib its sum is
-a^T Q_c a + b^T Q_c b.  The buffers |r| <= buffer around the impurity
-and ||r| - N| <= buffer around the antipode are even.  The half-ring
-r < 0, plus half of each cut point r = 0 and r = N, has
+a^T Q_c a + b^T Q_c b.  The buffers |r| <= SPLIT_BUFFER around the
+impurity and ||r| - N| <= SPLIT_BUFFER around the antipode are even.
+The half-ring r < 0, plus half of each cut point r = 0 and r = N, has
 c = (1 - sigma)/2, where sigma(r) = sign(r) with sigma(N) = 0 is odd on
 the ring.  Its form is i R with R real antisymmetric, and
 sum_r sigma(r) w(r) = 2 a^T R b.  So that half holds
 (1 - 2 a^T R b / total)/2 and the other half takes the other sign.
 The reflected half is the one the packet arrives from, r v_g(K0) < 0:
 r < 0 for v_g(K0) > 0 (and, by convention, for v_g(K0) = 0), r > 0
-for v_g(K0) < 0.  The three real forms are built once per basis and
-buffer: a split costs one (3N x N)(N x 2) product, not the 2N^3
-operations of the window amplitude.
+for v_g(K0) < 0.  The three real forms are built once per basis: a
+split costs one (3N x N)(N x 2) product, not the 2N^3 operations of
+the window amplitude.
 """
 
 import functools
@@ -198,43 +198,40 @@ class _Grids:
     def __init__(self, modes):
         N = modes.params.N
         self.N = N
-        self.r = np.arange(-N + 1, N + 1)
+        self.r = modes.r
         self.l_K = modes.l_K
         self.FK = modes.cm_phase
-        win = (modes.s >= -N // 2 + 1) & (modes.s <= N // 2)
-        self.s_win = modes.s[win]
-        self.phi_win = modes.phi[:, win]
+        self.s_win = modes.s[modes.window]
+        self.phi_win = modes.phi[:, modes.window]
         self.phi_parity = [self.phi_win[:, self.s_win % 2 == p] for p in (0, 1)]
         self.mask_win = ((self.r[:, None] + self.s_win[None, :]) % 2 == 0)
         self.mask_full = ((self.r[:, None] + modes.s[None, :]) % 2 == 0)
         self.fold = np.where(np.abs(self.s_win) == N // 2, 1.0, 2.0)
         self.total_weight = N * (self.phi_win ** 2 @ self.fold)
-        self._forms = {}
 
-    def split_forms(self, buffer):
-        """The real forms Q_imp, Q_anti and R of the module docstring,
-        stacked row-wise into (3N, N).
+    @functools.cached_property
+    def split_forms(self):
+        """The real forms Q_imp, Q_anti and R of the module docstring for
+        buffers of SPLIT_BUFFER sites, stacked row-wise into (3N, N).
 
         sum_r c(r) e^{i pi k r / N} over the 2N sites r is 2N times the
         inverse DFT of c, placed at r mod 2N, at frequency k mod 2N; it
         is real for even c and imaginary for odd c.
         """
-        Q = self._forms.get(buffer)
-        if Q is None:
-            r, N = self.r, self.N
-            c = np.array([np.abs(r) <= buffer, np.abs(np.abs(r) - N) <= buffer,
-                          np.where(r == N, 0, np.sign(r))], dtype=float)
-            x = np.zeros((2, 3, 2 * N))
-            for p in (0, 1):
-                x[p][:, r % (2 * N)] = c * (r % 2 == p)
-            d = 2 * N * np.fft.ifft(x)
-            d = np.concatenate([d.real[:, :2], d.imag[:, 2:]], axis=1)
-            dl = (self.l_K[:, None] - self.l_K[None, :]) % (2 * N)
-            Q = np.zeros((3, N, N))
-            for p, phi in enumerate(self.phi_parity):
-                Q += d[p][:, dl] * ((phi * self.fold[self.s_win % 2 == p]) @ phi.T)
-            Q = self._forms[buffer] = Q.reshape(3 * N, N)
-        return Q
+        r, N = self.r, self.N
+        c = np.array([np.abs(r) <= SPLIT_BUFFER,
+                      np.abs(np.abs(r) - N) <= SPLIT_BUFFER,
+                      np.where(r == N, 0, np.sign(r))], dtype=float)
+        x = np.zeros((2, 3, 2 * N))
+        for p in (0, 1):
+            x[p][:, r % (2 * N)] = c * (r % 2 == p)
+        d = 2 * N * np.fft.ifft(x)
+        d = np.concatenate([d.real[:, :2], d.imag[:, 2:]], axis=1)
+        dl = (self.l_K[:, None] - self.l_K[None, :]) % (2 * N)
+        Q = np.zeros((3, N, N))
+        for p, phi in enumerate(self.phi_parity):
+            Q += d[p][:, dl] * ((phi * self.fold[self.s_win % 2 == p]) @ phi.T)
+        return Q.reshape(3 * N, N)
 
 
 def _grids(modes):
@@ -346,15 +343,15 @@ def check_partition(imp, anti):
     buffer may hold up to 5% and the antipode buffer up to 10% of the
     weight, each plus SUM_ROUNDING.  A weight that equals a limit in
     exact arithmetic (a state flat in r, such as the zone-edge mode at
-    N = 40 with buffer 2, whose impurity weight is 2/40) therefore
-    passes however its sum rounds.
+    N = 80, whose impurity weight is 4/80) therefore passes however its
+    sum rounds.
     """
     if max(imp - IMPURITY_WEIGHT_MAX, anti - ANTIPODE_WEIGHT_MAX) > SUM_ROUNDING:
         raise TimingError(f"partition ill-defined: {imp:.1%} at the impurity, "
                           f"{anti:.1%} at the antipode")
 
 
-def split_ratio(state, modes, K0, buffer=SPLIT_BUFFER, strict=True):
+def split_ratio(state, modes, K0, strict=True):
     """(reflected, transmitted) probability on the two half-rings.
 
     A packet centred on K0 moves with the group velocity v_g(K0), so it
@@ -373,7 +370,7 @@ def split_ratio(state, modes, K0, buffer=SPLIT_BUFFER, strict=True):
     """
     g = _grids(modes)
     ab = np.stack([state.u.real, state.u.imag], axis=1)     # u = a + ib
-    y = (g.split_forms(buffer) @ ab).reshape(3, -1, 2)
+    y = (g.split_forms @ ab).reshape(3, -1, 2)
     total = g.total_weight @ np.abs(state.u) ** 2
     imp, anti = np.sum(y[:2] * ab, axis=(1, 2)) / total
     sigma = 2.0 * (ab[:, 0] @ y[2, :, 1]) / total
@@ -385,7 +382,7 @@ def split_ratio(state, modes, K0, buffer=SPLIT_BUFFER, strict=True):
     return float(refl), float(trans)
 
 
-def calibrate_v0(modes, overlap, u0, K0, target=0.5):
+def calibrate_v0(modes, overlap, u0, K0, target):
     """Impurity strength giving the target reflected fraction of the
     packet `u0` centred on K0, on the run's `modes` and their impurity
     `overlap` (neither depends on V0).
@@ -413,7 +410,7 @@ def calibrate_v0(modes, overlap, u0, K0, target=0.5):
     @functools.cache
     def reflected(v0_abs):
         trial = params_template.replace(V0=float(sgn * v0_abs))
-        ph = build_projected_hamiltonian(trial, modes=modes, overlap=overlap)
+        ph = build_projected_hamiltonian(trial, modes, overlap)
         u = propagate(u0, ph, CALIBRATION_T)
         # scan probes skip the timing gate: strong trial potentials leave
         # lingering weight near the impurity by design

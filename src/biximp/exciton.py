@@ -25,7 +25,7 @@ import numpy as np
 
 from .biexciton import log_cosh
 from .errors import NumericalError, ParameterError
-from .roots import brentq, scan_roots
+from .roots import decay_root, scan_roots
 
 BOUND_SPLIT_TOL = 1e-9  # energy split below this does not count as bound
 
@@ -56,10 +56,7 @@ def _bound_decay(params):
     """Finite-N k'' root of tanh(k'' N/2) sinh k'' = |V0/2J|."""
     t = abs(params.V0 / (2.0 * params.J))
     f = lambda k: math.tanh(k * params.N / 2.0) * math.sinh(k) - t
-    hi = math.asinh(t) + 1.0
-    while f(hi) < 0:
-        hi *= 2.0
-    return brentq(f, 1e-14, hi, xtol=1e-15, rtol=8.9e-16)
+    return decay_root(f, math.asinh(t) + 1.0)
 
 
 @dataclass(frozen=True)

@@ -56,9 +56,8 @@ def impurity_overlap(modes):
 
     Depends on the basis only, so one G serves every V0 of a basis.
     """
-    N = modes.params.N
-    sel = (modes.s >= -N // 2 + 1) & (modes.s <= N // 2) & (modes.s != 0)
-    B = modes.phi[:, sel] * np.exp(1j * np.outer(modes.K, modes.s[sel]))
+    cols = modes.window[modes.s[modes.window] != 0]
+    B = modes.phi[:, cols] * np.exp(1j * np.outer(modes.K, modes.s[cols]))
     return B.conj() @ B.T
 
 
@@ -116,13 +115,10 @@ class ProjectedHamiltonian:
         return self._eig
 
 
-def build_projected_hamiltonian(params, modes=None, overlap=None):
-    """M for `params`; a prebuilt basis (and its overlap) of the same D,
-    J, E0 and N may be passed in, since neither depends on V0."""
-    if modes is None:
-        modes = ModeBasis(params)
-    if overlap is None:
-        overlap = impurity_overlap(modes)
+def build_projected_hamiltonian(params, modes, overlap):
+    """M for `params` on the basis `modes` of the same D, J, E0 and N and
+    its impurity `overlap`; neither depends on V0, so one pair serves
+    every V0."""
     # an overflowing V0 leaves inf * 0 and inf - inf, NaN, which fails
     # the check below
     with np.errstate(invalid="ignore", over="ignore"):
@@ -235,9 +231,7 @@ def diagonalize_projected(ph):
 
 def cm_amplitude(u, modes):
     """Psi(r, 1) = sum_K u_K e^{iKr} phi_K(1) on the extended r ring (-N, N]."""
-    N = modes.params.N
-    r = np.arange(-N + 1, N + 1)
-    return r, modes.cm_phase @ (u * modes.phi[:, N])
+    return modes.r, modes.cm_phase @ (u * modes.phi[:, modes.params.N])
 
 
 def ring_decay_profile(U, modes):
@@ -251,7 +245,7 @@ def ring_decay_profile(U, modes):
     """
     N = modes.params.N
     rows = slice(0, None, 2)    # row i holds r = i - N + 1: r odd
-    r = np.arange(-N + 1, N + 1)[rows]
+    r = modes.r[rows]
     psi = modes.cm_phase[rows] @ (U * modes.phi[:, N, None])
     # the odd distances 1 .. N - 1: d sits in slot d // 2
     ds = np.arange(1, N + 1, 2)
@@ -342,18 +336,14 @@ def bound_candidates(spectrum, modes):
     """Yield (mu, ds, ps) for the states that pass both bound-state gates.
 
     A state is bound when its energy leaves the discrete impurity-free
-    band and the far-tail mass of |Psi(r, 1)|^2 (beyond mid-ring) stays
-    below TAIL_FRACTION_MAX; (ds, ps) is its ring decay profile.  The
-    profiles of all out-of-band states come from one ring_decay_profile
-    product.  N and J are those of modes.params.
+    band (ModeBasis.out_of_band) and the far-tail mass of |Psi(r, 1)|^2
+    (beyond mid-ring) stays below TAIL_FRACTION_MAX; (ds, ps) is its ring
+    decay profile.  The profiles of all out-of-band states come from one
+    ring_decay_profile product.
     """
-    p = modes.params
-    lo, hi = modes.band_edges()
-    tol = 1e-9 * abs(p.J)
-    e = spectrum.energies
-    out = np.flatnonzero(~((lo - tol <= e) & (e <= hi + tol)))
+    out = np.flatnonzero(modes.out_of_band(spectrum.energies))
     ds, ps = ring_decay_profile(spectrum.states[:, out], modes)
-    tail = ps[ds > p.N // 2].sum(axis=0) / ps.sum(axis=0)
+    tail = ps[ds > modes.params.N // 2].sum(axis=0) / ps.sum(axis=0)
     for j in np.flatnonzero(~(tail > TAIL_FRACTION_MAX)):
         yield int(out[j]), ds, ps[:, j]
 

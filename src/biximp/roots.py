@@ -1,4 +1,5 @@
-"""Brent's root finder and bounded minimizer, the scan-and-polish root
+"""Brent's root finder and bounded minimizer, the bracket-and-polish
+root of the exciton and pair decay constants, the scan-and-polish root
 finding shared by the spectrum and pole solvers, and the Brent-steered
 bisection of the wavepacket impurity calibration.
 
@@ -107,7 +108,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=BRENTQ_RTOL):
         f"value {xcur!r}, residual {fcur!r}")
 
 
-def fminbound(func, x1, x2, xtol=1e-5):
+def fminbound(func, x1, x2, xtol):
     """Minimizer of func on the finite interval x1 <= x <= x2.
 
     Brent's golden-section search with parabolic interpolation, to an
@@ -185,6 +186,21 @@ def fminbound(func, x1, x2, xtol=1e-5):
         if num >= FMINBOUND_MAXFUN:
             break
     return xf
+
+
+def decay_root(f, hi):
+    """Root of a decay condition f, negative just above 0, on (1e-14, hi'].
+
+    hi' is the first of hi, 2 hi, 4 hi, ... with f(hi') >= 0; the root is
+    then polished to xtol 1e-15 and rtol 8.9e-16.  Raises NumericalError
+    once the bracket passes 1e6.
+    """
+    while f(hi) < 0.0:
+        hi *= 2.0
+        if hi > 1e6:
+            raise NumericalError(f"bound-root bracket expansion failed: "
+                                 f"residual {f(hi):.2e} at {hi:.3g}")
+    return brentq(f, 1e-14, hi, xtol=1e-15, rtol=8.9e-16)
 
 
 def scan_roots(f, grid, exact_zeros=True):

@@ -70,8 +70,7 @@ def s_function(k_prime, k_doubleprime, params):
     wavefunctions are complex conjugates and
     S = sum_s e^{-2|K''||s|} |phi_{K'-i|K''|}(s)|^2 is real by construction.
     """
-    N = params.N
-    s = np.arange(-N // 2 + 1, N // 2 + 1)
+    s = params.sites
     kp = np.asarray(k_prime, dtype=float)[..., None]
     kpp = np.abs(np.asarray(k_doubleprime, dtype=float))[..., None]
     phi = phi_complex_k(kp - 1j * kpp, s, params)
@@ -179,10 +178,10 @@ def continued_fraction_first_order(Kc, params, modes=None):
         a = 2.0 * p.J * np.cos(Kc) / p.D
         de = 2.0 * p.E0 + p.D * (1.0 + a * a) - modes.energies
         # V_QK continued to complex K on the one-period window, all Q at once
-        N = p.N
-        s = np.arange(-N // 2 + 1, N // 2 + 1)
+        s = p.sites
         phase = np.exp(1j * (Kc - modes.K[:, None]) * s)
-        v = 4.0 * p.V0 / N * (modes.phi[:, s + N - 1] * phase) @ phi_complex_k(Kc, s, p)
+        B = modes.phi[:, modes.window] * phase
+        v = 4.0 * p.V0 / p.N * B @ phi_complex_k(Kc, s, p)
         de[np.abs(de) < 1e-12] = np.inf         # resonant mode: no correction
         correction = beta / (beta - gamma) * v / de
     return FirstOrderScattering(beta, gamma, refl, correction)

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from biximp import ModelParams
+from biximp import ModeBasis, ModelParams
 from biximp.pairbasis import diagonalize_full
+from biximp.projected import build_projected_hamiltonian, impurity_overlap
+
+
+def projected_hamiltonian(params):
+    """The projected Hamiltonian of params on a basis and impurity overlap
+    built for it alone."""
+    modes = ModeBasis(params)
+    return build_projected_hamiltonian(params, modes, impurity_overlap(modes))
 
 
 @pytest.fixture(scope="session")

@@ -45,9 +45,8 @@ import numpy as np
 import pytest
 
 from biximp import (ModeBasis, ModelParams, WavepacketConfig, bic_energies,
-                    build_projected_hamiltonian, calibrate_v0,
-                    classify_bound_states, classify_state, diagonalize_full,
-                    diagonalize_projected, entropy,
+                    calibrate_v0, classify_bound_states, classify_state,
+                    diagonalize_full, diagonalize_projected, entropy,
                     exciton_reflection_amplitude, find_bic_state, find_pole,
                     fringe_visibility, impurity_overlap, init_wavepacket,
                     phase_diagram, propagate, reduced_density, schmidt_weights,
@@ -55,6 +54,7 @@ from biximp import (ModeBasis, ModelParams, WavepacketConfig, bic_energies,
 from biximp.dynamics import energy_expectation
 from biximp.exciton import bound_energies_from_matrix
 from biximp.pairbasis import build_pair_hamiltonian
+from conftest import projected_hamiltonian
 
 
 def report(criterion, ok, detail):
@@ -91,7 +91,7 @@ def test_criterion_2_multiplicities():
     counts = {}
     for D, V0 in ((4.1, 4.0), (-4.1, -4.0), (4.1, -4.0), (-4.1, 4.0)):
         p = ModelParams(N=40, J=float(np.sign(D)), D=D, E0=1000.0, V0=V0)
-        ph = build_projected_hamiltonian(p)
+        ph = projected_hamiltonian(p)
         recs = classify_bound_states(diagonalize_projected(ph), ph.modes)
         counts[(D, V0)] = (len(recs), {r.re_K_class for r in recs})
     ok = (counts[(4.1, 4.0)] == (4, {"near_zero"})
@@ -132,7 +132,7 @@ def test_criterion_4_pole_agreement():
     for v0 in (0.25, -0.25):
         p = ModelParams(N=40, J=1.0, D=4.0, V0=v0)
         pole = find_pole(p)
-        ph = build_projected_hamiltonian(p)
+        ph = projected_hamiltonian(p)
         spec = diagonalize_projected(ph)
         lo, hi = ph.modes.band_edges()
         outs = [(e, max(lo - e, e - hi)) for e in spec.energies
@@ -190,9 +190,9 @@ CONFIG = WavepacketConfig(K0=3 * np.pi / 8, dK0=np.pi / 24,
 def canonical_run():
     modes = ModeBasis(CANON)
     state0 = init_wavepacket(CONFIG, modes)
-    v0 = calibrate_v0(modes, impurity_overlap(modes), state0, CONFIG.K0)
+    v0 = calibrate_v0(modes, impurity_overlap(modes), state0, CONFIG.K0, 0.5)
     params = CANON.replace(V0=v0)
-    ph = build_projected_hamiltonian(params)
+    ph = projected_hamiltonian(params)
     return params, ph, state0
 
 
@@ -323,7 +323,7 @@ def test_criterion_7_property_suites():
     msgs = []
     # Hermiticity of every built matrix
     p = ModelParams(N=40, J=1.0, D=4.1, V0=4.0)
-    ph = build_projected_hamiltonian(p)
+    ph = projected_hamiltonian(p)
     h1 = np.abs(ph.M - ph.M.conj().T).max()
     _, H = build_pair_hamiltonian(p)
     h2 = np.abs(H - H.T).max()
@@ -335,7 +335,7 @@ def test_criterion_7_property_suites():
 
     # propagation unitarity & conservation on a fresh run
     pd = ModelParams(N=40, J=-1.0, D=-4.5, V0=0.7)
-    phd = build_projected_hamiltonian(pd)
+    phd = projected_hamiltonian(pd)
     st = init_wavepacket(WavepacketConfig(K0=3 * np.pi / 8, dK0=np.pi / 24,
                                           t_start=-30.0, t_end=10.0), phd.modes)
     e0 = energy_expectation(st, phd)

@@ -15,32 +15,24 @@ import biximp
 ALLOWED = {
     "biexciton.solve_relative_decay.method":
         "'exact' root or the 'large_n' closed form, picked by ModeBasis",
-    "biexciton.biexciton_energy.parity": "even or odd relative branch",
-    "biexciton.biexciton_energy.method": "'exact' or 'large_n', as above",
     "biexciton.closed_phi.parity": "even or odd relative branch",
+    # only tests set it; goes with large_n (ROADMAP item 2)
     "biexciton.ModeBasis.__init__.method":
         "'auto' in the commands; tests force 'exact' or 'large_n'",
     "cli.number.kind": "float, int or operator.index reads of a config value",
     "cli.main.argv": "sys.argv for the console script, a list in tests",
     "csvio.write_table.fmt": "--format csv or json",
-    "dynamics.split_ratio.buffer":
-        "tests check the split at buffers 2, 4 and 6 against the window sum",
     "dynamics.split_ratio.strict": "calibration probes skip the timing gate",
-    "dynamics.calibrate_v0.target": "the wavepacket split_target key",
     "params.ModelParams.replace.**kwargs": "any subset of the model fields",
     "projected.checked_eigh.what":
         "names the projected or the pair Hamiltonian in the error",
-    "projected.build_projected_hamiltonian.modes":
-        "V0 sweeps reuse one basis; single runs build their own",
-    "projected.build_projected_hamiltonian.overlap":
-        "V0 sweeps reuse one impurity overlap; single runs build their own",
     "projected.fit_ring_decay.d_lo":
         "the CM and the relative-coordinate fits start at different d",
     "projected.fit_ring_decay.d_hi": "likewise their window ends",
     "roots.brentq.xtol": "each root finder sets its own tolerance",
-    "roots.brentq.rtol": "the exciton decay root tightens it",
-    "roots.fminbound.xtol": "the ring-decay fit tightens it",
+    "roots.brentq.rtol": "the decay roots tighten it",
     "roots.scan_roots.exact_zeros": "find_pole skips exact grid zeros",
+    # only tests set it; goes with the first-order state (ROADMAP item 10)
     "scattering.continued_fraction_first_order.modes":
         "with a basis it also returns the scattered-state coefficients",
 }

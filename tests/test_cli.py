@@ -266,6 +266,27 @@ def test_poles_command(tmp_path):
     assert (tmp_path / "pole_scan.gp").exists()
 
 
+def test_poles_numeric_energy_scales_with_j(tmp_path):
+    """The band gate of the numeric pole partner scales with |J|: the
+    model at J = 1 (D = 4, V0 = 1e-4) and the same model times 1e-4,
+    where the states split off the band by about 5e-10, give the same
+    E_numeric / lambda and rel_err on both branches."""
+    summaries = []
+    for lam in (1.0, 1e-4):
+        cfg = {"model": {"N": 40, "J": lam, "D": 4 * lam, "E0": 0.0,
+                         "V0": 1e-4 * lam},
+               "poles": {"n_scan": 5}}
+        out = tmp_path / f"lam{lam:g}"
+        assert main(["poles", "--config", write_cfg(tmp_path / f"{lam:g}.yaml", cfg),
+                     "--out", str(out)]) == 0
+        with open(out / "pole_summary.csv") as fh:
+            summaries.append([[float(r["E_numeric"]) / lam, float(r["rel_err"])]
+                              for r in csv.DictReader(fh)])
+    ref, scaled = np.array(summaries)
+    assert np.isfinite(ref).all()
+    np.testing.assert_allclose(scaled, ref, rtol=1e-6, atol=0.0)
+
+
 def test_poles_builds_one_basis(monkeypatch, tmp_path):
     """Both V0 signs share one ModeBasis and one impurity overlap:
     neither depends on V0."""

@@ -14,10 +14,11 @@ from biximp import (ModelParams, RegimeError, TimingError,
                     split_ratio)
 from biximp import dynamics
 from biximp.biexciton import ModeBasis
-from biximp.dynamics import (WavepacketState, _extrema_contrast,
+from biximp.dynamics import (SPLIT_BUFFER, WavepacketState, _extrema_contrast,
                              energy_expectation, run_trajectory,
                              validate_dynamics_regime)
 from biximp.projected import impurity_overlap
+from conftest import projected_hamiltonian
 
 K0, DK0 = 3 * np.pi / 8, np.pi / 24
 
@@ -40,7 +41,7 @@ def calibration_args(p, cfg):
 
 @pytest.fixture(scope="module")
 def ph():
-    return build_projected_hamiltonian(canonical_params())
+    return projected_hamiltonian(canonical_params())
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +92,7 @@ def test_propagation_unitary_and_reversible(ph, u0):
 
 def test_free_propagation_preserves_moduli(ph):
     p0 = canonical_params(V0=0.0).replace(V0=0.0)
-    ph0 = build_projected_hamiltonian(p0)
+    ph0 = projected_hamiltonian(p0)
     st0 = init_wavepacket(canonical_config(), ph0.modes)
     st = propagate(st0, ph0, 20.0)
     np.testing.assert_allclose(np.abs(st.u), np.abs(st0.u), atol=1e-12)
@@ -149,7 +150,7 @@ def test_product_state_is_pure(ph):
 
 def _k_space_states(N):
     """(label, state) pairs: random complex, canonical packet, single modes."""
-    ph = build_projected_hamiltonian(canonical_params().replace(N=N))
+    ph = projected_hamiltonian(canonical_params().replace(N=N))
     rng = np.random.default_rng(N)
     states = []
     for seed in range(3):
@@ -183,7 +184,7 @@ def test_trajectory_entropy_matches_reduced_density():
     """run_trajectory's batched propagation and K-space entropy reproduce
     the single-time path sample by sample, through the collision."""
     p = canonical_params(V0=0.5474)
-    ph = build_projected_hamiltonian(p)
+    ph = projected_hamiltonian(p)
     st0 = init_wavepacket(canonical_config(), ph.modes)
     samples = run_trajectory(ph, st0, canonical_config())
     assert len(samples) == 91
@@ -248,7 +249,7 @@ def test_visibility_no_fringes_for_single_packet(ph):
 def test_split_ratio_limits(ph, u0):
     # V0 = 0: all transmitted
     p0 = canonical_params().replace(V0=0.0)
-    ph0 = build_projected_hamiltonian(p0)
+    ph0 = projected_hamiltonian(p0)
     st = propagate(init_wavepacket(canonical_config(), ph0.modes), ph0, 35.0)
     refl, trans = split_ratio(st, ph0.modes, K0)
     assert refl < 0.05 and trans > 0.95
@@ -256,7 +257,7 @@ def test_split_ratio_limits(ph, u0):
     # strong barrier: almost everything reflected (measured after the
     # bounce but before the reflected front reaches the antipode)
     pb = canonical_params().replace(V0=8.0)
-    phb = build_projected_hamiltonian(pb)
+    phb = projected_hamiltonian(pb)
     stb = propagate(init_wavepacket(canonical_config(), phb.modes), phb, 28.0)
     reflb, transb = split_ratio(stb, phb.modes, K0)
     assert reflb > 0.9
@@ -272,11 +273,11 @@ def test_calibration(ph):
     p = canonical_params()
     cfg = canonical_config()
     assert calibrate_v0(*calibration_args(p, cfg), target=0.0) == 0.0
-    v0 = calibrate_v0(*calibration_args(p, cfg))
+    v0 = calibrate_v0(*calibration_args(p, cfg), 0.5)
     assert v0 > 0  # opposite sign to D < 0
-    v0_again = calibrate_v0(*calibration_args(p, cfg))
+    v0_again = calibrate_v0(*calibration_args(p, cfg), 0.5)
     assert v0 == v0_again     # deterministic
-    phc = build_projected_hamiltonian(p.replace(V0=v0))
+    phc = projected_hamiltonian(p.replace(V0=v0))
     st = propagate(init_wavepacket(cfg, phc.modes), phc, 35.0)
     refl, trans = split_ratio(st, phc.modes, K0)
     assert abs(refl - 0.5) < 0.02
@@ -288,12 +289,12 @@ def test_mirrored_packet_calibration():
     tol = 1e-10
     p, cfg = canonical_params(V0=0.0), canonical_config()
     mirrored = p.replace(J=-p.J, D=-p.D)
-    v0 = calibrate_v0(*calibration_args(p, cfg))
-    v0_m = calibrate_v0(*calibration_args(mirrored, cfg))
+    v0 = calibrate_v0(*calibration_args(p, cfg), 0.5)
+    v0_m = calibrate_v0(*calibration_args(mirrored, cfg), 0.5)
     assert abs(v0_m + v0) <= tol * abs(v0)
     splits = []
     for q in (p.replace(V0=v0), mirrored.replace(V0=v0_m)):
-        ph = build_projected_hamiltonian(q)
+        ph = projected_hamiltonian(q)
         st = propagate(init_wavepacket(cfg, ph.modes), ph, 35.0)
         splits.append(split_ratio(st, ph.modes, cfg.K0))
     assert np.abs(np.subtract(*splits)).max() <= tol, splits
@@ -326,37 +327,39 @@ def _ill_defined(imp, anti):
 @pytest.mark.parametrize("N", [12, 40, 200])
 def test_split_ratio_matches_window_sum(N):
     """The K-space region forms give the explicit window sum's split and
-    raise TimingError for the same states and buffers, ties included;
-    the opposite arrival side swaps the two halves."""
+    raise TimingError for the same states, ties included; the opposite
+    arrival side swaps the two halves."""
     ph, states = _k_space_states(N)
     for label, st in states:
-        for buffer in (2, 4, 6):
-            want_r, want_t, imp, anti = _window_split(st, ph.modes, buffer)
-            refl, trans = split_ratio(st, ph.modes, K0, buffer, strict=False)
-            assert abs(refl - want_r) < 1e-12, (label, buffer)
-            assert abs(trans - want_t) < 1e-12, (label, buffer)
-            assert abs(refl + trans - 1.0) < 1e-14, (label, buffer)
-            # a packet arriving from r > 0 swaps the halves exactly
-            assert split_ratio(st, ph.modes, -K0, buffer, strict=False) == (trans, refl)
-            if _ill_defined(imp, anti):
-                with pytest.raises(TimingError):
-                    split_ratio(st, ph.modes, K0, buffer)
-            else:
-                assert split_ratio(st, ph.modes, K0, buffer) == (refl, trans)
+        want_r, want_t, imp, anti = _window_split(st, ph.modes, SPLIT_BUFFER)
+        refl, trans = split_ratio(st, ph.modes, K0, strict=False)
+        assert abs(refl - want_r) < 1e-12, label
+        assert abs(trans - want_t) < 1e-12, label
+        assert abs(refl + trans - 1.0) < 1e-14, label
+        # a packet arriving from r > 0 swaps the halves exactly
+        assert split_ratio(st, ph.modes, -K0, strict=False) == (trans, refl)
+        if _ill_defined(imp, anti):
+            with pytest.raises(TimingError):
+                split_ratio(st, ph.modes, K0)
+        else:
+            assert split_ratio(st, ph.modes, K0) == (refl, trans)
 
 
 @pytest.mark.filterwarnings("ignore:packet clipped")
 def test_partition_gate_passes_weight_at_limit():
-    """The zone-edge mode is flat in r: at N = 40 and buffer 2 its
-    impurity weight is 2/40, exactly the 5% limit.  Both the K-space
-    forms and the explicit window sum let it through, however each sum
-    rounds; a weight above the limit by more than rounding still fails."""
-    ph, states = _k_space_states(40)
-    st = dict(states)["mode 39"]
-    refl, trans, imp, anti = _window_split(st, ph.modes, 2)
+    """The zone-edge mode is flat in r and lives on odd r only: at
+    N = 80 the SPLIT_BUFFER = 4 sites around the impurity hold the four
+    odd r = +-1, +-3 of 80, 4/80, exactly the 5% limit.  Both the
+    K-space forms and the explicit window sum let it through, however
+    each sum rounds; a weight above the limit by more than rounding
+    still fails."""
+    assert SPLIT_BUFFER == 4
+    ph, states = _k_space_states(80)
+    st = dict(states)["mode 79"]
+    refl, trans, imp, anti = _window_split(st, ph.modes, SPLIT_BUFFER)
     assert abs(imp - 0.05) < 1e-15 and anti < 0.10
     assert not _ill_defined(imp, anti)
-    got = split_ratio(st, ph.modes, K0, 2)
+    got = split_ratio(st, ph.modes, K0)
     assert abs(got[0] - refl) < 1e-12 and abs(got[1] - trans) < 1e-12
     assert _ill_defined(0.05 + 1e-9, 0.0) and _ill_defined(0.0, 0.10 + 1e-9)
 
@@ -365,13 +368,13 @@ def test_split_gate_same_samples_as_window_sum():
     """Along the canonical trajectory the reflected fraction is NaN at
     exactly the samples where the explicit window sum is ill-defined."""
     p = canonical_params(V0=0.5474)
-    ph = build_projected_hamiltonian(p)
+    ph = projected_hamiltonian(p)
     st0 = init_wavepacket(canonical_config(), ph.modes)
     samples = run_trajectory(ph, st0, canonical_config())
     gated = 0
     for smp in samples:
         refl, _, imp, anti = _window_split(propagate(st0, ph, smp.t),
-                                           ph.modes, 4)
+                                           ph.modes, SPLIT_BUFFER)
         ill = _ill_defined(imp, anti)
         assert math.isnan(smp.reflected) == ill, smp.t
         if ill:
@@ -391,7 +394,7 @@ def _calibrate_v0_loop(p, cfg, target=0.5):
 
     def reflected(v0_abs):
         ph = build_projected_hamiltonian(p.replace(V0=float(sgn * v0_abs)),
-                                         modes=modes, overlap=G)
+                                         modes, G)
         return split_ratio(propagate(u0, ph, 35.0), modes, cfg.K0,
                            strict=False)[0]
 
@@ -429,7 +432,7 @@ def test_calibration_equals_plain_bisection(monkeypatch, N, D, dK0):
     cfg = WavepacketConfig(K0=K0, dK0=dK0, t_start=-30.0, t_end=60.0)
     want = _calibrate_v0_loop(p, cfg)
     calls = _counting_builds(monkeypatch)
-    assert calibrate_v0(*calibration_args(p, cfg)) == want
+    assert calibrate_v0(*calibration_args(p, cfg), 0.5) == want
     assert len(calls) <= 20
 
 
@@ -439,7 +442,7 @@ def test_calibration_target_below_free_reflection(monkeypatch):
     Brent's method: every midpoint is evaluated and no NumericalError
     escapes."""
     p, cfg = canonical_params(V0=0.0), canonical_config()
-    ph0 = build_projected_hamiltonian(p)
+    ph0 = projected_hamiltonian(p)
     st = propagate(init_wavepacket(cfg, ph0.modes), ph0, 35.0)
     r0 = split_ratio(st, ph0.modes, K0, strict=False)[0]
     for target in (r0, 0.5 * r0):
@@ -452,7 +455,7 @@ def test_calibration_warns_target_below_free_reflection():
     """The warning names the target and the V0 = 0 reflection, and does
     not blame non-monotonicity."""
     p, cfg = canonical_params(V0=0.0), canonical_config()
-    ph0 = build_projected_hamiltonian(p)
+    ph0 = projected_hamiltonian(p)
     st = propagate(init_wavepacket(cfg, ph0.modes), ph0, 35.0)
     r0 = split_ratio(st, ph0.modes, K0, strict=False)[0]
     target = 0.5 * r0
@@ -467,7 +470,7 @@ def test_mode_distribution(ph, u0):
     w = mode_distribution(u0)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     p0 = canonical_params().replace(V0=0.0)
-    ph0 = build_projected_hamiltonian(p0)
+    ph0 = projected_hamiltonian(p0)
     st0 = init_wavepacket(canonical_config(), ph0.modes)
     before = mode_distribution(st0)
     after = mode_distribution(propagate(st0, ph0, 40.0))
@@ -477,7 +480,7 @@ def test_mode_distribution(ph, u0):
 def test_trajectory_sampling():
     p = canonical_params(V0=0.5474)
     cfg = WavepacketConfig(K0=K0, dK0=DK0, t_start=-30.0, t_end=-20.0)
-    ph = build_projected_hamiltonian(p.replace(V0=0.5474))
+    ph = projected_hamiltonian(p.replace(V0=0.5474))
     samples = run_trajectory(ph, init_wavepacket(cfg, ph.modes), cfg)
     assert [s.t for s in samples] == [-30.0 + i for i in range(11)]
     assert all(abs(s.norm - 1.0) < 1e-10 for s in samples)
@@ -485,7 +488,7 @@ def test_trajectory_sampling():
 
 
 def _full_basis_reflected(exact_pair_run, p, cfg, t_measure):
-    ph = build_projected_hamiltonian(p)
+    ph = projected_hamiltonian(p)
     st0 = init_wavepacket(cfg, ph.modes)
     refl_proj = split_ratio(propagate(st0, ph, t_measure), ph.modes, cfg.K0,
                             strict=False)[0]

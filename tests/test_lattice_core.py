@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from biximp import (ExistenceError, ModeBasis, ModelParams, ParameterError,
-                    alpha, biexciton_energy, continuum_energy, k_grid)
+                    alpha, continuum_energy, k_grid)
 from biximp.biexciton import (default_method, free_relative_roots,
                               solve_relative_decay)
 from biximp.pairbasis import build_pair_hamiltonian
@@ -70,15 +70,17 @@ def test_existence_boundary():
 def test_biexciton_energy_values():
     p = ModelParams(N=40, J=1.0, D=4.1, E0=0.0)
     a0 = 2.0 / 4.1
-    assert biexciton_energy(0.0, p, 0, "large_n") == pytest.approx(
-        4.1 * (1 + a0 * a0), rel=1e-12)
-    assert biexciton_energy(np.pi / 2, p, 0, "large_n") == pytest.approx(4.1)
-    assert abs(biexciton_energy(0.0, p, 0, "exact")
-               - biexciton_energy(0.0, p, 0, "large_n")) < 1e-3
-    # any K: bound energy outside the two-exciton band
-    for K in np.linspace(-np.pi / 2, np.pi / 2, 21):
-        e = biexciton_energy(K, p, 0, "large_n")
-        assert abs(e - 2 * p.E0) > 4 * abs(p.J)
+    large, exact = ModeBasis(p, "large_n"), ModeBasis(p, "exact")
+    i0 = int(np.flatnonzero(large.K == 0.0)[0])
+    assert large.energies[i0] == pytest.approx(4.1 * (1 + a0 * a0), rel=1e-12)
+    assert large.energies[-1] == pytest.approx(4.1)
+    assert abs(exact.energies[i0] - large.energies[i0]) < 1e-3
+    # the exact energy is 4 J cos K cosh k_i at the finite-N pairing root
+    k_i = solve_relative_decay(0.0, p, 0, "exact")
+    assert exact.energies[i0] == pytest.approx(4.0 * math.cosh(k_i), rel=1e-12)
+    # every K of the grid: bound energy outside the two-exciton band
+    for basis in (large, exact):
+        assert np.all(np.abs(basis.energies - 2 * p.E0) > 4 * abs(p.J))
 
 
 def test_continuum_energy():
@@ -186,11 +188,18 @@ def test_phi_rows_match_normalized_closed_form():
 @pytest.mark.parametrize("J, D", ((1.0, 4.1), (-1.0, -4.5)))
 @pytest.mark.parametrize("method", ("exact", "large_n"))
 def test_biexciton_energy_equals_basis_energies(N, J, D, method):
-    """The scalar energy and the basis energies come from one formula,
-    the K = pi/2 delta-limit mode included."""
+    """The basis energies are the closed forms written out here:
+    2 E0 + 4 J cos K cosh k_i at each mode's decay constant (exact), or
+    2 E0 + D (1 + alpha_K^2) (large N), and 2 E0 + D at the K = pi/2
+    delta-limit mode for both."""
     p = ModelParams(N=N, J=J, D=D, E0=0.3)
     basis = ModeBasis(p, method)
     assert math.isinf(basis.k_i[-1])
-    want = [biexciton_energy(K, p, parity, method)
-            for K, parity in zip(basis.K, basis.parity)]
-    assert np.array_equal(basis.energies, want)
+    assert basis.energies[-1] == 2 * p.E0 + p.D
+    if method == "exact":
+        want = [2.0 * p.E0 + 4.0 * p.J * math.cos(K) * math.cosh(k_i)
+                for K, k_i in zip(basis.K[:-1].tolist(), basis.k_i[:-1].tolist())]
+    else:
+        want = [2.0 * p.E0 + p.D * (1.0 + (2.0 * p.J * math.cos(K) / p.D) ** 2)
+                for K in basis.K[:-1].tolist()]
+    assert np.array_equal(basis.energies[:-1], want)

@@ -11,11 +11,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biximp import (BiximpError, ModeBasis, ModelParams,
-                    build_projected_hamiltonian, count_bound_states,
+from biximp import (BiximpError, ModeBasis, ModelParams, count_bound_states,
                     diagonalize_full, diagonalize_projected, find_pole,
                     impurity_overlap)
 from biximp.cli import main
+from conftest import projected_hamiltonian
 
 SPECTRUM_RTOL = 1.2e-14     # relative to the largest |energy|
 
@@ -48,7 +48,7 @@ def test_exact_pair_spectrum_is_negated(N, J, D, V0, E0):
 @given(J=HOPPING, D_over_J=D_OVER_J, V0=COUPLING, E0=COUPLING)
 def test_projected_spectrum_is_negated(J, D_over_J, V0, E0):
     p = ModelParams(N=40, J=J, D=J * D_over_J, E0=E0, V0=V0)
-    spectra = [diagonalize_projected(build_projected_hamiltonian(q)).energies
+    spectra = [diagonalize_projected(projected_hamiltonian(q)).energies
                for q in (p, mirror(p))]
     assert_negated(*spectra)
 

@@ -19,6 +19,7 @@ from biximp.cli import main
 from biximp.pairbasis import build_pair_hamiltonian
 from biximp.projected import (PROFILE_FLOOR, bound_candidates, cm_amplitude,
                               participation_ratio)
+from conftest import projected_hamiltonian
 
 
 def count_fresh(params):
@@ -55,7 +56,7 @@ def test_brute_force_projection_oracle(fig2_params):
 
 
 def test_hermiticity_and_projection_residual(fig2_params):
-    ph = build_projected_hamiltonian(fig2_params)
+    ph = projected_hamiltonian(fig2_params)
     assert np.abs(ph.M - ph.M.conj().T).max() < 1e-12
     spec = diagonalize_projected(ph)
     for mu in range(len(spec)):
@@ -69,7 +70,7 @@ def test_hermiticity_and_projection_residual(fig2_params):
 
 def test_v0_zero_spectrum_is_band(fig2_params):
     p = fig2_params.replace(V0=0.0)
-    ph = build_projected_hamiltonian(p)
+    ph = projected_hamiltonian(p)
     spec = diagonalize_projected(ph)
     np.testing.assert_allclose(np.sort(spec.energies),
                                np.sort(ph.modes.energies), atol=1e-12)
@@ -83,7 +84,7 @@ def test_fig2_multiplicities(fig2_params):
                                  (4.1, -4.0, 2, "near_half_pi"),
                                  (-4.1, 4.0, 2, "near_half_pi")):
         p = ModelParams(N=40, J=np.sign(D) * 1.0, D=D, E0=0.0, V0=V0)
-        ph = build_projected_hamiltonian(p)
+        ph = projected_hamiltonian(p)
         spec = diagonalize_projected(ph)
         recs = classify_bound_states(spec, ph.modes)
         assert len(recs) == expected, (D, V0)
@@ -92,7 +93,7 @@ def test_fig2_multiplicities(fig2_params):
 
 def test_fig2_localization_hierarchy(fig2_params):
     """a, b strongly localized; c, d loosely bound; labels by split."""
-    ph = build_projected_hamiltonian(fig2_params)
+    ph = projected_hamiltonian(fig2_params)
     spec = diagonalize_projected(ph)
     recs = {r.label: r for r in classify_bound_states(spec, ph.modes)}
     assert set(recs) == {"a", "b", "c", "d"}
@@ -104,7 +105,7 @@ def test_fig2_localization_hierarchy(fig2_params):
 def test_bound_states_split_to_far_side(fig2_params):
     """Bound energies lie on the far side of the nearer band edge."""
     for v0 in (4.0, -4.0):
-        ph = build_projected_hamiltonian(fig2_params.replace(V0=v0))
+        ph = projected_hamiltonian(fig2_params.replace(V0=v0))
         spec = diagonalize_projected(ph)
         lo, hi = ph.modes.band_edges()
         for r in classify_bound_states(spec, ph.modes):
@@ -112,7 +113,7 @@ def test_bound_states_split_to_far_side(fig2_params):
 
 
 def test_participation_ratio_invariant(fig2_params):
-    ph = build_projected_hamiltonian(fig2_params)
+    ph = projected_hamiltonian(fig2_params)
     spec = diagonalize_projected(ph)
     recs = classify_bound_states(spec, ph.modes)
     bound_idx = {r.state_index for r in recs}
@@ -193,7 +194,7 @@ def test_phase_diagram_matches_fresh_basis_per_cell(fig2_params):
 ])
 def test_count_equals_classified_records(params):
     """The fit-free count sees the same gates as classification."""
-    ph = build_projected_hamiltonian(params)
+    ph = projected_hamiltonian(params)
     recs = classify_bound_states(diagonalize_projected(ph), ph.modes)
     assert count_fresh(params) == len(recs)
 
@@ -222,7 +223,7 @@ REAL_CASES = [(1.0, 4.1, 4.0), (1.0, 4.1, -4.0), (1.0, 2.1, 5.0),
 @pytest.mark.parametrize("J, D, V0", REAL_CASES)
 def test_projected_hamiltonian_is_real(N, J, D, V0):
     """M is real to rounding, and the real solve gives the complex spectrum."""
-    ph = build_projected_hamiltonian(ModelParams(N=N, J=J, D=D, V0=V0))
+    ph = projected_hamiltonian(ModelParams(N=N, J=J, D=D, V0=V0))
     assert np.abs(ph.M.imag).max() <= 1e-15 * abs(J)
     spec = diagonalize_projected(ph)
     assert spec.states.dtype == float
@@ -234,7 +235,7 @@ def test_projected_hamiltonian_is_real(N, J, D, V0):
 def test_real_spectrum_keeps_bound_states(N, J, D, V0):
     """bound_candidates picks the same states from real and complex eigenvectors."""
     p = ModelParams(N=N, J=J, D=D, V0=V0)
-    ph = build_projected_hamiltonian(p)
+    ph = projected_hamiltonian(p)
     real = [mu for mu, _, _ in bound_candidates(diagonalize_projected(ph), ph.modes)]
     cplx = SpectrumResult(*np.linalg.eigh(ph.M))
     assert real == [mu for mu, _, _ in bound_candidates(cplx, ph.modes)]
@@ -252,7 +253,7 @@ def test_rounding_tolerance_once_per_hamiltonian(monkeypatch, fig2_params):
         return rounding_tol(M, J)
 
     monkeypatch.setattr(projected, "_rounding_tol", counted)
-    ph = build_projected_hamiltonian(fig2_params)
+    ph = projected_hamiltonian(fig2_params)
     diagonalize_projected(ph)
     assert len(calls) == 1
     assert ph.tol == rounding_tol(ph.M, fig2_params.J)
@@ -260,7 +261,7 @@ def test_rounding_tolerance_once_per_hamiltonian(monkeypatch, fig2_params):
 
 def test_real_spectrum_rejects_imaginary_coupling(fig2_params):
     """A Hermitian M with a 1e-6 imaginary off-diagonal is refused."""
-    ph = build_projected_hamiltonian(fig2_params)
+    ph = projected_hamiltonian(fig2_params)
     ph.M[0, 1] += 1e-6j
     ph.M[1, 0] -= 1e-6j
     with pytest.raises(NumericalError, match="not real"):
@@ -275,14 +276,14 @@ def test_gates_scale_with_the_matrix(monkeypatch, V0):
     symmetric part of that size that breaks P fails the P gate."""
     p = ModelParams(N=40, J=1.0, D=4.1, V0=V0)
     modes = ModeBasis(p)
-    ph = build_projected_hamiltonian(p, modes=modes)
+    ph = build_projected_hamiltonian(p, modes, impurity_overlap(modes))
     diagonalize_projected(ph)
     eps = 1e-10 * np.abs(ph.M).max()
     V = potential_matrix(p, impurity_overlap(modes))
     V[0, 1] += eps * 1j
     monkeypatch.setattr(projected, "potential_matrix", lambda *args: V)
     with pytest.raises(NumericalError, match="not Hermitian"):
-        build_projected_hamiltonian(p, modes=modes)
+        build_projected_hamiltonian(p, modes, impurity_overlap(modes))
     M = ph.M.copy()
     M[0, 1] += eps * 1j
     with pytest.raises(NumericalError, match="not real"):
@@ -313,7 +314,7 @@ def test_sector_solve_is_an_eigensystem(N, J, ratio, V0, E0):
     orthonormal eigenvectors with a small residual, and every column is
     even or odd under P, the even one first at an exact tie (V0 = 0
     leaves E_b(K) = E_b(-K) tied)."""
-    ph = build_projected_hamiltonian(ModelParams(N=N, J=J, D=J * ratio, E0=E0, V0=V0))
+    ph = projected_hamiltonian(ModelParams(N=N, J=J, D=J * ratio, E0=E0, V0=V0))
     A = ph.M.real
     scale = np.abs(A).max()
     spec = diagonalize_projected(ph)
@@ -351,7 +352,7 @@ def test_sector_eigh_failure_is_a_numerical_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NumericalError, match="projected Hamiltonian eigh"):
-        diagonalize_projected(build_projected_hamiltonian(ModelParams(N=8, J=1.0, D=4.1)))
+        diagonalize_projected(projected_hamiltonian(ModelParams(N=8, J=1.0, D=4.1)))
     with pytest.raises(NumericalError, match="pair Hamiltonian eigh"):
         pairbasis.diagonalize_full(ModelParams(N=8, J=1.0, D=4.1))
 
@@ -378,7 +379,8 @@ def test_cm_amplitude_uses_shared_phase(fig2_params):
     """cm_amplitude through the cached phase matrix equals the direct product."""
     modes = ModeBasis(fig2_params)
     N = fig2_params.N
-    u = diagonalize_projected(build_projected_hamiltonian(fig2_params, modes)).states[:, 0]
+    ph = build_projected_hamiltonian(fig2_params, modes, impurity_overlap(modes))
+    u = diagonalize_projected(ph).states[:, 0]
     r, psi = cm_amplitude(u, modes)
     assert np.array_equal(r, np.arange(-N + 1, N + 1))
     direct = np.exp(1j * np.outer(r, modes.K)) @ (u * modes.phi[:, N])

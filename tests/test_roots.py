@@ -16,6 +16,7 @@ from scipy import optimize
 from biximp import ModelParams, biexciton, exciton, projected, roots, scattering
 from biximp.cli import main
 from biximp.errors import ExistenceError, NumericalError
+from conftest import projected_hamiltonian
 from test_projected import FIT_TASKS
 
 PORT_BRENTQ = roots.brentq
@@ -29,8 +30,9 @@ def scipy_bounded(func, x1, x2, xtol):
 
 @pytest.fixture
 def brentq_pairs(monkeypatch):
-    """Patch brentq in biexciton, exciton and roots so that every call
-    records (port result, scipy result); returns the list of records."""
+    """Patch roots.brentq, through which every Brent root of the package
+    is found, so that every call records (port result, scipy result);
+    returns the list of records."""
     pairs = []
 
     def checked(f, a, b, **kw):
@@ -38,8 +40,7 @@ def brentq_pairs(monkeypatch):
         pairs.append((got, optimize.brentq(f, a, b, **kw)))
         return got
 
-    for module in (biexciton, exciton, roots):
-        monkeypatch.setattr(module, "brentq", checked)
+    monkeypatch.setattr(roots, "brentq", checked)
     return pairs
 
 
@@ -166,7 +167,7 @@ def test_fminbound_matches_scipy_where_objective_overflows(fit_records):
     both minimizers still return the same kappa, and the fit reports no
     decay rate (0, 0)."""
     p = ModelParams(N=400, J=1.0, D=4.1, E0=1000.0, V0=4.0)
-    ph = projected.build_projected_hamiltonian(p)
+    ph = projected_hamiltonian(p)
     spec = projected.diagonalize_projected(ph)
     _, ds, ps = next(projected.bound_candidates(spec, ph.modes))
     with np.errstate(all="ignore"):

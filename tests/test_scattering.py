@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from biximp import (ModeBasis, ModelParams, ParameterError,
-                    biexciton_reflection_amplitude, build_projected_hamiltonian,
+                    biexciton_reflection_amplitude,
                     continued_fraction_first_order, diagonalize_projected,
                     exciton_bound_wavevector_largen, find_pole, s_function)
 from biximp.scattering import phi_complex_k, pole_branch
+from conftest import projected_hamiltonian
 
 
 def P(D=4.0, V0=0.25, N=40):
@@ -110,7 +111,7 @@ def test_pole_vs_numeric_bound_energy():
     for v0 in (0.25, -0.25):
         p = P(V0=v0)
         pole = find_pole(p)
-        ph = build_projected_hamiltonian(p)
+        ph = projected_hamiltonian(p)
         spec = diagonalize_projected(ph)
         lo, hi = ph.modes.band_edges()
         outs = [(e, max(lo - e, e - hi)) for e in spec.energies
@@ -130,7 +131,7 @@ def test_pole_residual_equation():
 
 def test_first_order_identities():
     p = P(V0=0.25)
-    ph = build_projected_hamiltonian(p)
+    ph = projected_hamiltonian(p)
     for Kc in (0.35 + 0.1j, complex(math.pi / 2 - 0.02, 0.22)):
         fo = continued_fraction_first_order(Kc, p, ph.modes)
         # beta is the averaged potential
