@@ -70,7 +70,7 @@ def _ratio_residual(k_i, inv_alpha_log, N, parity):
             - math.log1p(sign * math.exp(-k_i * (N - 2))) - inv_alpha_log)
 
 
-def solve_relative_decay(K, params, parity, method="exact"):
+def solve_relative_decay(K, params, parity, method):
     """Decay constant k_i of the bound relative wavefunction at CM mode K.
 
     Returns math.inf at K = pi/2 (delta-localized limit).  Raises

@@ -24,6 +24,8 @@ from .errors import BiximpError, ConfigError, NumericalError, RegimeError
 from .exciton import solve_exciton_spectrum
 from .params import ModelParams
 
+MAX_COUNT = 10_000  # per grid axis (n_scan, n_D, n_V0), as dynamics.MAX_SAMPLES
+
 
 def load_config(path):
     p = Path(path)
@@ -70,52 +72,62 @@ def flag(sec, name, key, default):
     return value
 
 
-def model_from_config(cfg):
-    with parsing("model"):
-        m = cfg["model"]
-        return ModelParams(N=number(m["N"], int), J=number(m["J"]),
-                           D=number(m["D"]), E0=number(m.get("E0", 0.0)),
-                           V0=number(m.get("V0", 0.0)))
-
-
-def section(cfg, name):
+def section(cfg, name, keys):
+    """Section `name` ({} when absent): a mapping with no key outside `keys`."""
     val = cfg.get(name, {})
     if not isinstance(val, dict):
-        raise ConfigError(f"section '{name}' must be a mapping")
+        raise ConfigError(f"{name} section: must be a mapping, got {val!r}")
+    if unknown := sorted(map(str, set(val) - set(keys))):
+        raise ConfigError(f"{name} section: unknown key(s) {unknown}, expected {keys}")
     return val
+
+
+class Output:
+    """The one place that names output files in the --out directory:
+    tables as `stem.csv` or `stem.json`, binary grids as `stem.f64`, and
+    under --plots a gnuplot script `script.gp` that reads `stem.csv`."""
+
+    def __init__(self, directory, fmt, plots):
+        if plots and fmt != "csv":
+            raise ConfigError("--plots writes gnuplot scripts of CSV: use --format csv")
+        self.directory, self.fmt, self.plots = Path(directory), fmt, plots
+        self.directory.mkdir(parents=True, exist_ok=True)
+
+    def table(self, stem, header, rows):
+        write_table(self.directory / f"{stem}.{self.fmt}", header, rows, self.fmt)
+
+    def grid(self, stem, array):
+        write_grid_binary(self.directory / f"{stem}.f64", array)
+
+    def plot(self, script, stem, columns, title):
+        if self.plots:
+            write_gnuplot_script(self.directory / f"{script}.gp", f"{stem}.csv",
+                                 columns, title)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_exciton(cfg, out, fmt, plots):
-    params = model_from_config(cfg)
-    cases = [("", params)]
-    if flag(section(cfg, "exciton"), "exciton", "sign_cases", False):
-        # the tag names the sign multipliers, so V0 = 0 still gives 4 files
+def cmd_exciton(params, sec, out):
+    cases = [("exciton", params)]
+    if flag(sec, "exciton", "sign_cases", False):
+        # the name tags the sign multipliers, so V0 = 0 still gives 4 files
         signs = ((1, "+"), (-1, "-"))
-        cases = [(f"_J{a}V{b}", params.replace(J=sj * abs(params.J),
-                                                V0=sv * abs(params.V0)))
+        cases = [(f"exciton_J{a}V{b}", params.replace(J=sj * abs(params.J),
+                                                       V0=sv * abs(params.V0)))
                  for sj, a in signs for sv, b in signs]
-    for tag, p in cases:
+    for stem, p in cases:
         spec = solve_exciton_spectrum(p)
-        name = out / f"exciton{tag}.csv"
-        write_table(name, ("branch", "k_real", "k_imag", "energy", "bound_flag"),
-                    spec.rows(), fmt)
+        out.table(stem, ("branch", "k_real", "k_imag", "energy", "bound_flag"),
+                  spec.rows())
         if spec.bound is not None:
-            prof = spec.bound.amplitude_profile
-            write_table(name.with_name(f"{name.stem}_bound_profile.csv"),
-                        ("site", "amplitude"),
-                        list(zip(p.sites, prof)), fmt)
-        if plots:
-            write_gnuplot_script(name.with_suffix(".gp"),
-                                 name.name, "2:4", "exciton spectrum")
-    return 0
+            out.table(f"{stem}_bound_profile", ("site", "amplitude"),
+                      list(zip(p.sites, spec.bound.amplitude_profile)))
+        out.plot(stem, stem, "2:4", "exciton spectrum")
 
 
-def cmd_biexciton_spectrum(cfg, out, fmt, plots):
-    params = model_from_config(cfg)
+def cmd_biexciton_spectrum(params, sec, out):
     # classified from the basis (whose build checks the regime) and the
     # spectrum: M is freed once solved
     modes = ModeBasis(params)
@@ -127,47 +139,35 @@ def cmd_biexciton_spectrum(cfg, out, fmt, plots):
     for r in recs:
         rows[r.state_index] = (r.state_index, r.energy, r.dominant_K,
                                r.re_K_class, r.decay_rate, True)
-    write_table(out / "biexciton_spectrum.csv",
-                ("mu", "energy", "dominant_K", "class", "decay_rate", "bound_flag"),
-                rows, fmt)
+    out.table("biexciton_spectrum", ("mu", "energy", "dominant_K", "class",
+                                     "decay_rate", "bound_flag"), rows)
     for r in recs:
         _, psi = projected.cm_amplitude(spec.states[:, r.state_index], modes)
-        write_grid_binary(out / f"bound_{r.label}_profile.f64",
-                          np.abs(psi) ** 2)
-    if plots:
-        write_gnuplot_script(out / "biexciton_spectrum.gp",
-                             "biexciton_spectrum.csv", "1:2",
-                             "projected spectrum")
-    return 0
+        out.grid(f"bound_{r.label}_profile", np.abs(psi) ** 2)
+    out.plot("biexciton_spectrum", "biexciton_spectrum", "1:2", "projected spectrum")
 
 
-def cmd_phase_diagram(cfg, out, fmt, plots):
-    params = model_from_config(cfg)
-    sec = section(cfg, "phase_diagram")
+def cmd_phase_diagram(params, sec, out):
     with parsing("phase_diagram"):
-        d_vals = np.linspace(number(sec["D_min"]), number(sec["D_max"]),
-                             number(sec["n_D"], int))
-        v_vals = np.linspace(number(sec["V0_min"]), number(sec["V0_max"]),
-                             number(sec["n_V0"], int))
+        n = number(sec["n_D"], int), number(sec["n_V0"], int)
+        if max(n) > MAX_COUNT:    # before np.linspace allocates the grids
+            raise ConfigError(f"phase_diagram section: n_D, n_V0 {n} above {MAX_COUNT}")
+        d_vals = np.linspace(number(sec["D_min"]), number(sec["D_max"]), n[0])
+        v_vals = np.linspace(number(sec["V0_min"]), number(sec["V0_max"]), n[1])
     counts = projected.phase_diagram(d_vals, v_vals, params)
     rows = [(d_vals[i], v_vals[j], counts[i, j])
             for i in range(len(d_vals)) for j in range(len(v_vals))]
-    write_table(out / "phase_diagram.csv", ("D", "V0", "count"), rows, fmt)
-    if plots:
-        write_gnuplot_script(out / "phase_diagram.gp", "phase_diagram.csv",
-                             "1:2:3", "bound-state count")
-    return 0
+    out.table("phase_diagram", ("D", "V0", "count"), rows)
+    out.plot("phase_diagram", "phase_diagram", "1:2:3", "bound-state count")
 
 
-def cmd_poles(cfg, out, fmt, plots):
-    params = model_from_config(cfg)
-    sec = section(cfg, "poles")
+def cmd_poles(params, sec, out):
     with parsing("poles"):
         kpp_max = number(sec.get("K_doubleprime_max", 2.0))
         n_scan = number(sec.get("n_scan", 200), operator.index)
-    if n_scan < 2 or not 1e-3 < kpp_max < math.inf:
-        raise ConfigError(f"poles section: need integer n_scan >= 2 and finite "
-                          f"K_doubleprime_max > 1e-3, got {n_scan}, {kpp_max}")
+    if not 2 <= n_scan <= MAX_COUNT or not 1e-3 < kpp_max < math.inf:
+        raise ConfigError(f"poles section: need integer n_scan in [2, {MAX_COUNT}] and "
+                          f"finite K_doubleprime_max > 1e-3, got {n_scan}, {kpp_max}")
     kpp = np.linspace(1e-3, kpp_max, n_scan)
     rows, summary = [], []
     modes = G = None
@@ -195,20 +195,13 @@ def cmd_poles(cfg, out, fmt, plots):
             e_num, rel = math.nan, math.nan
         summary.append((pole.K_prime, pole.K_doubleprime, pole.energy,
                         e_num, rel))
-    write_table(out / "pole_scan.csv",
-                ("K_prime", "K_doubleprime", "V0", "abs_R_b"), rows, fmt)
-    write_table(out / "pole_summary.csv",
-                ("branch", "K_doubleprime_pole", "E_pole", "E_numeric", "rel_err"),
-                summary, fmt)
-    if plots:
-        write_gnuplot_script(out / "pole_scan.gp", "pole_scan.csv", "2:4",
-                             "reflection amplitude scan")
-    return 0
+    out.table("pole_scan", ("K_prime", "K_doubleprime", "V0", "abs_R_b"), rows)
+    out.table("pole_summary", ("branch", "K_doubleprime_pole", "E_pole",
+                               "E_numeric", "rel_err"), summary)
+    out.plot("pole_scan", "pole_scan", "2:4", "reflection amplitude scan")
 
 
-def cmd_bic(cfg, out, fmt, plots):
-    params = model_from_config(cfg)
-    sec = section(cfg, "bic")
+def cmd_bic(params, sec, out):
     with parsing("bic"):
         tol = number(sec.get("flag_tolerance", 5e-2))
     if not 0.0 <= tol < math.inf:
@@ -227,20 +220,16 @@ def cmd_bic(cfg, out, fmt, plots):
         cls = pairbasis.classify_state(e[idx], spec.states[:, idx], params, basis)
         rows.append((idx, e[idx], cls.type, cls.in_continuum, cls.schmidt_number,
                      cls.decay_r, cls.decay_s, near[idx] > tol))
-    write_table(out / "bic_classification.csv",
-                ("index", "energy", "type", "in_continuum", "schmidt_number",
-                 "decay_r", "decay_s", "mismatch_flag"), rows, fmt)
+    out.table("bic_classification",
+              ("index", "energy", "type", "in_continuum", "schmidt_number",
+               "decay_r", "decay_s", "mismatch_flag"), rows)
     if dump and rows:
         # the state is one of the rows, so it is classified there already
         _, vec = pairbasis.find_bic_state(params, basis, spec)
-        write_grid_binary(out / "bic_amplitude.f64",
-                          pairbasis.folded_amplitudes(vec, basis))
-    return 0
+        out.grid("bic_amplitude", pairbasis.folded_amplitudes(vec, basis))
 
 
-def cmd_wavepacket(cfg, out, fmt, plots):
-    params = model_from_config(cfg)
-    sec = section(cfg, "wavepacket")
+def cmd_wavepacket(params, sec, out):
     with parsing("wavepacket"):
         r_offset = sec.get("r_offset")
         config = dynamics.WavepacketConfig(
@@ -261,27 +250,22 @@ def cmd_wavepacket(cfg, out, fmt, plots):
         v0 = dynamics.calibrate_v0(modes, G, u0, config.K0, target)
         params = params.replace(V0=v0)
     ph = projected.build_projected_hamiltonian(params, modes, G)
-    write_table(out / "wavepacket_timeseries.csv",
-                ("t", "entropy_bits", "norm", "energy", "reflected_prob"),
-                [(s.t, s.entropy, s.norm, s.energy, s.reflected)
-                 for s in dynamics.run_trajectory(ph, u0, config)], fmt)
+    out.table("wavepacket_timeseries",
+              ("t", "entropy_bits", "norm", "energy", "reflected_prob"),
+              [(s.t, s.entropy, s.norm, s.energy, s.reflected)
+               for s in dynamics.run_trajectory(ph, u0, config)])
     for t_snap, t in snapshots:
         st = dynamics.propagate(u0, ph, t)
         _, _, psi = dynamics.realspace_amplitude(st, modes)
-        write_grid_binary(out / f"snapshot_psi2_t{t_snap}.f64", np.abs(psi) ** 2)
+        out.grid(f"snapshot_psi2_t{t_snap}", np.abs(psi) ** 2)
         rho = dynamics.reduced_density(st, modes)
-        write_grid_binary(out / f"snapshot_rho_diag_t{t_snap}.f64",
-                          np.real(np.diag(rho)))
-        write_grid_binary(out / f"snapshot_contrast_t{t_snap}.f64",
-                          dynamics.contrast(rho))
-        write_grid_binary(out / f"snapshot_modes_t{t_snap}.f64",
-                          dynamics.mode_distribution(st))
-    if plots:
-        write_gnuplot_script(out / "wavepacket.gp", "wavepacket_timeseries.csv",
-                             "1:2", "entanglement entropy")
-    return 0
+        out.grid(f"snapshot_rho_diag_t{t_snap}", np.real(np.diag(rho)))
+        out.grid(f"snapshot_contrast_t{t_snap}", dynamics.contrast(rho))
+        out.grid(f"snapshot_modes_t{t_snap}", dynamics.mode_distribution(st))
+    out.plot("wavepacket", "wavepacket_timeseries", "1:2", "entanglement entropy")
 
 
+# each command's function; perfbench's tracer rebinds these values
 COMMANDS = {
     "exciton": cmd_exciton,
     "biexciton-spectrum": cmd_biexciton_spectrum,
@@ -289,6 +273,18 @@ COMMANDS = {
     "poles": cmd_poles,
     "bic": cmd_bic,
     "wavepacket": cmd_wavepacket,
+}
+
+# the keys of the model section and of each command's own section ("-" read as "_")
+KEYS = {
+    "model": ("N", "J", "D", "E0", "V0"),
+    "exciton": ("sign_cases",),
+    "biexciton_spectrum": (),
+    "phase_diagram": ("D_min", "D_max", "n_D", "V0_min", "V0_max", "n_V0"),
+    "poles": ("K_doubleprime_max", "n_scan"),
+    "bic": ("flag_tolerance", "dump_amplitudes"),
+    "wavepacket": ("K0", "dK0", "t_start", "t_end", "sample_dt", "r_offset",
+                   "split_target", "calibrate_v0", "snapshots"),
 }
 
 
@@ -301,14 +297,19 @@ def main(argv=None):
     ap.add_argument("--out", default=".", help="output directory")
     ap.add_argument("--format", choices=("csv", "json"), default="csv")
     ap.add_argument("--plots", action="store_true",
-                    help="emit companion gnuplot scripts")
+                    help="emit companion gnuplot scripts (CSV format only)")
     args = ap.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, out, args.format, args.plots)
+        out = Output(args.out, args.format, args.plots)
+        m = section(cfg, "model", KEYS["model"])
+        with parsing("model"):
+            params = ModelParams(N=number(m["N"], int), J=number(m["J"]),
+                                 D=number(m["D"]), E0=number(m.get("E0", 0.0)),
+                                 V0=number(m.get("V0", 0.0)))
+        name = args.command.replace("-", "_")
+        COMMANDS[args.command](params, section(cfg, name, KEYS[name]), out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -321,6 +322,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

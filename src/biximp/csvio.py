@@ -42,14 +42,9 @@ def write_json(path, header, rows):
         fh.write("\n")
 
 
-def write_table(path, header, rows, fmt="csv"):
-    path = str(path)
-    if fmt == "json":
-        if path.endswith(".csv"):
-            path = path[:-4] + ".json"
-        write_json(path, header, rows)
-    else:
-        write_csv(path, header, rows)
+def write_table(path, header, rows, fmt):
+    """Rows to `path` as "csv" or "json"; the caller names the file."""
+    (write_json if fmt == "json" else write_csv)(path, header, rows)
 
 
 def write_grid_binary(path, array):

@@ -28,6 +28,9 @@ from .errors import NumericalError, ParameterError
 from .roots import decay_root, scan_roots
 
 BOUND_SPLIT_TOL = 1e-9  # energy split below this does not count as bound
+# a polished root's |g(k)| relative to 1 + |V0/2J|: about N * 1e-14 from
+# Brent's xtol, against O(1) for a point that is no root
+ROOT_RESIDUAL_TOL = 1e-9
 
 
 def exciton_dispersion(k, params):
@@ -130,9 +133,10 @@ def solve_exciton_spectrum(params):
     if len(k_s) != N // 2:
         raise NumericalError(
             f"symmetric root count {len(k_s)} != N/2 = {N // 2}: completeness failed")
-    resid = np.abs(np.tan(k_s * N / 2.0) * np.sin(k_s) + t)
-    if np.max(resid) > 1e-7:
-        raise NumericalError(f"symmetric quantization residual {np.max(resid):.2e} "
+    # g is bounded by 1 + |t|, so this residual does not grow with V0/J
+    resid = np.max(np.abs(g(k_s))) / (1.0 + abs(t))
+    if not resid <= ROOT_RESIDUAL_TOL:    # NaN fails too
+        raise NumericalError(f"symmetric quantization residual {resid:.2e} "
                              "above tolerance")
 
     kpp = _bound_decay(params)

@@ -261,15 +261,15 @@ def distance_profile(d, w):
     return ds, np.bincount(d, weights=w)[ds]
 
 
-def fit_ring_decay(ds, ps, N, d_lo=4, d_hi=None):
+def fit_ring_decay(ds, ps, N, d_lo, d_hi):
     """Fit ln p(d) = c + ln cosh(2 kappa (N - d)) on the decaying stretch.
 
     The window starts at max(d_lo, peak + 1), stops at the profile
-    minimum within [.., d_hi] (default d_hi = N - 6; the tail past the
-    minimum is wrap-around or admixture, not the decay law) and drops
-    points below the relative numerical floor.  Node structure near the
-    impurity biases the first points of antisymmetric states, so fits
-    start at lo, lo + 2, ..., lo + 20; ds is sorted, so each start's
+    minimum within [.., d_hi] (the tail past the minimum is wrap-around
+    or admixture, not the decay law) and drops points below the
+    relative numerical floor.  Node structure near the impurity biases
+    the first points of antisymmetric states, so fits start at lo,
+    lo + 2, ..., lo + 20; ds is sorted, so each start's
     window is a suffix of the one kept window, and a later start wins
     only with a strictly higher r^2.  Returns (kappa, r_squared);
     kappa = 0 when no usable fit exists.
@@ -280,8 +280,6 @@ def fit_ring_decay(ds, ps, N, d_lo=4, d_hi=None):
     NaN r^2, which never wins, so every N = 400 bound state reports
     decay rate 0 (ROADMAP item 3: an overflow-free fit).
     """
-    if d_hi is None:
-        d_hi = N - 6
     pmax = ps.max()
     if pmax <= 0:
         return 0.0, 0.0
@@ -364,7 +362,7 @@ def classify_bound_states(spectrum, modes):
     recs = []
     for mu, ds, ps in bound_candidates(spectrum, modes):
         e = spectrum.energies[mu]
-        kappa, r2 = fit_ring_decay(ds, ps, p.N)
+        kappa, r2 = fit_ring_decay(ds, ps, p.N, 4, p.N - 6)
         w = np.abs(spectrum.states[:, mu]) ** 2
         dom = abs(float(modes.K[int(np.argmax(w))]))
         edge_k = k_at_max if e > hi else k_at_min

@@ -13,22 +13,16 @@ import biximp
 
 # "module.qualified_function.parameter" -> why callers vary it
 ALLOWED = {
-    "biexciton.solve_relative_decay.method":
-        "'exact' root or the 'large_n' closed form, picked by ModeBasis",
     "biexciton.closed_phi.parity": "even or odd relative branch",
     # only tests set it; goes with large_n (ROADMAP item 2)
     "biexciton.ModeBasis.__init__.method":
         "'auto' in the commands; tests force 'exact' or 'large_n'",
     "cli.number.kind": "float, int or operator.index reads of a config value",
     "cli.main.argv": "sys.argv for the console script, a list in tests",
-    "csvio.write_table.fmt": "--format csv or json",
     "dynamics.split_ratio.strict": "calibration probes skip the timing gate",
     "params.ModelParams.replace.**kwargs": "any subset of the model fields",
     "projected.checked_eigh.what":
         "names the projected or the pair Hamiltonian in the error",
-    "projected.fit_ring_decay.d_lo":
-        "the CM and the relative-coordinate fits start at different d",
-    "projected.fit_ring_decay.d_hi": "likewise their window ends",
     "roots.brentq.xtol": "each root finder sets its own tolerance",
     "roots.brentq.rtol": "the decay roots tighten it",
     "roots.scan_roots.exact_zeros": "find_pole skips exact grid zeros",

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biximp import pairbasis
-from biximp.cli import main
+from biximp.cli import KEYS, MAX_COUNT, main
 
 
 def write_cfg(path, data):
@@ -147,6 +147,57 @@ def test_non_finite_number_exit_code(tmp_path, capsys, command, name, key, value
     """NaN or +-inf where a number belongs is a config error: no traceback,
     no exit 0 with garbage written, no misleading regime message."""
     _config_error(tmp_path, capsys, command, name, key, value)
+
+
+MISSPELLED_KEYS = (
+    ("biexciton-spectrum", "model", "v0", 4.0),
+    ("exciton", "exciton", "sign_case", True),
+    ("biexciton-spectrum", "biexciton_spectrum", "N", 16),
+    ("phase-diagram", "phase_diagram", "n_d", 3),
+    ("poles", "poles", "nscan", 20),
+    ("bic", "bic", "flag_tol", 0.1),
+    ("wavepacket", "wavepacket", "KO", 1.0))
+
+
+@pytest.mark.parametrize("command, name, key, value", MISSPELLED_KEYS)
+def test_unknown_key_exit_code(tmp_path, capsys, command, name, key, value):
+    """A key the section does not read is a config error: `v0` for `V0`
+    would otherwise run the impurity-free model and exit 0."""
+    err = _config_error(tmp_path, capsys, command, name, key, value)
+    assert f"unknown key(s) ['{key}']" in err
+
+
+@pytest.mark.parametrize("command, name, key", [
+    ("poles", "poles", "n_scan"), ("phase-diagram", "phase_diagram", "n_D"),
+    ("phase-diagram", "phase_diagram", "n_V0")])
+def test_grid_count_above_cap_exit_code(tmp_path, capsys, command, name, key):
+    """A grid count above MAX_COUNT is refused before any grid is allocated."""
+    assert str(MAX_COUNT) in _config_error(tmp_path, capsys, command, name, key,
+                                           MAX_COUNT + 1)
+
+
+def test_plots_with_json_exit_code(tmp_path, capsys):
+    """--plots scripts read CSV, so with --format json they are refused
+    before anything is written."""
+    cfg = write_cfg(tmp_path / "c.yaml", dict(BASE, phase_diagram=PHASE))
+    out = tmp_path / "out"
+    assert main(["phase-diagram", "--config", cfg, "--out", str(out), "--plots",
+                 "--format", "json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --plots") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_readme_config_keys():
+    """Every section of README's example configuration holds only keys
+    that cli.KEYS lists for it, so the documentation cannot drift."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```yaml\n")
+    assert len(blocks) == 2
+    cfg = yaml.safe_load(blocks[1].split("```")[0])
+    assert set(cfg) == set(KEYS) - {"biexciton_spectrum"}
+    for name, sec in cfg.items():
+        assert set(sec) <= set(KEYS[name]), name
 
 
 def test_regime_violation_exit_code(tmp_path):

@@ -1,14 +1,17 @@
 """Exact exciton-impurity solution against closed forms and dense matrices."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
+import yaml
 
 from biximp import (ModelParams, ParameterError,
                     effective_mass, exciton_bound_wavevector_largen,
                     exciton_dispersion, exciton_reflection_amplitude,
                     exciton_site_hamiltonian, solve_exciton_spectrum)
+from biximp.cli import main
 from biximp.exciton import bound_energies_from_matrix
 
 
@@ -151,3 +154,17 @@ def test_effective_mass():
 def test_v0_zero_has_no_bound():
     with pytest.raises(ParameterError):
         exciton_bound_wavevector_largen(P(V0=0.0))
+
+
+@pytest.mark.parametrize("V0", [1e4, 1e5])
+def test_strong_impurity_spectrum(tmp_path, V0):
+    """A strong impurity runs: the symmetric roots' residual check scales
+    with V0/J, and the energies match the dense ring Hamiltonian."""
+    model = {"N": 40, "J": 1.0, "D": 4.1, "E0": 0.0, "V0": V0}
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump({"model": model}))
+    assert main(["exciton", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "exciton.csv") as fh:
+        got = np.sort([float(row["energy"]) for row in csv.DictReader(fh)])
+    want = np.linalg.eigvalsh(exciton_site_hamiltonian(P(V0=V0)))
+    assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, 2.0 + V0)

@@ -403,12 +403,10 @@ FIT_TASKS = {
 }
 
 
-def per_start_fit(ds, ps, N, d_lo=4, d_hi=None):
+def per_start_fit(ds, ps, N, d_lo, d_hi):
     """Reference ring-decay fit: one masked window and one bounded fit
     per start offset, with np.mean and np.sum in the objective; a flat
     window (SST = 0) is no fit."""
-    if d_hi is None:
-        d_hi = N - 6
     pmax = ps.max()
     if pmax <= 0:
         return 0.0, 0.0
@@ -456,7 +454,8 @@ def random_fit_inputs(rng, N):
     log_p[:rng.integers(6)] -= rng.uniform(0.0, 8.0)
     ps = np.exp(log_p - log_p.max())
     ps[rng.random(ds.size) < 0.05] = rng.choice((0.0, 1e-25))
-    d_lo, d_hi = ((4, None), (4, N - 6), (3, N // 2 - 3))[rng.integers(3)]
+    # draw 0 or 1 gives the CM window (4, N - 6), draw 2 the relative one
+    d_lo, d_hi = ((4, N - 6), (3, N // 2 - 3))[rng.integers(3) // 2]
     return ds, ps, N if d_lo == 4 else N // 2, d_lo, d_hi
 
 
@@ -498,7 +497,7 @@ def test_fit_matches_per_start_reference(fit_calls, tmp_path, case):
             # flat up to a zero at the window's end: every start's window
             # is flat (SST = 0), so no start fits
             ds = np.arange(N + 1)
-            projected.fit_ring_decay(ds, np.where(ds == N - 7, 0.0, 1.0), N)
+            projected.fit_ring_decay(ds, np.where(ds == N - 7, 0.0, 1.0), N, 4, N - 6)
         want = [per_start_fit(*args, **kw) for args, kw, _ in fit_calls]
     got = [got for _, _, got in fit_calls]
     assert got == want
@@ -514,7 +513,7 @@ def test_flat_profile_with_overflowing_objective_is_no_fit():
     N = 400
     ds = np.arange(N + 1)
     with np.errstate(all="ignore"):
-        got = projected.fit_ring_decay(ds, np.where(ds == N - 7, 0.0, 1.0), N)
+        got = projected.fit_ring_decay(ds, np.where(ds == N - 7, 0.0, 1.0), N, 4, N - 6)
     assert got == (0.0, 0.0)
 
 
@@ -523,7 +522,8 @@ def test_flat_window_is_no_fit():
     N = 40: no fit, not r2 = 1 with the minimizer's last kappa."""
     N = 40
     ds = np.arange(N + 1)
-    assert projected.fit_ring_decay(ds, np.where(ds == N - 7, 0.0, 1.0), N) == (0.0, 0.0)
+    got = projected.fit_ring_decay(ds, np.where(ds == N - 7, 0.0, 1.0), N, 4, N - 6)
+    assert got == (0.0, 0.0)
 
 
 def test_eigh_failure_is_a_numerical_error():

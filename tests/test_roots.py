@@ -73,7 +73,7 @@ def test_brentq_matches_scipy_on_ratio_residual(brentq_pairs, N, D, parity):
     p = ModelParams(N=N, J=1.0, D=D, E0=0.0, V0=4.0)
     for K in np.linspace(-1.55, 1.55, 63):
         try:
-            biexciton.solve_relative_decay(float(K), p, parity)
+            biexciton.solve_relative_decay(float(K), p, parity, "exact")
         except ExistenceError:
             pass
     assert_identical(brentq_pairs)
@@ -171,7 +171,7 @@ def test_fminbound_matches_scipy_where_objective_overflows(fit_records):
     spec = projected.diagonalize_projected(ph)
     _, ds, ps = next(projected.bound_candidates(spec, ph.modes))
     with np.errstate(all="ignore"):
-        assert projected.fit_ring_decay(ds, ps, p.N) == (0.0, 0.0)
+        assert projected.fit_ring_decay(ds, ps, p.N, 4, p.N - 6) == (0.0, 0.0)
         nan_fits = [(got, want) for func, got, want in fit_records
                     if math.isnan(func(got))]
     assert nan_fits
