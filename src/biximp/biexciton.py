@@ -38,6 +38,7 @@ _LN2 = math.log(2.0)
 # overflow the normalization.  Only the K = pi/2 grid point (alpha at
 # floating-point noise level) ever reaches it.
 DELTA_LIMIT_KI = 30.0
+BOUND_SPLIT_TOL = 1e-9    # band split, in units of |J|, above which a state is bound
 
 
 def log_cosh(x):
@@ -252,12 +253,16 @@ class ModeBasis:
         """Min/max of the discrete pair-energy band over the K grid."""
         return float(self.energies.min()), float(self.energies.max())
 
-    def out_of_band(self, e):
-        """Mask of the energies e that leave the band by more than 1e-9 |J|:
-        the bound-state energy gate."""
+    def band_split(self, e):
+        """How far the energies e lie outside the band, max(lo - e, e - hi);
+        negative inside it."""
         lo, hi = self.band_edges()
-        tol = 1e-9 * abs(self.params.J)
-        return (e < lo - tol) | (e > hi + tol)
+        return np.maximum(lo - e, e - hi)
+
+    def out_of_band(self, e):
+        """Mask of the energies e that leave the band by more than
+        BOUND_SPLIT_TOL |J|: the bound-state energy gate."""
+        return self.band_split(e) > BOUND_SPLIT_TOL * abs(self.params.J)
 
     def group_velocity(self, K):
         """dE/dK of the large-N dispersion: -(4 J^2 / D) sin 2K."""

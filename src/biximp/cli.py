@@ -4,7 +4,7 @@ Configuration is a single YAML file with a `model` section (N, J, D,
 E0, V0) plus one section per command; see README for the schema.  All
 computations are deterministic, so identical configurations give
 byte-identical CSV output.  Exit codes: 0 ok, 1 numerical failure,
-2 configuration/IO error, 3 regime violation.
+2 configuration/IO error or out of memory, 3 regime violation.
 """
 
 import argparse
@@ -51,10 +51,10 @@ def parsing(name):
 
 
 def number(value, kind=float):
-    """`kind(value)` for a config number, with YAML booleans rejected first
-    (float(True), int(True) and operator.index(True) all read them as 1)
-    and NaN or +-inf rejected for a float read: no computation takes them.
-    An int read of a non-finite float fails in `kind` itself."""
+    """`kind(value)` for a config number, float or operator.index (which
+    refuses any float, 40.0 too, rather than truncate it), with YAML
+    booleans rejected first (both read them as 1) and NaN or +-inf
+    rejected for a float read: no computation takes them."""
     if isinstance(value, bool):
         raise TypeError(f"number (got boolean {value})")
     x = kind(value)
@@ -149,9 +149,10 @@ def cmd_biexciton_spectrum(params, sec, out):
 
 def cmd_phase_diagram(params, sec, out):
     with parsing("phase_diagram"):
-        n = number(sec["n_D"], int), number(sec["n_V0"], int)
-        if max(n) > MAX_COUNT:    # before np.linspace allocates the grids
-            raise ConfigError(f"phase_diagram section: n_D, n_V0 {n} above {MAX_COUNT}")
+        n = number(sec["n_D"], operator.index), number(sec["n_V0"], operator.index)
+        if not 1 <= min(n) <= max(n) <= MAX_COUNT:    # before np.linspace allocates
+            raise ConfigError(f"phase_diagram section: need integer n_D, n_V0 in "
+                              f"[1, {MAX_COUNT}], got {n}")
         d_vals = np.linspace(number(sec["D_min"]), number(sec["D_max"]), n[0])
         v_vals = np.linspace(number(sec["V0_min"]), number(sec["V0_max"]), n[1])
     counts = projected.phase_diagram(d_vals, v_vals, params)
@@ -185,11 +186,10 @@ def cmd_poles(params, sec, out):
             G = projected.impurity_overlap(modes)
         spec = projected.diagonalize_projected(
             projected.build_projected_hamiltonian(p, modes, G))
-        lo, hi = modes.band_edges()
         e = spec.energies[modes.out_of_band(spec.energies)]
         if len(e):
             # the outermost state: the first of the largest band splits
-            e_num = e[np.argmax(np.maximum(lo - e, e - hi))]
+            e_num = e[np.argmax(modes.band_split(e))]
             rel = abs(pole.energy - e_num) / abs(e_num - 2 * p.E0)
         else:
             e_num, rel = math.nan, math.nan
@@ -238,7 +238,11 @@ def cmd_wavepacket(params, sec, out):
             sample_dt=number(sec.get("sample_dt", 1.0)),
             r_offset=None if r_offset is None else number(r_offset))
         target = number(sec.get("split_target", 0.5))
-        snapshots = [(t, number(t)) for t in sec.get("snapshots", [])]
+        snaps = sec.get("snapshots", [])
+        times = [number(t) for t in snaps] if isinstance(snaps, list) else None
+    if times is None or len(set(times)) < len(times):
+        raise ConfigError(f"wavepacket section: snapshots must be a list of "
+                          f"distinct times, got {snaps!r}")
     calibrate = flag(sec, "wavepacket", "calibrate_v0", False)
     dynamics.validate_dynamics_regime(params)
     # one basis, impurity overlap and initial packet serve the
@@ -254,14 +258,14 @@ def cmd_wavepacket(params, sec, out):
               ("t", "entropy_bits", "norm", "energy", "reflected_prob"),
               [(s.t, s.entropy, s.norm, s.energy, s.reflected)
                for s in dynamics.run_trajectory(ph, u0, config)])
-    for t_snap, t in snapshots:
+    for t in times:
         st = dynamics.propagate(u0, ph, t)
-        _, _, psi = dynamics.realspace_amplitude(st, modes)
-        out.grid(f"snapshot_psi2_t{t_snap}", np.abs(psi) ** 2)
+        out.grid(f"snapshot_psi2_t{t}",    # unnamed: freed before rho is built
+                 np.abs(dynamics.realspace_amplitude(st, modes)[2]) ** 2)
         rho = dynamics.reduced_density(st, modes)
-        out.grid(f"snapshot_rho_diag_t{t_snap}", np.real(np.diag(rho)))
-        out.grid(f"snapshot_contrast_t{t_snap}", dynamics.contrast(rho))
-        out.grid(f"snapshot_modes_t{t_snap}", dynamics.mode_distribution(st))
+        out.grid(f"snapshot_rho_diag_t{t}", np.real(np.diag(rho)))
+        out.grid(f"snapshot_contrast_t{t}", dynamics.contrast(rho))
+        out.grid(f"snapshot_modes_t{t}", dynamics.mode_distribution(st))
     out.plot("wavepacket", "wavepacket_timeseries", "1:2", "entanglement entropy")
 
 
@@ -305,7 +309,7 @@ def main(argv=None):
         out = Output(args.out, args.format, args.plots)
         m = section(cfg, "model", KEYS["model"])
         with parsing("model"):
-            params = ModelParams(N=number(m["N"], int), J=number(m["J"]),
+            params = ModelParams(N=number(m["N"], operator.index), J=number(m["J"]),
                                  D=number(m["D"]), E0=number(m.get("E0", 0.0)),
                                  V0=number(m.get("V0", 0.0)))
         name = args.command.replace("-", "_")
@@ -321,6 +325,9 @@ def main(argv=None):
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -192,54 +192,34 @@ def energy_expectation(state, ph):
 # real-space observables
 
 
-class _Grids:
-    """Cached geometric arrays and split-ratio forms for one mode basis."""
+@functools.lru_cache(maxsize=1)
+def _split_forms(modes):
+    """The real forms Q_imp, Q_anti and R of the module docstring for
+    buffers of SPLIT_BUFFER sites, stacked row-wise into (3N, N), and
+    the total weight of each mode, N sum_s fold(s) phi_K(s)^2.
 
-    def __init__(self, modes):
-        N = modes.params.N
-        self.N = N
-        self.r = modes.r
-        self.l_K = modes.l_K
-        self.FK = modes.cm_phase
-        self.s_win = modes.s[modes.window]
-        self.phi_win = modes.phi[:, modes.window]
-        self.phi_parity = [self.phi_win[:, self.s_win % 2 == p] for p in (0, 1)]
-        self.mask_win = ((self.r[:, None] + self.s_win[None, :]) % 2 == 0)
-        self.mask_full = ((self.r[:, None] + modes.s[None, :]) % 2 == 0)
-        self.fold = np.where(np.abs(self.s_win) == N // 2, 1.0, 2.0)
-        self.total_weight = N * (self.phi_win ** 2 @ self.fold)
-
-    @functools.cached_property
-    def split_forms(self):
-        """The real forms Q_imp, Q_anti and R of the module docstring for
-        buffers of SPLIT_BUFFER sites, stacked row-wise into (3N, N).
-
-        sum_r c(r) e^{i pi k r / N} over the 2N sites r is 2N times the
-        inverse DFT of c, placed at r mod 2N, at frequency k mod 2N; it
-        is real for even c and imaginary for odd c.
-        """
-        r, N = self.r, self.N
-        c = np.array([np.abs(r) <= SPLIT_BUFFER,
-                      np.abs(np.abs(r) - N) <= SPLIT_BUFFER,
-                      np.where(r == N, 0, np.sign(r))], dtype=float)
-        x = np.zeros((2, 3, 2 * N))
-        for p in (0, 1):
-            x[p][:, r % (2 * N)] = c * (r % 2 == p)
-        d = 2 * N * np.fft.ifft(x)
-        d = np.concatenate([d.real[:, :2], d.imag[:, 2:]], axis=1)
-        dl = (self.l_K[:, None] - self.l_K[None, :]) % (2 * N)
-        Q = np.zeros((3, N, N))
-        for p, phi in enumerate(self.phi_parity):
-            Q += d[p][:, dl] * ((phi * self.fold[self.s_win % 2 == p]) @ phi.T)
-        return Q.reshape(3 * N, N)
-
-
-def _grids(modes):
-    g = getattr(modes, "_grid_cache", None)
-    if g is None:
-        g = _Grids(modes)
-        modes._grid_cache = g
-    return g
+    sum_r c(r) e^{i pi k r / N} over the 2N sites r is 2N times the
+    inverse DFT of c, placed at r mod 2N, at frequency k mod 2N; it is
+    real for even c and imaginary for odd c.  Cached for the last basis,
+    which the split ratios of a run and of its calibration share.
+    """
+    r, N = modes.r, modes.params.N
+    s, phi = modes.s[modes.window], modes.phi[:, modes.window]
+    fold = np.where(np.abs(s) == N // 2, 1.0, 2.0)
+    c = np.array([np.abs(r) <= SPLIT_BUFFER,
+                  np.abs(np.abs(r) - N) <= SPLIT_BUFFER,
+                  np.where(r == N, 0, np.sign(r))], dtype=float)
+    x = np.zeros((2, 3, 2 * N))
+    for p in (0, 1):
+        x[p][:, r % (2 * N)] = c * (r % 2 == p)
+    d = 2 * N * np.fft.ifft(x)
+    d = np.concatenate([d.real[:, :2], d.imag[:, 2:]], axis=1)
+    dl = (modes.l_K[:, None] - modes.l_K[None, :]) % (2 * N)
+    Q = np.zeros((3, N, N))
+    for p in (0, 1):
+        par = s % 2 == p
+        Q += d[p][:, dl] * ((phi[:, par] * fold[par]) @ phi[:, par].T)
+    return Q.reshape(3 * N, N), N * (phi ** 2 @ fold)
 
 
 def realspace_amplitude(state, modes):
@@ -248,9 +228,9 @@ def realspace_amplitude(state, modes):
     Each physical configuration appears at two grid slots (ring images);
     the 1/sqrt(N) prefactor makes the total grid weight exactly 1.
     """
-    g = _grids(modes)
-    psi = (g.FK * state.u[None, :]) @ modes.phi   # (2N, 2N-1)
-    return g.r, modes.s, psi * g.mask_full / math.sqrt(g.N)
+    r, s, N = modes.r, modes.s, modes.params.N
+    psi = (modes.cm_phase * state.u[None, :]) @ modes.phi   # (2N, 2N-1)
+    return r, s, psi * (r[:, None] % 2 == s % 2) / math.sqrt(N)
 
 
 def schmidt_weights(u, modes):
@@ -259,21 +239,25 @@ def schmidt_weights(u, modes):
     Computed from the two parity Gram blocks sum_K |u_K|^2 phi_K phi_K^T
     (module docstring) and zero-padded to the 2N eigenvalues of rho.
     """
-    g = _grids(modes)
+    lo, N = modes.window[0], modes.params.N
     w = np.abs(u) ** 2
-    blocks = [(phi.T * w) @ phi for phi in g.phi_parity]
+    # every other window column holds one parity of s; column-major, the
+    # layout whose rounding the recorded references pin
+    blocks = [(phi.T * w) @ phi for phi in
+              (np.asfortranarray(modes.phi[:, lo + k:lo + N:2]) for k in (0, 1))]
     trace = sum(np.trace(b) for b in blocks)
     ev = np.concatenate([np.linalg.eigvalsh(b / trace) for b in blocks])
     if ev.min() < -1e-10:
         raise NumericalError(f"reduced density not PSD: min eig {ev.min():.2e}")
     return np.sort(np.concatenate([np.clip(ev, 0.0, None),
-                                   np.zeros(2 * g.N - len(ev))]))
+                                   np.zeros(2 * N - len(ev))]))
 
 
 def reduced_density(state, modes):
     """Trace-normalized CM density matrix rho on the 2N ring."""
-    g = _grids(modes)
-    psi = (g.FK * state.u[None, :]) @ g.phi_win * g.mask_win
+    s = modes.s[modes.window]
+    psi = ((modes.cm_phase * state.u[None, :]) @ modes.phi[:, modes.window]
+           * (modes.r[:, None] % 2 == s % 2))
     rho = psi @ psi.conj().T
     rho /= np.real(np.trace(rho))
     return rho
@@ -368,10 +352,10 @@ def split_ratio(state, modes, K0, strict=True):
     with the limits inclusive up to summation rounding (check_partition).
     Each weight is a real form on u (module docstring).
     """
-    g = _grids(modes)
+    forms, weights = _split_forms(modes)
     ab = np.stack([state.u.real, state.u.imag], axis=1)     # u = a + ib
-    y = (g.split_forms @ ab).reshape(3, -1, 2)
-    total = g.total_weight @ np.abs(state.u) ** 2
+    y = (forms @ ab).reshape(3, -1, 2)
+    total = weights @ np.abs(state.u) ** 2
     imp, anti = np.sum(y[:2] * ab, axis=(1, 2)) / total
     sigma = 2.0 * (ab[:, 0] @ y[2, :, 1]) / total
     if modes.group_velocity(K0) < 0.0:     # arrives from r > 0

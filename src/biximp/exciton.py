@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .biexciton import log_cosh
+from .biexciton import BOUND_SPLIT_TOL, log_cosh
 from .errors import NumericalError, ParameterError
 from .roots import decay_root, scan_roots
 
-BOUND_SPLIT_TOL = 1e-9  # energy split below this does not count as bound
 # a polished root's |g(k)| relative to 1 + |V0/2J|: about N * 1e-14 from
 # Brent's xtol, against O(1) for a point that is no root
 ROOT_RESIDUAL_TOL = 1e-9
@@ -58,7 +57,12 @@ def exciton_bound_wavevector_largen(params):
 def _bound_decay(params):
     """Finite-N k'' root of tanh(k'' N/2) sinh k'' = |V0/2J|."""
     t = abs(params.V0 / (2.0 * params.J))
-    f = lambda k: math.tanh(k * params.N / 2.0) * math.sinh(k) - t
+
+    def f(k):
+        try:
+            return math.tanh(k * params.N / 2.0) * math.sinh(k) - t
+        except OverflowError:   # sinh k past the float range, so above t
+            return math.inf
     return decay_root(f, math.asinh(t) + 1.0)
 
 

@@ -30,12 +30,11 @@ import numpy as np
 
 from .errors import ExistenceError, NumericalError, ParameterError, RangeError
 from .params import wrap_site
-from .projected import (checked_eigh, distance_profile, fit_ring_decay,
-                        sector_spectrum)
+from .projected import (TAIL_FRACTION_MAX, checked_eigh, distance_profile,
+                        fit_ring_decay, sector_spectrum)
 
 SCHMIDT_FACTORIZED = 1.1  # effective rank below this counts as factorized
 LOCALIZED_TAIL = 1e-10
-TAIL_BOUND_MAX = 0.10    # far-tail mass gate for binding in a coordinate
 SITE_CORE_MIN = 0.30     # occupation within 2 sites of the impurity
 BIC_WINDOW = 0.05        # find_bic_state's half-width around the closed form
 
@@ -268,8 +267,8 @@ def classify_state(energy, vec, params, basis):
     ks = _fit_decay(*distance_profile(basis.sigma[near_r], w[near_r]),
                     N // 2, d_lo=3, d_hi=N // 2 - 3)
 
-    r_bound = tail_r < TAIL_BOUND_MAX
-    s_bound = tail_s < TAIL_BOUND_MAX
+    r_bound = tail_r < TAIL_FRACTION_MAX
+    s_bound = tail_s < TAIL_FRACTION_MAX
 
     sym = reflection_expectation(vec, basis)
 

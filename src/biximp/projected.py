@@ -45,9 +45,10 @@ from .roots import fminbound
 
 PROFILE_FLOOR = 1e-18    # relative |Psi|^2 floor: excludes eigensolver noise
 CLASS_K_SPLIT = np.pi / 4
-# localization gate: fraction of |Psi(r,1)|^2 beyond mid-ring.  A flat
-# scattering profile carries ~0.5 there, bound profiles < 0.1; beating
-# multi-component profiles defeat single-exponential fits but not this.
+# localization gate, here and in pairbasis: fraction of a profile beyond
+# mid-ring.  A flat scattering profile carries ~0.5 there, bound profiles
+# < 0.1; beating multi-component profiles defeat single-exponential fits
+# but not this.
 TAIL_FRACTION_MAX = 0.10
 
 
@@ -247,18 +248,18 @@ def ring_decay_profile(U, modes):
     rows = slice(0, None, 2)    # row i holds r = i - N + 1: r odd
     r = modes.r[rows]
     psi = modes.cm_phase[rows] @ (U * modes.phi[:, N, None])
-    # the odd distances 1 .. N - 1: d sits in slot d // 2
-    ds = np.arange(1, N + 1, 2)
-    p = np.zeros((len(ds), U.shape[1]))
-    np.add.at(p, np.minimum(np.abs(r), 2 * N - np.abs(r)) // 2, np.abs(psi) ** 2)
-    return ds, p
+    return distance_profile(np.minimum(np.abs(r), 2 * N - np.abs(r)),
+                            np.abs(psi) ** 2)
 
 
 def distance_profile(d, w):
-    """Weights w summed per integer distance d; returns (ds, p) for the
+    """Weights w summed per integer distance d, for 1-D w or for each
+    column of 2-D w (row i at distance d[i]); returns (ds, p) for the
     distances present, ds increasing."""
-    ds = np.unique(d)
-    return ds, np.bincount(d, weights=w)[ds]
+    counts = np.bincount(d)
+    p = np.zeros(counts.shape + w.shape[1:])
+    np.add.at(p, d, w)
+    return np.flatnonzero(counts), p[counts > 0]
 
 
 def fit_ring_decay(ds, ps, N, d_lo, d_hi):
@@ -355,7 +356,7 @@ def classify_bound_states(spectrum, modes):
     ... as long as at most four near-zero states exist.
     """
     p = modes.params
-    lo, hi = modes.band_edges()
+    hi = modes.band_edges()[1]
     # |K| of the band edges: a state splits off the edge it is nearer to
     k_at_max = abs(float(modes.K[int(np.argmax(modes.energies))]))
     k_at_min = abs(float(modes.K[int(np.argmin(modes.energies))]))
@@ -368,7 +369,7 @@ def classify_bound_states(spectrum, modes):
         edge_k = k_at_max if e > hi else k_at_min
         cls = "near_zero" if edge_k < CLASS_K_SPLIT else "near_half_pi"
         recs.append(BoundStateRecord("", e, dom, cls, kappa, r2, mu))
-    split = lambda r: max(lo - r.energy, r.energy - hi)
+    split = lambda r: modes.band_split(r.energy)
     near0 = sorted([r for r in recs if r.re_K_class == "near_zero"],
                    key=split, reverse=True)
     nearh = sorted([r for r in recs if r.re_K_class == "near_half_pi"],

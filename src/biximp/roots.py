@@ -203,20 +203,20 @@ def decay_root(f, hi):
     return brentq(f, 1e-14, hi, xtol=1e-15, rtol=8.9e-16)
 
 
-def scan_roots(f, grid, exact_zeros=True):
+def scan_roots(f, grid):
     """Roots of f on the grid, lazily in grid order.
 
     f must be elementwise: it is evaluated once on the whole grid before
     the first root is yielded, and each sign change between neighbouring
     samples is then polished with Brent's method on scalar calls.  A
-    sample that is exactly zero is itself a root when exact_zeros is
-    set, and is skipped otherwise.
+    sample that is exactly zero is itself a root.  Signs are compared,
+    not the product of two samples, which underflows below 1e-154.
     """
     vals = f(grid)
     for i in range(len(grid) - 1):
-        if vals[i] * vals[i + 1] < 0:
+        if vals[i] < 0 < vals[i + 1] or vals[i] > 0 > vals[i + 1]:
             yield brentq(f, grid[i], grid[i + 1], xtol=1e-14)
-        elif exact_zeros and vals[i] == 0.0:
+        elif vals[i] == 0.0:
             yield grid[i]
 
 

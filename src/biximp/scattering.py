@@ -118,10 +118,10 @@ def pole_branch(params):
 def find_pole(params):
     """Root of sinh(2 K'') = 2 D V0 S / (J^2 cos 2K') on the sign branch.
 
-    The equation is scanned for a sign change and polished with Brent;
-    S is re-evaluated at every K'', so the self-consistency is exact at
-    the root.  The pole energy follows from the large-N dispersion at
-    complex K.
+    The first root of a scan is taken, a sign change polished with Brent
+    or a scan point where the equation holds exactly; S is re-evaluated
+    at every K'', so the self-consistency is exact at the root.  The
+    pole energy follows from the large-N dispersion at complex K.
     """
     p = params
     kp = pole_branch(p)
@@ -131,8 +131,7 @@ def find_pole(params):
     def f(k):
         return np.sinh(2.0 * k) - 2.0 * p.D * p.V0 * s_function(kp, k, p) / (j2 * c2)
 
-    k = next(scan_roots(f, np.linspace(1e-6, POLE_K_MAX, POLE_N_SCAN),
-                        exact_zeros=False), None)
+    k = next(scan_roots(f, np.linspace(1e-6, POLE_K_MAX, POLE_N_SCAN)), None)
     if k is None:
         raise NumericalError(
             f"no pole found on branch K'={kp:.4f} for D={p.D}, V0={p.V0} "

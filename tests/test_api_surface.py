@@ -17,7 +17,7 @@ ALLOWED = {
     # only tests set it; goes with large_n (ROADMAP item 2)
     "biexciton.ModeBasis.__init__.method":
         "'auto' in the commands; tests force 'exact' or 'large_n'",
-    "cli.number.kind": "float, int or operator.index reads of a config value",
+    "cli.number.kind": "float or operator.index reads of a config value",
     "cli.main.argv": "sys.argv for the console script, a list in tests",
     "dynamics.split_ratio.strict": "calibration probes skip the timing gate",
     "params.ModelParams.replace.**kwargs": "any subset of the model fields",
@@ -25,7 +25,6 @@ ALLOWED = {
         "names the projected or the pair Hamiltonian in the error",
     "roots.brentq.xtol": "each root finder sets its own tolerance",
     "roots.brentq.rtol": "the decay roots tighten it",
-    "roots.scan_roots.exact_zeros": "find_pole skips exact grid zeros",
     # only tests set it; goes with the first-order state (ROADMAP item 10)
     "scattering.continued_fraction_first_order.modes":
         "with a basis it also returns the scattered-state coefficients",

@@ -15,7 +15,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biximp import pairbasis
+from biximp import cli, pairbasis
 from biximp.cli import KEYS, MAX_COUNT, main
 
 
@@ -56,10 +56,13 @@ def test_malformed_phase_diagram_value_exit_code(tmp_path):
 
 
 def test_malformed_wavepacket_value_exit_code(tmp_path, capsys):
-    # calibrate_v0 takes YAML booleans only: the string "false" is truthy
+    # calibrate_v0 takes YAML booleans only: the string "false" is truthy;
+    # snapshots is a list of distinct times: a string was read as one time
+    # per character, and a repeated time wrote its files twice
     for key, value in (("K0", "fast"), ("calibrate_v0", "false"),
                        ("calibrate_v0", "no"), ("calibrate_v0", 1),
-                       ("calibrate_v0", None)):
+                       ("calibrate_v0", None), ("snapshots", "35"),
+                       ("snapshots", [-28.0, -28]), ("snapshots", [-28.0, "-2.8e1"])):
         _config_error(tmp_path, capsys, "wavepacket", "wavepacket", key, value)
 
 
@@ -174,6 +177,41 @@ def test_grid_count_above_cap_exit_code(tmp_path, capsys, command, name, key):
     """A grid count above MAX_COUNT is refused before any grid is allocated."""
     assert str(MAX_COUNT) in _config_error(tmp_path, capsys, command, name, key,
                                            MAX_COUNT + 1)
+
+
+@pytest.mark.parametrize("command, name, key, value", [
+    ("exciton", "model", "N", 40.7), ("phase-diagram", "phase_diagram", "n_D", 2.5),
+    ("phase-diagram", "phase_diagram", "n_V0", 0)])
+def test_integer_key_exit_code(tmp_path, capsys, command, name, key, value):
+    """An integer key takes only an integer, never a truncated float, and
+    a phase-diagram axis needs at least one point: N 40.7 and n_D 2.5 ran
+    as 40 and 2, and n_V0 0 wrote a header-only table, all with exit 0."""
+    _config_error(tmp_path, capsys, command, name, key, value)
+
+
+def test_snapshot_names_from_parsed_time(tmp_path):
+    """A snapshot file is named by the parsed time, so -28 and -28.0
+    give the same name."""
+    cfg = {sec: dict(vals) for sec, vals in PACKET.items()}
+    cfg["wavepacket"]["snapshots"] = [-28, -26.5]
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    out = tmp_path / "out"
+    assert main(["wavepacket", "--config", path, "--out", str(out)]) == 0
+    assert sorted(f.name for f in out.glob("snapshot_modes_*")) == [
+        "snapshot_modes_t-26.5.f64", "snapshot_modes_t-28.0.f64"]
+
+
+def test_out_of_memory_exit_code(monkeypatch, tmp_path, capsys):
+    """A command that runs out of memory exits 2 with one line, not a
+    traceback (bic at N = 4000 asks numpy for 116 TiB)."""
+    def bic(params, sec, out):
+        raise MemoryError("Unable to allocate 116. TiB for an array")
+
+    monkeypatch.setitem(cli.COMMANDS, "bic", bic)
+    path = write_cfg(tmp_path / "c.yaml", BASE)
+    assert main(["bic", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1
 
 
 def test_plots_with_json_exit_code(tmp_path, capsys):
@@ -547,7 +585,8 @@ SMALL_RUNS = {
 
 def test_commands_run_without_scipy(tmp_path):
     """A fresh process runs every command without importing scipy, whose
-    import alone would cost more than most runs compute."""
+    import alone would cost more than most runs compute, or numpy.ma,
+    which np.unique imports on its first call (about 1.7 MiB)."""
     import json
     import os
     import subprocess
@@ -566,14 +605,15 @@ def test_commands_run_without_scipy(tmp_path):
               "from biximp.cli import main\n"
               f"codes = [main(argv) for argv in {argvs!r}]\n"
               "print(json.dumps([codes, sorted(m for m in sys.modules\n"
-              "    if m == 'scipy' or m.startswith('scipy.'))]))\n")
+              "    if any(m == p or m.startswith(p + '.')\n"
+              "           for p in ('scipy', 'numpy.ma')))]))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(biximp.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    codes, scipy_modules = json.loads(run.stdout.splitlines()[-1])
+    codes, modules = json.loads(run.stdout.splitlines()[-1])
     assert codes == [0] * len(SMALL_RUNS)
-    assert scipy_modules == []
+    assert modules == []
 
 
 # any float, NaN and +-inf included, or one of the model's own scale
@@ -664,6 +704,8 @@ def test_poles_config_fuzz(N, J, D, V0, E0, kpp_max, n_scan):
 
 
 @settings(max_examples=100, deadline=None)
+# V0 / 2J near the float maximum: sinh overflows in the bound-root bracket
+@example(N=4, J=1.1125369292536007e-308, D=0.0, V0=2.0, E0=0.0, sign_cases=False)
 @given(N=st.sampled_from((4, 6, 8, 10, 12, 40)), J=FUZZ_VALUES, D=FUZZ_VALUES,
        V0=FUZZ_VALUES, E0=FUZZ_VALUES, sign_cases=st.booleans())
 def test_exciton_config_fuzz(N, J, D, V0, E0, sign_cases):

@@ -1,5 +1,6 @@
 """Wavepacket propagation, reduced density, entropy, splitting."""
 
+import functools
 import math
 import re
 
@@ -520,7 +521,18 @@ def test_projected_dynamics_matches_full_basis(exact_pair_run):
     assert abs(full - proj) < 0.10
 
 
-def test_grids_share_basis_phase_matrix():
-    """The dynamics grids hold the basis's one e^{iKr} matrix, not a copy."""
-    modes = ModeBasis(canonical_params())
-    assert dynamics._grids(modes).FK is modes.cm_phase
+def test_observables_write_nothing_onto_basis():
+    """A calibrated run and its snapshot observables leave on the basis
+    only what ModeBasis sets itself: its fields and cached properties."""
+    p, cfg = canonical_params(V0=0.0), canonical_config(t_end=-25.0)
+    modes, G, u, _ = calibration_args(p, cfg)
+    v0 = calibrate_v0(modes, G, u, K0, 0.5)
+    ph = build_projected_hamiltonian(p.replace(V0=v0), modes, G)
+    run_trajectory(ph, u, cfg)
+    st = propagate(u, ph, 35.0)
+    realspace_amplitude(st, modes)
+    contrast(reduced_density(st, modes))
+    own = set(vars(ModeBasis(p))) | {
+        name for name, attr in vars(ModeBasis).items()
+        if isinstance(attr, functools.cached_property)}
+    assert set(vars(modes)) <= own

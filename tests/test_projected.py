@@ -18,7 +18,7 @@ from biximp import (ExistenceError, ModeBasis, ModelParams, NumericalError,
 from biximp.cli import main
 from biximp.pairbasis import build_pair_hamiltonian
 from biximp.projected import (PROFILE_FLOOR, bound_candidates, cm_amplitude,
-                              participation_ratio)
+                              distance_profile, participation_ratio)
 from conftest import projected_hamiltonian
 
 
@@ -541,3 +541,18 @@ def test_eigh_failure_is_a_numerical_error():
         diagonalize_projected(ProjectedHamiltonian(modes, M.real.copy(), p))
     with pytest.raises(NumericalError, match="eigh"):
         ProjectedHamiltonian(modes, M, p).eigensystem()
+
+
+def test_distance_profile_columns():
+    """A 2-D distance profile is the 1-D profile of each column, over the
+    same distances present (here with gaps and repeats)."""
+    rng = np.random.default_rng(7)
+    d = rng.choice([0, 2, 3, 7, 11], size=40)
+    w = rng.random((40, 3))
+    ds, p = distance_profile(d, w)
+    assert p.shape == (len(ds), 3)
+    for j in range(3):
+        ds_j, p_j = distance_profile(d, w[:, j])
+        assert np.array_equal(ds_j, ds) and np.array_equal(p_j, p[:, j])
+    assert np.array_equal(ds, np.unique(d))
+    assert np.allclose(p.sum(axis=0), w.sum(axis=0), rtol=1e-14, atol=0)

@@ -152,6 +152,18 @@ def test_brentq_raises_numerical_error(monkeypatch, f, a, b, kw, match):
         roots.brentq(f, a, b, **kw)
 
 
+@pytest.mark.parametrize("scale", (1.0, 1e-200, 1e200))
+def test_scan_roots_at_any_scale(scale):
+    """scan_roots finds the same roots of f and of f times any scale: a
+    sign change between samples, polished, and a sample that is exactly
+    zero (x = 0.5 is a grid point).  The product of two samples of
+    1e-200 (x - 0.3) underflows to zero, and missed its root."""
+    f = lambda x: scale * (x - 0.3) * (x - 0.5)
+    roots_found = list(roots.scan_roots(f, np.linspace(0.0, 1.0, 11)))
+    assert len(roots_found) == 2
+    assert roots_found[0] == pytest.approx(0.3, abs=1e-13) and roots_found[1] == 0.5
+
+
 @pytest.mark.parametrize("task", sorted(FIT_TASKS))
 def test_fminbound_matches_scipy_on_fit_objectives(fit_records, tmp_path, task):
     """Every ring-decay fit the CLI runs for the task gives scipy's kappa."""
