@@ -212,21 +212,21 @@ def default_method(params):
 
 
 class ModeBasis:
-    """All N biexciton modes of one parameter set, as arrays.
+    """All N impurity-free biexciton modes of one parameter set, as arrays.
 
-    Ordered by increasing K: K (N,), l_K (N,), parity (N,), decay
-    constants k_i (N,; inf at the delta limit), energies (N,) and phi
-    (N, 2N-1) with the s axis running over [-N+1, N-1].  The lattice
-    conventions every observable shares: r (2N,), the extended CM ring
-    (-N, N]; and window (N,), the phi columns of one relative period
-    s in (-N/2, N/2].
+    `params` is stored with V0 = 0: one basis serves every V0.  Ordered
+    by increasing K: K (N,), l_K (N,), parity (N,), decay constants k_i
+    (N,; inf at the delta limit), energies (N,) and phi (N, 2N-1) with
+    the s axis running over [-N+1, N-1].  The lattice conventions every
+    observable shares: r (2N,), the extended CM ring (-N, N]; and
+    window (N,), the phi columns of one relative period s in (-N/2, N/2].
     """
 
     def __init__(self, params, method="auto"):
         params.validate_biexciton_regime()
         if method == "auto":
             method = default_method(params)
-        self.params = params
+        self.params = params = params.replace(V0=0.0)
         self.l_K, self.K = k_grid(params)
         self.parity = np.abs(self.l_K) % 2
         K = self.K.tolist()

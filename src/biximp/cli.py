@@ -132,7 +132,7 @@ def cmd_biexciton_spectrum(params, sec, out):
     # spectrum: M is freed once solved
     modes = ModeBasis(params)
     spec = projected.diagonalize_projected(projected.build_projected_hamiltonian(
-        params, modes, projected.impurity_overlap(modes)))
+        modes, projected.impurity_overlap(modes), params.V0))
     recs = projected.classify_bound_states(spec, modes)
     rows = [(mu, e, math.nan, "scattering", 0.0, False)
             for mu, e in enumerate(spec.energies)]
@@ -185,7 +185,7 @@ def cmd_poles(params, sec, out):
             modes = ModeBasis(p)
             G = projected.impurity_overlap(modes)
         spec = projected.diagonalize_projected(
-            projected.build_projected_hamiltonian(p, modes, G))
+            projected.build_projected_hamiltonian(modes, G, v0))
         e = spec.energies[modes.out_of_band(spec.energies)]
         if len(e):
             # the outermost state: the first of the largest band splits
@@ -244,16 +244,16 @@ def cmd_wavepacket(params, sec, out):
         raise ConfigError(f"wavepacket section: snapshots must be a list of "
                           f"distinct times, got {snaps!r}")
     calibrate = flag(sec, "wavepacket", "calibrate_v0", False)
-    dynamics.validate_dynamics_regime(params)
+    # a calibrated run replaces the model's V0: only D is checked here
+    dynamics.validate_dynamics_regime(params.replace(V0=0.0) if calibrate else params)
     # one basis, impurity overlap and initial packet serve the
     # calibration and the run: none depends on V0
     modes = ModeBasis(params)
     G = projected.impurity_overlap(modes)
     u0 = dynamics.init_wavepacket(config, modes)
-    if calibrate:
-        v0 = dynamics.calibrate_v0(modes, G, u0, config.K0, target)
-        params = params.replace(V0=v0)
-    ph = projected.build_projected_hamiltonian(params, modes, G)
+    v0 = (dynamics.calibrate_v0(modes, G, u0, config.K0, target) if calibrate
+          else params.V0)
+    ph = projected.build_projected_hamiltonian(modes, G, v0)
     out.table("wavepacket_timeseries",
               ("t", "entropy_bits", "norm", "energy", "reflected_prob"),
               [(s.t, s.entropy, s.norm, s.energy, s.reflected)

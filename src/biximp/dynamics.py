@@ -368,8 +368,9 @@ def split_ratio(state, modes, K0, strict=True):
 
 def calibrate_v0(modes, overlap, u0, K0, target):
     """Impurity strength giving the target reflected fraction of the
-    packet `u0` centred on K0, on the run's `modes` and their impurity
-    `overlap` (neither depends on V0).
+    packet `u0` centred on K0, on the run's impurity-free `modes` and
+    their impurity `overlap`; each trial V0 is a number handed to
+    build_projected_hamiltonian.
 
     Bisection on |V0| in [0, |D|] with the sign opposite to D, until
     the bracket is narrower than 1e-12; reflection is measured at
@@ -387,14 +388,12 @@ def calibrate_v0(modes, overlap, u0, K0, target):
     """
     if target == 0.0:
         return 0.0
-    params_template = modes.params
-    sgn = -np.sign(params_template.D)
-    v0_max = abs(params_template.D)
+    sgn = -np.sign(modes.params.D)
+    v0_max = abs(modes.params.D)
 
     @functools.cache
     def reflected(v0_abs):
-        trial = params_template.replace(V0=float(sgn * v0_abs))
-        ph = build_projected_hamiltonian(trial, modes, overlap)
+        ph = build_projected_hamiltonian(modes, overlap, float(sgn * v0_abs))
         u = propagate(u0, ph, CALIBRATION_T)
         # scan probes skip the timing gate: strong trial potentials leave
         # lingering weight near the impurity by design

@@ -81,11 +81,8 @@ class ExcitonSpectrum:
     params: object = field(repr=False, default=None)
 
     def all_energies(self):
-        es = [exciton_dispersion(k, self.params) for k in self.antisymmetric_k]
-        es += [exciton_dispersion(k, self.params) for k in self.symmetric_k]
-        if self.bound is not None:
-            es.append(self.bound.energy)
-        return np.sort(np.array(es))
+        """Every energy of rows(), ascending."""
+        return np.sort(np.array([row[3] for row in self.rows()]))
 
     def rows(self):
         """CSV rows (branch, k_real, k_imag, energy, bound_flag)."""
@@ -133,7 +130,7 @@ def solve_exciton_spectrum(params):
     t = params.V0 / (2.0 * params.J)
     g = lambda k: np.sin(k * N / 2.0) * np.sin(k) + t * np.cos(k * N / 2.0)
     ks = np.linspace(1e-12, math.pi - 1e-12, 16 * N)
-    k_s = np.array(sorted(scan_roots(g, ks)))
+    k_s = np.array(list(scan_roots(g, ks)))     # ascending, as scanned
     if len(k_s) != N // 2:
         raise NumericalError(
             f"symmetric root count {len(k_s)} != N/2 = {N // 2}: completeness failed")

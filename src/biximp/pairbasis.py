@@ -206,9 +206,6 @@ def _fit_decay(ds, ps, period_half, d_lo, d_hi):
     tail = ps[ds >= d_lo].sum()
     if tail <= LOCALIZED_TAIL * tot:
         return math.inf
-    m = (ds >= d_lo) & (ds <= d_hi) & (ps > 1e-12 * ps.max())
-    if m.sum() < 4:
-        return 0.0
     return fit_ring_decay(ds, ps, period_half, d_lo=d_lo, d_hi=d_hi)[0]
 
 

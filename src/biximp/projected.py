@@ -121,10 +121,11 @@ class ProjectedHamiltonian:
         return self._eig
 
 
-def build_projected_hamiltonian(params, modes, overlap):
-    """M for `params` on the basis `modes` of the same D, J, E0 and N and
-    its impurity `overlap`; neither depends on V0, so one pair serves
-    every V0."""
+def build_projected_hamiltonian(modes, overlap, V0):
+    """M for the impurity strength V0 on the impurity-free basis `modes`
+    and its impurity `overlap` G; M's params are modes.params with this
+    V0, and one basis and its G serve every V0."""
+    params = modes.params.replace(V0=V0)
     # an overflowing V0 leaves inf * 0 and inf - inf, NaN, which fails
     # the check below
     with np.errstate(invalid="ignore", over="ignore"):
@@ -418,10 +419,10 @@ def classify_bound_states(spectrum, modes):
     return sorted(recs, key=lambda r: r.label)
 
 
-def count_bound_states(params, modes, overlap):
-    """Number of bound states of `params` on `modes` and their `overlap`;
-    same gates as classify_bound_states, no fit."""
-    spec = diagonalize_projected(build_projected_hamiltonian(params, modes, overlap))
+def count_bound_states(modes, overlap, V0):
+    """Number of bound states of the impurity V0 on `modes` and their
+    `overlap`; same gates as classify_bound_states, no fit."""
+    spec = diagonalize_projected(build_projected_hamiltonian(modes, overlap, V0))
     return sum(1 for _ in bound_candidates(spec, modes))
 
 
@@ -429,7 +430,8 @@ def phase_diagram(d_values, v0_values, params_template):
     """Bound-state count per (D, V0) cell; solver failures yield -1.
 
     Every cell must satisfy |D| > 2|J|; V0 = 0 columns count zero.  One
-    basis and impurity overlap per D row serve all its V0 cells.
+    impurity-free basis and overlap per D row serve all its V0 cells,
+    each handed to the solver as a number; the template's V0 is unused.
     """
     for d in d_values:
         if abs(d) <= 2.0 * abs(params_template.J):
@@ -437,9 +439,8 @@ def phase_diagram(d_values, v0_values, params_template):
     counts = np.full((len(d_values), len(v0_values)), -1, dtype=int)
     for i, d in enumerate(d_values):
         j_sign = abs(params_template.J) * np.sign(d)
-        row = params_template.replace(D=float(d), J=float(j_sign))
         try:
-            modes = ModeBasis(row)
+            modes = ModeBasis(params_template.replace(D=float(d), J=float(j_sign)))
         except (NumericalError, ExistenceError):
             # just above |D| = 2|J| the odd-branch pairing root can be
             # absent at finite N: the whole row keeps the sentinel
@@ -447,8 +448,7 @@ def phase_diagram(d_values, v0_values, params_template):
         G = impurity_overlap(modes)
         for j, v in enumerate(v0_values):
             try:
-                counts[i, j] = count_bound_states(row.replace(V0=float(v)),
-                                                  modes, G)
+                counts[i, j] = count_bound_states(modes, G, float(v))
             except NumericalError:
                 pass        # Hermiticity or reality check failed: keeps -1
     return counts

@@ -50,6 +50,13 @@ def _j_squared(params):
         raise RangeError(f"J^2 overflows for J = {params.J}") from exc
 
 
+def _two_d_v0(params):
+    """2 D V0, or RangeError when it overflows the float range."""
+    if not math.isfinite(x := 2.0 * params.D * params.V0):
+        raise RangeError(f"2 D V0 overflows for D = {params.D}, V0 = {params.V0}")
+    return x
+
+
 def phi_complex_k(Kc, s, params):
     """Pair wavefunction continued to complex CM wavevector (even branch).
 
@@ -89,7 +96,7 @@ def biexciton_reflection_amplitude(Kc, params):
     p = params
     kp, kpp = Kc.real, np.abs(Kc.imag)
     sech = 2.0 * np.exp(-2.0 * kpp) / (1.0 + np.exp(-4.0 * kpp))
-    num = 2.0 * p.D * p.V0 * s_function(kp, kpp, p) * sech
+    num = _two_d_v0(p) * s_function(kp, kpp, p) * sech
     den = _j_squared(p) * (np.cos(2 * kp) * np.tanh(2 * kpp) - 1j * np.sin(2 * kp)) - num
     pole = np.abs(den) < 1e-12 * np.maximum(np.abs(num), sech)
     return np.where(pole, complex(math.inf, 0.0),
@@ -126,10 +133,10 @@ def find_pole(params):
     p = params
     kp = pole_branch(p)
     c2 = math.cos(2.0 * kp)
-    j2 = _j_squared(p)
+    j2, dv2 = _j_squared(p), _two_d_v0(p)
 
     def f(k):
-        return np.sinh(2.0 * k) - 2.0 * p.D * p.V0 * s_function(kp, k, p) / (j2 * c2)
+        return np.sinh(2.0 * k) - dv2 * s_function(kp, k, p) / (j2 * c2)
 
     k = next(scan_roots(f, np.linspace(1e-6, POLE_K_MAX, POLE_N_SCAN)), None)
     if k is None:
@@ -152,19 +159,19 @@ class FirstOrderScattering:
     correction: np.ndarray   # scattered-state coefficients over the K grid
 
 
-def continued_fraction_first_order(Kc, params, modes=None):
-    """First-order continued-fraction ingredients at (complex) K.
+def continued_fraction_first_order(Kc, modes, V0):
+    """First-order continued-fraction ingredients at (complex) K for the
+    impurity strength V0 on the impurity-free basis `modes`.
 
     Returns beta = (4 V0/N) S, gamma = i N D beta^2 / (2 J^2 sin 2K),
     the reconstructed reflection gamma/(beta - gamma), and the
     first-order scattered-state coefficients
-    c_Q = [beta/(beta-gamma)] V_QK / (E(K) - E(Q)) over the real grid.
+    c_Q = [beta/(beta-gamma)] V_QK / (E(K) - E(Q)) over the modes' grid.
     """
-    p = params
+    p = modes.params.replace(V0=V0)
     Kc = complex(Kc)
     if p.V0 == 0.0:
-        n = p.N if modes is None else len(modes)
-        return FirstOrderScattering(0.0, 0.0, 0.0, np.zeros(n, dtype=complex))
+        return FirstOrderScattering(0.0, 0.0, 0.0, np.zeros(len(modes), dtype=complex))
     sin2K = np.sin(2.0 * Kc)
     if abs(sin2K) < 1e-12:
         raise RangeError("sin 2K = 0: first-order correction singular")
@@ -172,15 +179,13 @@ def continued_fraction_first_order(Kc, params, modes=None):
     beta = 4.0 * p.V0 * S / p.N
     gamma = 1j * p.N * p.D * beta * beta / (2.0 * _j_squared(p) * sin2K)
     refl = gamma / (beta - gamma)
-    correction = np.zeros(0, dtype=complex)
-    if modes is not None:
-        a = 2.0 * p.J * np.cos(Kc) / p.D
-        de = 2.0 * p.E0 + p.D * (1.0 + a * a) - modes.energies
-        # V_QK continued to complex K on the one-period window, all Q at once
-        s = p.sites
-        phase = np.exp(1j * (Kc - modes.K[:, None]) * s)
-        B = modes.phi[:, modes.window] * phase
-        v = 4.0 * p.V0 / p.N * B @ phi_complex_k(Kc, s, p)
-        de[np.abs(de) < 1e-12] = np.inf         # resonant mode: no correction
-        correction = beta / (beta - gamma) * v / de
+    a = 2.0 * p.J * np.cos(Kc) / p.D
+    de = 2.0 * p.E0 + p.D * (1.0 + a * a) - modes.energies
+    # V_QK continued to complex K on the one-period window, all Q at once
+    s = p.sites
+    phase = np.exp(1j * (Kc - modes.K[:, None]) * s)
+    B = modes.phi[:, modes.window] * phase
+    v = 4.0 * p.V0 / p.N * B @ phi_complex_k(Kc, s, p)
+    de[np.abs(de) < 1e-12] = np.inf         # resonant mode: no correction
+    correction = beta / (beta - gamma) * v / de
     return FirstOrderScattering(beta, gamma, refl, correction)

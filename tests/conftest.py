@@ -10,7 +10,7 @@ def projected_hamiltonian(params):
     """The projected Hamiltonian of params on a basis and impurity overlap
     built for it alone."""
     modes = ModeBasis(params)
-    return build_projected_hamiltonian(params, modes, impurity_overlap(modes))
+    return build_projected_hamiltonian(modes, impurity_overlap(modes), params.V0)
 
 
 @pytest.fixture(scope="session")

@@ -25,9 +25,6 @@ ALLOWED = {
         "names the projected or the pair Hamiltonian in the error",
     "roots.brentq.xtol": "each root finder sets its own tolerance",
     "roots.brentq.rtol": "the decay roots tighten it",
-    # only tests set it; goes with the first-order state (ROADMAP item 10)
-    "scattering.continued_fraction_first_order.modes":
-        "with a basis it also returns the scattered-state coefficients",
 }
 
 

@@ -544,6 +544,25 @@ def test_wavepacket_builds_one_packet(tmp_path):
     assert len(clipped) == 1
 
 
+def test_wavepacket_calibration_ignores_model_v0(tmp_path):
+    """A calibrated run replaces the model's V0, so only D is checked
+    before it: the README packet with model V0 = 100 (far above 5 |D|)
+    runs and writes the bytes of the same run with V0 = 0."""
+    packet = {"K0": 3 * np.pi / 8, "dK0": np.pi / 24, "t_start": -30.0,
+              "t_end": 60.0, "sample_dt": 1.0, "calibrate_v0": True,
+              "snapshots": [-30.0, 35.0, 54.0]}
+    written = []
+    for v0 in (0.0, 100.0):
+        cfg = {"model": {"N": 40, "J": -1.0, "D": -4.5, "E0": 0.0, "V0": v0},
+               "wavepacket": packet}
+        out = tmp_path / f"V{v0:g}"
+        path = write_cfg(tmp_path / f"V{v0:g}.yaml", cfg)
+        assert main(["wavepacket", "--config", path, "--out", str(out)]) == 0
+        written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert len(written[0]) == 13
+    assert written[0] == written[1]
+
+
 def test_wavepacket_regime_refusal(tmp_path):
     cfg = {"model": {"N": 40, "J": 1.0, "D": 4.0, "V0": 1.0},
            "wavepacket": {"K0": 3 * np.pi / 8, "dK0": np.pi / 24,
@@ -780,23 +799,39 @@ def test_biexciton_spectrum_config_fuzz(N, J, D_over_J, V0, E0):
                 assert np.fromfile(grid).size == 2 * N
 
 
+# the one stderr line of each command whose model V0 = 1e308 overflows
+OVERFLOW_ERRORS = {
+    "biexciton-spectrum": "numerical failure: projected Hamiltonian not Hermitian: nan\n",
+    "poles": "numerical failure: 2 D V0 overflows for D = 4.1, V0 = 1e+308\n",
+    "wavepacket": "regime violation: wavepacket run needs |V0| not large "
+                  "compared to |D|\n",
+}
+
+
 @pytest.mark.parametrize("command, section, want", [
     ("biexciton-spectrum", {}, 1),
     ("phase-diagram", {"phase_diagram": {"D_min": 4.1, "D_max": 4.1, "n_D": 1,
                                          "V0_min": 1e308, "V0_max": 1e308,
-                                         "n_V0": 1}}, 0)])
+                                         "n_V0": 1}}, 0),
+    ("exciton", {}, 0),
+    ("poles", {}, 1),
+    ("bic", {}, 0),
+    ("wavepacket", {"wavepacket": {"K0": 3 * math.pi / 8, "dK0": math.pi / 24,
+                                   "t_start": -30.0, "t_end": 60.0}}, 3)])
 def test_overflowing_v0_exit_code(tmp_path, capsys, command, section, want):
-    """V0 = 1e308 overflows 4 V0 / N, which leaves NaN in M: the
-    Hermiticity check refuses it, so biexciton-spectrum exits 1 with one
-    line and the phase-diagram cell keeps -1 without a word."""
-    cfg = dict({"model": {"N": 4, "J": 1.0, "D": 4.1, "V0": 1e308}}, **section)
+    """V0 = 1e308 overflows 4 V0 / N and 2 D V0.  The NaN it leaves in
+    M fails the Hermiticity check, so biexciton-spectrum exits 1 and the
+    phase-diagram cell keeps -1 without a word; poles refuses 2 D V0
+    (exit 1) and an uncalibrated wavepacket |V0| > 5 |D| (exit 3), each
+    with one line and no warning; exciton and bic run."""
+    cfg = dict({"model": {"N": 8, "J": 1.0, "D": 4.1, "V0": 1e308}}, **section)
     path = write_cfg(tmp_path / "c.yaml", cfg)
-    assert main([command, "--config", path, "--out", str(tmp_path)]) == want
-    err = capsys.readouterr().err
-    if want:
-        assert err == "numerical failure: projected Hamiltonian not Hermitian: nan\n"
-    else:
-        assert err == ""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == want
+    assert capsys.readouterr().err == OVERFLOW_ERRORS.get(command, "")
+    assert not caught
+    if command == "phase-diagram":
         rows = read_csv(tmp_path / "phase_diagram.csv", ["D", "V0", "count"])
         assert [row["count"] for row in rows] == ["-1"]
 

@@ -394,8 +394,7 @@ def _calibrate_v0_loop(p, cfg, target=0.5):
     sgn = -np.sign(p.D)
 
     def reflected(v0_abs):
-        ph = build_projected_hamiltonian(p.replace(V0=float(sgn * v0_abs)),
-                                         modes, G)
+        ph = build_projected_hamiltonian(modes, G, float(sgn * v0_abs))
         return split_ratio(propagate(u0, ph, 35.0), modes, cfg.K0,
                            strict=False)[0]
 
@@ -527,7 +526,7 @@ def test_observables_write_nothing_onto_basis():
     p, cfg = canonical_params(V0=0.0), canonical_config(t_end=-25.0)
     modes, G, u, _ = calibration_args(p, cfg)
     v0 = calibrate_v0(modes, G, u, K0, 0.5)
-    ph = build_projected_hamiltonian(p.replace(V0=v0), modes, G)
+    ph = build_projected_hamiltonian(modes, G, v0)
     run_trajectory(ph, u, cfg)
     st = propagate(u, ph, 35.0)
     realspace_amplitude(st, modes)

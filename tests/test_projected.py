@@ -26,19 +26,36 @@ from conftest import projected_hamiltonian
 def count_fresh(params):
     """count_bound_states on a basis built for `params` alone."""
     modes = ModeBasis(params)
-    return count_bound_states(params, modes, impurity_overlap(modes))
+    return count_bound_states(modes, impurity_overlap(modes), params.V0)
+
+
+def test_basis_is_impurity_free(fig2_params):
+    """The basis drops the model's V0 and the Hamiltonian alone holds it:
+    its params are the basis's with the V0 it was handed."""
+    modes = ModeBasis(fig2_params)
+    assert modes.params.V0 == 0.0
+    assert modes.params == fig2_params.replace(V0=0.0)
+    other = ModeBasis(fig2_params.replace(V0=-7.0))
+    assert np.array_equal(modes.energies, other.energies)
+    assert np.array_equal(modes.phi, other.phi)
+    G = impurity_overlap(modes)
+    for v in (4.0, -3.0, 0.0):
+        ph = build_projected_hamiltonian(modes, G, v)
+        assert ph.params == modes.params.replace(V0=v)
+        assert ph.params.V0 == v
 
 
 def test_v0_zero_matrix(fig2_params):
-    modes = ModeBasis(fig2_params.replace(V0=0.0), "exact")
-    V = potential_matrix(modes.params, impurity_overlap(modes))
+    modes = ModeBasis(fig2_params, "exact")
+    V = potential_matrix(fig2_params.replace(V0=0.0), impurity_overlap(modes))
     assert np.abs(V).max() == 0.0
 
 
 def test_diagonal_sign_and_reality(fig2_params):
+    modes = ModeBasis(fig2_params, "exact")
+    G = impurity_overlap(modes)
     for v0 in (4.0, -4.0):
-        modes = ModeBasis(fig2_params.replace(V0=v0), "exact")
-        V = potential_matrix(modes.params, impurity_overlap(modes))
+        V = potential_matrix(fig2_params.replace(V0=v0), G)
         d = np.diag(V)
         assert np.abs(d.imag).max() < 1e-14
         assert np.all(np.sign(d.real) == np.sign(v0))
@@ -48,7 +65,7 @@ def test_brute_force_projection_oracle(fig2_params):
     """V_KK' equals the site-basis impurity projected onto the modes."""
     p = fig2_params
     modes = ModeBasis(p, "exact")
-    V = potential_matrix(modes.params, impurity_overlap(modes))
+    V = potential_matrix(p, impurity_overlap(modes))
     basis, _ = build_pair_hamiltonian(p.replace(V0=0.0))
     vdiag = p.V0 * ((basis.m == 0).astype(float) + (basis.n == 0))
     C = modes.pair_amplitudes()
@@ -277,14 +294,14 @@ def test_gates_scale_with_the_matrix(monkeypatch, V0):
     symmetric part of that size that breaks P fails the P gate."""
     p = ModelParams(N=40, J=1.0, D=4.1, V0=V0)
     modes = ModeBasis(p)
-    ph = build_projected_hamiltonian(p, modes, impurity_overlap(modes))
+    ph = build_projected_hamiltonian(modes, impurity_overlap(modes), V0)
     diagonalize_projected(ph)
     eps = 1e-10 * np.abs(ph.M).max()
     V = potential_matrix(p, impurity_overlap(modes))
     V[0, 1] += eps * 1j
     monkeypatch.setattr(projected, "potential_matrix", lambda *args: V)
     with pytest.raises(NumericalError, match="not Hermitian"):
-        build_projected_hamiltonian(p, modes, impurity_overlap(modes))
+        build_projected_hamiltonian(modes, impurity_overlap(modes), V0)
     M = ph.M.copy()
     M[0, 1] += eps * 1j
     with pytest.raises(NumericalError, match="not real"):
@@ -338,11 +355,10 @@ def test_count_matches_full_eigh(N, J):
         modes = ModeBasis(ModelParams(N=N, J=J, D=D))
         G = impurity_overlap(modes)
         for V0 in np.linspace(-8.0, 8.0, 9 if N == 40 else 5):
-            p = ModelParams(N=N, J=J, D=D, V0=V0)
-            ph = build_projected_hamiltonian(p, modes, G)
+            ph = build_projected_hamiltonian(modes, G, V0)
             full = SpectrumResult(*np.linalg.eigh(ph.M.real))
             want = sum(1 for _ in bound_candidates(full, modes))
-            assert count_bound_states(p, modes, G) == want, (D, V0)
+            assert count_bound_states(modes, G, V0) == want, (D, V0)
 
 
 def test_sector_eigh_failure_is_a_numerical_error(monkeypatch):
@@ -380,7 +396,7 @@ def test_cm_amplitude_uses_shared_phase(fig2_params):
     """cm_amplitude through the cached phase matrix equals the direct product."""
     modes = ModeBasis(fig2_params)
     N = fig2_params.N
-    ph = build_projected_hamiltonian(fig2_params, modes, impurity_overlap(modes))
+    ph = build_projected_hamiltonian(modes, impurity_overlap(modes), fig2_params.V0)
     u = diagonalize_projected(ph).states[:, 0]
     r, psi = cm_amplitude(u, modes)
     assert np.array_equal(r, np.arange(-N + 1, N + 1))

@@ -133,7 +133,7 @@ def test_first_order_identities():
     p = P(V0=0.25)
     ph = projected_hamiltonian(p)
     for Kc in (0.35 + 0.1j, complex(math.pi / 2 - 0.02, 0.22)):
-        fo = continued_fraction_first_order(Kc, p, ph.modes)
+        fo = continued_fraction_first_order(Kc, ph.modes, p.V0)
         # beta is the averaged potential
         assert fo.beta0 == pytest.approx(
             4 * p.V0 * s_function(Kc.real, Kc.imag, p) / p.N, rel=1e-12)
@@ -150,7 +150,7 @@ def test_first_order_correction_against_scalar_reference():
     modes = ModeBasis(p)
     N = p.N
     for Kc in (0.35 + 0.1j, complex(math.pi / 2 - 0.02, 0.22), complex(1.2, 0.05)):
-        fo = continued_fraction_first_order(Kc, p, modes)
+        fo = continued_fraction_first_order(Kc, modes, p.V0)
         a = 2 * p.J * cmath.cos(Kc) / p.D
         k_c = -cmath.log(a)
         norm = cmath.sqrt((N - 1) + cmath.sinh(k_c * (N - 1)) / cmath.sinh(k_c))
@@ -165,8 +165,9 @@ def test_first_order_correction_against_scalar_reference():
 
 def test_first_order_trivial():
     p = P(V0=0.0)
-    fo = continued_fraction_first_order(0.3 + 0.1j, p)
+    fo = continued_fraction_first_order(0.3 + 0.1j, ModeBasis(p), p.V0)
     assert fo.beta0 == 0.0 and abs(fo.reflection) == 0.0
+    assert np.array_equal(fo.correction, np.zeros(p.N))
 
 
 def test_exciton_correspondence():
