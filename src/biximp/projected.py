@@ -19,8 +19,10 @@ even.  The impurity sits on site 0, so M also commutes with the CM
 reflection P: u(l) -> s_l u(-l) on the l_K grid, with s_l = -1 only on
 l = N/2 (K = pi/2, its own image) and l = 0 even.  Spectra (bound-state
 counts, classification, poles) are therefore solved in real arithmetic
-and in the two sectors of P (diagonalize_projected), two N/2 x N/2
-blocks, after checks that Im M and M - PMP are at rounding level.
+and in the two sectors of P, two N/2 x N/2 blocks, after checks that
+Im M and M - PMP are at rounding level: diagonalize_projected for one
+M, and for bound-state counts one stacked solve per phase-diagram row
+(_bound_counts), every V0 of a basis with its own gates.
 Propagation keeps the complex solve (ProjectedHamiltonian.eigensystem):
 recorded N = 200 snapshot contrasts are pinned tighter than the real
 solve's rounding moves them.
@@ -55,6 +57,7 @@ KAPPA_RTOL = 1e-10      # a fit ends once every step is this small
 # the bounded Brent search's first trial point on [KAPPA_MIN, KAPPA_MAX],
 # kept only for the pin gate of fit_ring_decay
 PIN_KAPPA = KAPPA_MIN + 0.5 * (3.0 - math.sqrt(5.0)) * (KAPPA_MAX - KAPPA_MIN)
+STACK_BYTES = 1 << 22   # blocks and eigenvectors of one stacked count solve
 
 
 def impurity_overlap(modes):
@@ -78,10 +81,11 @@ def potential_matrix(params, overlap):
 
 def _rounding_tol(M, J):
     """Tolerance of the projected gates: 1e-12 max(|J|, max |M|), the
-    rounding of M's entries.  A NaN or infinite entry leaves it at
+    rounding of M's entries, over M's last two axes (one tolerance per
+    matrix of a stack).  A NaN or infinite entry leaves it at
     1e-12 |J|, so that the gate it spoils still fails."""
-    scale = float(np.max(np.abs(M)))
-    return 1e-12 * (max(abs(J), scale) if math.isfinite(scale) else abs(J))
+    scale = np.max(np.abs(M), axis=(-2, -1))
+    return 1e-12 * np.where(np.isfinite(scale), np.maximum(abs(J), scale), abs(J))
 
 
 def checked_eigh(M, what="projected Hamiltonian"):
@@ -104,7 +108,7 @@ class ProjectedHamiltonian:
     tol: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.tol = _rounding_tol(self.M, self.params.J)
+        self.tol = float(_rounding_tol(self.M, self.params.J))
 
     def eigensystem(self):
         """Complex eigh of M, cached; the propagation path.
@@ -199,6 +203,29 @@ def _reflection(N):
             np.arange(n - 2, -1, -1), np.array([n - 1, N - 1]))
 
 
+def _p_residual(A):
+    """|A - PAP| entrywise, for a real N x N A on the l_K grid."""
+    image, s = _reflection(len(A))[:2]
+    with np.errstate(invalid="ignore"):     # inf - inf: NaN, which fails
+        return np.abs(A - s[:, None] * A.take(image, 0).take(image, 1) * s)
+
+
+def _sector_blocks(A):
+    """The even and odd N/2 x N/2 blocks (stacked) of a real A that
+    commutes with P, sliced from its pair rows, so the part of A that
+    breaks P is dropped; the order is sector_spectrum's."""
+    N = len(A)
+    n, fixed = N // 2, _reflection(N)[4]
+    pp, pm = A[n:N - 1, n:N - 1], A[n:N - 1, n - 2::-1]   # pair x pair, pair x image
+    blocks = np.empty((2, n, n))
+    np.add(pp, pm, out=blocks[0, :-1, :-1])
+    np.subtract(pp, pm, out=blocks[1, :-1, :-1])
+    # a fixed state meets the pair state of a with sqrt2 A[a, fixed]
+    blocks[:, :-1, -1] = blocks[:, -1, :-1] = math.sqrt(2.0) * A[n:N - 1, fixed].T
+    blocks[:, -1, -1] = A[fixed, fixed]
+    return blocks
+
+
 def diagonalize_projected(ph):
     """Spectrum of M, solved real and in the two sectors of the CM
     reflection P (see the module docstring and sector_spectrum).
@@ -206,32 +233,21 @@ def diagonalize_projected(ph):
     Two O(N^2) gates come first, each against 1e-12 max(|J|, max |M|),
     the bound of the Hermiticity check, and each failed by a NaN:
     max |Im M| (not real) and max |M - PMP| (not P-symmetric).  Both
-    N/2 x N/2 blocks are sliced from M's pair rows (so the part of M
-    that breaks P, at most that bound, is dropped) and solved in one
-    stacked eigh.  Columns are sorted by energy, the even state first
-    at an exact tie.  Raises NumericalError when a gate fails, or when
-    eigh fails or returns a non-finite energy.
+    N/2 x N/2 blocks (_sector_blocks) are solved in one stacked eigh.
+    Columns are sorted by energy, the even state first at an exact tie.
+    Raises NumericalError when a gate fails, or when eigh fails or
+    returns a non-finite energy.
     """
-    M, N, tol = ph.M, ph.params.N, ph.tol
+    M, tol = ph.M, ph.tol
     imag = np.max(np.abs(M.imag))
     if not imag <= tol:    # a NaN fails too
         raise NumericalError(f"projected Hamiltonian not real: {imag:.2e}")
     A = M.real
-    image, s, pairs, images, fixed = _reflection(N)
-    with np.errstate(invalid="ignore"):     # inf - inf: NaN, which fails
-        dev = np.max(np.abs(A - s[:, None] * A.take(image, 0).take(image, 1) * s))
+    dev = np.max(_p_residual(A))
     if not dev <= tol:
         raise NumericalError(f"projected Hamiltonian not P-symmetric: {dev:.2e}")
-
-    n = N // 2
-    pp, pm = A[n:N - 1, n:N - 1], A[n:N - 1, n - 2::-1]   # pair x pair, pair x image
-    blocks = np.empty((2, n, n))
-    np.add(pp, pm, out=blocks[0, :-1, :-1])
-    np.subtract(pp, pm, out=blocks[1, :-1, :-1])
-    # a fixed state meets the pair state of a with sqrt2 M[a, fixed]
-    blocks[:, :-1, -1] = blocks[:, -1, :-1] = math.sqrt(2.0) * A[n:N - 1, fixed].T
-    blocks[:, -1, -1] = A[fixed, fixed]
-    w, y = checked_eigh(blocks)
+    _, _, pairs, images, fixed = _reflection(len(A))
+    w, y = checked_eigh(_sector_blocks(A))
     return sector_spectrum(((w[0], y[0], fixed[:1]), (w[1], y[1], fixed[1:])),
                            pairs, images, "projected Hamiltonian")
 
@@ -419,11 +435,78 @@ def classify_bound_states(spectrum, modes):
     return sorted(recs, key=lambda r: r.label)
 
 
+def _bound_counts(modes, overlap, v0_values):
+    """Bound-state count for each V0 on `modes` and its overlap G; -1
+    where a gate or eigh fails.
+
+    No M = diag(E) + c G (c = 4 V0 / N) is built.  Each cell keeps the
+    three gates of build_projected_hamiltonian and diagonalize_projected
+    against its own _rounding_tol, from G's maxima once per row: each
+    off-diagonal residual (of M - M^H, Im M, M - PMP) and max |M_ij| off
+    the diagonal are |c| times G's, to rounding, while the diagonal
+    E + c G_ii is formed per cell, O(N), as in M.  A cell whose M would
+    not be finite fails.  The passing cells' sector blocks b0 + c bG
+    are solved in stacks of at most STACK_BYTES (_stack_counts).
+    """
+    image = _reflection(len(overlap))[0]
+    g_off, p_off = np.abs(overlap), _p_residual(overlap.real)
+    np.fill_diagonal(g_off, 0.0)
+    np.fill_diagonal(p_off, 0.0)
+    res = max(np.max(np.abs(overlap - overlap.conj().T)),
+              np.max(np.abs(overlap.imag)), np.max(p_off))
+    with np.errstate(over="ignore", invalid="ignore"):     # an overflowing V0
+        c = 4.0 * np.asarray(v0_values, dtype=float) / len(overlap)
+        diag = modes.energies + c[:, None] * np.diagonal(overlap)
+        big = np.column_stack((np.abs(c) * np.max(g_off), diag))
+        dev = np.maximum(np.abs(c) * res, np.max(np.abs(diag.real - diag.real[:, image]), axis=1))
+        ok = np.isfinite(big).all(axis=1) & (dev <= _rounding_tol(big[:, None], modes.params.J))
+    counts = np.full(len(c), -1)
+    b0, bG = _sector_blocks(np.diag(modes.energies)), _sector_blocks(overlap.real)
+    cells = np.flatnonzero(ok)
+    step = max(1, STACK_BYTES // (2 * bG.nbytes))
+    for chunk in np.split(cells, range(step, len(cells), step)):
+        blocks = c[chunk, None, None, None] * bG
+        blocks += b0
+        counts[chunk] = _stack_counts(blocks, modes)
+    return counts
+
+
+def _stack_counts(blocks, modes):
+    """Bound-state counts of a (k, 2, N/2, N/2) stack of sector blocks
+    from one eigh, or cell by cell when it fails; -1 for a failing cell
+    or a non-finite energy.  Only the out-of-band eigenvectors are
+    scattered onto the l_K grid (as in sector_spectrum) and gated by
+    bound_candidates, in one ring_decay_profile product."""
+    try:
+        w, y = np.linalg.eigh(blocks)
+    except np.linalg.LinAlgError:
+        if len(blocks) == 1:
+            return np.array([-1])
+        return np.concatenate([_stack_counts(b[None], modes) for b in blocks])
+    N = modes.params.N
+    _, _, pairs, images, fixed = _reflection(N)
+    finite = np.isfinite(w).all(axis=(1, 2))
+    cell, sector, j = np.nonzero(modes.out_of_band(w) & finite[:, None, None])
+    y, na, half = y[cell, sector, :, j].T, len(pairs), math.sqrt(0.5)
+    U = np.zeros((N, len(cell)))
+    U[pairs] = half * y[:na]
+    U[images] = np.where(sector == 0, half, -half) * y[:na]
+    U[fixed[sector], np.arange(len(cell))] = y[na]
+    bound = [mu for mu, _, _ in bound_candidates(SpectrumResult(w[cell, sector, j], U), modes)]
+    counts = np.bincount(cell[bound], minlength=len(w))
+    counts[~finite] = -1
+    return counts
+
+
 def count_bound_states(modes, overlap, V0):
     """Number of bound states of the impurity V0 on `modes` and their
-    `overlap`; same gates as classify_bound_states, no fit."""
-    spec = diagonalize_projected(build_projected_hamiltonian(modes, overlap, V0))
-    return sum(1 for _ in bound_candidates(spec, modes))
+    `overlap`: the one-V0 row of phase_diagram's counter, with the gates
+    of classify_bound_states and no fit.  Raises NumericalError where
+    the row holds -1."""
+    (count,) = _bound_counts(modes, overlap, [V0])
+    if count < 0:
+        raise NumericalError(f"projected Hamiltonian at V0 = {V0}: a gate or eigh failed")
+    return int(count)
 
 
 def phase_diagram(d_values, v0_values, params_template):
@@ -431,7 +514,9 @@ def phase_diagram(d_values, v0_values, params_template):
 
     Every cell must satisfy |D| > 2|J|; V0 = 0 columns count zero.  One
     impurity-free basis and overlap per D row serve all its V0 cells,
-    each handed to the solver as a number; the template's V0 is unused.
+    which are counted together (_bound_counts): one stacked sector
+    solve per row, each cell with its own gates, so a failing cell
+    keeps -1 alone.  The template's V0 is unused.
     """
     for d in d_values:
         if abs(d) <= 2.0 * abs(params_template.J):
@@ -445,12 +530,7 @@ def phase_diagram(d_values, v0_values, params_template):
             # just above |D| = 2|J| the odd-branch pairing root can be
             # absent at finite N: the whole row keeps the sentinel
             continue
-        G = impurity_overlap(modes)
-        for j, v in enumerate(v0_values):
-            try:
-                counts[i, j] = count_bound_states(modes, G, float(v))
-            except NumericalError:
-                pass        # Hermiticity or reality check failed: keeps -1
+        counts[i] = _bound_counts(modes, impurity_overlap(modes), v0_values)
     return counts
 
 

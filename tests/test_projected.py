@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,21 @@ def count_fresh(params):
     """count_bound_states on a basis built for `params` alone."""
     modes = ModeBasis(params)
     return count_bound_states(modes, impurity_overlap(modes), params.V0)
+
+
+def count_reference(modes, G, V0):
+    """Bound-state count of one cell, independent of the row counter: M
+    built in full and gated on its own entries, a full eigh of M.real,
+    then the band and tail gates (bound_candidates); -1 where a gate
+    fails."""
+    try:
+        ph = build_projected_hamiltonian(modes, G, V0)
+    except NumericalError:
+        return -1
+    A, P = ph.M.real, reflection(modes.params.N)
+    if not (np.abs(ph.M.imag).max() <= ph.tol and np.abs(A - P @ A @ P).max() <= ph.tol):
+        return -1
+    return sum(1 for _ in bound_candidates(SpectrumResult(*np.linalg.eigh(A)), modes))
 
 
 def test_basis_is_impurity_free(fig2_params):
@@ -184,23 +200,126 @@ def test_phase_diagram_plateau():
         assert count_fresh(base.replace(V0=4.0 + eps)) == c0
 
 
-def test_phase_diagram_matches_fresh_basis_per_cell(fig2_params):
-    """Basis and overlap reuse per D row changes no count: the grid spans
-    a J-sign flip, a -1 sentinel row, the V0 = 0 column and a second |D|
-    (rows at +-D share one overlap, so only a new |D| exposes a stale one)."""
+def test_phase_diagram_matches_fresh_basis_per_cell():
+    """Basis and overlap reuse per D row and the stacked row solve change
+    no count: each cell equals the full-eigh reference on a basis built
+    for it alone, at N = 40 and 100 and either sign of the template's J.
+    The grid spans a J-sign flip, a -1 sentinel row, the V0 = 0 column
+    and a second |D| (rows at +-D share one overlap, so only a new |D|
+    exposes a stale one)."""
     d_vals = [-4.1, 2.02, 4.1, 6.0]
     v_vals = [-3.0, 0.0, 3.0]
-    counts = phase_diagram(d_vals, v_vals, fig2_params)
-    for i, d in enumerate(d_vals):
-        for j, v in enumerate(v_vals):
-            trial = fig2_params.replace(D=d, V0=v, J=float(np.sign(d)))
-            try:
-                expected = count_fresh(trial)
-            except (NumericalError, ExistenceError):
-                expected = -1
-            assert counts[i, j] == expected, (d, v)
-    assert list(counts[1]) == [-1, -1, -1]
-    assert list(counts[:, 1]) == [0, -1, 0, 0]
+    for N in (40, 100):
+        for J in (1.0, -1.0):
+            template = ModelParams(N=N, J=J, D=4.1)
+            counts = phase_diagram(d_vals, v_vals, template)
+            for i, d in enumerate(d_vals):
+                try:
+                    modes = ModeBasis(template.replace(D=d, J=float(np.sign(d))))
+                except (NumericalError, ExistenceError):
+                    assert list(counts[i]) == [-1] * len(v_vals), (N, J, d)
+                    continue
+                G = impurity_overlap(modes)
+                want = [count_reference(modes, G, v) for v in v_vals]
+                assert list(counts[i]) == want, (N, J, d)
+            assert list(counts[1]) == [-1, -1, -1]
+            assert list(counts[:, 1]) == [0, -1, 0, 0]
+
+
+def test_row_stack_memory_is_bounded():
+    """A 400-value row at N = 200 is solved in chunks of at most
+    STACK_BYTES of blocks and eigenvectors: its traced peak stays under
+    16 MiB (one unchunked stack would take 2 x 400 x 2 (N/2)^2 doubles,
+    122 MiB), and its counts equal the per-cell reference across every
+    chunk boundary."""
+    N, v_vals = 200, np.linspace(-5.0, 5.0, 400)
+    step = projected.STACK_BYTES // (2 * 2 * (N // 2) ** 2 * 8)
+    assert 1 < step < len(v_vals)
+    p = ModelParams(N=N, J=1.0, D=4.1)
+    tracemalloc.start()
+    try:
+        counts = phase_diagram([4.1], v_vals, p)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20, peak / 2 ** 20
+    modes = ModeBasis(p)
+    G = impurity_overlap(modes)
+    assert list(counts) == [count_reference(modes, G, v) for v in v_vals]
+
+
+def test_overflowing_cell_fails_alone():
+    """V0 = +-1e308 overflows 4 V0 / N: only those cells read -1, with no
+    warning, and the rest of each row keeps its counts."""
+    p = ModelParams(N=40, J=1.0, D=4.1)
+    v_vals = [-3.0, 1e308, 3.0, -1e308, 0.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = phase_diagram([4.1, 6.0], v_vals, p)
+    finite = phase_diagram([4.1, 6.0], [-3.0, 3.0, 0.5], p)
+    assert (counts[:, [1, 3]] == -1).all()
+    assert np.array_equal(counts[:, [0, 2, 4]], finite)
+    assert (finite >= 0).all()
+
+
+def perturbed(G, gate, eps):
+    """G plus a part of size eps max |G| on the pair states l = 1, 2 that
+    breaks one gate of M = diag(E) + (4 V0 / N) G only: a real
+    P-symmetric part that is not symmetric (Hermiticity), an imaginary
+    Hermitian one (reality), or a real symmetric one that breaks P."""
+    G = G.copy()
+    N = len(G)
+    i, j, pi, pj = N // 2, N // 2 + 1, N // 2 - 2, N // 2 - 3    # l = 1, 2, -1, -2
+    e = eps * np.abs(G).max()
+    if gate == "Hermitian":
+        G[i, j] += e
+        G[pi, pj] += e
+    elif gate == "real":
+        G[[i, j, pi, pj], [j, i, pj, pi]] += 1j * e * np.array([1, -1, 1, -1])
+    else:
+        G[i, j] += e
+        G[j, i] += e
+    return G
+
+
+@pytest.mark.parametrize("gate", ("Hermitian", "real", "P-symmetric"))
+def test_gate_failing_cell_fails_alone(monkeypatch, gate):
+    """An overlap residual of 1e-9 max |G| passes a cell's gate at small
+    |V0|, where |c| times it stays below 1e-12 max(|J|, max |M|), and
+    fails it at |V0| = 5, even beside V0 = 1e6, whose tolerance would
+    pass it: only those cells read -1, as in the per-cell reference,
+    and the others keep their unperturbed counts."""
+    p = ModelParams(N=40, J=1.0, D=4.1)
+    v_vals = [-5.0, -1e-3, 0.0, 1e-3, 5.0, 1e6]
+    clean = phase_diagram([4.1], v_vals, p)[0]
+    monkeypatch.setattr(projected, "impurity_overlap",
+                        lambda modes: perturbed(impurity_overlap(modes), gate, 1e-9))
+    counts = phase_diagram([4.1], v_vals, p)[0]
+    modes = ModeBasis(p)
+    G = perturbed(impurity_overlap(modes), gate, 1e-9)
+    assert list(counts) == [count_reference(modes, G, v) for v in v_vals]
+    assert list(counts) == [-1] + list(clean[1:4]) + [-1, -1]
+
+
+def test_failing_eigh_chunk_is_solved_cell_by_cell(monkeypatch):
+    """A stacked eigh that raises LinAlgError is retried cell by cell; a
+    cell whose own eigh raises reads -1 alone."""
+    p = ModelParams(N=40, J=1.0, D=4.1)
+    v_vals = np.linspace(-5.0, 5.0, 7)
+    want = phase_diagram([4.1], v_vals, p)[0]
+    eigh, shapes = np.linalg.eigh, []
+
+    def flaky(a):
+        shapes.append(a.shape)
+        if len(a) > 1 or len(shapes) == 3:      # the stack, then cell 1
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", flaky)
+    counts = phase_diagram([4.1], v_vals, p)[0]
+    assert shapes == [(7, 2, 20, 20)] + [(1, 2, 20, 20)] * 7
+    assert counts[1] == -1
+    assert np.array_equal(np.delete(counts, 1), np.delete(want, 1))
 
 
 @pytest.mark.parametrize("params", [
@@ -349,16 +468,16 @@ def test_sector_solve_is_an_eigensystem(N, J, ratio, V0, E0):
 
 @pytest.mark.parametrize("N, J", [(40, 1.0), (40, -1.0), (100, 1.0), (100, -1.0)])
 def test_count_matches_full_eigh(N, J):
-    """count_bound_states equals the count from a full eigh of M over a
-    (D, V0) grid."""
+    """count_bound_states and a phase-diagram row equal the full-eigh
+    reference of each cell over a (D, V0) grid."""
+    v_vals = np.linspace(-8.0, 8.0, 9 if N == 40 else 5)
     for D in J * np.linspace(2.2, 7.0, 5 if N == 40 else 3):
-        modes = ModeBasis(ModelParams(N=N, J=J, D=D))
+        p = ModelParams(N=N, J=J, D=D)
+        modes = ModeBasis(p)
         G = impurity_overlap(modes)
-        for V0 in np.linspace(-8.0, 8.0, 9 if N == 40 else 5):
-            ph = build_projected_hamiltonian(modes, G, V0)
-            full = SpectrumResult(*np.linalg.eigh(ph.M.real))
-            want = sum(1 for _ in bound_candidates(full, modes))
-            assert count_bound_states(modes, G, V0) == want, (D, V0)
+        want = [count_reference(modes, G, V0) for V0 in v_vals]
+        assert [count_bound_states(modes, G, V0) for V0 in v_vals] == want, D
+        assert list(phase_diagram([D], v_vals, p)[0]) == want, D
 
 
 def test_sector_eigh_failure_is_a_numerical_error(monkeypatch):
