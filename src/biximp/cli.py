@@ -214,12 +214,11 @@ def cmd_bic(params, sec, out):
         e1 = e2 = math.nan
     e = spec.energies
     near = np.minimum(np.abs(e - e1), np.abs(e - e2))
-    rows = []
     # only candidates near the closed forms are analyzed; NaN selects none
-    for idx in np.flatnonzero(near <= 0.5):
-        cls = pairbasis.classify_state(e[idx], spec.states[:, idx], params, basis)
-        rows.append((idx, e[idx], cls.type, cls.in_continuum, cls.schmidt_number,
-                     cls.decay_r, cls.decay_s, near[idx] > tol))
+    idx = np.flatnonzero(near <= 0.5)
+    rows = [(i, e[i], c.type, c.in_continuum, c.schmidt_number, c.decay_r, c.decay_s,
+             near[i] > tol) for i, c in zip(idx, pairbasis.classify_states(
+                 e[idx], spec.states[:, idx], params, basis))]
     out.table("bic_classification",
               ("index", "energy", "type", "in_continuum", "schmidt_number",
                "decay_r", "decay_s", "mismatch_flag"), rows)

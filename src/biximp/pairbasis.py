@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import ExistenceError, NumericalError, ParameterError, RangeError
 from .params import wrap_site
-from .projected import (TAIL_FRACTION_MAX, checked_eigh, distance_profile,
-                        fit_ring_decay, sector_spectrum)
+from .projected import (STACK_BYTES, TAIL_FRACTION_MAX, checked_eigh,
+                        distance_profile, fit_ring_decay, sector_spectrum)
 
 SCHMIDT_FACTORIZED = 1.1  # effective rank below this counts as factorized
 LOCALIZED_TAIL = 1e-10
@@ -197,18 +197,6 @@ def folded_amplitudes(vec, basis):
     return grid
 
 
-def _fit_decay(ds, ps, period_half, d_lo, d_hi):
-    """Ring-aware decay rate; 0 without a usable fit, and inf without a
-    fit when at most LOCALIZED_TAIL of the weight lies at d >= d_lo."""
-    tot = ps.sum()
-    if tot <= 0:
-        return 0.0
-    tail = ps[ds >= d_lo].sum()
-    if tail <= LOCALIZED_TAIL * tot:
-        return math.inf
-    return fit_ring_decay(ds, ps, period_half, d_lo=d_lo, d_hi=d_hi)[0]
-
-
 @dataclass
 class StateClassification:
     type: str                 # free_biexciton | cm_bound_pair |
@@ -221,84 +209,116 @@ class StateClassification:
 
 
 def schmidt_number(vec, basis):
-    """Effective rank exp(H(sigma^2)) of the folded amplitude matrix.
+    """Effective rank exp(H(sigma^2)) of the folded amplitude matrix of
+    one state: _schmidt_numbers of the one column."""
+    return float(_schmidt_numbers(vec[:, None], basis)[0])
+
+
+def _schmidt_numbers(states, basis):
+    """Schmidt number of each column of `states`.
 
     Computed per (r, s) parity block on the fundamental separation
     window; the maximum over blocks is reported, so a genuine product
-    state scores ~1 in spite of the sublattice structure.
+    state scores ~1 in spite of the sublattice structure.  A block is
+    a contiguous (k, N, c) stack, one SVD call for all columns; each
+    matrix keeps its own norm (one dot, as np.linalg.norm) and its own
+    entropy sum over the singular values above the cut, so a state
+    scores the same alone as in any stack.
     """
-    grid = folded_amplitudes(vec, basis)
-    ranks = []
+    N, k = basis.N, states.shape[1]
+    best = np.full(k, -np.inf)      # no block above the norm cut: 1
     for par in (0, 1):
-        # rows r + N - 1 and columns s with r, s of parity par; a
-        # contiguous copy keeps the norm and the SVD bit-stable
-        M = np.ascontiguousarray(grid[1 - par::2, 2 - par::2])
-        fro = np.linalg.norm(M)
-        if fro < 1e-8:
-            continue
-        sv = np.linalg.svd(M / fro, compute_uv=False)
-        p = sv ** 2
-        p = p[p > 1e-16]
-        ranks.append(float(np.exp(-np.sum(p * np.log(p)))))
-    return max(ranks) if ranks else 1.0
+        # rows r + N - 1 and columns s of the folded grid with r, s of
+        # parity par, i.e. the pairs with s of parity par
+        on = basis.sigma % 2 == par
+        M = np.zeros((k, N, len(range(2 - par, N // 2 + 1, 2))))
+        M[:, (basis.r[on] + N - 2 + par) // 2, (basis.sigma[on] - 2 + par) // 2] = states[on].T
+        fro = np.sqrt(np.matmul(M.reshape(k, 1, -1), M.reshape(k, -1, 1))[:, 0, 0])
+        used = fro >= 1e-8
+        p = np.linalg.svd(M[used] / fro[used, None, None], compute_uv=False) ** 2
+        cut = (p > 1e-16).sum(axis=1)       # p falls: the kept values lead each row
+        plogp = p * np.log(np.where(p > 1e-16, p, 1.0))
+        ent = np.empty(len(p))
+        for m in set(cut.tolist()):
+            ent[cut == m] = plogp[cut == m, :m].sum(axis=1)
+        best[used] = np.maximum(best[used], np.exp(-ent))
+    return np.where(best > -np.inf, best, 1.0)
+
+
+def _fit_decays(ds, ps, N, d_lo, d_hi):
+    """Ring-aware decay rate of each column of the profiles ps, in one
+    fit_ring_decay call: 0 without a usable fit, inf without a fit when
+    at most LOCALIZED_TAIL of a profile's weight lies at d >= d_lo."""
+    rows = np.ascontiguousarray(ps.T)       # per-profile sums as for 1-D
+    tot = rows.sum(axis=1)
+    tail = np.compress(ds >= d_lo, rows, axis=1).sum(axis=1)
+    kappa = fit_ring_decay(ds, ps, N, d_lo=d_lo, d_hi=d_hi)[0]
+    return np.where(tot <= 0, 0.0, np.where(tail <= LOCALIZED_TAIL * tot, np.inf, kappa))
 
 
 def classify_state(energy, vec, params, basis):
-    """Assign one of the four bound-state families (or unclassified).
+    """classify_states of the one state `vec` at `energy`."""
+    return classify_states(np.array([energy]), vec[:, None], params, basis)[0]
+
+
+def classify_states(energies, states, params, basis):
+    """StateClassification of each column of `states` (eigenvector j at
+    energies[j]): one of the four bound-state families, or unclassified.
 
     Binding in a coordinate is gated on its far-tail mass (robust
     against node structure and beating); the ring fits supply the decay
     rates.  A state bound in neither collective coordinate but with the
     occupation pinned at the impurity is a single bound exciton.
+
+    All columns are classified in one array pass: one (k x L) weight
+    array with a state per C-contiguous row (each tail mass the pairwise
+    sum of a 1-D state), the CM and relative profiles of all states in
+    one fit_ring_decay call each, one stacked SVD per parity block
+    (_schmidt_numbers), and the site occupation only for the states
+    bound in neither coordinate.  The columns go in chunks whose weights
+    take at most STACK_BYTES / 2; the fits' and SVDs' arrays are of the
+    same order.  Each state's arithmetic is its own, so it classifies
+    the same, bit for bit, alone as in any batch.
     """
-    N = params.N
-    w = vec * vec
-    tot = w.sum()
-    tail_r = w[basis.cm_dist > N // 2].sum() / tot
-    tail_s = w[basis.sigma > N // 4].sum() / tot
+    N, L = params.N, len(basis)
+    step = max(1, STACK_BYTES // (16 * L))
+    near_s, near_r, far = basis.sigma <= 2, np.abs(basis.r) <= 3, basis.sigma >= 8
+    site_core = np.add(np.abs(basis.m) <= 2, np.abs(basis.n) <= 2, dtype=float)
+    out = []
+    for c in range(0, states.shape[1], step):
+        vecs = states[:, c:c + step]
+        v = vecs.T.copy(order="C")     # one state a row, squared in place below
+        sym = np.matmul(v[:, None, :], np.take(v, basis.mirror, axis=1)[:, :, None])[:, 0, 0]
+        w = np.square(v, out=v)
 
-    near_s = basis.sigma <= 2
-    kr = _fit_decay(*distance_profile(basis.cm_dist[near_s], w[near_s]),
-                    N, d_lo=4, d_hi=N - 6)
-    near_r = np.abs(basis.r) <= 3
-    ks = _fit_decay(*distance_profile(basis.sigma[near_r], w[near_r]),
-                    N // 2, d_lo=3, d_hi=N // 2 - 3)
+        def mass(mask):     # per state: the pairwise sum of one state alone
+            return np.compress(mask, w, axis=1).sum(axis=1)
 
-    r_bound = tail_r < TAIL_FRACTION_MAX
-    s_bound = tail_s < TAIL_FRACTION_MAX
-
-    sym = reflection_expectation(vec, basis)
-
-    if r_bound and s_bound:
-        label = "fully_bound"
-    elif s_bound and not r_bound:
-        label = "free_biexciton"
-    elif r_bound and not s_bound:
-        # distinguish a pinned CM (mass stays near r = 0 at all
-        # separations) from one pinned excitation (mass rides the
+        tot = w.sum(axis=1)
+        r_bound = mass(basis.cm_dist > N // 2) / tot < TAIL_FRACTION_MAX
+        s_bound = mass(basis.sigma > N // 4) / tot < TAIL_FRACTION_MAX
+        prof_r = distance_profile(basis.cm_dist[near_s], w[:, near_s].T)
+        prof_s = distance_profile(basis.sigma[near_r], w[:, near_r].T)
+        # bound in r only: a pinned CM (mass stays near r = 0 at all
+        # separations) or one pinned excitation (mass rides the
         # r = +-sigma diagonals, away from r = 0 at large sigma)
-        far = basis.sigma >= 8
-        far_tot = w[far].sum()
-        near0 = w[far & (basis.cm_dist <= 6)].sum()
-        if far_tot > 1e-6 and near0 / far_tot < 0.2:
-            label = "one_exciton_bound"
-        else:
-            label = "cm_bound_pair"
-    else:
-        # occupation vs site ring distance from the impurity, m then n
-        x = np.abs(np.stack((basis.m, basis.n), axis=1).ravel())
-        ds_x, ps_x = distance_profile(np.minimum(x, N - x), np.repeat(w, 2))
-        if ps_x[ds_x <= 2].sum() / ps_x.sum() >= SITE_CORE_MIN:
-            label = "one_exciton_bound"
-        else:
-            label = "unclassified"
-    if label == "unclassified" and abs(sym - 1.0) < 1e-6:
-        label = "unclassified-symmetric"
-    return StateClassification(
-        type=label,
-        in_continuum=in_continuum(energy, params),
-        schmidt_number=schmidt_number(vec, basis),
-        decay_r=kr, decay_s=ks, antisymmetric=sym)
+        far_tot, near0 = mass(far), mass(far & (basis.cm_dist <= 6))
+        one = r_bound & ~s_bound & (far_tot > 1e-6)
+        one[one] = near0[one] / far_tot[one] < 0.2
+        # bound in neither: the share of the site occupation (m and n
+        # each count once) within 2 sites of the impurity
+        core = ~r_bound & ~s_bound
+        core[core] = w[core] @ site_core / (2.0 * tot[core]) >= SITE_CORE_MIN
+        del v, w
+        label = np.select(
+            [r_bound & s_bound, s_bound, one | core, r_bound, np.abs(sym - 1.0) < 1e-6],
+            ["fully_bound", "free_biexciton", "one_exciton_bound", "cm_bound_pair",
+             "unclassified-symmetric"], "unclassified")
+        fields = (label, in_continuum(energies[c:c + step], params),
+                  _schmidt_numbers(vecs, basis), _fit_decays(*prof_r, N, 4, N - 6),
+                  _fit_decays(*prof_s, N // 2, 3, N // 2 - 3), sym)
+        out += [StateClassification(*f) for f in zip(*(a.tolist() for a in fields))]
+    return out
 
 
 # ---------------------------------------------------------------------------

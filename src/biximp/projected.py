@@ -53,7 +53,7 @@ CLASS_K_SPLIT = np.pi / 4
 TAIL_FRACTION_MAX = 0.10
 KAPPA_MIN, KAPPA_MAX = 1e-6, 4.0    # range of a fitted decay rate
 NEWTON_STEPS = 6        # cap on the fit's Newton steps
-KAPPA_RTOL = 1e-10      # a fit ends once every step is this small
+KAPPA_RTOL = 1e-10      # a fit row stops once its step is this small
 # the bounded Brent search's first trial point on [KAPPA_MIN, KAPPA_MAX],
 # kept only for the pin gate of fit_ring_decay
 PIN_KAPPA = KAPPA_MIN + 0.5 * (3.0 - math.sqrt(5.0)) * (KAPPA_MAX - KAPPA_MIN)
@@ -285,19 +285,23 @@ def distance_profile(d, w):
 
 
 def fit_ring_decay(ds, ps, N, d_lo, d_hi):
-    """Fit ln p(d) = c + ln cosh(2 kappa (N - d)) on the decaying stretch.
+    """Fit ln p(d) = c + ln cosh(2 kappa (N - d)) on the decaying stretch,
+    for a 1-D profile ps or for each column of a 2-D ps (row i at
+    distance ds[i]), all columns in one solve.
 
-    The window starts at max(d_lo, peak + 1), stops at the profile
-    minimum within [.., d_hi] (the tail past the minimum is wrap-around
-    or admixture, not the decay law) and drops points below the
-    relative numerical floor.  Node structure near the impurity biases
-    the first points of antisymmetric states, so fits start at lo,
-    lo + 2, ..., lo + 20.  ds is sorted, so each start's window is a
-    suffix of the kept points: one row of an (S x P) 0/1 weight array,
-    and all starts are fitted together.  A start with fewer than 4
-    points, or a flat window (total sum of squares SST = 0), gives no
-    fit.  Returns (kappa, r_squared) of the first start with the best
-    r^2, when that r^2 is positive; (0, 0) otherwise.
+    For each profile, the window starts at max(d_lo, peak + 1), stops at
+    the profile minimum within [.., d_hi] (the tail past the minimum is
+    wrap-around or admixture, not the decay law) and drops points below
+    the profile's relative numerical floor.  Node structure near the
+    impurity biases the first points of antisymmetric states, so fits
+    start at lo, lo + 2, ..., lo + 20.  ds is sorted, so each start's
+    window is a suffix of its profile's kept points: one row of an
+    (S x P) 0/1 weight array, the rows of all profiles stacked.  A start
+    with fewer than 4 points, or a flat window (total sum of squares
+    SST = 0), gives no fit.  Returns (kappa, r_squared), per column for
+    a 2-D ps: those of the column's first start with the best r^2, when
+    that r^2 is positive; (0, 0) otherwise.  A row's arithmetic is its
+    own, so a profile fits the same alone as in any stack.
 
     With a = 2 kappa |N - d| >= 0 (ln cosh is even) and e = exp(-2a),
     ln cosh a = a - ln 2 + ln(1 + e) never overflows, tanh a =
@@ -306,7 +310,9 @@ def fit_ring_decay(ds, ps, N, d_lo, d_hi):
     the least-squares slope of ln p against N - d, then takes Newton
     steps on dSSE/dkappa, the Gauss-Newton step where the curvature is
     not positive, clipped to [KAPPA_MIN, KAPPA_MAX]: at most
-    NEWTON_STEPS, ending once every step is below KAPPA_RTOL relative.
+    NEWTON_STEPS per row, and a row stops once its own step is below
+    KAPPA_RTOL relative or the clip leaves its kappa where it is (a
+    further step would repeat the same one).
 
     Pin gate: a start whose window overflows np.cosh(2 PIN_KAPPA (N - d))
     gives no fit.  It only holds the recorded benchmark references:
@@ -315,26 +321,26 @@ def fit_ring_decay(ds, ps, N, d_lo, d_hi):
     cosh overflowed and its objective turned NaN.  The gate goes when
     the benchmark re-records those references (ROADMAP item 1).
     """
-    pmax = ps.max()
-    if pmax <= 0:
-        return 0.0, 0.0
-    d_peak = ds[int(np.argmax(np.where(ds <= N // 2, ps, -1.0)))]
-    lo = max(d_lo, d_peak + 1)
-    win = (ds >= lo) & (ds <= d_hi)
-    if win.sum() < 4:
-        return 0.0, 0.0
-    d_min = ds[win][int(np.argmin(ps[win]))]
-    keep = win & (ds <= d_min) & (ps > PROFILE_FLOOR * pmax)
-    xs = ds[keep]
-    x2, y = 2.0 * np.abs(N - xs), np.log(ps[keep])     # a = kappa x2
-    k0 = np.searchsorted(xs, np.arange(lo, lo + 21, 2))
-    k0 = k0[len(xs) - k0 >= 4]
+    cols = ps.reshape(len(ds), -1)
+    d_peak = ds[np.argmax(np.where((ds <= N // 2)[:, None], cols, -1.0), axis=0)]
+    lo = np.maximum(d_lo, d_peak + 1)
+    win = (ds[:, None] >= lo) & (ds <= d_hi)[:, None]
+    d_min = ds[np.argmin(np.where(win, cols, np.inf), axis=0)]
+    keep = win & (ds[:, None] <= d_min) & (cols > PROFILE_FLOOR * cols.max(axis=0))
+    # only points in [d_lo, d_hi] enter a window
+    span = (ds >= d_lo) & (ds <= d_hi)
+    xs, keep = ds[span], keep[span]
+    x2 = 2.0 * np.abs(N - xs)       # a = kappa x2
+    y = np.log(np.where(keep, cols[span], 1.0)).T
+    offsets = np.arange(0, 21, 2)           # starts lo, lo + 2, ..., lo + 20
+    starts = (lo[:, None] + offsets).ravel()
+    prof = np.repeat(np.arange(cols.shape[1]), len(offsets))
+    w = keep.T[prof] & (xs >= starts[:, None])
     with np.errstate(over="ignore"):        # the pin gate
-        k0 = k0[np.isfinite(np.cosh(PIN_KAPPA * x2[k0]))]
-    if not k0.size:
-        return 0.0, 0.0
-    w = (np.arange(len(xs)) >= k0[:, None]).astype(float)
-    n = (len(xs) - k0)[:, None]
+        pinned = (w & ~np.isfinite(np.cosh(PIN_KAPPA * x2))).any(axis=1)
+    rows = np.flatnonzero((w.sum(axis=1) >= 4) & ~pinned)
+    w, y = w[rows], y[prof[rows]]
+    n = w.sum(axis=1, keepdims=True)
 
     def centered(v):        # in place: v minus its window mean, 0 outside
         v *= w
@@ -345,7 +351,7 @@ def fit_ring_decay(ds, ps, N, d_lo, d_hi):
     def clipped(kappa):
         return np.minimum(np.maximum(kappa, KAPPA_MIN), KAPPA_MAX)
 
-    def residual(kappa):    # centered ln p - ln cosh a, and e
+    def residual(kappa):    # centered ln p - ln cosh a on the live rows, and e
         a = kappa[:, None] * x2
         e = np.exp(-2.0 * a)
         a += np.log1p(e)
@@ -355,6 +361,7 @@ def fit_ring_decay(ds, ps, N, d_lo, d_hi):
     sst = (yc * yc).sum(axis=1)
     kappa = clipped((xc * yc).sum(axis=1) / (xc * xc).sum(axis=1))
     del yc, xc              # the fit's peak memory is its S x P arrays
+    sse, live = np.empty(len(rows)), np.arange(len(rows))
     z, e = residual(kappa)
     for _ in range(NEWTON_STEPS):
         # d ln cosh a / d kappa, centered: z sums to 0 on each window,
@@ -364,14 +371,25 @@ def fit_ring_decay(ds, ps, N, d_lo, d_hi):
         sech2 = np.multiply(e, 4.0 / (1.0 + e) ** 2, out=e)     # e is spent
         curv = gauss_newton - (z * sech2 * x2 * x2).sum(axis=1)
         step = (z * dfc).sum(axis=1) / np.where(curv > 0, curv, gauss_newton)
-        if (np.abs(step) <= KAPPA_RTOL * kappa).all():
+        now, nxt = kappa[live], clipped(kappa[live] + step)
+        done = (np.abs(step) <= KAPPA_RTOL * now) | (nxt == now)
+        sse[live[done]] = (z[done] * z[done]).sum(axis=1)
+        go = ~done
+        live, y, w, n = live[go], y[go], w[go], n[go]
+        if not live.size:
             break
-        kappa = clipped(kappa + step)
-        z, e = residual(kappa)
+        kappa[live] = nxt[go]
+        z, e = residual(kappa[live])
+    else:                   # rows still stepping at the cap
+        sse[live] = (z * z).sum(axis=1)
+    r2, kap = np.full(len(prof), -np.inf), np.zeros(len(prof))
     with np.errstate(invalid="ignore", divide="ignore"):
-        r2 = np.where(sst > 0, 1.0 - (z * z).sum(axis=1) / sst, -np.inf)
-    best = int(np.argmax(r2))
-    return (float(kappa[best]), float(r2[best])) if r2[best] > 0 else (0.0, 0.0)
+        r2[rows] = np.where(sst > 0, 1.0 - sse / sst, -np.inf)
+    kap[rows] = kappa
+    # each profile's first start with the best r^2: its rows are in start order
+    best = np.argmax(r2.reshape(-1, len(offsets)), axis=1) + np.arange(0, len(prof), len(offsets))
+    good = r2[best] > 0
+    return tuple(np.where(good, v[best], 0.0).reshape(ps.shape[1:])[()] for v in (kap, r2))
 
 
 @dataclass
@@ -386,28 +404,30 @@ class BoundStateRecord:
 
 
 def bound_candidates(spectrum, modes):
-    """Yield (mu, ds, ps) for the states that pass both bound-state gates.
+    """(mu, ds, ps) for the states that pass both bound-state gates.
 
     A state is bound when its energy leaves the discrete impurity-free
     band (ModeBasis.out_of_band) and the far-tail mass of |Psi(r, 1)|^2
-    (beyond mid-ring) stays below TAIL_FRACTION_MAX; (ds, ps) is its ring
-    decay profile.  The profiles of all out-of-band states come from one
-    ring_decay_profile product.
+    (beyond mid-ring) stays below TAIL_FRACTION_MAX.  mu holds their
+    state indices, increasing, and column j of ps the ring decay
+    profile of state mu[j] at distances ds; the profiles of all
+    out-of-band states come from one ring_decay_profile product.
     """
     out = np.flatnonzero(modes.out_of_band(spectrum.energies))
     ds, ps = ring_decay_profile(spectrum.states[:, out], modes)
     tail = ps[ds > modes.params.N // 2].sum(axis=0) / ps.sum(axis=0)
-    for j in np.flatnonzero(~(tail > TAIL_FRACTION_MAX)):
-        yield int(out[j]), ds, ps[:, j]
+    bound = ~(tail > TAIL_FRACTION_MAX)
+    return out[bound], ds, ps[:, bound]
 
 
 def classify_bound_states(spectrum, modes):
     """Bound-state records for the states that pass `bound_candidates`.
 
-    The ring-model fit supplies the decay rate and its quality.  Labels
-    follow the split ordering: states near K ~ 0 get a, b, c, ... by
-    decreasing band split; states near |K| ~ pi/2 continue with e, f,
-    ... as long as at most four near-zero states exist.
+    The ring-model fit supplies the decay rate and its quality, for all
+    candidates in one fit_ring_decay call.  Labels follow the split
+    ordering: states near K ~ 0 get a, b, c, ... by decreasing band
+    split; states near |K| ~ pi/2 continue with e, f, ... as long as at
+    most four near-zero states exist.
     """
     p = modes.params
     hi = modes.band_edges()[1]
@@ -415,14 +435,15 @@ def classify_bound_states(spectrum, modes):
     k_at_max = abs(float(modes.K[int(np.argmax(modes.energies))]))
     k_at_min = abs(float(modes.K[int(np.argmin(modes.energies))]))
     recs = []
-    for mu, ds, ps in bound_candidates(spectrum, modes):
+    mus, ds, ps = bound_candidates(spectrum, modes)
+    fits = zip(*fit_ring_decay(ds, ps, p.N, 4, p.N - 6))
+    for mu, (kappa, r2) in zip(mus.tolist(), fits):
         e = spectrum.energies[mu]
-        kappa, r2 = fit_ring_decay(ds, ps, p.N, 4, p.N - 6)
         w = np.abs(spectrum.states[:, mu]) ** 2
         dom = abs(float(modes.K[int(np.argmax(w))]))
         edge_k = k_at_max if e > hi else k_at_min
         cls = "near_zero" if edge_k < CLASS_K_SPLIT else "near_half_pi"
-        recs.append(BoundStateRecord("", e, dom, cls, kappa, r2, mu))
+        recs.append(BoundStateRecord("", e, dom, cls, float(kappa), float(r2), mu))
     split = lambda r: modes.band_split(r.energy)
     near0 = sorted([r for r in recs if r.re_K_class == "near_zero"],
                    key=split, reverse=True)
@@ -492,7 +513,7 @@ def _stack_counts(blocks, modes):
     U[pairs] = half * y[:na]
     U[images] = np.where(sector == 0, half, -half) * y[:na]
     U[fixed[sector], np.arange(len(cell))] = y[na]
-    bound = [mu for mu, _, _ in bound_candidates(SpectrumResult(w[cell, sector, j], U), modes)]
+    bound = bound_candidates(SpectrumResult(w[cell, sector, j], U), modes)[0]
     counts = np.bincount(cell[bound], minlength=len(w))
     counts[~finite] = -1
     return counts

@@ -15,7 +15,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biximp import cli, pairbasis
+from biximp import ModelParams, cli, pairbasis
 from biximp.cli import KEYS, MAX_COUNT, main
 
 
@@ -454,16 +454,20 @@ def test_bic_solves_once(tmp_path, monkeypatch):
 
 
 def test_bic_classifies_each_row_once(monkeypatch, tmp_path):
-    """The dumped state is one of the rows: classify_state runs once per
-    row of bic_classification.csv, and never again for the dump."""
-    classify = pairbasis.classify_state
+    """The dumped state is one of the rows: a run makes one batched
+    classify_states call, holding as many states as
+    bic_classification.csv has rows, and classifies nothing for the
+    dump."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return classify(*args, **kwargs)
+    def counted(classify):
+        def call(energies, states, *args, **kwargs):
+            calls.append((classify.__name__, np.atleast_2d(states.T).shape[0]))
+            return classify(energies, states, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(pairbasis, "classify_state", counted)
+    monkeypatch.setattr(pairbasis, "classify_states", counted(pairbasis.classify_states))
+    monkeypatch.setattr(pairbasis, "classify_state", counted(pairbasis.classify_state))
     cfg = {"model": {"N": 40, "J": 1.0, "D": 4.1, "V0": 8.0},
            "bic": {"dump_amplitudes": True}}
     path = write_cfg(tmp_path / "c.yaml", cfg)
@@ -471,7 +475,7 @@ def test_bic_classifies_each_row_once(monkeypatch, tmp_path):
     assert (tmp_path / "bic_amplitude.f64").exists()
     with open(tmp_path / "bic_classification.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert rows and len(calls) == len(rows)
+    assert rows and calls == [("classify_states", len(rows))]
 
 
 def test_bic_holds_one_spectrum(tmp_path):
@@ -490,6 +494,24 @@ def test_bic_holds_one_spectrum(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
+    assert peak <= 2.5 * 8 * L * L, peak / (8 * L * L)
+
+
+def test_classifying_every_state_holds_one_spectrum():
+    """Classifying all L states of the N = 40 pair spectrum in one
+    classify_states call stays under test_bic_holds_one_spectrum's
+    2.5 eigenvector matrices: the batch is chunked, so its arrays stay
+    small beside the spectrum."""
+    p = ModelParams(N=40, J=1.0, D=4.1, V0=8.0)
+    L = 40 * 39 // 2
+    tracemalloc.start()
+    try:
+        basis, spec = pairbasis.diagonalize_full(p)
+        classes = pairbasis.classify_states(spec.energies, spec.states, p, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(classes) == L
     assert peak <= 2.5 * 8 * L * L, peak / (8 * L * L)
 
 

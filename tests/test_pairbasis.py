@@ -8,10 +8,12 @@ import pytest
 from biximp import (ModeBasis, ModelParams, NumericalError, ParameterError,
                     RangeError, bic_energies, build_pair_hamiltonian,
                     diagonalize_full, find_bic_state, pairbasis)
-from biximp.pairbasis import (PairBasis, classify_state, folded_amplitudes,
-                              in_continuum, reflection_expectation,
-                              schmidt_number)
+from biximp.pairbasis import (LOCALIZED_TAIL, SITE_CORE_MIN, PairBasis,
+                              StateClassification, classify_state,
+                              classify_states, folded_amplitudes, in_continuum,
+                              reflection_expectation, schmidt_number)
 from biximp.params import wrap_site
+from biximp.projected import TAIL_FRACTION_MAX, distance_profile, fit_ring_decay
 
 
 def test_basis_size_and_uniqueness():
@@ -410,3 +412,138 @@ def test_schmidt_product_state():
         vec[i] = math.exp(-0.7 * abs(r)) * math.exp(-1.1 * s)
     vec /= np.linalg.norm(vec)
     assert schmidt_number(vec, basis) < 1.1
+
+
+# ---------------------------------------------------------------------------
+# batched classification against the per-state reference
+
+
+def _fit_decay_reference(ds, ps, period_half, d_lo, d_hi):
+    """One state's ring-aware decay rate: 0 without a usable fit, inf
+    without a fit when at most LOCALIZED_TAIL of the weight lies at
+    d >= d_lo."""
+    tot = ps.sum()
+    if tot <= 0:
+        return 0.0
+    tail = ps[ds >= d_lo].sum()
+    if tail <= LOCALIZED_TAIL * tot:
+        return math.inf
+    return float(fit_ring_decay(ds, ps, period_half, d_lo=d_lo, d_hi=d_hi)[0])
+
+
+def _schmidt_reference(vec, basis):
+    """One state's Schmidt number from its folded grid, block by block."""
+    grid = folded_amplitudes(vec, basis)
+    ranks = []
+    for par in (0, 1):
+        M = np.ascontiguousarray(grid[1 - par::2, 2 - par::2])
+        fro = np.linalg.norm(M)
+        if fro < 1e-8:
+            continue
+        p = np.linalg.svd(M / fro, compute_uv=False) ** 2
+        p = p[p > 1e-16]
+        ranks.append(float(np.exp(-np.sum(p * np.log(p)))))
+    return max(ranks) if ranks else 1.0
+
+
+def classify_reference(energy, vec, params, basis):
+    """The per-state classification that classify_states replaced: one
+    state's tail masses, profiles, 1-D ring fits, site-occupation profile
+    and Schmidt number, each on its own."""
+    N = params.N
+    w = vec * vec
+    tot = w.sum()
+    tail_r = w[basis.cm_dist > N // 2].sum() / tot
+    tail_s = w[basis.sigma > N // 4].sum() / tot
+    near_s = basis.sigma <= 2
+    kr = _fit_decay_reference(*distance_profile(basis.cm_dist[near_s], w[near_s]),
+                              N, d_lo=4, d_hi=N - 6)
+    near_r = np.abs(basis.r) <= 3
+    ks = _fit_decay_reference(*distance_profile(basis.sigma[near_r], w[near_r]),
+                              N // 2, d_lo=3, d_hi=N // 2 - 3)
+    r_bound = tail_r < TAIL_FRACTION_MAX
+    s_bound = tail_s < TAIL_FRACTION_MAX
+    sym = reflection_expectation(vec, basis)
+    if r_bound and s_bound:
+        label = "fully_bound"
+    elif s_bound:
+        label = "free_biexciton"
+    elif r_bound:
+        far = basis.sigma >= 8
+        far_tot = w[far].sum()
+        near0 = w[far & (basis.cm_dist <= 6)].sum()
+        if far_tot > 1e-6 and near0 / far_tot < 0.2:
+            label = "one_exciton_bound"
+        else:
+            label = "cm_bound_pair"
+    else:
+        x = np.abs(np.stack((basis.m, basis.n), axis=1).ravel())
+        ds_x, ps_x = distance_profile(np.minimum(x, N - x), np.repeat(w, 2))
+        if ps_x[ds_x <= 2].sum() / ps_x.sum() >= SITE_CORE_MIN:
+            label = "one_exciton_bound"
+        else:
+            label = "unclassified"
+    if label == "unclassified" and abs(sym - 1.0) < 1e-6:
+        label = "unclassified-symmetric"
+    return StateClassification(
+        type=label, in_continuum=in_continuum(energy, params),
+        schmidt_number=_schmidt_reference(vec, basis),
+        decay_r=kr, decay_s=ks, antisymmetric=sym)
+
+
+@pytest.fixture(scope="module")
+def bic_candidates():
+    """(params, basis, energies, states) per case: the states within 0.5
+    of E_b1 or E_b2 at N = 40 and 60 and V0 = 1 and 8, as bic classifies
+    them, and every state at N = 12.  At N = 12 every window is short
+    (rate 0); the tightly bound D = 400, V0 = 1e4 states have localized
+    tails (rate inf), and the unit vectors on single pairs zero-weight
+    profiles (rate 0) as well."""
+    cases = []
+    for N, D, v0 in [(N, 4.1, v0) for N in (12, 40, 60) for v0 in (1.0, 8.0)] \
+            + [(12, 400.0, 1e4)]:
+        p = ModelParams(N=N, J=1.0, D=D, V0=v0)
+        basis, spec = diagonalize_full(p)
+        e = spec.energies
+        near = np.minimum(*(np.abs(e - eb) for eb in bic_energies(p)))
+        idx = np.arange(len(e)) if N == 12 else np.flatnonzero(near <= 0.5)
+        cases.append((p, basis, e[idx], spec.states[:, idx]))
+    L = len(basis)
+    cases.append((p, basis, np.linspace(-5.0, 5.0, L), np.eye(L)))
+    return cases
+
+
+def _rel(a, b):
+    return 0.0 if a == b else abs(a - b) / abs(b)
+
+
+def test_classify_states_matches_reference(bic_candidates):
+    """classify_states agrees with classify_reference on every candidate:
+    labels and in_continuum identical, Schmidt numbers to 1e-12 and decay
+    rates to 1e-9 relative.  The cases hold fitted rates, zero-weight and
+    short-window profiles (rate 0) and localized tails (rate inf)."""
+    rates, zero_weight = set(), 0
+    for p, basis, energies, states in bic_candidates:
+        got = classify_states(energies, states, p, basis)
+        assert len(got) == len(energies)
+        for j, cls in enumerate(got):
+            ref = classify_reference(energies[j], states[:, j], p, basis)
+            assert (cls.type, cls.in_continuum) == (ref.type, ref.in_continuum)
+            assert _rel(cls.schmidt_number, ref.schmidt_number) <= 1e-12
+            assert cls.antisymmetric == pytest.approx(ref.antisymmetric, abs=1e-12)
+            for got_k, ref_k in ((cls.decay_r, ref.decay_r), (cls.decay_s, ref.decay_s)):
+                assert got_k == ref_k or _rel(got_k, ref_k) <= 1e-9, (p, j)
+                rates.add(0.0 if ref_k == 0 else math.inf if math.isinf(ref_k) else 1.0)
+            w = states[:, j] ** 2
+            zero_weight += not w[basis.sigma <= 2].any()
+    assert rates == {0.0, 1.0, math.inf}
+    assert zero_weight > 0
+
+
+def test_classification_is_batch_invariant(bic_candidates):
+    """Each state classified alone equals its classification in the full
+    batch, bit for bit."""
+    for p, basis, energies, states in bic_candidates:
+        batch = classify_states(energies, states, p, basis)
+        for j, cls in enumerate(batch):
+            assert classify_state(energies[j], states[:, j], p, basis) == cls, (p, j)

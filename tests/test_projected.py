@@ -42,7 +42,7 @@ def count_reference(modes, G, V0):
     A, P = ph.M.real, reflection(modes.params.N)
     if not (np.abs(ph.M.imag).max() <= ph.tol and np.abs(A - P @ A @ P).max() <= ph.tol):
         return -1
-    return sum(1 for _ in bound_candidates(SpectrumResult(*np.linalg.eigh(A)), modes))
+    return len(bound_candidates(SpectrumResult(*np.linalg.eigh(A)), modes)[0])
 
 
 def test_basis_is_impurity_free(fig2_params):
@@ -373,9 +373,9 @@ def test_real_spectrum_keeps_bound_states(N, J, D, V0):
     """bound_candidates picks the same states from real and complex eigenvectors."""
     p = ModelParams(N=N, J=J, D=D, V0=V0)
     ph = projected_hamiltonian(p)
-    real = [mu for mu, _, _ in bound_candidates(diagonalize_projected(ph), ph.modes)]
+    real = bound_candidates(diagonalize_projected(ph), ph.modes)[0].tolist()
     cplx = SpectrumResult(*np.linalg.eigh(ph.M))
-    assert real == [mu for mu, _, _ in bound_candidates(cplx, ph.modes)]
+    assert real == bound_candidates(cplx, ph.modes)[0].tolist()
     assert real
 
 
@@ -598,10 +598,16 @@ def random_fit_inputs(rng, N):
     return ds, ps, N if d_lo == 4 else N // 2, d_lo, d_hi
 
 
+def columns(ps):
+    """The profiles of a fit_ring_decay input: ps itself, or its columns."""
+    return [ps] if ps.ndim == 1 else list(ps.T)
+
+
 @pytest.fixture
 def fit_calls(monkeypatch):
     """Record the inputs and result of every fit_ring_decay call made
-    through projected or pairbasis."""
+    through projected or pairbasis; a call fits each column of a 2-D
+    profile."""
     calls = []
     fit = projected.fit_ring_decay
 
@@ -658,8 +664,9 @@ def test_fit_matches_per_start_reference(fit_calls, tmp_path, case):
             # is flat (SST = 0), so no start fits
             ds = np.arange(N + 1)
             projected.fit_ring_decay(ds, np.where(ds == N - 7, 0.0, 1.0), N, 4, N - 6)
-        want = [per_start_fit(*args, **kw) for args, kw, _ in fit_calls]
-    got = [got for _, _, got in fit_calls]
+        want = [per_start_fit(ds, col, *rest, **kw)
+                for (ds, ps, *rest), kw, _ in fit_calls for col in columns(ps)]
+    got = [fit for _, _, got in fit_calls for fit in zip(*(np.ravel(a) for a in got))]
     assert_fits_agree(got, want)
     if case.startswith("spectrum_N400"):
         assert got == [(0.0, 0.0)] * len(got) != []
