@@ -129,7 +129,7 @@ def cmd_exciton(params, sec, out):
 
 def cmd_biexciton_spectrum(params, sec, out):
     # classified from the basis (whose build checks the regime) and the
-    # spectrum: M is freed once solved
+    # spectrum, solved without building M
     modes = ModeBasis(params)
     spec = projected.diagonalize_projected(projected.build_projected_hamiltonian(
         modes, projected.impurity_overlap(modes), params.V0))

@@ -33,7 +33,6 @@ from .params import wrap_site
 from .projected import (STACK_BYTES, TAIL_FRACTION_MAX, checked_eigh,
                         distance_profile, fit_ring_decay, sector_spectrum)
 
-SCHMIDT_FACTORIZED = 1.1  # effective rank below this counts as factorized
 LOCALIZED_TAIL = 1e-10
 SITE_CORE_MIN = 0.30     # occupation within 2 sites of the impurity
 BIC_WINDOW = 0.05        # find_bic_state's half-width around the closed form

@@ -17,15 +17,16 @@ s = N/2, carries sin(pi (l' - l)/2) with K = pi l/N, which vanishes
 because phi_K(N/2) = 0 for odd l and l' - l is even when both l are
 even.  The impurity sits on site 0, so M also commutes with the CM
 reflection P: u(l) -> s_l u(-l) on the l_K grid, with s_l = -1 only on
-l = N/2 (K = pi/2, its own image) and l = 0 even.  Spectra (bound-state
-counts, classification, poles) are therefore solved in real arithmetic
-and in the two sectors of P, two N/2 x N/2 blocks, after checks that
-Im M and M - PMP are at rounding level: diagonalize_projected for one
-M, and for bound-state counts one stacked solve per phase-diagram row
-(_bound_counts), every V0 of a basis with its own gates.
-Propagation keeps the complex solve (ProjectedHamiltonian.eigensystem):
-recorded N = 200 snapshot contrasts are pinned tighter than the real
-solve's rounding moves them.
+l = N/2 (K = pi/2, its own image) and l = 0 even.  One gate (_gates)
+checks, from G's maxima and the O(N) diagonal of each V0, that M would
+be finite, Hermitian, real and P-symmetric to rounding, and one fold
+(_sector_stack) forms the two real N/2 x N/2 sector blocks of P from
+(basis, G, V0): spectra (bound-state counts, classification, poles)
+are solved from those blocks, for one V0 (diagonalize_projected) or
+for every V0 of a phase-diagram row in stacked solves (_bound_counts),
+and build no N x N M.  Propagation alone builds M and keeps the complex
+solve (ProjectedHamiltonian.eigensystem): recorded N = 200 snapshot
+contrasts are pinned tighter than the real solve's rounding moves them.
 
 Bound-state profiles live on a ring of circumference 2N in the CM
 coordinate r, so decay fits use the ring model
@@ -42,7 +43,6 @@ import numpy as np
 
 from .biexciton import ModeBasis
 from .errors import ExistenceError, NumericalError, ParameterError
-from .params import ModelParams
 
 PROFILE_FLOOR = 1e-18    # relative |Psi|^2 floor: excludes eigensolver noise
 CLASS_K_SPLIT = np.pi / 4
@@ -57,7 +57,7 @@ KAPPA_RTOL = 1e-10      # a fit row stops once its step is this small
 # the bounded Brent search's first trial point on [KAPPA_MIN, KAPPA_MAX],
 # kept only for the pin gate of fit_ring_decay
 PIN_KAPPA = KAPPA_MIN + 0.5 * (3.0 - math.sqrt(5.0)) * (KAPPA_MAX - KAPPA_MIN)
-STACK_BYTES = 1 << 22   # blocks and eigenvectors of one stacked count solve
+STACK_BYTES = 1 << 22   # the arrays of one stacked sector solve
 
 
 def impurity_overlap(modes):
@@ -79,15 +79,6 @@ def potential_matrix(params, overlap):
     return (4.0 * params.V0 / params.N) * overlap
 
 
-def _rounding_tol(M, J):
-    """Tolerance of the projected gates: 1e-12 max(|J|, max |M|), the
-    rounding of M's entries, over M's last two axes (one tolerance per
-    matrix of a stack).  A NaN or infinite entry leaves it at
-    1e-12 |J|, so that the gate it spoils still fails."""
-    scale = np.max(np.abs(M), axis=(-2, -1))
-    return 1e-12 * np.where(np.isfinite(scale), np.maximum(abs(J), scale), abs(J))
-
-
 def checked_eigh(M, what="projected Hamiltonian"):
     """np.linalg.eigh(M), with its failure raised as NumericalError."""
     try:
@@ -98,17 +89,22 @@ def checked_eigh(M, what="projected Hamiltonian"):
 
 @dataclass
 class ProjectedHamiltonian:
-    """M = diag(E_b) + V for `params`, with cached eigensystem; `tol` is
-    the _rounding_tol of M, which every gate on M uses."""
+    """The impurity V0 on the basis `modes` and its impurity `overlap` G;
+    M = diag(E_b) + V is built only for propagation (eigensystem)."""
 
     modes: ModeBasis
-    M: np.ndarray
-    params: ModelParams
+    overlap: np.ndarray
+    V0: float
     _eig: tuple = field(default=None, init=False, repr=False)
-    tol: float = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.tol = float(_rounding_tol(self.M, self.params.J))
+    @functools.cached_property
+    def params(self):
+        return self.modes.params.replace(V0=self.V0)
+
+    @functools.cached_property
+    def M(self):
+        return np.diag(self.modes.energies.astype(complex)) + potential_matrix(
+            self.params, self.overlap)
 
     def eigensystem(self):
         """Complex eigh of M, cached; the propagation path.
@@ -125,21 +121,44 @@ class ProjectedHamiltonian:
         return self._eig
 
 
+def _gates(modes, overlap, v0_values):
+    """c = 4 V0 / N for each V0, and the first gate that M = diag(E) + c G
+    fails: "not finite", "not Hermitian", "not real" or "not P-symmetric"
+    ("" where all pass); no M is built.
+
+    Each gate holds M's residual (M - M^H, Im M, M - PMP) to
+    1e-12 max(|J|, max |M|), the rounding of M's entries.  G's maxima are
+    read once: off the diagonal each residual and max |M_ij| are |c|
+    times G's, to rounding, while the diagonal E + c G_ii is formed per
+    V0, O(N), as in M.  An overflowing V0 leaves M not finite.
+    """
+    image, s = _reflection(len(overlap))[:2]
+    G = overlap.real
+    g_off, p_off = np.abs(overlap), np.abs(G - s[:, None] * G.take(image, 0).take(image, 1) * s)
+    np.fill_diagonal(g_off, 0.0)
+    np.fill_diagonal(p_off, 0.0)
+    res = np.array([np.max(np.abs(overlap - overlap.conj().T)),
+                    np.max(np.abs(overlap.imag)), np.max(p_off)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = 4.0 * np.asarray(v0_values, dtype=float) / len(overlap)
+        diag = modes.energies + c[:, None] * np.diagonal(overlap)
+        big = np.column_stack((np.abs(c) * np.max(g_off), diag))
+        dev = np.abs(c)[:, None] * res
+        dev[:, 2] = np.maximum(dev[:, 2], np.max(np.abs(diag.real - diag.real[:, image]), axis=1))
+        tol = 1e-12 * np.maximum(abs(modes.params.J), np.max(np.abs(big), axis=1))
+        fails = [~np.isfinite(big).all(axis=1), *(~(dev <= tol[:, None])).T]
+    return c, np.select(fails, ["not finite", "not Hermitian", "not real", "not P-symmetric"], "")
+
+
 def build_projected_hamiltonian(modes, overlap, V0):
-    """M for the impurity strength V0 on the impurity-free basis `modes`
-    and its impurity `overlap` G; M's params are modes.params with this
-    V0, and one basis and its G serve every V0."""
-    params = modes.params.replace(V0=V0)
-    # an overflowing V0 leaves inf * 0 and inf - inf, NaN, which fails
-    # the check below
-    with np.errstate(invalid="ignore", over="ignore"):
-        M = np.diag(modes.energies.astype(complex)) + potential_matrix(
-            params, overlap)
-        ph = ProjectedHamiltonian(modes, M, params)
-        herm = np.max(np.abs(M - M.conj().T))
-    if not herm <= ph.tol:
-        raise NumericalError(f"projected Hamiltonian not Hermitian: {herm:.2e}")
-    return ph
+    """The impurity V0 on the impurity-free basis `modes` and its impurity
+    `overlap` G, after its _gates; its params are modes.params with this
+    V0, and one basis and its G serve every V0.  Raises NumericalError
+    naming the failed gate."""
+    (failed,) = _gates(modes, overlap, [V0])[1]
+    if failed:
+        raise NumericalError(f"projected Hamiltonian at V0 = {V0}: {failed}")
+    return ProjectedHamiltonian(modes, overlap, V0)
 
 
 @dataclass
@@ -203,51 +222,41 @@ def _reflection(N):
             np.arange(n - 2, -1, -1), np.array([n - 1, N - 1]))
 
 
-def _p_residual(A):
-    """|A - PAP| entrywise, for a real N x N A on the l_K grid."""
-    image, s = _reflection(len(A))[:2]
-    with np.errstate(invalid="ignore"):     # inf - inf: NaN, which fails
-        return np.abs(A - s[:, None] * A.take(image, 0).take(image, 1) * s)
-
-
-def _sector_blocks(A):
-    """The even and odd N/2 x N/2 blocks (stacked) of a real A that
-    commutes with P, sliced from its pair rows, so the part of A that
-    breaks P is dropped; the order is sector_spectrum's."""
-    N = len(A)
+def _sector_stack(modes, overlap, c):
+    """The even and odd N/2 x N/2 blocks of M = diag(E) + c G for each c
+    of a 1-D array, a (k, 2, N/2, N/2) stack in sector_spectrum's order,
+    bit for bit the blocks sliced from M.real's pair rows: so the part
+    of M that breaks P is dropped.  A pair state a meets a pair state b
+    with M_ab +- M_a(Pb), and a fixed state f with sqrt2 M_af; M_ab
+    stays c G_ab, with E added on the diagonal as in M."""
+    N = len(overlap)
     n, fixed = N // 2, _reflection(N)[4]
-    pp, pm = A[n:N - 1, n:N - 1], A[n:N - 1, n - 2::-1]   # pair x pair, pair x image
-    blocks = np.empty((2, n, n))
-    np.add(pp, pm, out=blocks[0, :-1, :-1])
-    np.subtract(pp, pm, out=blocks[1, :-1, :-1])
-    # a fixed state meets the pair state of a with sqrt2 A[a, fixed]
-    blocks[:, :-1, -1] = blocks[:, -1, :-1] = math.sqrt(2.0) * A[n:N - 1, fixed].T
-    blocks[:, -1, -1] = A[fixed, fixed]
+    G, c = overlap.real, c[:, None, None]
+    pp, pm = c * G[n:N - 1, n:N - 1], c * G[n:N - 1, n - 2::-1]   # pair x pair, x image
+    i = np.arange(n - 1)
+    pp[:, i, i] += modes.energies[n:N - 1]
+    blocks = np.empty((len(c), 2, n, n))
+    np.add(pp, pm, out=blocks[:, 0, :-1, :-1])
+    np.subtract(pp, pm, out=blocks[:, 1, :-1, :-1])
+    fix = math.sqrt(2.0) * (c * G[n:N - 1, fixed]).swapaxes(1, 2)    # pair x fixed
+    blocks[..., :-1, -1] = blocks[..., -1, :-1] = fix
+    blocks[..., -1, -1] = c[:, 0] * G[fixed, fixed] + modes.energies[fixed]
     return blocks
 
 
 def diagonalize_projected(ph):
-    """Spectrum of M, solved real and in the two sectors of the CM
-    reflection P (see the module docstring and sector_spectrum).
+    """Spectrum of the projected Hamiltonian `ph`, solved real and in the
+    two sectors of the CM reflection P (see the module docstring and
+    sector_spectrum), with no gate of its own: build_projected_hamiltonian
+    ran them.
 
-    Two O(N^2) gates come first, each against 1e-12 max(|J|, max |M|),
-    the bound of the Hermiticity check, and each failed by a NaN:
-    max |Im M| (not real) and max |M - PMP| (not P-symmetric).  Both
-    N/2 x N/2 blocks (_sector_blocks) are solved in one stacked eigh.
+    Both N/2 x N/2 blocks (_sector_stack) are solved in one stacked eigh.
     Columns are sorted by energy, the even state first at an exact tie.
-    Raises NumericalError when a gate fails, or when eigh fails or
-    returns a non-finite energy.
+    Raises NumericalError when eigh fails or returns a non-finite energy.
     """
-    M, tol = ph.M, ph.tol
-    imag = np.max(np.abs(M.imag))
-    if not imag <= tol:    # a NaN fails too
-        raise NumericalError(f"projected Hamiltonian not real: {imag:.2e}")
-    A = M.real
-    dev = np.max(_p_residual(A))
-    if not dev <= tol:
-        raise NumericalError(f"projected Hamiltonian not P-symmetric: {dev:.2e}")
-    _, _, pairs, images, fixed = _reflection(len(A))
-    w, y = checked_eigh(_sector_blocks(A))
+    N = len(ph.overlap)
+    _, _, pairs, images, fixed = _reflection(N)
+    w, y = checked_eigh(_sector_stack(ph.modes, ph.overlap, np.array([4.0 * ph.V0 / N]))[0])
     return sector_spectrum(((w[0], y[0], fixed[:1]), (w[1], y[1], fixed[1:])),
                            pairs, images, "projected Hamiltonian")
 
@@ -460,35 +469,18 @@ def _bound_counts(modes, overlap, v0_values):
     """Bound-state count for each V0 on `modes` and its overlap G; -1
     where a gate or eigh fails.
 
-    No M = diag(E) + c G (c = 4 V0 / N) is built.  Each cell keeps the
-    three gates of build_projected_hamiltonian and diagonalize_projected
-    against its own _rounding_tol, from G's maxima once per row: each
-    off-diagonal residual (of M - M^H, Im M, M - PMP) and max |M_ij| off
-    the diagonal are |c| times G's, to rounding, while the diagonal
-    E + c G_ii is formed per cell, O(N), as in M.  A cell whose M would
-    not be finite fails.  The passing cells' sector blocks b0 + c bG
-    are solved in stacks of at most STACK_BYTES (_stack_counts).
+    Each cell keeps its own _gates result, and no M is built.  The
+    passing cells' sector blocks (_sector_stack) are solved in chunks
+    whose arrays take at most STACK_BYTES (_stack_counts): per cell its
+    two blocks, the fold's pair temporaries and the eigenvectors, each
+    16 (N/2)^2 bytes.
     """
-    image = _reflection(len(overlap))[0]
-    g_off, p_off = np.abs(overlap), _p_residual(overlap.real)
-    np.fill_diagonal(g_off, 0.0)
-    np.fill_diagonal(p_off, 0.0)
-    res = max(np.max(np.abs(overlap - overlap.conj().T)),
-              np.max(np.abs(overlap.imag)), np.max(p_off))
-    with np.errstate(over="ignore", invalid="ignore"):     # an overflowing V0
-        c = 4.0 * np.asarray(v0_values, dtype=float) / len(overlap)
-        diag = modes.energies + c[:, None] * np.diagonal(overlap)
-        big = np.column_stack((np.abs(c) * np.max(g_off), diag))
-        dev = np.maximum(np.abs(c) * res, np.max(np.abs(diag.real - diag.real[:, image]), axis=1))
-        ok = np.isfinite(big).all(axis=1) & (dev <= _rounding_tol(big[:, None], modes.params.J))
+    c, failed = _gates(modes, overlap, v0_values)
     counts = np.full(len(c), -1)
-    b0, bG = _sector_blocks(np.diag(modes.energies)), _sector_blocks(overlap.real)
-    cells = np.flatnonzero(ok)
-    step = max(1, STACK_BYTES // (2 * bG.nbytes))
+    cells = np.flatnonzero(failed == "")
+    step = max(1, STACK_BYTES // (3 * 16 * (len(overlap) // 2) ** 2))
     for chunk in np.split(cells, range(step, len(cells), step)):
-        blocks = c[chunk, None, None, None] * bG
-        blocks += b0
-        counts[chunk] = _stack_counts(blocks, modes)
+        counts[chunk] = _stack_counts(_sector_stack(modes, overlap, c[chunk]), modes)
     return counts
 
 
@@ -523,11 +515,14 @@ def count_bound_states(modes, overlap, V0):
     """Number of bound states of the impurity V0 on `modes` and their
     `overlap`: the one-V0 row of phase_diagram's counter, with the gates
     of classify_bound_states and no fit.  Raises NumericalError where
-    the row holds -1."""
-    (count,) = _bound_counts(modes, overlap, [V0])
-    if count < 0:
-        raise NumericalError(f"projected Hamiltonian at V0 = {V0}: a gate or eigh failed")
-    return int(count)
+    the row holds -1, naming the failed gate, if one failed."""
+    c, (failed,) = _gates(modes, overlap, [V0])
+    if not failed:
+        (count,) = _stack_counts(_sector_stack(modes, overlap, c), modes)
+        if count >= 0:
+            return int(count)
+        failed = "eigh failed or gave a non-finite energy"
+    raise NumericalError(f"projected Hamiltonian at V0 = {V0}: {failed}")
 
 
 def phase_diagram(d_values, v0_values, params_template):

@@ -646,6 +646,36 @@ SMALL_RUNS = {
 }
 
 
+def test_spectra_build_no_projected_matrix(tmp_path, monkeypatch):
+    """biexciton-spectrum and poles solve from (basis, G, V0): with
+    potential_matrix refused they exit 0 and write the same files, while
+    wavepacket, which propagates, still builds M through it."""
+    from biximp import projected
+
+    def run(command, tag):
+        out = tmp_path / command / tag
+        path = write_cfg(tmp_path / f"{command}.yaml", SMALL_RUNS[command])
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    spectra = ("biexciton-spectrum", "poles")
+    want = {command: run(command, "free") for command in spectra}
+    calls, potential_matrix = [], projected.potential_matrix
+
+    def refused(*args):
+        calls.append(args)
+        raise AssertionError("the projected matrix M was built")
+
+    monkeypatch.setattr(projected, "potential_matrix", refused)
+    for command in spectra:
+        assert run(command, "refused") == want[command]
+    assert not calls
+    monkeypatch.setattr(projected, "potential_matrix",
+                        lambda *args: calls.append(args) or potential_matrix(*args))
+    run("wavepacket", "counted")
+    assert calls
+
+
 def test_commands_run_without_scipy(tmp_path):
     """A fresh process runs every command without importing scipy, whose
     import alone would cost more than most runs compute, or numpy.ma,
@@ -791,7 +821,7 @@ def test_exciton_config_fuzz(N, J, D, V0, E0, sign_cases):
 
 
 @settings(max_examples=100, deadline=None)
-# 4 V0 / N overflows: M holds NaN, which must fail the Hermiticity check
+# 4 V0 / N overflows: the M it would make is not finite, which the gate refuses
 @example(N=4, J=1.0, D_over_J=4.1, V0=1e308, E0=0.0)
 @given(N=st.sampled_from((4, 6, 8, 10, 12, 40)), J=FUZZ_VALUES,
        D_over_J=st.floats() | st.floats(2.0, 8.0), V0=FUZZ_VALUES, E0=FUZZ_VALUES)
@@ -823,7 +853,8 @@ def test_biexciton_spectrum_config_fuzz(N, J, D_over_J, V0, E0):
 
 # the one stderr line of each command whose model V0 = 1e308 overflows
 OVERFLOW_ERRORS = {
-    "biexciton-spectrum": "numerical failure: projected Hamiltonian not Hermitian: nan\n",
+    "biexciton-spectrum": "numerical failure: projected Hamiltonian at V0 = 1e+308: "
+                          "not finite\n",
     "poles": "numerical failure: 2 D V0 overflows for D = 4.1, V0 = 1e+308\n",
     "wavepacket": "regime violation: wavepacket run needs |V0| not large "
                   "compared to |D|\n",
@@ -841,9 +872,9 @@ OVERFLOW_ERRORS = {
     ("wavepacket", {"wavepacket": {"K0": 3 * math.pi / 8, "dK0": math.pi / 24,
                                    "t_start": -30.0, "t_end": 60.0}}, 3)])
 def test_overflowing_v0_exit_code(tmp_path, capsys, command, section, want):
-    """V0 = 1e308 overflows 4 V0 / N and 2 D V0.  The NaN it leaves in
-    M fails the Hermiticity check, so biexciton-spectrum exits 1 and the
-    phase-diagram cell keeps -1 without a word; poles refuses 2 D V0
+    """V0 = 1e308 overflows 4 V0 / N and 2 D V0.  The M it would make is
+    not finite, which the gate refuses, so biexciton-spectrum exits 1 and
+    the phase-diagram cell keeps -1 without a word; poles refuses 2 D V0
     (exit 1) and an uncalibrated wavepacket |V0| > 5 |D| (exit 3), each
     with one line and no warning; exciton and bic run."""
     cfg = dict({"model": {"N": 8, "J": 1.0, "D": 4.1, "V0": 1e308}}, **section)

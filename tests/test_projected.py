@@ -31,16 +31,17 @@ def count_fresh(params):
 
 
 def count_reference(modes, G, V0):
-    """Bound-state count of one cell, independent of the row counter: M
-    built in full and gated on its own entries, a full eigh of M.real,
-    then the band and tail gates (bound_candidates); -1 where a gate
-    fails."""
-    try:
-        ph = build_projected_hamiltonian(modes, G, V0)
-    except NumericalError:
-        return -1
-    A, P = ph.M.real, reflection(modes.params.N)
-    if not (np.abs(ph.M.imag).max() <= ph.tol and np.abs(A - P @ A @ P).max() <= ph.tol):
+    """Bound-state count of one cell, independent of the row counter and
+    its gates: M built in full and gated on its own entries (M - M^H,
+    Im M and M - PMP within 1e-12 max(|J|, max |M|)), a full eigh of
+    M.real, then the band and tail gates (bound_candidates); -1 where a
+    gate fails."""
+    with np.errstate(all="ignore"):
+        M = ProjectedHamiltonian(modes, G, V0).M
+        A, P = M.real, reflection(modes.params.N)
+        res = np.max([np.abs(M - M.conj().T).max(), np.abs(M.imag).max(),
+                      np.abs(A - P @ A @ P).max()])
+    if not res <= 1e-12 * max(abs(modes.params.J), np.abs(M).max()):
         return -1
     return len(bound_candidates(SpectrumResult(*np.linalg.eigh(A)), modes)[0])
 
@@ -299,6 +300,12 @@ def test_gate_failing_cell_fails_alone(monkeypatch, gate):
     G = perturbed(impurity_overlap(modes), gate, 1e-9)
     assert list(counts) == [count_reference(modes, G, v) for v in v_vals]
     assert list(counts) == [-1] + list(clean[1:4]) + [-1, -1]
+    # at one V0 the error names the gate
+    for v in (-5.0, 5.0):
+        with pytest.raises(NumericalError, match=f"at V0 = {v}: not {gate}$"):
+            count_bound_states(modes, G, v)
+        with pytest.raises(NumericalError, match=f"at V0 = {v}: not {gate}$"):
+            build_projected_hamiltonian(modes, G, v)
 
 
 def test_failing_eigh_chunk_is_solved_cell_by_cell(monkeypatch):
@@ -379,57 +386,51 @@ def test_real_spectrum_keeps_bound_states(N, J, D, V0):
     assert real
 
 
-def test_rounding_tolerance_once_per_hamiltonian(monkeypatch, fig2_params):
-    """max |M| is taken once per ProjectedHamiltonian: its build and its
-    spectrum share the gate tolerance."""
+def test_gates_once_per_hamiltonian(monkeypatch, fig2_params):
+    """_gates runs once per built Hamiltonian, and its spectrum runs none."""
     calls = []
-    rounding_tol = projected._rounding_tol
+    gates = projected._gates
 
-    def counted(M, J):
-        calls.append(1)
-        return rounding_tol(M, J)
+    def counted(*args):
+        calls.append(args)
+        return gates(*args)
 
-    monkeypatch.setattr(projected, "_rounding_tol", counted)
+    monkeypatch.setattr(projected, "_gates", counted)
     ph = projected_hamiltonian(fig2_params)
+    assert len(calls) == 1
     diagonalize_projected(ph)
     assert len(calls) == 1
-    assert ph.tol == rounding_tol(ph.M, fig2_params.J)
 
 
 def test_real_spectrum_rejects_imaginary_coupling(fig2_params):
-    """A Hermitian M with a 1e-6 imaginary off-diagonal is refused."""
-    ph = projected_hamiltonian(fig2_params)
-    ph.M[0, 1] += 1e-6j
-    ph.M[1, 0] -= 1e-6j
-    with pytest.raises(NumericalError, match="not real"):
-        diagonalize_projected(ph)
+    """A G that puts a Hermitian 1e-6 imaginary off-diagonal into M is
+    refused."""
+    modes = ModeBasis(fig2_params)
+    G = impurity_overlap(modes)
+    e = 1e-6 / (4.0 * fig2_params.V0 / fig2_params.N)      # 1e-6 in M
+    G[0, 1] += 1j * e
+    G[1, 0] -= 1j * e
+    with pytest.raises(NumericalError, match="not real$"):
+        build_projected_hamiltonian(modes, G, fig2_params.V0)
 
 
 @pytest.mark.parametrize("V0", (4.0, 1e6, 1e8))
-def test_gates_scale_with_the_matrix(monkeypatch, V0):
+def test_gates_scale_with_the_matrix(V0):
     """The rounding of M grows with max |M|, and so do the gates: a
-    strong impurity passes them, while a non-Hermitian part of
-    1e-10 max |M| fails the Hermiticity and reality gates, and a real
-    symmetric part of that size that breaks P fails the P gate."""
+    strong impurity passes them, while a part of G that puts
+    1e-10 max |M| into M fails the gate it breaks (perturbed): a real
+    one that is not symmetric the Hermiticity gate, an imaginary
+    Hermitian one the reality gate, and a real symmetric one that
+    breaks P the P gate."""
     p = ModelParams(N=40, J=1.0, D=4.1, V0=V0)
     modes = ModeBasis(p)
-    ph = build_projected_hamiltonian(modes, impurity_overlap(modes), V0)
+    G = impurity_overlap(modes)
+    ph = build_projected_hamiltonian(modes, G, V0)
     diagonalize_projected(ph)
-    eps = 1e-10 * np.abs(ph.M).max()
-    V = potential_matrix(p, impurity_overlap(modes))
-    V[0, 1] += eps * 1j
-    monkeypatch.setattr(projected, "potential_matrix", lambda *args: V)
-    with pytest.raises(NumericalError, match="not Hermitian"):
-        build_projected_hamiltonian(modes, impurity_overlap(modes), V0)
-    M = ph.M.copy()
-    M[0, 1] += eps * 1j
-    with pytest.raises(NumericalError, match="not real"):
-        diagonalize_projected(ProjectedHamiltonian(modes, M, p))
-    M = ph.M.copy()
-    M[0, 1] += eps
-    M[1, 0] += eps
-    with pytest.raises(NumericalError, match="not P-symmetric"):
-        diagonalize_projected(ProjectedHamiltonian(modes, M, p))
+    eps = 1e-10 * np.abs(ph.M).max() / (4.0 * V0 / p.N * np.abs(G).max())
+    for gate in ("Hermitian", "real", "P-symmetric"):
+        with pytest.raises(NumericalError, match=f"not {gate}$"):
+            build_projected_hamiltonian(modes, perturbed(G, gate, eps), V0)
 
 
 def reflection(N):
@@ -464,6 +465,41 @@ def test_sector_solve_is_an_eigensystem(N, J, ratio, V0, E0):
     assert np.abs(np.abs(parity) - 1.0).max() <= 1e-13
     tie = w[1:] == w[:-1]
     assert not np.any(tie & (parity[:-1] < 0) & (parity[1:] > 0))
+
+
+def _dense_sector_blocks(A):
+    """Reference fold of a dense real A that commutes with P into its
+    even and odd N/2 x N/2 blocks (stacked), sliced from its pair rows."""
+    N = len(A)
+    n, fixed = N // 2, np.array([N // 2 - 1, N - 1])
+    pp, pm = A[n:N - 1, n:N - 1], A[n:N - 1, n - 2::-1]   # pair x pair, pair x image
+    blocks = np.empty((2, n, n))
+    np.add(pp, pm, out=blocks[0, :-1, :-1])
+    np.subtract(pp, pm, out=blocks[1, :-1, :-1])
+    blocks[:, :-1, -1] = blocks[:, -1, :-1] = math.sqrt(2.0) * A[n:N - 1, fixed].T
+    blocks[:, -1, -1] = A[fixed, fixed]
+    return blocks
+
+
+@settings(max_examples=40, deadline=None)
+@example(N=400, J=1.0, ratio=4.1, E0=1000.0, V0=4.0)
+@example(N=400, J=1.0, ratio=4.1, E0=1000.0, V0=-4.0)
+@example(N=8, J=-1.0, ratio=4.1, E0=0.0, V0=1e-300)
+@given(N=st.sampled_from((4, 8, 40, 400)), J=st.sampled_from((1.0, -1.0)),
+       ratio=st.floats(3.0, 8.0), E0=st.floats(-1000.0, 1000.0),
+       V0=st.sampled_from((0.0, 1e-300, -1e-300)) | st.floats(-10.0, 10.0))
+def test_sector_stack_is_the_dense_fold(N, J, ratio, E0, V0):
+    """_sector_stack gives the sector blocks of M.real bit for bit, from
+    (basis, G, V0), for one V0 alone and for each V0 of a stack."""
+    modes = ModeBasis(ModelParams(N=N, J=J, D=J * ratio, E0=E0))
+    G = impurity_overlap(modes)
+    v0s = np.array([V0, -V0, 0.0, 1e6])
+    c = 4.0 * v0s / N
+    stack = projected._sector_stack(modes, G, c)
+    for k, v in enumerate(v0s):
+        want = _dense_sector_blocks(ProjectedHamiltonian(modes, G, v).M.real)
+        assert np.array_equal(projected._sector_stack(modes, G, c[k:k + 1])[0], want)
+        assert np.array_equal(stack[k], want)
 
 
 @pytest.mark.parametrize("N, J", [(40, 1.0), (40, -1.0), (100, 1.0), (100, -1.0)])
@@ -726,20 +762,21 @@ def test_flat_window_is_no_fit():
 
 
 def test_eigh_failure_is_a_numerical_error():
-    """An M with infinite entries that gets past the checks makes eigh
-    fail; both the real spectrum and the complex propagation path raise
-    NumericalError, not LinAlgError."""
+    """V0 = 1e308 overflows 4 V0 / N, and the gate refuses the M it would
+    make as not finite.  Made past the gate, its infinite entries make
+    eigh fail: both the real spectrum and the complex propagation path
+    raise NumericalError, not LinAlgError."""
     p = ModelParams(N=4, J=1.0, D=4.1, V0=1e308)
     modes = ModeBasis(p)
+    G = impurity_overlap(modes)
+    with pytest.raises(NumericalError, match=r"at V0 = 1e\+308: not finite$"):
+        build_projected_hamiltonian(modes, G, p.V0)
+    ph = ProjectedHamiltonian(modes, G, p.V0)
     with np.errstate(all="ignore"):
-        M = np.diag(modes.energies.astype(complex)) + potential_matrix(
-            p, impurity_overlap(modes))
-    with pytest.raises(NumericalError, match="not real"):
-        diagonalize_projected(ProjectedHamiltonian(modes, M, p))
-    with pytest.raises(NumericalError, match="not P-symmetric"):
-        diagonalize_projected(ProjectedHamiltonian(modes, M.real.copy(), p))
-    with pytest.raises(NumericalError, match="eigh"):
-        ProjectedHamiltonian(modes, M, p).eigensystem()
+        with pytest.raises(NumericalError, match="eigh"):
+            diagonalize_projected(ph)
+        with pytest.raises(NumericalError, match="eigh"):
+            ph.eigensystem()
 
 
 def test_distance_profile_columns():
