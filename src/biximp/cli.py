@@ -242,6 +242,8 @@ def cmd_wavepacket(params, sec, out):
     if times is None or len(set(times)) < len(times):
         raise ConfigError(f"wavepacket section: snapshots must be a list of "
                           f"distinct times, got {snaps!r}")
+    if not 0.0 <= target <= 1.0:     # a reflected probability
+        raise ConfigError(f"wavepacket section: split_target must lie in [0, 1], got {target}")
     calibrate = flag(sec, "wavepacket", "calibrate_v0", False)
     # a calibrated run replaces the model's V0: only D is checked here
     dynamics.validate_dynamics_regime(params.replace(V0=0.0) if calibrate else params)

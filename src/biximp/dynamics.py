@@ -3,7 +3,9 @@
 A Gaussian packet over CM modes, u_K(0) = exp(-(K-K0)^2 / 2 dK0^2)
 times a positioning phase e^{-i K r_offset}, is propagated with the
 projected Hamiltonian M = diag(E_b) + V by spectral exponentiation
-(exact phases, exactly unitary).  Real-space amplitudes are
+(exact phases, exactly unitary): the recorded run with the complex eigh
+of M, each calibration trial with its real sector spectrum
+(projected.diagonalize_projected).  Real-space amplitudes are
 
     Psi(r, s; t) = N^{-1/2} sum_K u_K(t) e^{iKr} phi_K(s)
 
@@ -78,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError, RegimeError, TimingError
-from .projected import build_projected_hamiltonian
+from .projected import diagonalize_projected, hamiltonian_builder
 from .roots import steered_bisection
 
 ENTROPY_EIG_CLIP = 1e-12
@@ -178,7 +180,8 @@ def init_wavepacket(config, modes):
 
 
 def propagate(state, ph, t_target):
-    """Spectral propagation u(t) = W exp(-i E (t - t0)) W^H u(t0)."""
+    """Spectral propagation u(t) = W exp(-i E (t - t0)) W^H u(t0), with
+    (E, W) = ph.eigensystem(), a ProjectedHamiltonian's or a SpectrumResult's."""
     w, W = ph.eigensystem()
     phase = np.exp(-1j * w * (t_target - state.t))
     return WavepacketState(t_target, W @ (phase * (W.conj().T @ state.u)))
@@ -239,18 +242,25 @@ def schmidt_weights(u, modes):
     Computed from the two parity Gram blocks sum_K |u_K|^2 phi_K phi_K^T
     (module docstring) and zero-padded to the 2N eigenvalues of rho.
     """
-    lo, N = modes.window[0], modes.params.N
+    return _schmidt_weights(u, _parity_columns(modes))
+
+
+def _parity_columns(modes):
+    """phi's window columns of each parity of s, column-major (the layout
+    whose rounding the recorded references pin); a trajectory gathers
+    them once for all its samples."""
+    return [np.asfortranarray(modes.phi[:, modes.window[k::2]]) for k in (0, 1)]
+
+
+def _schmidt_weights(u, columns):
     w = np.abs(u) ** 2
-    # every other window column holds one parity of s; column-major, the
-    # layout whose rounding the recorded references pin
-    blocks = [(phi.T * w) @ phi for phi in
-              (np.asfortranarray(modes.phi[:, lo + k:lo + N:2]) for k in (0, 1))]
+    blocks = [(phi.T * w) @ phi for phi in columns]
     trace = sum(np.trace(b) for b in blocks)
     ev = np.concatenate([np.linalg.eigvalsh(b / trace) for b in blocks])
     if ev.min() < -1e-10:
         raise NumericalError(f"reduced density not PSD: min eig {ev.min():.2e}")
     return np.sort(np.concatenate([np.clip(ev, 0.0, None),
-                                   np.zeros(2 * N - len(ev))]))
+                                   np.zeros(2 * len(u) - len(ev))]))
 
 
 def reduced_density(state, modes):
@@ -369,8 +379,9 @@ def split_ratio(state, modes, K0, strict=True):
 def calibrate_v0(modes, overlap, u0, K0, target):
     """Impurity strength giving the target reflected fraction of the
     packet `u0` centred on K0, on the run's impurity-free `modes` and
-    their impurity `overlap`; each trial V0 is a number handed to
-    build_projected_hamiltonian.
+    their impurity `overlap`.  G's gate maxima are read once
+    (hamiltonian_builder), and each trial V0 propagates with its real
+    sector spectrum (diagonalize_projected), building no M.
 
     Bisection on |V0| in [0, |D|] with the sign opposite to D, until
     the bracket is narrower than 1e-12; reflection is measured at
@@ -390,11 +401,12 @@ def calibrate_v0(modes, overlap, u0, K0, target):
         return 0.0
     sgn = -np.sign(modes.params.D)
     v0_max = abs(modes.params.D)
+    build = hamiltonian_builder(modes, overlap)
 
     @functools.cache
     def reflected(v0_abs):
-        ph = build_projected_hamiltonian(modes, overlap, float(sgn * v0_abs))
-        u = propagate(u0, ph, CALIBRATION_T)
+        spectrum = diagonalize_projected(build(float(sgn * v0_abs)))
+        u = propagate(u0, spectrum, CALIBRATION_T)
         # scan probes skip the timing gate: strong trial potentials leave
         # lingering weight near the impurity by design
         return split_ratio(u, modes, K0, strict=False)[0]
@@ -442,7 +454,7 @@ def run_trajectory(ph, state, config):
     w, W = ph.eigensystem()
     c0 = W.conj().T @ state.u
     us = (np.exp(-1j * np.outer(ts - state.t, w)) * c0) @ W.T
-    samples = []
+    samples, columns = [], _parity_columns(ph.modes)
     for t, u in zip(ts, us):
         st = WavepacketState(float(t), u)
         try:
@@ -450,6 +462,6 @@ def run_trajectory(ph, state, config):
         except TimingError:
             refl = math.nan
         samples.append(TrajectorySample(
-            st.t, entropy(schmidt_weights(u, ph.modes)), st.norm,
+            st.t, entropy(_schmidt_weights(u, columns)), st.norm,
             energy_expectation(st, ph), refl))
     return samples

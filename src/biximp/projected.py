@@ -24,9 +24,10 @@ be finite, Hermitian, real and P-symmetric to rounding, and one fold
 (basis, G, V0): spectra (bound-state counts, classification, poles)
 are solved from those blocks, for one V0 (diagonalize_projected) or
 for every V0 of a phase-diagram row in stacked solves (_bound_counts),
-and build no N x N M.  Propagation alone builds M and keeps the complex
-solve (ProjectedHamiltonian.eigensystem): recorded N = 200 snapshot
-contrasts are pinned tighter than the real solve's rounding moves them.
+and build no N x N M, nor do calibration trials.  The recorded run
+alone builds M and keeps the complex solve (ProjectedHamiltonian.
+eigensystem): its N = 200 snapshot contrasts are pinned tighter than the
+real solve's rounding moves them.
 
 Bound-state profiles live on a ring of circumference 2N in the CM
 coordinate r, so decay fits use the ring model
@@ -90,7 +91,7 @@ def checked_eigh(M, what="projected Hamiltonian"):
 @dataclass
 class ProjectedHamiltonian:
     """The impurity V0 on the basis `modes` and its impurity `overlap` G;
-    M = diag(E_b) + V is built only for propagation (eigensystem)."""
+    M = diag(E_b) + V is built only for the recorded run (eigensystem)."""
 
     modes: ModeBasis
     overlap: np.ndarray
@@ -107,9 +108,9 @@ class ProjectedHamiltonian:
             self.params, self.overlap)
 
     def eigensystem(self):
-        """Complex eigh of M, cached; the propagation path.
+        """Complex eigh of M, cached; the recorded run's propagation path.
 
-        Spectra go through diagonalize_projected's real solve instead.
+        Spectra and calibration trials use diagonalize_projected instead.
         The two stay apart because the recorded N = 200 snapshot
         contrasts are pinned at 1e-9 of their maximum and any
         rounding-level change to the solve moves them further: real
@@ -121,33 +122,38 @@ class ProjectedHamiltonian:
         return self._eig
 
 
-def _gates(modes, overlap, v0_values):
-    """c = 4 V0 / N for each V0, and the first gate that M = diag(E) + c G
-    fails: "not finite", "not Hermitian", "not real" or "not P-symmetric"
-    ("" where all pass); no M is built.
+def _gates(modes, overlap):
+    """The function mapping V0 values to c = 4 V0 / N for each and the
+    first gate that M = diag(E) + c G fails: "not finite", "not
+    Hermitian", "not real" or "not P-symmetric" ("" where all pass).
 
     Each gate holds M's residual (M - M^H, Im M, M - PMP) to
     1e-12 max(|J|, max |M|), the rounding of M's entries.  G's maxima are
-    read once: off the diagonal each residual and max |M_ij| are |c|
-    times G's, to rounding, while the diagonal E + c G_ii is formed per
-    V0, O(N), as in M.  An overflowing V0 leaves M not finite.
+    read here, once (a G changed later needs a new _gates): off the
+    diagonal each residual and max |M_ij| are |c| times G's, to rounding,
+    while the diagonal E + c G_ii is formed per V0, O(N), as in M.  No M
+    is built.  An overflowing V0 leaves M not finite.
     """
     image, s = _reflection(len(overlap))[:2]
     G = overlap.real
     g_off, p_off = np.abs(overlap), np.abs(G - s[:, None] * G.take(image, 0).take(image, 1) * s)
     np.fill_diagonal(g_off, 0.0)
     np.fill_diagonal(p_off, 0.0)
+    g_max, g_diag = np.max(g_off), np.diagonal(overlap).copy()
     res = np.array([np.max(np.abs(overlap - overlap.conj().T)),
                     np.max(np.abs(overlap.imag)), np.max(p_off)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = 4.0 * np.asarray(v0_values, dtype=float) / len(overlap)
-        diag = modes.energies + c[:, None] * np.diagonal(overlap)
-        big = np.column_stack((np.abs(c) * np.max(g_off), diag))
-        dev = np.abs(c)[:, None] * res
-        dev[:, 2] = np.maximum(dev[:, 2], np.max(np.abs(diag.real - diag.real[:, image]), axis=1))
-        tol = 1e-12 * np.maximum(abs(modes.params.J), np.max(np.abs(big), axis=1))
-        fails = [~np.isfinite(big).all(axis=1), *(~(dev <= tol[:, None])).T]
-    return c, np.select(fails, ["not finite", "not Hermitian", "not real", "not P-symmetric"], "")
+
+    def gate(v0_values):
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = 4.0 * np.asarray(v0_values, dtype=float) / len(overlap)
+            diag = modes.energies + c[:, None] * g_diag
+            big = np.column_stack((np.abs(c) * g_max, diag))
+            dev = np.abs(c)[:, None] * res
+            dev[:, 2] = np.maximum(dev[:, 2], np.max(np.abs(diag.real - diag.real[:, image]), axis=1))
+            tol = 1e-12 * np.maximum(abs(modes.params.J), np.max(np.abs(big), axis=1))
+            fails = [~np.isfinite(big).all(axis=1), *(~(dev <= tol[:, None])).T]
+        return c, np.select(fails, ["not finite", "not Hermitian", "not real", "not P-symmetric"], "")
+    return gate
 
 
 def build_projected_hamiltonian(modes, overlap, V0):
@@ -155,10 +161,20 @@ def build_projected_hamiltonian(modes, overlap, V0):
     `overlap` G, after its _gates; its params are modes.params with this
     V0, and one basis and its G serve every V0.  Raises NumericalError
     naming the failed gate."""
-    (failed,) = _gates(modes, overlap, [V0])[1]
-    if failed:
-        raise NumericalError(f"projected Hamiltonian at V0 = {V0}: {failed}")
-    return ProjectedHamiltonian(modes, overlap, V0)
+    return hamiltonian_builder(modes, overlap)(V0)
+
+
+def hamiltonian_builder(modes, overlap):
+    """build_projected_hamiltonian as a function of V0 alone: G's gate
+    maxima are read once, here, for all the trial V0 of a calibration."""
+    gate = _gates(modes, overlap)
+
+    def build(V0):
+        (failed,) = gate([V0])[1]
+        if failed:
+            raise NumericalError(f"projected Hamiltonian at V0 = {V0}: {failed}")
+        return ProjectedHamiltonian(modes, overlap, V0)
+    return build
 
 
 @dataclass
@@ -170,6 +186,9 @@ class SpectrumResult:
 
     def __len__(self):
         return len(self.energies)
+
+    def eigensystem(self):
+        return self.energies, self.states
 
 
 def sector_spectrum(sectors, pairs, images, what):
@@ -475,7 +494,7 @@ def _bound_counts(modes, overlap, v0_values):
     two blocks, the fold's pair temporaries and the eigenvectors, each
     16 (N/2)^2 bytes.
     """
-    c, failed = _gates(modes, overlap, v0_values)
+    c, failed = _gates(modes, overlap)(v0_values)
     counts = np.full(len(c), -1)
     cells = np.flatnonzero(failed == "")
     step = max(1, STACK_BYTES // (3 * 16 * (len(overlap) // 2) ** 2))
@@ -516,7 +535,7 @@ def count_bound_states(modes, overlap, V0):
     `overlap`: the one-V0 row of phase_diagram's counter, with the gates
     of classify_bound_states and no fit.  Raises NumericalError where
     the row holds -1, naming the failed gate, if one failed."""
-    c, (failed,) = _gates(modes, overlap, [V0])
+    c, (failed,) = _gates(modes, overlap)([V0])
     if not failed:
         (count,) = _stack_counts(_sector_stack(modes, overlap, c), modes)
         if count >= 0:

@@ -58,11 +58,13 @@ def test_malformed_phase_diagram_value_exit_code(tmp_path):
 def test_malformed_wavepacket_value_exit_code(tmp_path, capsys):
     # calibrate_v0 takes YAML booleans only: the string "false" is truthy;
     # snapshots is a list of distinct times: a string was read as one time
-    # per character, and a repeated time wrote its files twice
+    # per character, and a repeated time wrote its files twice;
+    # split_target is a reflected probability, in [0, 1]
     for key, value in (("K0", "fast"), ("K0", "abc"), ("calibrate_v0", "false"),
                        ("calibrate_v0", "no"), ("calibrate_v0", 1),
                        ("calibrate_v0", None), ("snapshots", "35"),
-                       ("snapshots", [-28.0, -28]), ("snapshots", [-28.0, "-2.8e1"])):
+                       ("snapshots", [-28.0, -28]), ("snapshots", [-28.0, "-2.8e1"]),
+                       ("split_target", -0.5), ("split_target", 1.5)):
         _config_error(tmp_path, capsys, "wavepacket", "wavepacket", key, value)
 
 
@@ -674,6 +676,24 @@ def test_spectra_build_no_projected_matrix(tmp_path, monkeypatch):
                         lambda *args: calls.append(args) or potential_matrix(*args))
     run("wavepacket", "counted")
     assert calls
+
+
+def test_calibrated_run_solves_one_complex_eigh(tmp_path, monkeypatch):
+    """A calibrated wavepacket run solves the complex eigh of M once, for
+    the recorded run, and builds M once: its calibration trials solve
+    the real sector blocks."""
+    from biximp import projected
+
+    eighs, matrices = [], []
+    checked_eigh, potential_matrix = projected.checked_eigh, projected.potential_matrix
+    monkeypatch.setattr(projected, "checked_eigh", lambda M, *args: eighs.append(
+        np.iscomplexobj(M)) or checked_eigh(M, *args))
+    monkeypatch.setattr(projected, "potential_matrix", lambda *args: matrices.append(
+        args) or potential_matrix(*args))
+    path = write_cfg(tmp_path / "wavepacket.yaml", SMALL_RUNS["wavepacket"])
+    assert main(["wavepacket", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert eighs.count(True) == 1 and eighs.count(False) > 1
+    assert len(matrices) == 1
 
 
 def test_commands_run_without_scipy(tmp_path):

@@ -13,7 +13,7 @@ from biximp import (ModelParams, RegimeError, TimingError,
                     init_wavepacket, mode_distribution, propagate,
                     realspace_amplitude, reduced_density, schmidt_weights,
                     split_ratio)
-from biximp import dynamics
+from biximp import dynamics, projected
 from biximp.biexciton import ModeBasis
 from biximp.dynamics import (SPLIT_BUFFER, WavepacketState, _extrema_contrast,
                              energy_expectation, run_trajectory,
@@ -411,13 +411,14 @@ def _calibrate_v0_loop(p, cfg, target=0.5):
 
 
 def _counting_builds(monkeypatch):
+    """The V0 of every Hamiltonian that calibrate_v0 builds."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return build_projected_hamiltonian(*args, **kwargs)
+    def counted(*args):
+        build = projected.hamiltonian_builder(*args)
+        return lambda V0: calls.append(V0) or build(V0)
 
-    monkeypatch.setattr(dynamics, "build_projected_hamiltonian", counted)
+    monkeypatch.setattr(dynamics, "hamiltonian_builder", counted)
     return calls
 
 
@@ -433,7 +434,36 @@ def test_calibration_equals_plain_bisection(monkeypatch, N, D, dK0):
     want = _calibrate_v0_loop(p, cfg)
     calls = _counting_builds(monkeypatch)
     assert calibrate_v0(*calibration_args(p, cfg), 0.5) == want
-    assert len(calls) <= 20
+    assert 0 < len(calls) <= 20
+
+
+@pytest.mark.filterwarnings("ignore:packet clipped")
+@pytest.mark.parametrize("N, D, dK0", [(40, -4.500401, 0.129026),
+                                       (200, -4.582654, 0.129114),
+                                       (40, -4.520072, 0.128126)])
+def test_calibration_within_bracket_of_complex_bisection(N, D, dK0):
+    """Jittered benchmark packets (seeds 3, 9 and 10) on which the trials'
+    real sector solve moves the calibrated V0 off the complex plain
+    loop's by rounding: it stays within the bisection's 1e-12 bracket."""
+    p = canonical_params(V0=0.0).replace(N=N, D=D)
+    cfg = WavepacketConfig(K0=K0, dK0=dK0, t_start=-30.0, t_end=60.0)
+    want = _calibrate_v0_loop(p, cfg)
+    assert abs(calibrate_v0(*calibration_args(p, cfg), 0.5) - want) < 1e-12
+
+
+def test_calibration_reads_gates_once(monkeypatch):
+    """A calibration reads G's gate maxima once, however many V0 it tries,
+    and solves no complex eigh."""
+    gates, calls = projected._gates, []
+    monkeypatch.setattr(projected, "_gates", lambda *args: calls.append(args) or gates(*args))
+
+    def complex_solve(ph):
+        raise AssertionError("a trial V0 solved the complex eigh")
+
+    monkeypatch.setattr(projected.ProjectedHamiltonian, "eigensystem", complex_solve)
+    builds = _counting_builds(monkeypatch)
+    calibrate_v0(*calibration_args(canonical_params(V0=0.0), canonical_config()), 0.5)
+    assert len(calls) == 1 and len(builds) > 1
 
 
 @pytest.mark.filterwarnings("ignore:packet clipped")
