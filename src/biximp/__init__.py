@@ -6,7 +6,7 @@ diagonalization with bound-state taxonomy, and wavepacket entanglement
 dynamics.  See README.md for the command-line interface.
 """
 
-from .biexciton import ModeBasis, alpha, continuum_energy
+from .biexciton import ModeBasis, alpha
 from .dynamics import (WavepacketConfig, WavepacketState, calibrate_v0,
                        contrast, entropy, fringe_visibility, init_wavepacket,
                        mode_distribution, propagate, realspace_amplitude,
@@ -14,7 +14,7 @@ from .dynamics import (WavepacketConfig, WavepacketState, calibrate_v0,
                        split_ratio)
 from .errors import (BiximpError, ConfigError, ExistenceError, NumericalError,
                      ParameterError, RangeError, RegimeError, TimingError)
-from .exciton import (ExcitonBoundState, ExcitonSpectrum, effective_mass,
+from .exciton import (ExcitonBoundState, ExcitonSpectrum,
                       exciton_bound_wavevector_largen, exciton_dispersion,
                       exciton_reflection_amplitude, exciton_site_hamiltonian,
                       solve_exciton_spectrum)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ExistenceError, NumericalError, ParameterError
 from .params import k_grid
-from .roots import decay_root, scan_roots
+from .roots import decay_root
 
 _LN2 = math.log(2.0)
 
@@ -126,37 +126,6 @@ def _pair_energy(K, k_i, params, method):
         a = alpha(K, params)
         return 2.0 * params.E0 + params.D * (1.0 + a * a)
     return 2.0 * params.E0 + 4.0 * params.J * math.cos(K) * math.cosh(k_i)
-
-
-def continuum_energy(K, k, params):
-    """Two-exciton energy 2 E0 + 4 J cos K cos k for real relative k."""
-    return 2.0 * params.E0 + 4.0 * params.J * math.cos(K) * math.cos(k)
-
-
-def free_relative_roots(K, params, parity):
-    """Real relative roots k in (0, pi) of the pairing condition.
-
-    Uses the division-free form 2 J cos K cos(kN/2) = D cos(k(N/2-1))
-    so that D = 0 is allowed.  Used for validation against full
-    diagonalization; trivial roots with identically vanishing
-    wavefunction are dropped.
-    """
-    N = params.N
-    c = 2.0 * params.J * math.cos(K)
-
-    def g(k):
-        if parity == 0:
-            return c * np.cos(k * N / 2) - params.D * np.cos(k * (N / 2 - 1))
-        return c * np.sin(k * N / 2) - params.D * np.sin(k * (N / 2 - 1))
-
-    # drop roots whose sampled wavefunction vanishes identically
-    out = []
-    for k in scan_roots(g, np.linspace(1e-9, math.pi - 1e-9, 8 * N)):
-        s = np.arange(1, N)
-        w = np.cos(k * (N / 2 - s)) if parity == 0 else np.sin(k * (N / 2 - s))
-        if np.max(np.abs(w)) > 1e-9:
-            out.append(k)
-    return out
 
 
 def closed_phi(k, s, N, parity=0):

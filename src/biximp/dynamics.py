@@ -183,8 +183,18 @@ def propagate(state, ph, t_target):
     """Spectral propagation u(t) = W exp(-i E (t - t0)) W^H u(t0), with
     (E, W) = ph.eigensystem(), a ProjectedHamiltonian's or a SpectrumResult's."""
     w, W = ph.eigensystem()
-    phase = np.exp(-1j * w * (t_target - state.t))
+    phase = _phases(w, t_target - state.t)
     return WavepacketState(t_target, W @ (phase * (W.conj().T @ state.u)))
+
+
+def _phases(w, dt):
+    """exp(-i w dt), w and dt broadcast; NumericalError where w dt overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        wt = w * dt
+    if not np.isfinite(wt).all():
+        raise NumericalError(f"phase E (t - t0) overflows for |t - t0| up to "
+                             f"{np.max(np.abs(dt)):.3g}")
+    return np.exp(-1j * wt)
 
 
 def energy_expectation(state, ph):
@@ -203,8 +213,8 @@ def _split_forms(modes):
 
     sum_r c(r) e^{i pi k r / N} over the 2N sites r is 2N times the
     inverse DFT of c, placed at r mod 2N, at frequency k mod 2N; it is
-    real for even c and imaginary for odd c.  Cached for the last basis,
-    which the split ratios of a run and of its calibration share.
+    real for even c and imaginary for odd c.  Cached for the last basis:
+    a calibration and its run share it until run_trajectory returns.
     """
     r, N = modes.r, modes.params.N
     s, phi = modes.s[modes.window], modes.phi[:, modes.window]
@@ -453,7 +463,7 @@ def run_trajectory(ph, state, config):
     ts = np.arange(config.t_start, config.t_end + 1e-9, config.sample_dt)
     w, W = ph.eigensystem()
     c0 = W.conj().T @ state.u
-    us = (np.exp(-1j * np.outer(ts - state.t, w)) * c0) @ W.T
+    us = (_phases(w, (ts - state.t)[:, None]) * c0) @ W.T
     samples, columns = [], _parity_columns(ph.modes)
     for t, u in zip(ts, us):
         st = WavepacketState(float(t), u)
@@ -464,4 +474,5 @@ def run_trajectory(ph, state, config):
         samples.append(TrajectorySample(
             st.t, entropy(_schmidt_weights(u, columns)), st.norm,
             energy_expectation(st, ph), refl))
+    _split_forms.cache_clear()      # the snapshots after a run never read them
     return samples

@@ -184,10 +184,3 @@ def bound_energies_from_matrix(params):
     tol = BOUND_SPLIT_TOL * abs(params.J)
     return ev[(ev < lo - tol) | (ev > hi + tol)]
 
-
-def effective_mass(k, params):
-    """m_eff = 1 / (d^2 E / dk^2) = -1/(2 J cos k); inf at the band middle."""
-    c = math.cos(k)
-    if abs(c) < 1e-12:
-        return math.inf
-    return -1.0 / (2.0 * params.J * c)

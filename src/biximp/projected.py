@@ -23,8 +23,8 @@ be finite, Hermitian, real and P-symmetric to rounding, and one fold
 (_sector_stack) forms the two real N/2 x N/2 sector blocks of P from
 (basis, G, V0): spectra (bound-state counts, classification, poles)
 are solved from those blocks, for one V0 (diagonalize_projected) or
-for every V0 of a phase-diagram row in stacked solves (_bound_counts),
-and build no N x N M, nor do calibration trials.  The recorded run
+for every V0 of a row in stacked solves (count_bound_states), and
+build no N x N M, nor do calibration trials.  The recorded run
 alone builds M and keeps the complex solve (ProjectedHamiltonian.
 eigensystem): its N = 200 snapshot contrasts are pinned tighter than the
 real solve's rounding moves them.
@@ -36,6 +36,7 @@ impurity, fitted outward from the profile peak with a numerical-floor
 cut-off.
 """
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -455,93 +456,74 @@ def classify_bound_states(spectrum, modes):
     candidates in one fit_ring_decay call.  Labels follow the split
     ordering: states near K ~ 0 get a, b, c, ... by decreasing band
     split; states near |K| ~ pi/2 continue with e, f, ... as long as at
-    most four near-zero states exist.
+    most four near-zero states exist.  Equal splits keep state order.
     """
     p = modes.params
     hi = modes.band_edges()[1]
     # |K| of the band edges: a state splits off the edge it is nearer to
     k_at_max = abs(float(modes.K[int(np.argmax(modes.energies))]))
     k_at_min = abs(float(modes.K[int(np.argmin(modes.energies))]))
-    recs = []
     mus, ds, ps = bound_candidates(spectrum, modes)
-    fits = zip(*fit_ring_decay(ds, ps, p.N, 4, p.N - 6))
-    for mu, (kappa, r2) in zip(mus.tolist(), fits):
-        e = spectrum.energies[mu]
-        w = np.abs(spectrum.states[:, mu]) ** 2
-        dom = abs(float(modes.K[int(np.argmax(w))]))
-        edge_k = k_at_max if e > hi else k_at_min
-        cls = "near_zero" if edge_k < CLASS_K_SPLIT else "near_half_pi"
-        recs.append(BoundStateRecord("", e, dom, cls, float(kappa), float(r2), mu))
-    split = lambda r: modes.band_split(r.energy)
-    near0 = sorted([r for r in recs if r.re_K_class == "near_zero"],
-                   key=split, reverse=True)
-    nearh = sorted([r for r in recs if r.re_K_class == "near_half_pi"],
-                   key=split, reverse=True)
-    for i, r in enumerate(near0):
-        r.label = chr(ord("a") + i)
-    for i, r in enumerate(nearh):
-        r.label = chr(ord("a") + max(4, len(near0)) + i)
-    return sorted(recs, key=lambda r: r.label)
+    kappa, r2 = fit_ring_decay(ds, ps, p.N, 4, p.N - 6)
+    e = spectrum.energies[mus]
+    dom = np.abs(modes.K[np.argmax(np.abs(spectrum.states[:, mus]) ** 2, axis=0)])
+    near0 = np.where(e > hi, k_at_max, k_at_min) < CLASS_K_SPLIT
+    # label order: near-zero states first, each class by decreasing split
+    order = np.argsort(-modes.band_split(e), kind="stable")
+    order = np.concatenate((order[near0[order]], order[~near0[order]]))
+    n0 = int(near0.sum())
+    gap = max(4 - n0, 0)    # the first near-pi/2 label is e or later
+    return [BoundStateRecord(chr(ord("a") + k + gap * (k >= n0)), e[i], float(dom[i]),
+                             "near_zero" if near0[i] else "near_half_pi",
+                             float(kappa[i]), float(r2[i]), int(mus[i]))
+            for k, i in enumerate(order)]
 
 
-def _bound_counts(modes, overlap, v0_values):
-    """Bound-state count for each V0 on `modes` and its overlap G; -1
-    where a gate or eigh fails.
+def count_bound_states(modes, overlap, v0_values):
+    """Bound-state count for each V0 of a row, on `modes` and their
+    `overlap` G, with the gates of classify_bound_states and no fit; -1
+    where a gate or eigh fails or an energy is not finite.
 
     Each cell keeps its own _gates result, and no M is built.  The
     passing cells' sector blocks (_sector_stack) are solved in chunks
-    whose arrays take at most STACK_BYTES (_stack_counts): per cell its
-    two blocks, the fold's pair temporaries and the eigenvectors, each
-    16 (N/2)^2 bytes.
+    whose arrays take at most STACK_BYTES: per cell its two blocks, the
+    fold's pair temporaries and the eigenvectors, each 16 (N/2)^2 bytes.
+    Only the out-of-band eigenvectors are scattered onto the l_K grid (as
+    in sector_spectrum) and gated by bound_candidates, in one
+    ring_decay_profile product per chunk.
     """
+    N = len(overlap)
+    _, _, pairs, images, fixed = _reflection(N)
+    na, half = len(pairs), math.sqrt(0.5)
     c, failed = _gates(modes, overlap)(v0_values)
     counts = np.full(len(c), -1)
     cells = np.flatnonzero(failed == "")
-    step = max(1, STACK_BYTES // (3 * 16 * (len(overlap) // 2) ** 2))
+    step = max(1, STACK_BYTES // (3 * 16 * (N // 2) ** 2))
     for chunk in np.split(cells, range(step, len(cells), step)):
-        counts[chunk] = _stack_counts(_sector_stack(modes, overlap, c[chunk]), modes)
+        w, y = _stack_eigh(_sector_stack(modes, overlap, c[chunk]))
+        finite = np.isfinite(w).all(axis=(1, 2))
+        cell, sector, j = np.nonzero(modes.out_of_band(w) & finite[:, None, None])
+        y = y[cell, sector, :, j].T
+        U = np.zeros((N, len(cell)))
+        U[pairs] = half * y[:na]
+        U[images] = np.where(sector == 0, half, -half) * y[:na]
+        U[fixed[sector], np.arange(len(cell))] = y[na]
+        bound = bound_candidates(SpectrumResult(w[cell, sector, j], U), modes)[0]
+        counts[chunk[finite]] = np.bincount(cell[bound], minlength=len(w))[finite]
     return counts
 
 
-def _stack_counts(blocks, modes):
-    """Bound-state counts of a (k, 2, N/2, N/2) stack of sector blocks
-    from one eigh, or cell by cell when it fails; -1 for a failing cell
-    or a non-finite energy.  Only the out-of-band eigenvectors are
-    scattered onto the l_K grid (as in sector_spectrum) and gated by
-    bound_candidates, in one ring_decay_profile product."""
+def _stack_eigh(blocks):
+    """np.linalg.eigh of a (k, ...) stack of blocks, or cell by cell when
+    the stacked solve fails; a cell whose own eigh fails gets NaN energies."""
     try:
-        w, y = np.linalg.eigh(blocks)
+        return np.linalg.eigh(blocks)
     except np.linalg.LinAlgError:
-        if len(blocks) == 1:
-            return np.array([-1])
-        return np.concatenate([_stack_counts(b[None], modes) for b in blocks])
-    N = modes.params.N
-    _, _, pairs, images, fixed = _reflection(N)
-    finite = np.isfinite(w).all(axis=(1, 2))
-    cell, sector, j = np.nonzero(modes.out_of_band(w) & finite[:, None, None])
-    y, na, half = y[cell, sector, :, j].T, len(pairs), math.sqrt(0.5)
-    U = np.zeros((N, len(cell)))
-    U[pairs] = half * y[:na]
-    U[images] = np.where(sector == 0, half, -half) * y[:na]
-    U[fixed[sector], np.arange(len(cell))] = y[na]
-    bound = bound_candidates(SpectrumResult(w[cell, sector, j], U), modes)[0]
-    counts = np.bincount(cell[bound], minlength=len(w))
-    counts[~finite] = -1
-    return counts
-
-
-def count_bound_states(modes, overlap, V0):
-    """Number of bound states of the impurity V0 on `modes` and their
-    `overlap`: the one-V0 row of phase_diagram's counter, with the gates
-    of classify_bound_states and no fit.  Raises NumericalError where
-    the row holds -1, naming the failed gate, if one failed."""
-    c, (failed,) = _gates(modes, overlap)([V0])
-    if not failed:
-        (count,) = _stack_counts(_sector_stack(modes, overlap, c), modes)
-        if count >= 0:
-            return int(count)
-        failed = "eigh failed or gave a non-finite energy"
-    raise NumericalError(f"projected Hamiltonian at V0 = {V0}: {failed}")
+        w, y = np.full(blocks.shape[:-1], np.nan), np.zeros_like(blocks)
+    for k in range(len(blocks)):
+        with contextlib.suppress(np.linalg.LinAlgError):
+            w[k:k + 1], y[k:k + 1] = np.linalg.eigh(blocks[k:k + 1])
+    return w, y
 
 
 def phase_diagram(d_values, v0_values, params_template):
@@ -549,7 +531,7 @@ def phase_diagram(d_values, v0_values, params_template):
 
     Every cell must satisfy |D| > 2|J|; V0 = 0 columns count zero.  One
     impurity-free basis and overlap per D row serve all its V0 cells,
-    which are counted together (_bound_counts): one stacked sector
+    which are counted together (count_bound_states): one stacked sector
     solve per row, each cell with its own gates, so a failing cell
     keeps -1 alone.  The template's V0 is unused.
     """
@@ -565,7 +547,7 @@ def phase_diagram(d_values, v0_values, params_template):
             # just above |D| = 2|J| the odd-branch pairing root can be
             # absent at finite N: the whole row keeps the sentinel
             continue
-        counts[i] = _bound_counts(modes, impurity_overlap(modes), v0_values)
+        counts[i] = count_bound_states(modes, impurity_overlap(modes), v0_values)
     return counts
 
 

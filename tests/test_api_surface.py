@@ -1,15 +1,23 @@
-"""The optional parameters of biximp: each one is a value some caller varies.
+"""The surface of biximp: each option is a value some caller varies, and
+each function has a caller or a stated reason to exist.
 
 Every optional parameter (one with a default, or a **kwargs) doubles the
 settings the tests must cover, so the package keeps only those that a
 caller in src/ or tests/ sets to more than one value.  A new option
-means a visible edit to ALLOWED, with the reason it exists.
+means a visible edit to ALLOWED, with the reason it exists.  Likewise a
+function, class or public method that no src/ code names is either
+deleted or listed in KEPT, with the reason it stays.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import biximp
+from test_traced_names import traced_names
+
+SRC = Path(biximp.__file__).parent
+TESTS = Path(__file__).parent
 
 # "module.qualified_function.parameter" -> why callers vary it
 ALLOWED = {
@@ -52,7 +60,7 @@ def optional_parameters():
                 found.extend(".".join(inner + [k]) for k in defaulted(child.args))
             visit(child, inner)
 
-    for path in sorted(Path(biximp.__file__).parent.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text()), [path.stem])
     return found
 
@@ -61,3 +69,74 @@ def test_every_optional_parameter_is_allowed():
     found = optional_parameters()
     assert len(found) == len(set(found))
     assert sorted(found) == sorted(ALLOWED)
+
+
+# "module.function", "module.Class" or "module.Class.method" that no src/
+# code names -> why it stays: "traced" (perfbench/run.py's TRACED list
+# times it), "oracle: <test file>::<test>" (the test checks a paper
+# result with it) or "deferred: <ROADMAP item>"
+KEPT = {
+    "pairbasis.build_pair_hamiltonian": "traced",
+    "pairbasis.classify_state": "traced",
+    "pairbasis.reflection_expectation": "traced",
+    "biexciton.ModeBasis.pair_amplitudes":
+        "oracle: test_projected.py::test_brute_force_projection_oracle",
+    "dynamics.fringe_visibility":
+        "oracle: test_acceptance.py::test_criterion_6g_visibility_loss",
+    "dynamics.schmidt_weights":
+        "oracle: test_acceptance.py::test_criterion_6f_entropy_after_scattering",
+    "exciton.ExcitonSpectrum.all_energies":
+        "oracle: test_exciton.py::test_oracle_equivalence_matrix_vs_roots",
+    "exciton.bound_energies_from_matrix":
+        "oracle: test_acceptance.py::test_criterion_1_exciton_bound_state",
+    "exciton.exciton_bound_wavevector_largen":
+        "oracle: test_scattering.py::test_exciton_correspondence",
+    "exciton.exciton_reflection_amplitude":
+        "oracle: test_acceptance.py::test_criterion_7_property_suites",
+    "projected.participation_ratio":
+        "oracle: test_projected.py::test_participation_ratio_invariant",
+    "scattering.continued_fraction_first_order":
+        "deferred: ROADMAP item 9 measures the first-order closure",
+}
+
+
+def names_in(node):
+    """How often each name and attribute occurs in the AST `node`."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def uncalled():
+    """Each top-level function and class, and each public method, of
+    src/biximp that no src/ code names outside its own body, keyed as in
+    KEPT.  Imports and docstrings name nothing."""
+    trees = [(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
+    total = sum((names_in(tree) for _, tree in trees), Counter())
+    defs = []
+    for module, tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((f"{module}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{module}.{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return [key for key, node in defs if total[node.name] == names_in(node)[node.name]]
+
+
+def test_every_function_has_a_caller():
+    """Every function, class and public method has a src/ caller or a
+    KEPT reason, and every KEPT entry still needs its reason: a traced
+    name is in TRACED, and an oracle's test exists in a file that names
+    it."""
+    assert sorted(uncalled()) == sorted(KEPT)
+    traced = set(traced_names())
+    for name, reason in KEPT.items():
+        kind, _, where = reason.partition(": ")
+        assert kind in ("traced", "oracle", "deferred"), name
+        if kind == "traced":
+            assert name in traced, name
+        elif kind == "oracle":
+            path, test = where.split("::")
+            tree = ast.parse((TESTS / path).read_text())
+            assert test in {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}, name
+            assert names_in(tree)[name.split(".")[-1]], name

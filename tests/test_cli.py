@@ -924,6 +924,29 @@ def test_oversized_time_grid_exit_code(tmp_path, capsys, sample_dt):
     assert not list((tmp_path / "out").glob("*"))
 
 
+@pytest.mark.parametrize("N, packet", [
+    (12, {"t_start": 0.0, "t_end": 1e308, "sample_dt": 1e305}),
+    (40, {"t_start": -30.0, "t_end": -29.0, "snapshots": [1e308]})],
+    ids=["time_grid", "snapshot"])
+def test_overflowing_phase_exit_code(tmp_path, capsys, N, packet):
+    """A time whose phase E (t - t0) overflows ends the run with exit 1
+    and one line, with no numpy warning and no snapshot grid: the time
+    grid used to end in a LinAlgError traceback, the snapshot in four
+    all-NaN grids.  The snapshot run has written its time series."""
+    cfg = {"model": {"N": N, "J": -1.0, "D": -4.5, "V0": 0.5},
+           "wavepacket": dict({"K0": 3 * math.pi / 8, "dK0": 0.13}, **packet)}
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["wavepacket", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("numerical failure: phase E (t - t0) "
+                                       "overflows for |t - t0| up to 1e+308\n")
+    assert not [w for w in caught if not issubclass(w.category, UserWarning)]
+    written = ["wavepacket_timeseries.csv"] if "snapshots" in packet else []
+    assert sorted(f.name for f in out.iterdir()) == written
+
+
 @settings(max_examples=100, deadline=None)
 # every cell's V0 overflows 4 V0 / N: the cell keeps -1
 @example(N=4, J=1.0, d_range=(4.1, 4.1), v0_range=(1e308, 1e308), n_D=1, n_V0=1)

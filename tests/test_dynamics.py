@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -515,6 +516,20 @@ def test_trajectory_sampling():
     assert [s.t for s in samples] == [-30.0 + i for i in range(11)]
     assert all(abs(s.norm - 1.0) < 1e-10 for s in samples)
     assert samples[0].entropy == pytest.approx(0.192, abs=0.01)
+
+
+def test_trajectory_frees_its_basis():
+    """Once the trajectory of a calibrated run returns, no module cache
+    keeps its basis alive: the split forms that the calibration and the
+    run share are freed with it, before the snapshots, which never read
+    them."""
+    cfg = canonical_config(t_end=-25.0)
+    modes, G, u0, _ = calibration_args(canonical_params(), cfg)
+    ph = build_projected_hamiltonian(modes, G, calibrate_v0(modes, G, u0, K0, 0.5))
+    run_trajectory(ph, u0, cfg)
+    basis = weakref.ref(modes)
+    del modes, G, ph
+    assert basis() is None
 
 
 def _full_basis_reflected(exact_pair_run, p, cfg, t_measure):

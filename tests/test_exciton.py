@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from biximp import (ModelParams, ParameterError,
-                    effective_mass, exciton_bound_wavevector_largen,
+                    exciton_bound_wavevector_largen,
                     exciton_dispersion, exciton_reflection_amplitude,
                     exciton_site_hamiltonian, solve_exciton_spectrum)
 from biximp.cli import main
@@ -137,18 +137,6 @@ def test_reflection_zero_potential_and_pole():
     assert abs(peak_k - kpp_pole) < 0.01
     assert math.isinf(abs(exciton_reflection_amplitude(
         complex(0.0, kpp_pole), p)))
-
-
-def test_effective_mass():
-    p = P(J=1.0)
-    assert effective_mass(0.0, p) < 0
-    assert effective_mass(math.pi, p) > 0
-    assert math.isinf(effective_mass(math.pi / 2, p))
-    h = 1e-3
-    for k in (0.3, 1.0, 2.5):
-        fd = (exciton_dispersion(k + h, p) - 2 * exciton_dispersion(k, p)
-              + exciton_dispersion(k - h, p)) / h ** 2
-        assert abs(1.0 / effective_mass(k, p) - fd) < 1e-6
 
 
 def test_v0_zero_has_no_bound():

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from biximp import (ExistenceError, ModeBasis, ModelParams, ParameterError,
-                    alpha, continuum_energy, k_grid)
-from biximp.biexciton import (default_method, free_relative_roots,
-                              solve_relative_decay)
+                    alpha, k_grid)
+from biximp.biexciton import default_method, solve_relative_decay
 from biximp.pairbasis import build_pair_hamiltonian
 
 
@@ -83,17 +82,6 @@ def test_biexciton_energy_values():
         assert np.all(np.abs(basis.energies - 2 * p.E0) > 4 * abs(p.J))
 
 
-def test_continuum_energy():
-    p = ModelParams(N=40, J=1.0, D=4.1, E0=0.3)
-    assert continuum_energy(0.0, np.pi / 2, p) == pytest.approx(2 * 0.3)
-    assert continuum_energy(0.0, 0.0, p) == pytest.approx(2 * 0.3 + 4.0)
-    ks = np.linspace(-np.pi, np.pi, 101)
-    Ks = np.linspace(-np.pi / 2, np.pi / 2, 101)
-    vals = np.array([[continuum_energy(K, k, p) for k in ks] for K in Ks])
-    assert vals.min() == pytest.approx(2 * 0.3 - 4.0, abs=1e-12)
-    assert vals.max() == pytest.approx(2 * 0.3 + 4.0, abs=1e-12)
-
-
 def test_phi_hard_core_and_norm():
     p = ModelParams(N=40, J=1.0, D=4.1)
     basis = ModeBasis(p, "exact")
@@ -159,15 +147,6 @@ def test_regime_validation():
         ModelParams(N=5, J=1.0, D=4.1)
     with pytest.raises(ParameterError):
         ModelParams(N=40, J=0.0, D=4.1)
-
-
-def test_free_relative_roots_n4():
-    # D = 0 quantization: cos(2k) = 0 (even branch), sin(2k) = 0 (odd)
-    p = ModelParams(N=4, J=1.0, D=0.0, V0=0.0)
-    even = free_relative_roots(0.0, p, 0)
-    np.testing.assert_allclose(even, [np.pi / 4, 3 * np.pi / 4], atol=1e-12)
-    odd = free_relative_roots(np.pi / 4, p, 1)
-    np.testing.assert_allclose(odd, [np.pi / 2], atol=1e-12)
 
 
 def test_phi_rows_match_normalized_closed_form():

@@ -61,7 +61,7 @@ def test_bound_state_count_is_unchanged(N, J, D_over_J, V0, E0):
     counts = []
     for q in (p, mirror(p)):
         modes = ModeBasis(q)
-        counts.append(count_bound_states(modes, impurity_overlap(modes), q.V0))
+        counts.append(count_bound_states(modes, impurity_overlap(modes), [q.V0])[0])
     assert counts[0] == counts[1]
 
 

@@ -19,15 +19,18 @@ from biximp import (ExistenceError, ModeBasis, ModelParams, NumericalError,
                     potential_matrix, projected)
 from biximp.cli import main
 from biximp.pairbasis import build_pair_hamiltonian
-from biximp.projected import (PROFILE_FLOOR, bound_candidates, cm_amplitude,
-                              distance_profile, participation_ratio)
+from biximp.projected import (CLASS_K_SPLIT, PROFILE_FLOOR, BoundStateRecord,
+                              bound_candidates, cm_amplitude, distance_profile,
+                              fit_ring_decay, participation_ratio)
 from conftest import projected_hamiltonian
 
 
 def count_fresh(params):
-    """count_bound_states on a basis built for `params` alone."""
+    """count_bound_states of the one-V0 row params.V0, on a basis built
+    for `params` alone."""
     modes = ModeBasis(params)
-    return count_bound_states(modes, impurity_overlap(modes), params.V0)
+    (count,) = count_bound_states(modes, impurity_overlap(modes), [params.V0])
+    return count
 
 
 def count_reference(modes, G, V0):
@@ -300,10 +303,8 @@ def test_gate_failing_cell_fails_alone(monkeypatch, gate):
     G = perturbed(impurity_overlap(modes), gate, 1e-9)
     assert list(counts) == [count_reference(modes, G, v) for v in v_vals]
     assert list(counts) == [-1] + list(clean[1:4]) + [-1, -1]
-    # at one V0 the error names the gate
+    # a Hamiltonian built at one V0 names the gate
     for v in (-5.0, 5.0):
-        with pytest.raises(NumericalError, match=f"at V0 = {v}: not {gate}$"):
-            count_bound_states(modes, G, v)
         with pytest.raises(NumericalError, match=f"at V0 = {v}: not {gate}$"):
             build_projected_hamiltonian(modes, G, v)
 
@@ -327,6 +328,66 @@ def test_failing_eigh_chunk_is_solved_cell_by_cell(monkeypatch):
     assert shapes == [(7, 2, 20, 20)] + [(1, 2, 20, 20)] * 7
     assert counts[1] == -1
     assert np.array_equal(np.delete(counts, 1), np.delete(want, 1))
+
+
+def classify_reference(spectrum, modes):
+    """Bound-state records built one at a time: a loop over the
+    candidates, then each class sorted by decreasing band split and
+    labelled, as classify_bound_states did before its array pass."""
+    p = modes.params
+    hi = modes.band_edges()[1]
+    k_at_max = abs(float(modes.K[int(np.argmax(modes.energies))]))
+    k_at_min = abs(float(modes.K[int(np.argmin(modes.energies))]))
+    recs = []
+    mus, ds, ps = bound_candidates(spectrum, modes)
+    fits = zip(*fit_ring_decay(ds, ps, p.N, 4, p.N - 6))
+    for mu, (kappa, r2) in zip(mus.tolist(), fits):
+        e = spectrum.energies[mu]
+        w = np.abs(spectrum.states[:, mu]) ** 2
+        dom = abs(float(modes.K[int(np.argmax(w))]))
+        edge_k = k_at_max if e > hi else k_at_min
+        cls = "near_zero" if edge_k < CLASS_K_SPLIT else "near_half_pi"
+        recs.append(BoundStateRecord("", e, dom, cls, float(kappa), float(r2), mu))
+    split = lambda r: modes.band_split(r.energy)
+    near0 = sorted([r for r in recs if r.re_K_class == "near_zero"],
+                   key=split, reverse=True)
+    nearh = sorted([r for r in recs if r.re_K_class == "near_half_pi"],
+                   key=split, reverse=True)
+    for i, r in enumerate(near0):
+        r.label = chr(ord("a") + i)
+    for i, r in enumerate(nearh):
+        r.label = chr(ord("a") + max(4, len(near0)) + i)
+    return sorted(recs, key=lambda r: r.label)
+
+
+@pytest.mark.parametrize("N", (12, 40, 100))
+@pytest.mark.parametrize("J", (1.0, -1.0))
+def test_records_match_per_record_reference(N, J):
+    """classify_bound_states gives the reference's records, field for
+    field, over |D| in {2.3, 3, 4.1, 6, 12} with the sign of J and
+    V0 in +-{0.25, 1, 4, 8, 20}, and on the V0 = +-20 spectra of each D
+    taken together, with ties.  At N = 40 and 100 the grid holds spectra
+    with more than four near-zero states, and the merged spectrum at
+    |D| = 2.3 also near-pi/2 states, labelled after them."""
+    most = (0, 0)       # the most near-zero states, and then near-pi/2 ones
+    for D in J * np.array([2.3, 3.0, 4.1, 6.0, 12.0]):
+        try:
+            modes = ModeBasis(ModelParams(N=N, J=J, D=D))
+        except ExistenceError:      # no odd pairing root at N = 12, |D| = 2.3
+            continue
+        G = impurity_overlap(modes)
+        spectra = [diagonalize_projected(build_projected_hamiltonian(modes, G, V0))
+                   for V0 in np.outer((1.0, -1.0), (0.25, 1.0, 4.0, 8.0, 20.0)).ravel()]
+        # +20, -20 and +20 again: the repeat ties every split of the first
+        merged = [spectra[k] for k in (4, 9, 4)]
+        merged = SpectrumResult(np.concatenate([sp.energies for sp in merged]),
+                                np.hstack([sp.states for sp in merged]))
+        for spec in spectra + [merged]:
+            got = classify_bound_states(spec, modes)
+            assert got == classify_reference(spec, modes), D
+            near0 = sum(r.re_K_class == "near_zero" for r in got)
+            most = max(most, (near0, len(got) - near0))
+    assert N == 12 or most[0] > 4 and most[1] > 0, most
 
 
 @pytest.mark.parametrize("params", [
@@ -504,15 +565,15 @@ def test_sector_stack_is_the_dense_fold(N, J, ratio, E0, V0):
 
 @pytest.mark.parametrize("N, J", [(40, 1.0), (40, -1.0), (100, 1.0), (100, -1.0)])
 def test_count_matches_full_eigh(N, J):
-    """count_bound_states and a phase-diagram row equal the full-eigh
-    reference of each cell over a (D, V0) grid."""
+    """count_bound_states of each one-V0 row and a phase-diagram row equal
+    the full-eigh reference of each cell over a (D, V0) grid."""
     v_vals = np.linspace(-8.0, 8.0, 9 if N == 40 else 5)
     for D in J * np.linspace(2.2, 7.0, 5 if N == 40 else 3):
         p = ModelParams(N=N, J=J, D=D)
         modes = ModeBasis(p)
         G = impurity_overlap(modes)
         want = [count_reference(modes, G, V0) for V0 in v_vals]
-        assert [count_bound_states(modes, G, V0) for V0 in v_vals] == want, D
+        assert [count_bound_states(modes, G, [V0])[0] for V0 in v_vals] == want, D
         assert list(phase_diagram([D], v_vals, p)[0]) == want, D
 
 
