@@ -141,8 +141,8 @@ def cmd_biexciton_spectrum(params, sec, out):
                                r.re_K_class, r.decay_rate, True)
     out.table("biexciton_spectrum", ("mu", "energy", "dominant_K", "class",
                                      "decay_rate", "bound_flag"), rows)
-    for r in recs:
-        _, psi = projected.cm_amplitude(spec.states[:, r.state_index], modes)
+    for r, u in zip(recs, spec.columns([r.state_index for r in recs]).T):
+        _, psi = projected.cm_amplitude(u, modes)
         out.grid(f"bound_{r.label}_profile", np.abs(psi) ** 2)
     out.plot("biexciton_spectrum", "biexciton_spectrum", "1:2", "projected spectrum")
 
@@ -214,11 +214,11 @@ def cmd_bic(params, sec, out):
         e1 = e2 = math.nan
     e = spec.energies
     near = np.minimum(np.abs(e - e1), np.abs(e - e2))
-    # only candidates near the closed forms are analyzed; NaN selects none
+    # only candidates near the closed forms are scattered and analyzed; NaN selects none
     idx = np.flatnonzero(near <= 0.5)
     rows = [(i, e[i], c.type, c.in_continuum, c.schmidt_number, c.decay_r, c.decay_s,
              near[i] > tol) for i, c in zip(idx, pairbasis.classify_states(
-                 e[idx], spec.states[:, idx], params, basis))]
+                 e[idx], spec.columns(idx), params, basis))]
     out.table("bic_classification",
               ("index", "energy", "type", "in_continuum", "schmidt_number",
                "decay_r", "decay_s", "mismatch_flag"), rows)
@@ -255,6 +255,8 @@ def cmd_wavepacket(params, sec, out):
     v0 = (dynamics.calibrate_v0(modes, G, u0, config.K0, target) if calibrate
           else params.V0)
     ph = projected.build_projected_hamiltonian(modes, G, v0)
+    # every snapshot's phases are checked before any file is written
+    dynamics._phases(ph.eigensystem()[0], np.array(times)[:, None] - u0.t)
     out.table("wavepacket_timeseries",
               ("t", "entropy_bits", "norm", "energy", "reflected_prob"),
               [(s.t, s.entropy, s.norm, s.energy, s.reflected)

@@ -180,7 +180,7 @@ def hamiltonian_builder(modes, overlap):
 
 @dataclass
 class SpectrumResult:
-    """Eigenpairs of a Hermitian matrix."""
+    """Eigenpairs of a Hermitian matrix; columns(idx) reads the columns idx."""
 
     energies: np.ndarray
     states: np.ndarray          # column i is eigenvector i
@@ -188,8 +188,31 @@ class SpectrumResult:
     def __len__(self):
         return len(self.energies)
 
+    def columns(self, idx):
+        return self.states[:, idx]
+
     def eigensystem(self):
         return self.energies, self.states
+
+
+class SectorSpectrum(SpectrumResult):
+    """sector_spectrum's result: `states` scatters every column, once."""
+
+    def __init__(self, energies, columns):
+        self.energies, self.columns = energies, columns
+
+    @functools.cached_property
+    def states(self):   # frees the blocks: SpectrumResult.columns reads states
+        return self.__dict__.pop("columns")(np.arange(len(self.energies)))
+
+
+def _scatter(u, cols, y, sign, pairs, images, fix):
+    """u[:, cols] = the sector eigenvectors y (rows as in sector_spectrum);
+    sign (+1 even, -1 odd) and the fixed rows `fix` broadcast with cols."""
+    half, na = math.sqrt(0.5), len(pairs)
+    u[pairs[:, None], cols] = half * y[:na]
+    u[images[:, None], cols] = sign * half * y[:na]
+    u[fix, cols] = y[na:]
 
 
 def sector_spectrum(sectors, pairs, images, what):
@@ -203,27 +226,25 @@ def sector_spectrum(sectors, pairs, images, what):
     ((w, y, fixed) of the even block, (w, y, fixed) of the odd block):
     a block runs over its pair states, in the order of `pairs`, then the
     states of its indices `fixed`; (w, y) is its eigh.  The caller
-    solves the blocks, so it decides how many live at once.  The
-    eigenvectors are scattered straight into the columns of the stably
-    sorted energies, even first at an exact tie, so every column has
-    <v|P|v> = +-1.  Raises NumericalError (prefixed with `what`) when an
-    energy is not finite: an entry overflowed in the blocks.
+    solves the blocks, so it decides how many live at once.  Energies are
+    stably sorted, even first at an exact tie.  The result keeps the
+    blocks' eigenvectors: columns(idx) scatters only the columns idx, each
+    <v|P|v> = +-1, bit for bit as in any batch.  Raises NumericalError
+    (prefixed with `what`) when an entry overflowed: an energy not finite.
     """
     w = np.concatenate([sec[0] for sec in sectors])
     if not np.isfinite(w).all():
         raise NumericalError(f"{what} eigh: non-finite energies")
     order = np.argsort(w, kind="stable")
-    col = np.empty_like(order)
-    col[order] = np.arange(len(w))
-    u = np.zeros((len(w), len(w)))
-    half, na, start = math.sqrt(0.5), len(pairs), 0
-    for sign, (_, y, fix) in zip((1.0, -1.0), sectors):
-        c = col[start:start + len(y)]
-        start += len(y)
-        u[pairs[:, None], c] = half * y[:na]
-        u[images[:, None], c] = sign * half * y[:na]
-        u[fix[:, None], c] = y[na:]
-    return SpectrumResult(w[order], u)
+
+    def columns(idx):
+        src, n0 = order[idx], len(sectors[0][0])     # src >= n0: an odd column
+        u = np.zeros((len(w), len(src)))
+        for s, (sign, (_, y, fix)) in enumerate(zip((1.0, -1.0), sectors)):
+            k = np.flatnonzero((src >= n0) == s)
+            _scatter(u, k, y[:, src[k] - s * n0], sign, pairs, images, fix[:, None])
+        return u
+    return SectorSpectrum(w[order], columns)
 
 
 @functools.lru_cache(maxsize=None)
@@ -443,7 +464,7 @@ def bound_candidates(spectrum, modes):
     out-of-band states come from one ring_decay_profile product.
     """
     out = np.flatnonzero(modes.out_of_band(spectrum.energies))
-    ds, ps = ring_decay_profile(spectrum.states[:, out], modes)
+    ds, ps = ring_decay_profile(spectrum.columns(out), modes)
     tail = ps[ds > modes.params.N // 2].sum(axis=0) / ps.sum(axis=0)
     bound = ~(tail > TAIL_FRACTION_MAX)
     return out[bound], ds, ps[:, bound]
@@ -466,7 +487,7 @@ def classify_bound_states(spectrum, modes):
     mus, ds, ps = bound_candidates(spectrum, modes)
     kappa, r2 = fit_ring_decay(ds, ps, p.N, 4, p.N - 6)
     e = spectrum.energies[mus]
-    dom = np.abs(modes.K[np.argmax(np.abs(spectrum.states[:, mus]) ** 2, axis=0)])
+    dom = np.abs(modes.K[np.argmax(np.abs(spectrum.columns(mus)) ** 2, axis=0)])
     near0 = np.where(e > hi, k_at_max, k_at_min) < CLASS_K_SPLIT
     # label order: near-zero states first, each class by decreasing split
     order = np.argsort(-modes.band_split(e), kind="stable")
@@ -488,13 +509,12 @@ def count_bound_states(modes, overlap, v0_values):
     passing cells' sector blocks (_sector_stack) are solved in chunks
     whose arrays take at most STACK_BYTES: per cell its two blocks, the
     fold's pair temporaries and the eigenvectors, each 16 (N/2)^2 bytes.
-    Only the out-of-band eigenvectors are scattered onto the l_K grid (as
-    in sector_spectrum) and gated by bound_candidates, in one
+    Only the out-of-band eigenvectors are scattered onto the l_K grid, by
+    sector_spectrum's scatter, and gated by bound_candidates, in one
     ring_decay_profile product per chunk.
     """
     N = len(overlap)
     _, _, pairs, images, fixed = _reflection(N)
-    na, half = len(pairs), math.sqrt(0.5)
     c, failed = _gates(modes, overlap)(v0_values)
     counts = np.full(len(c), -1)
     cells = np.flatnonzero(failed == "")
@@ -505,9 +525,7 @@ def count_bound_states(modes, overlap, v0_values):
         cell, sector, j = np.nonzero(modes.out_of_band(w) & finite[:, None, None])
         y = y[cell, sector, :, j].T
         U = np.zeros((N, len(cell)))
-        U[pairs] = half * y[:na]
-        U[images] = np.where(sector == 0, half, -half) * y[:na]
-        U[fixed[sector], np.arange(len(cell))] = y[na]
+        _scatter(U, np.arange(len(cell)), y, 1.0 - 2.0 * sector, pairs, images, fixed[sector])
         bound = bound_candidates(SpectrumResult(w[cell, sector, j], U), modes)[0]
         counts[chunk[finite]] = np.bincount(cell[bound], minlength=len(w))[finite]
     return counts

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -49,3 +51,33 @@ class ExactPairRun:
 def exact_pair_run():
     """ExactPairRun(params, modes, state0): the arbiter for projected runs."""
     return ExactPairRun
+
+
+def dense_scatter(sectors, pairs, images):
+    """Reference for a sector spectrum's columns: every eigenvector of
+    the sector eigenpairs ((w, y, fixed) of the even block, then of the
+    odd one) scattered into one dense basis matrix, whose columns follow
+    the stably sorted energies."""
+    w = np.concatenate([sec[0] for sec in sectors])
+    col = np.empty(len(w), dtype=int)
+    col[np.argsort(w, kind="stable")] = np.arange(len(w))
+    u = np.zeros((len(w), len(w)))
+    half, na, start = math.sqrt(0.5), len(pairs), 0
+    for sign, (_, y, fix) in zip((1.0, -1.0), sectors):
+        c = col[start:start + len(y)]
+        start += len(y)
+        u[pairs[:, None], c] = half * y[:na]
+        u[images[:, None], c] = sign * half * y[:na]
+        u[fix[:, None], c] = y[na:]
+    return u
+
+
+class EighSpy:
+    """np.linalg.eigh that keeps every result it returns, in call order."""
+
+    def __init__(self):
+        self.eigh, self.results = np.linalg.eigh, []
+
+    def __call__(self, a):
+        self.results.append(self.eigh(a))
+        return self.results[-1]

@@ -22,7 +22,7 @@ from biximp.pairbasis import build_pair_hamiltonian
 from biximp.projected import (CLASS_K_SPLIT, PROFILE_FLOOR, BoundStateRecord,
                               bound_candidates, cm_amplitude, distance_profile,
                               fit_ring_decay, participation_ratio)
-from conftest import projected_hamiltonian
+from conftest import EighSpy, dense_scatter, projected_hamiltonian
 
 
 def count_fresh(params):
@@ -501,6 +501,32 @@ def reflection(N):
     P[np.arange(N), image] = 1.0
     P[-1, -1] = -1.0        # l = N/2 is its own image, with s = -1
     return P
+
+
+@pytest.mark.parametrize("J", (1.0, -1.0))
+@pytest.mark.parametrize("V0", (0.0, 2.5))
+def test_columns_are_the_dense_scatter(monkeypatch, J, V0):
+    """columns(idx) of the projected spectrum equals, bit for bit, the
+    columns idx of states and of the dense scatter of its sector solve,
+    for indices in any order.  V0 = 0 ties every pair state's even and
+    odd energy exactly, and the even column comes first."""
+    N = 40
+    ph = projected_hamiltonian(ModelParams(N=N, J=J, D=4.1 * J, E0=0.3, V0=V0))
+    spy = EighSpy()
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    spec = diagonalize_projected(ph)
+    (w, y), = spy.results
+    _, _, pairs, images, fixed = projected._reflection(N)
+    ref = dense_scatter(((w[0], y[0], fixed[:1]), (w[1], y[1], fixed[1:])),
+                        pairs, images)
+    pick = np.random.default_rng(7).permutation(N)[:N // 3]
+    assert spec.columns(pick).tobytes() == ref[:, pick].tobytes()
+    assert spec.states.tobytes() == ref.tobytes()
+    assert spec.columns(pick).tobytes() == spec.states[:, pick].tobytes()
+    tie = np.flatnonzero(spec.energies[1:] == spec.energies[:-1])
+    assert len(tie) == (N // 2 - 1 if V0 == 0 else 0)
+    parity = np.einsum("im,ij,jm->m", ref, reflection(N), ref)
+    assert np.all(parity[tie] > 0) and np.all(parity[tie + 1] < 0)
 
 
 @settings(max_examples=60, deadline=None)
