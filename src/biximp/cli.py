@@ -252,15 +252,18 @@ def cmd_wavepacket(params, sec, out):
     modes = ModeBasis(params)
     G = projected.impurity_overlap(modes)
     u0 = dynamics.init_wavepacket(config, modes)
-    v0 = (dynamics.calibrate_v0(modes, G, u0, config.K0, target) if calibrate
-          else params.V0)
-    ph = projected.build_projected_hamiltonian(modes, G, v0)
-    # every snapshot's phases are checked before any file is written
-    dynamics._phases(ph.eigensystem()[0], np.array(times)[:, None] - u0.t)
-    out.table("wavepacket_timeseries",
-              ("t", "entropy_bits", "norm", "energy", "reflected_prob"),
-              [(s.t, s.entropy, s.norm, s.energy, s.reflected)
-               for s in dynamics.run_trajectory(ph, u0, config)])
+    try:
+        v0 = (dynamics.calibrate_v0(modes, G, u0, config.K0, target) if calibrate
+              else params.V0)
+        ph = projected.build_projected_hamiltonian(modes, G, v0)
+        # every snapshot's phases are checked before any file is written
+        dynamics._phases(ph.eigensystem()[0], np.array(times)[:, None] - u0.t)
+        out.table("wavepacket_timeseries",
+                  ("t", "entropy_bits", "norm", "energy", "reflected_prob"),
+                  [(s.t, s.entropy, s.norm, s.energy, s.reflected)
+                   for s in dynamics.run_trajectory(ph, u0, config)])
+    finally:    # a run that fails after the calibration frees its split forms too
+        dynamics._split_forms.cache_clear()
     for t in times:
         st = dynamics.propagate(u0, ph, t)
         out.grid(f"snapshot_psi2_t{t}",    # unnamed: freed before rho is built

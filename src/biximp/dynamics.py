@@ -34,10 +34,17 @@ for K, K' in (-pi/2, pi/2].  Hence
 
     (A_p^H A_p)(s, s') = sum_K |u_K|^2 phi_K(s) phi_K(s'),
 
-a real N/2 x N/2 matrix per parity over the window's s.  Its spectrum
-is the Schmidt spectrum of the CM/relative split (schmidt_weights); it
+a real matrix per parity over the window's s.  Its spectrum is the
+Schmidt spectrum of the CM/relative split (schmidt_weights); it
 depends on the |u_K|^2 only, so with V0 = 0 the entropy is exactly
-conserved.
+conserved.  In the dynamics regime every phi_K(s) decays at least as
+e^{-k_i |s|} with k_i >= ln(|D|/2|J|) > 0.69, so the blocks keep only
+the s with |s| <= s_max, where each mode holds all but eps^2 of its
+window weight (_schmidt_support).  The blocks are PSD, so by Weyl's
+inequality (H. Weyl, Math. Ann. 71, 441 (1912)) the cut moves no
+eigenvalue of the trace-normalized blocks by more than about eps, the
+rounding of eigvalsh; s_max does not grow with N (45 at D/J = 4.5), so
+neither does an entropy sample's solve.
 
 The split ratio needs only the fold-weighted weight of each r,
 
@@ -214,7 +221,8 @@ def _split_forms(modes):
     sum_r c(r) e^{i pi k r / N} over the 2N sites r is 2N times the
     inverse DFT of c, placed at r mod 2N, at frequency k mod 2N; it is
     real for even c and imaginary for odd c.  Cached for the last basis:
-    a calibration and its run share it until run_trajectory returns.
+    a calibration and its run share it until run_trajectory returns, or
+    until a wavepacket command ends, failed or not.
     """
     r, N = modes.r, modes.params.N
     s, phi = modes.s[modes.window], modes.phi[:, modes.window]
@@ -250,16 +258,40 @@ def schmidt_weights(u, modes):
     """Eigenvalues of the trace-normalized CM density matrix, ascending.
 
     Computed from the two parity Gram blocks sum_K |u_K|^2 phi_K phi_K^T
-    (module docstring) and zero-padded to the 2N eigenvalues of rho.
+    over the relative support |s| <= s_max (module docstring,
+    _schmidt_support), and zero-padded to the 2N eigenvalues of rho;
+    the cut moves none by more than about eps.
     """
     return _schmidt_weights(u, _parity_columns(modes))
 
 
 def _parity_columns(modes):
-    """phi's window columns of each parity of s, column-major (the layout
-    whose rounding the recorded references pin); a trajectory gathers
-    them once for all its samples."""
-    return [np.asfortranarray(modes.phi[:, modes.window[k::2]]) for k in (0, 1)]
+    """phi's window columns of each parity of s over the relative support
+    |s| <= s_max (_schmidt_support), column-major (the layout whose
+    rounding the recorded references pin); a trajectory gathers them
+    once for all its samples."""
+    keep = _schmidt_support(modes)
+    return [np.asfortranarray(modes.phi[:, keep[k::2]]) for k in (0, 1)]
+
+
+def _schmidt_support(modes):
+    """Window indices of the s with |s| <= s_max, ascending in s.
+
+    s_max is the smallest cut, made from |s| = N/2 inward so that +-s
+    drop together, whose dropped columns carry at most eps^2 of every
+    mode's window weight.  The dropped diagonal of the PSD Gram blocks
+    then holds at most eps^2 of their trace, so (|B_ss'|^2 <= B_ss B_s's')
+    their dropped rows and columns have a Frobenius norm of at most
+    sqrt(2) eps times the trace, and by Weyl's inequality no eigenvalue
+    of the trace-normalized blocks moves by more.
+    """
+    a = np.abs(modes.s[modes.window])
+    w = modes.phi[:, modes.window] ** 2
+    cuts = np.arange(a.max() + 1)
+    dropped = w @ (a[:, None] > cuts)               # (modes, cuts)
+    fits = np.all(dropped <= np.finfo(float).eps ** 2 * w.sum(axis=1)[:, None],
+                  axis=0)
+    return modes.window[a <= cuts[fits][0]]
 
 
 def _schmidt_weights(u, columns):

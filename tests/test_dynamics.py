@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+import yaml
 
 from biximp import (ModelParams, RegimeError, TimingError,
                     WavepacketConfig, build_projected_hamiltonian,
@@ -16,6 +17,7 @@ from biximp import (ModelParams, RegimeError, TimingError,
                     split_ratio)
 from biximp import dynamics, projected
 from biximp.biexciton import ModeBasis
+from biximp.cli import main
 from biximp.dynamics import (SPLIT_BUFFER, WavepacketState, _extrema_contrast,
                              energy_expectation, run_trajectory,
                              validate_dynamics_regime)
@@ -150,9 +152,12 @@ def test_product_state_is_pure(ph):
     assert entropy(ev2) <= 1.0
 
 
-def _k_space_states(N):
-    """(label, state) pairs: random complex, canonical packet, single modes."""
-    ph = projected_hamiltonian(canonical_params().replace(N=N))
+def _k_space_states(N, J=-1.0, D=-4.5):
+    """(label, state) pairs: random complex, canonical packet, single modes,
+    on the canonical model at N or on its mirror or a slower decay
+    (J, D given, V0 opposite in sign to D)."""
+    ph = projected_hamiltonian(canonical_params(V0=-0.5 * np.sign(D))
+                               .replace(N=N, J=J, D=D))
     rng = np.random.default_rng(N)
     states = []
     for seed in range(3):
@@ -168,10 +173,16 @@ def _k_space_states(N):
 
 
 @pytest.mark.filterwarnings("ignore:packet clipped")
-@pytest.mark.parametrize("N", [12, 40, 200])
-def test_schmidt_weights_match_explicit_density(N):
-    """The K-space Schmidt spectrum equals eigvalsh of the explicit 2N x 2N rho."""
-    ph, states = _k_space_states(N)
+@pytest.mark.parametrize("N, J, D", [
+    (12, -1.0, -4.5), (40, -1.0, -4.5), (200, -1.0, -4.5), (400, -1.0, -4.5),
+    (400, 1.0, 4.5), (400, -1.0, -4.05), (400, 1.0, 4.05)],
+    ids=["12", "40", "200", "400", "400-mirror", "400-D4.05", "400-mirror-D4.05"])
+def test_schmidt_weights_match_explicit_density(N, J, D):
+    """The K-space Schmidt spectrum, from the Gram blocks cut to the
+    relative support, equals eigvalsh of the explicit 2N x 2N rho, up to
+    N = 400 and at |D| = 4.05 |J|, near the slowest decay the dynamics
+    regime allows."""
+    ph, states = _k_space_states(N, J, D)
     for label, st in states:
         rho = reduced_density(st, ph.modes)
         want = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
@@ -180,6 +191,44 @@ def test_schmidt_weights_match_explicit_density(N):
         assert np.all(np.diff(got) >= 0.0), label
         assert np.abs(got - want).max() < 1e-12, label
         assert abs(entropy(got) - entropy(want)) < 1e-12, label
+
+
+@functools.cache
+def _basis(N, J, D):
+    return ModeBasis(ModelParams(N=N, J=J, D=D))
+
+
+@pytest.mark.parametrize("J, D", [(-1.0, -4.5), (1.0, 4.5), (-1.0, -4.05),
+                                  (1.0, 4.05)])
+def test_parity_columns_cut_to_the_relative_support(J, D):
+    """_parity_columns keeps phi's window columns with |s| <= s_max, the
+    smallest cut (from |s| = N/2 inward) whose dropped columns hold at
+    most eps^2 of every mode's window weight.  Every column stays at
+    N = 40, and the same columns at N = 200 and 400: phi has decayed
+    there, so an entropy sample costs the same at any larger N."""
+    eps2 = np.finfo(float).eps ** 2
+    counts = {}
+    for N in (40, 200, 400):
+        modes = _basis(N, J, D)
+        s, phi = modes.s[modes.window], modes.phi[:, modes.window]
+        kept = modes.s[dynamics._schmidt_support(modes)]
+        s_max = np.abs(kept).max()
+        np.testing.assert_array_equal(kept, s[np.abs(s) <= s_max])
+        # symmetric in s -> -s, bar the window's one-sided edge s = N/2
+        assert np.isin(-kept[kept != N // 2], kept).all()
+        total = np.sum(phi ** 2, axis=1)
+
+        def dropped(cut):
+            return np.sum(phi[:, np.abs(s) > cut] ** 2, axis=1)
+        assert np.all(dropped(s_max) <= eps2 * total)
+        assert np.any(dropped(s_max - 1) > eps2 * total)     # the smallest cut
+        columns = dynamics._parity_columns(modes)
+        for k, c in enumerate(columns):
+            assert c.flags.f_contiguous
+            np.testing.assert_array_equal(c, modes.phi[:, kept[k::2] + N - 1])
+        counts[N] = [c.shape[1] for c in columns]
+    assert counts[40] == [20, 20]
+    assert counts[200] == counts[400]
 
 
 def test_trajectory_entropy_matches_reduced_density():
@@ -530,6 +579,21 @@ def test_trajectory_frees_its_basis():
     basis = weakref.ref(modes)
     del modes, G, ph
     assert basis() is None
+
+
+@pytest.mark.filterwarnings("ignore:packet clipped")
+def test_failed_run_frees_its_basis(tmp_path):
+    """A calibrated wavepacket run that fails after its calibration, here
+    on a snapshot time whose phase overflows (exit 1), frees the split
+    forms that the calibration built, as a run that returns does."""
+    cfg = {"model": {"N": 40, "J": -1.0, "D": -4.5, "V0": 0.0},
+           "wavepacket": {"K0": K0, "dK0": DK0, "t_start": -30.0, "t_end": -29.0,
+                          "calibrate_v0": True, "snapshots": [1e308]}}
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["wavepacket", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert dynamics._split_forms.cache_info().currsize == 0
 
 
 def _full_basis_reflected(exact_pair_run, p, cfg, t_measure):
