@@ -252,20 +252,16 @@ def cmd_wavepacket(params, sec, out):
     modes = ModeBasis(params)
     G = projected.impurity_overlap(modes)
     u0 = dynamics.init_wavepacket(config, modes)
-    try:
-        v0 = (dynamics.calibrate_v0(modes, G, u0, config.K0, target) if calibrate
-              else params.V0)
-        ph = projected.build_projected_hamiltonian(modes, G, v0)
-        # every snapshot's phases are checked before any file is written
-        dynamics._phases(ph.eigensystem()[0], np.array(times)[:, None] - u0.t)
-        out.table("wavepacket_timeseries",
-                  ("t", "entropy_bits", "norm", "energy", "reflected_prob"),
-                  [(s.t, s.entropy, s.norm, s.energy, s.reflected)
-                   for s in dynamics.run_trajectory(ph, u0, config)])
-    finally:    # a run that fails after the calibration frees its split forms too
-        dynamics._split_forms.cache_clear()
-    for t in times:
-        st = dynamics.propagate(u0, ph, t)
+    v0 = (dynamics.calibrate_v0(modes, G, u0, config.K0, target) if calibrate
+          else params.V0)
+    ph = projected.build_projected_hamiltonian(modes, G, v0)
+    # every snapshot state is computed, and can fail, before any file is written
+    states = [dynamics.propagate(u0, ph, t) for t in times]
+    out.table("wavepacket_timeseries",
+              ("t", "entropy_bits", "norm", "energy", "reflected_prob"),
+              [(s.t, s.entropy, s.norm, s.energy, s.reflected)
+               for s in dynamics.run_trajectory(ph, u0, config)])
+    for t, st in zip(times, states):
         out.grid(f"snapshot_psi2_t{t}",    # unnamed: freed before rho is built
                  np.abs(dynamics.realspace_amplitude(st, modes)[2]) ** 2)
         rho = dynamics.reduced_density(st, modes)

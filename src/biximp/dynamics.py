@@ -82,6 +82,7 @@ the window amplitude.
 import functools
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +102,7 @@ CONTRAST_FLOOR = 1e-14    # contrast is NaN where the mean density is below this
 # largest time grid a WavepacketConfig accepts: run_trajectory holds a
 # few (samples x N) complex arrays, 64 MB each at N = 400
 MAX_SAMPLES = 10_000
+_SPLIT_FORMS = weakref.WeakKeyDictionary()    # ModeBasis -> its _split_forms
 
 
 @dataclass(frozen=True)
@@ -212,7 +214,6 @@ def energy_expectation(state, ph):
 # real-space observables
 
 
-@functools.lru_cache(maxsize=1)
 def _split_forms(modes):
     """The real forms Q_imp, Q_anti and R of the module docstring for
     buffers of SPLIT_BUFFER sites, stacked row-wise into (3N, N), and
@@ -220,10 +221,12 @@ def _split_forms(modes):
 
     sum_r c(r) e^{i pi k r / N} over the 2N sites r is 2N times the
     inverse DFT of c, placed at r mod 2N, at frequency k mod 2N; it is
-    real for even c and imaginary for odd c.  Cached for the last basis:
-    a calibration and its run share it until run_trajectory returns, or
-    until a wavepacket command ends, failed or not.
+    real for even c and imaginary for odd c.  Kept in _SPLIT_FORMS, keyed
+    weakly by the basis (the arrays hold no reference to it): a calibration
+    and its run share them until run_trajectory drops them or the basis dies.
     """
+    if modes in _SPLIT_FORMS:
+        return _SPLIT_FORMS[modes]
     r, N = modes.r, modes.params.N
     s, phi = modes.s[modes.window], modes.phi[:, modes.window]
     fold = np.where(np.abs(s) == N // 2, 1.0, 2.0)
@@ -240,7 +243,7 @@ def _split_forms(modes):
     for p in (0, 1):
         par = s % 2 == p
         Q += d[p][:, dl] * ((phi[:, par] * fold[par]) @ phi[:, par].T)
-    return Q.reshape(3 * N, N), N * (phi ** 2 @ fold)
+    return _SPLIT_FORMS.setdefault(modes, (Q.reshape(3 * N, N), N * (phi ** 2 @ fold)))
 
 
 def realspace_amplitude(state, modes):
@@ -421,9 +424,10 @@ def split_ratio(state, modes, K0, strict=True):
 def calibrate_v0(modes, overlap, u0, K0, target):
     """Impurity strength giving the target reflected fraction of the
     packet `u0` centred on K0, on the run's impurity-free `modes` and
-    their impurity `overlap`.  G's gate maxima are read once
-    (hamiltonian_builder), and each trial V0 propagates with its real
-    sector spectrum (diagonalize_projected), building no M.
+    their impurity `overlap`.  G's gate maxima (hamiltonian_builder) and the
+    split forms (_split_forms, which the recorded run reuses) are made once,
+    and each trial V0 propagates with its real sector spectrum
+    (diagonalize_projected), building no M.
 
     Bisection on |V0| in [0, |D|] with the sign opposite to D, until
     the bracket is narrower than 1e-12; reflection is measured at
@@ -486,7 +490,7 @@ class TrajectorySample:
 def run_trajectory(ph, state, config):
     """Propagate the packet `state` (at t_start) under `ph`; returns one
     TrajectorySample (t, S, norm, energy, reflected) per time of the
-    config's grid.
+    config's grid, and drops the split forms of ph.modes (_split_forms).
 
     Every sample time comes from one product over the time grid,
     u(t) = W exp(-i E (t - t0)) W^H u(t0), as in propagate.
@@ -506,5 +510,5 @@ def run_trajectory(ph, state, config):
         samples.append(TrajectorySample(
             st.t, entropy(_schmidt_weights(u, columns)), st.norm,
             energy_expectation(st, ph), refl))
-    _split_forms.cache_clear()      # the snapshots after a run never read them
+    _SPLIT_FORMS.pop(ph.modes, None)    # the snapshots after a run never read them
     return samples

@@ -39,7 +39,7 @@ cut-off.
 import contextlib
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,7 +97,6 @@ class ProjectedHamiltonian:
     modes: ModeBasis
     overlap: np.ndarray
     V0: float
-    _eig: tuple = field(default=None, init=False, repr=False)
 
     @functools.cached_property
     def params(self):
@@ -107,6 +106,10 @@ class ProjectedHamiltonian:
     def M(self):
         return np.diag(self.modes.energies.astype(complex)) + potential_matrix(
             self.params, self.overlap)
+
+    @functools.cached_property
+    def _eigh(self):
+        return checked_eigh(self.M)
 
     def eigensystem(self):
         """Complex eigh of M, cached; the recorded run's propagation path.
@@ -118,9 +121,7 @@ class ProjectedHamiltonian:
         eigh by 3.7e-9 and 5.8e-9 (t = 35, 54), a cos-sum G by 3.3e-9
         and 3.7e-9.  They merge once those references are re-recorded.
         """
-        if self._eig is None:
-            self._eig = checked_eigh(self.M)
-        return self._eig
+        return self._eigh
 
 
 def _gates(modes, overlap):

@@ -15,7 +15,6 @@ spend computing, and nothing else in the package needs scipy.
 Failures raise NumericalError, so the CLI reports them in one line.
 """
 
-import functools
 import math
 
 from .errors import NumericalError
@@ -148,10 +147,8 @@ def steered_bisection(f, target, lo, hi, steps, width):
     crosses the target once on [lo, hi], this gives the same midpoints
     and the same result, bit for bit, as evaluating f at every
     midpoint.  Without that bracket, or if Brent's method fails, every
-    midpoint is evaluated.  f is memoized, so no point is evaluated
-    twice.
+    midpoint is evaluated.  f can be called twice at a point: memoize it.
     """
-    f = functools.cache(f)
     root = None
     if f(lo) < target <= f(hi):
         try:

@@ -110,10 +110,6 @@ class PoleResult:
     energy: float
     residual: float
 
-    @property
-    def K(self):
-        return complex(self.K_prime, self.K_doubleprime)
-
 
 def pole_branch(params):
     """K' = 0 for sgn(D) = sgn(V0), K' = pi/2 for opposite signs."""

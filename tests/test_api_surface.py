@@ -1,5 +1,6 @@
-"""The surface of biximp: each option is a value some caller varies, and
-each function has a caller or a stated reason to exist.
+"""The surface of biximp: each option is a value some caller varies,
+each function has a caller or a stated reason to exist, and no module
+reads another module's private names.
 
 Every optional parameter (one with a default, or a **kwargs) doubles the
 settings the tests must cover, so the package keeps only those that a
@@ -140,3 +141,48 @@ def test_every_function_has_a_caller():
             tree = ast.parse((TESTS / path).read_text())
             assert test in {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}, name
             assert names_in(tree)[name.split(".")[-1]], name
+
+
+def is_private(name):
+    """A leading underscore, dunder names excepted."""
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def dotted(node):
+    """"a.b.c" for a Name or an Attribute chain on a Name, else None."""
+    if isinstance(node, ast.Attribute):
+        head = dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def private_uses():
+    """Each use in src/biximp of another biximp module's private name, as
+    "file:line name": `from .m import _x`, or `m._x` on a module m that
+    the file imports from the package."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "biximp"):
+                package = node.module in (None, "biximp")    # from . import m
+                for alias in node.names:
+                    if is_private(alias.name):
+                        found.append(f"{path.name}:{node.lineno} {alias.name}")
+                    elif package:
+                        modules.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                modules.update(alias.asname or alias.name for alias in node.names
+                               if alias.name.split(".")[0] == "biximp")
+        found += [f"{path.name}:{node.lineno} {dotted(node)}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and is_private(node.attr)
+                  and dotted(node.value) in modules]
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A decision that two modules share lives behind a public name of
+    one of them; tests may still reach private names."""
+    assert private_uses() == []

@@ -581,19 +581,60 @@ def test_trajectory_frees_its_basis():
     assert basis() is None
 
 
-@pytest.mark.filterwarnings("ignore:packet clipped")
-def test_failed_run_frees_its_basis(tmp_path):
-    """A calibrated wavepacket run that fails after its calibration, here
-    on a snapshot time whose phase overflows (exit 1), frees the split
-    forms that the calibration built, as a run that returns does."""
+def test_trajectory_drops_its_split_forms(ph, u0):
+    """run_trajectory drops its basis's split forms before it returns,
+    though the basis lives on: the snapshots after it never read them."""
+    run_trajectory(ph, u0, canonical_config(t_end=-28.0))
+    assert ph.modes not in dynamics._SPLIT_FORMS
+
+
+def _calibrated_run(tmp_path, **packet):
+    """cli.main on a calibrated N = 40 wavepacket run; returns its exit code."""
     cfg = {"model": {"N": 40, "J": -1.0, "D": -4.5, "V0": 0.0},
-           "wavepacket": {"K0": K0, "dK0": DK0, "t_start": -30.0, "t_end": -29.0,
-                          "calibrate_v0": True, "snapshots": [1e308]}}
+           "wavepacket": dict({"K0": K0, "dK0": DK0, "t_start": -30.0,
+                               "calibrate_v0": True}, **packet)}
     path = tmp_path / "c.yaml"
     path.write_text(yaml.safe_dump(cfg))
-    assert main(["wavepacket", "--config", str(path),
-                 "--out", str(tmp_path / "out")]) == 1
-    assert dynamics._split_forms.cache_info().currsize == 0
+    return main(["wavepacket", "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.filterwarnings("ignore:packet clipped")
+def test_failed_run_frees_its_basis(tmp_path, monkeypatch):
+    """A calibrated wavepacket run that fails after its calibration, here
+    on a snapshot time whose phase overflows (exit 1), frees its basis
+    and the split forms that the calibration built, as a run that
+    returns does: no module memo keeps them."""
+    split_forms, refs = dynamics._split_forms, []
+
+    def spy(modes):
+        forms = split_forms(modes)
+        refs.extend(map(weakref.ref, (modes, *forms)))
+        return forms
+
+    monkeypatch.setattr(dynamics, "_split_forms", spy)
+    assert _calibrated_run(tmp_path, t_end=-29.0, snapshots=[1e308]) == 1
+    assert refs and all(ref() is None for ref in refs)
+
+
+@pytest.mark.filterwarnings("ignore:packet clipped")
+def test_calibrated_run_builds_its_split_forms_once(tmp_path, monkeypatch):
+    """Through cli.main, the calibration's trials and every trajectory
+    sample read one set of split forms: they are built once per run."""
+    split_forms, seen, reads = dynamics._split_forms, [], []
+
+    def spy(modes):
+        forms = split_forms(modes)
+        if not any(forms is f for f in seen):
+            seen.append(forms)
+        reads.append(modes)
+        return forms
+
+    monkeypatch.setattr(dynamics, "_split_forms", spy)
+    builds = _counting_builds(monkeypatch)
+    assert _calibrated_run(tmp_path, t_end=-25.0) == 0
+    # one read per trial V0 and one per sample of t = -30 .. -25
+    assert len(reads) == len(builds) + 6 and len(builds) > 1
+    assert len(seen) == 1
 
 
 def _full_basis_reflected(exact_pair_run, p, cfg, t_measure):

@@ -110,6 +110,16 @@ def test_single_bound_state_every_sign():
         assert len(bound_energies_from_matrix(P(V0=V0, N=100))) == 1
 
 
+@pytest.mark.parametrize("N", [12, 40, 100])
+@pytest.mark.parametrize("J", [1.0, -1.0])
+@pytest.mark.parametrize("E0", [0.0, 1000.0])
+def test_no_bound_state_without_impurity(N, J, E0):
+    """At V0 = 0 the whole spectrum is the band E0 + 2J cos k, but eigvalsh
+    puts an edge up to 2.3e-13 outside E0 +- 2|J|: BOUND_SPLIT_TOL must
+    exceed that rounding, so no energy counts as bound."""
+    assert len(bound_energies_from_matrix(P(J=J, V0=0.0, N=N, E0=E0))) == 0
+
+
 def test_sign_symmetry_spectrum_map():
     p = P(J=1.0, V0=2.5, N=24, E0=0.4)
     ev1 = np.sort(np.linalg.eigvalsh(exciton_site_hamiltonian(p)))
