@@ -157,7 +157,9 @@ def phi_samples(l_K, k_i, params):
     k_i[i].  Normalized so that sum_s phi^2 = 1 over the sampled range;
     the full state norm over the even r+s sublattice then equals one
     with the sqrt(2/N) CM prefactor.  At the delta limit (k_i = inf) the
-    closed half-half form on |s| = 1 and |s| = N-1 is used.
+    closed half-half form on |s| = 1 and |s| = N-1 is used.  phi depends
+    on |s| only, so the closed form is evaluated on s in [0, N-1] and the
+    s < 0 columns are copies.
     """
     N = params.N
     s = np.arange(-N + 1, N)
@@ -166,7 +168,8 @@ def phi_samples(l_K, k_i, params):
     phi = np.zeros((len(l_K), 2 * N - 1))
     for par in (0, 1):
         rows = ~delta & (parity == par)
-        phi[rows] = closed_phi(k_i[rows, None], s, N, par)
+        right = closed_phi(k_i[rows, None], s[N - 1:], N, par)
+        phi[rows, N - 1:], phi[rows, :N - 1] = right, right[:, :0:-1]
     # |s| = 1 and |s| = N-1 coincide only for N = 2, excluded by params
     phi[np.ix_(delta, np.abs(s) == 1)] = 0.5
     phi[np.ix_(delta, np.abs(s) == N - 1)] = 0.5 * (-1.0) ** l_K[delta, None]
@@ -189,6 +192,11 @@ class ModeBasis:
     the s axis running over [-N+1, N-1].  The lattice conventions every
     observable shares: r (2N,), the extended CM ring (-N, N]; and
     window (N,), the phi columns of one relative period s in (-N/2, N/2].
+
+    k_i and the energies are solved for l_K <= 0, in grid order, and for
+    l_K = N/2; each l_K > 0 copies -l_K, which has the same cos K and
+    parity.  The solve order is kept so that an ExistenceError names the
+    first failing K of the grid.
     """
 
     def __init__(self, params, method="auto"):
@@ -198,13 +206,17 @@ class ModeBasis:
         self.params = params = params.replace(V0=0.0)
         self.l_K, self.K = k_grid(params)
         self.parity = np.abs(self.l_K) % 2
-        K = self.K.tolist()
-        self.k_i = np.array([solve_relative_decay(k, params, par, method)
-                             for k, par in zip(K, self.parity.tolist())])
-        self.energies = np.array([_pair_energy(k, ki, params, method)
-                                  for k, ki in zip(K, self.k_i.tolist())])
-        self.phi = phi_samples(self.l_K, self.k_i, params)
         N = params.N
+        half = N // 2
+        solved = [*range(half), N - 1]                # l_K <= 0, then N/2
+        K, par = self.K.tolist(), self.parity.tolist()
+        k_i = [solve_relative_decay(K[j], params, par[j], method) for j in solved]
+        energies = [_pair_energy(K[j], ki, params, method)
+                    for j, ki in zip(solved, k_i)]
+        mirror = np.r_[0:half, half - 2:-1:-1, half]  # position in `solved`
+        self.k_i = np.array(k_i)[mirror]
+        self.energies = np.array(energies)[mirror]
+        self.phi = phi_samples(self.l_K, self.k_i, params)
         self.s = np.arange(-N + 1, N)
         self.r = np.arange(-N + 1, N + 1)
         # index array, not a slice: products read the contiguous copy
@@ -215,8 +227,15 @@ class ModeBasis:
 
     @functools.cached_property
     def cm_phase(self):
-        """CM phase matrix e^{iKr}, (2N, N), on the extended ring r in (-N, N]."""
-        return np.exp(1j * np.outer(self.r, self.K))
+        """CM phase matrix e^{iKr}, (2N, N), on the extended ring r in (-N, N].
+
+        Evaluated on r >= 0 only: row -r is the conjugate of row r, bit
+        for bit, since cos is even and sin odd.  Adding 0.0 turns the
+        conjugate's Im = -0.0 at K = 0 into the +0.0 that e^{i 0} has.
+        """
+        N = len(self.K)
+        right = np.exp(1j * np.outer(self.r[N - 1:], self.K))
+        return np.concatenate([right[N - 1:0:-1].conj() + 0.0, right])
 
     def band_edges(self):
         """Min/max of the discrete pair-energy band over the K grid."""

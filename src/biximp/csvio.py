@@ -22,11 +22,25 @@ def format_value(v):
     return str(v)
 
 
+def _float17(v):
+    return float.__format__(v, ".17g")
+
+
+def _bool(v):
+    return "true" if v else "false"
+
+
+# format_value's strings, looked up by exact type, for the types tables hold
+_FORMAT = {float: _float17, np.float64: _float17, bool: _bool, np.bool_: _bool,
+           int: str, str: str}
+
+
 def write_csv(path, header, rows):
+    fmt = _FORMAT.get
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+            fh.write(",".join([fmt(type(v), format_value)(v) for v in row]) + "\n")
 
 
 def json_value(v):

@@ -65,10 +65,15 @@ STACK_BYTES = 1 << 22   # the arrays of one stacked sector solve
 def impurity_overlap(modes):
     """V0-independent overlap G = B* B^T with B_Ks = phi_K(s) e^{iKs}.
 
-    Depends on the basis only, so one G serves every V0 of a basis.
+    Depends on the basis only, so one G serves every V0 of a basis.  The
+    s window is (-N/2, N/2] without s = 0.  The phase is evaluated on
+    s > 0 only: column -s is the conjugate of column s, bit for bit (as
+    in ModeBasis.cm_phase, adding 0.0 keeps e^{i 0} at Im = +0.0).
     """
     cols = modes.window[modes.s[modes.window] != 0]
-    B = modes.phi[:, cols] * np.exp(1j * np.outer(modes.K, modes.s[cols]))
+    right = np.exp(1j * np.outer(modes.K, np.arange(1, modes.params.N // 2 + 1)))
+    phase = np.concatenate([right[:, -2::-1].conj() + 0.0, right], axis=1)
+    B = modes.phi[:, cols] * phase
     return B.conj() @ B.T
 
 

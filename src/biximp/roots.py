@@ -118,18 +118,25 @@ def decay_root(f, hi):
 def scan_roots(f, grid):
     """Roots of f on the grid, lazily in grid order.
 
-    f must be elementwise: it is evaluated once on the whole grid before
-    the first root is yielded, and each sign change between neighbouring
-    samples is then polished with Brent's method on scalar calls.  A
-    sample that is exactly zero is itself a root.  Signs are compared,
+    f must be elementwise.  It is evaluated on contiguous chunks of the
+    grid of 64, 128, 256, ... points, each starting at the last point
+    of the one before, so no sign change between chunks is missed and a
+    caller that stops at the first root never evaluates the chunks
+    after it.  Each sign change between neighbouring samples is polished
+    with Brent's method on scalar calls.  A sample that is exactly zero
+    is itself a root; the last grid point never is.  Signs are compared,
     not the product of two samples, which underflows below 1e-154.
     """
-    vals = f(grid)
-    for i in range(len(grid) - 1):
-        if vals[i] < 0 < vals[i + 1] or vals[i] > 0 > vals[i + 1]:
-            yield brentq(f, grid[i], grid[i + 1], xtol=1e-14)
-        elif vals[i] == 0.0:
-            yield grid[i]
+    lo, size = 0, 64
+    while lo < len(grid) - 1:
+        hi = min(lo + size, len(grid))
+        vals = f(grid[lo:hi])
+        for i, a, b in zip(range(lo, hi), vals, vals[1:]):
+            if a < 0 < b or a > 0 > b:
+                yield brentq(f, grid[i], grid[i + 1], xtol=1e-14)
+            elif a == 0.0:
+                yield grid[i]
+        lo, size = hi - 1, 2 * size
 
 
 def steered_bisection(f, target, lo, hi, steps, width):

@@ -1,6 +1,7 @@
 """Output formatting and binary grids."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,19 @@ def test_csv_roundtrip(tmp_path):
     assert text.splitlines()[0] == "a,b,c,d"
     got = float(text.splitlines()[1].split(",")[1])
     assert got == 0.1 + 0.2    # 17 significant digits round-trip exactly
+
+
+def test_csv_bytes_are_the_format_value_join(tmp_path):
+    """write_csv formats by exact type; its bytes equal the format_value
+    join for every type a table holds."""
+    row = (1.0 / 3.0, np.float64(2.5), True, np.bool_(False), 7, "x",
+           np.int64(-3), math.nan, np.float64(math.nan), math.inf, -np.float64(math.inf),
+           -0.0, np.float64(-0.0), np.bool_(True), False, 10 ** 20, 1e-300)
+    path = tmp_path / "t.csv"
+    write_csv(path, [f"c{i}" for i in range(len(row))], [row, row[::-1]])
+    lines = path.read_bytes().decode().split("\n")
+    assert lines[1:] == [",".join(map(format_value, row)),
+                         ",".join(map(format_value, row[::-1])), ""]
 
 
 def test_json_rows(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 
 from biximp import (ExistenceError, ModeBasis, ModelParams, ParameterError,
                     alpha, k_grid)
-from biximp.biexciton import default_method, solve_relative_decay
+from biximp.biexciton import _pair_energy, closed_phi, default_method, solve_relative_decay
+from biximp.projected import impurity_overlap
 from biximp.pairbasis import build_pair_hamiltonian
 
 
@@ -182,3 +183,77 @@ def test_biexciton_energy_equals_basis_energies(N, J, D, method):
         want = [2.0 * p.E0 + p.D * (1.0 + (2.0 * p.J * math.cos(K) / p.D) ** 2)
                 for K in basis.K[:-1].tolist()]
     assert np.array_equal(basis.energies[:-1], want)
+
+
+def direct_modes(p, method):
+    """k_i, energies and phi as ModeBasis computed them before it used the
+    K -> -K and s -> -s mirror halves: every K solved, in grid order,
+    and closed_phi on the whole s range; the reference."""
+    N = p.N
+    l_K, K = k_grid(p)
+    parity = np.abs(l_K) % 2
+    k_i = np.array([solve_relative_decay(k, p, par, method)
+                    for k, par in zip(K.tolist(), parity.tolist())])
+    energies = np.array([_pair_energy(k, ki, p, method) for k, ki in zip(K.tolist(), k_i.tolist())])
+    s = np.arange(-N + 1, N)
+    delta = np.isinf(k_i)
+    phi = np.zeros((N, 2 * N - 1))
+    for par in (0, 1):
+        rows = ~delta & (parity == par)
+        phi[rows] = closed_phi(k_i[rows, None], s, N, par)
+    phi[np.ix_(delta, np.abs(s) == 1)] = 0.5
+    phi[np.ix_(delta, np.abs(s) == N - 1)] = 0.5 * (-1.0) ** l_K[delta, None]
+    return k_i, energies, phi
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("N", [4, 6, 12, 40, 400])
+@pytest.mark.parametrize("J", [1.0, -1.0])
+def test_mirror_halves_are_the_direct_formulas(N, J):
+    """ModeBasis's k_i, energies, phi and cm_phase, and the overlap G of
+    impurity_overlap, are bit for bit the direct formulas: every K solved,
+    phi on every s, e^{iKr} on every r and B's phase e^{iKs} on every s
+    (G = B* B^T).  D runs from just above 2|J| up; where the basis has no
+    bound root, both raise the same ExistenceError.  The K = pi/2 row is
+    the delta limit.  "auto" is large_n at D/J = 4.1 and 40 from N = 40."""
+    built = 0
+    for ratio in (2.01, 2.05, 2.1, 2.5, 3.0, 4.1, 40.0):
+        p = ModelParams(N=N, J=J, D=ratio * J, E0=0.3)
+        for method in ("auto", "exact"):
+            want_method = default_method(p) if method == "auto" else method
+            try:
+                want = direct_modes(p, want_method)
+            except ExistenceError as exc:
+                with pytest.raises(ExistenceError) as got:
+                    ModeBasis(p, method)
+                assert str(got.value) == str(exc)
+                continue
+            modes = ModeBasis(p, method)
+            built += 1
+            assert all(map(same_bits, (modes.k_i, modes.energies, modes.phi), want))
+            assert math.isinf(modes.k_i[-1])
+            assert same_bits(modes.cm_phase, np.exp(1j * np.outer(modes.r, modes.K)))
+            cols = modes.window[modes.s[modes.window] != 0]
+            B = modes.phi[:, cols] * np.exp(1j * np.outer(modes.K, modes.s[cols]))
+            assert same_bits(impurity_overlap(modes), B.conj() @ B.T)
+    assert built >= 4
+
+
+@pytest.mark.parametrize("N, ratio, message", [
+    (4, 2.01, "no bound relative root at K=-0.785398 (parity 1, 1/alpha=1.421285"),
+    (6, 2.05, "no bound relative root at K=-0.523599 (parity 1, 1/alpha=1.183568"),
+    (12, 2.1, "no bound relative root at K=-0.261799 (parity 1, 1/alpha=1.087040"),
+    (40, 2.01, "no bound relative root at K=-0.235619 (parity 1, 1/alpha=1.033557"),
+    (40, 2.05, "no bound relative root at K=-0.078540 (parity 1, 1/alpha=1.028170"),
+])
+@pytest.mark.parametrize("J", [1.0, -1.0])
+def test_near_threshold_existence_error_names_the_first_failing_k(N, ratio, message, J):
+    """Near |D| = 2|J| the odd branch loses its root first at some K < 0 of
+    the grid; the error names that K, as when every K was solved in grid
+    order (solving l_K >= 0 first would name +K)."""
+    with pytest.raises(ExistenceError) as got:
+        ModeBasis(ModelParams(N=N, J=J, D=ratio * J))
+    assert str(got.value) == message + " below finite-N threshold)"

@@ -21,7 +21,8 @@ from biximp.cli import main
 from biximp.pairbasis import build_pair_hamiltonian
 from biximp.projected import (CLASS_K_SPLIT, PROFILE_FLOOR, BoundStateRecord,
                               bound_candidates, cm_amplitude, distance_profile,
-                              fit_ring_decay, participation_ratio)
+                              fit_ring_decay, participation_ratio,
+                              ring_decay_profile)
 from conftest import EighSpy, dense_scatter, projected_hamiltonian
 
 
@@ -402,6 +403,22 @@ def test_count_equals_classified_records(params):
     ph = projected_hamiltonian(params)
     recs = classify_bound_states(diagonalize_projected(ph), ph.modes)
     assert count_fresh(params) == len(recs)
+
+
+@pytest.mark.parametrize("J", [1.0, -1.0])
+def test_tail_gate_drops_a_state_just_past_its_bound(J):
+    """At N = 12, D = 2.7 J, V0 = -1.25 J two states leave the band.  The
+    far-tail fraction of one (even sector) is 0.110, just past
+    TAIL_FRACTION_MAX = 0.10, so the count is 1; a bound of 0.12 would
+    count 2."""
+    p = ModelParams(N=12, J=J, D=2.7 * J, V0=-1.25 * J)
+    ph = projected_hamiltonian(p)
+    spec = diagonalize_projected(ph)
+    out = np.flatnonzero(ph.modes.out_of_band(spec.energies))
+    ds, ps = ring_decay_profile(spec.columns(out), ph.modes)
+    tail = ps[ds > p.N // 2].sum(axis=0) / ps.sum(axis=0)
+    assert sorted(tail) == pytest.approx([2.2e-4, 0.110], abs=1e-3)
+    assert count_fresh(p) == 1
 
 
 def test_potential_matrix_with_reused_overlap(fig2_params):

@@ -136,3 +136,88 @@ def test_scan_roots_at_any_scale(scale):
     roots_found = list(roots.scan_roots(f, np.linspace(0.0, 1.0, 11)))
     assert len(roots_found) == 2
     assert roots_found[0] == pytest.approx(0.3, abs=1e-13) and roots_found[1] == 0.5
+
+
+def eager_scan(f, grid):
+    """scan_roots as it was written before its scan went lazy: f on the
+    whole grid at once, then the same polish; the reference."""
+    vals = f(grid)
+    found = []
+    for i in range(len(grid) - 1):
+        if vals[i] < 0 < vals[i + 1] or vals[i] > 0 > vals[i + 1]:
+            found.append(roots.brentq(f, grid[i], grid[i + 1], xtol=1e-14))
+        elif vals[i] == 0.0:
+            found.append(grid[i])
+    return found
+
+
+# the first grid index of each chunk after the first: chunks of 64, 128,
+# 256 and 512 points, each starting at the last point of the one before
+CHUNK_STARTS = (63, 190, 445, 956)
+
+
+def product_of_roots(*xs):
+    return lambda x: np.prod([x - r for r in xs], axis=0)
+
+
+@pytest.mark.parametrize("n, f", [
+    # roots half a step either side of every chunk boundary
+    (1000, product_of_roots(*[c + d for c in CHUNK_STARTS[:3] for d in (-0.5, 0.5)])),
+    # an exact zero on a chunk boundary, and one on the last point
+    (446, product_of_roots(5.5, 190.0, 300.25, 445.0)),
+    # exact zeros on the first and last point of the first chunk
+    (64, product_of_roots(0.0, 63.0)),
+    # a grid shorter than the first chunk
+    (10, product_of_roots(2.5, 7.0)),
+    (2, product_of_roots(0.5)),
+    (1, product_of_roots(0.0)),
+    (0, product_of_roots(0.5)),
+    # every interval a sign change
+    (700, lambda x: np.sin(np.pi * (x + 0.5))),
+])
+def test_scan_roots_is_the_eager_scan(n, f):
+    """The chunked scan yields the eager scan's roots, bit for bit and in
+    the same order, wherever the roots sit relative to the chunks."""
+    grid = np.arange(float(n))
+    got, want = list(roots.scan_roots(f, grid)), eager_scan(f, grid)
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+
+def test_scan_roots_stops_at_the_chunk_of_its_first_root():
+    """A consumer that takes only the first root makes f evaluate no grid
+    point past the chunk that holds it (points 63..190), and the chunks
+    it evaluates are contiguous slices of the grid."""
+    grid = np.linspace(0.0, 8.0, 800)
+    f = product_of_roots(grid[120] + 1e-3, grid[500] + 1e-3)
+    arrays = []
+
+    def recording(x):
+        if np.ndim(x):
+            arrays.append(np.array(x))
+        return f(x)
+
+    first = next(roots.scan_roots(recording, grid))
+    assert first == eager_scan(f, grid)[0]
+    assert [(a[0], len(a)) for a in arrays] == [(grid[0], 64), (grid[63], 128)]
+    for a in arrays:
+        i = int(np.flatnonzero(grid == a[0])[0])
+        assert np.array_equal(a, grid[i:i + len(a)])
+
+
+@pytest.mark.parametrize("N", [40, 100])
+def test_find_pole_is_the_eager_scan_pole(monkeypatch, N):
+    """find_pole gives the same K'', energy and residual bits with the
+    eager scan, on both branches: sgn(D V0) = +1 (K' = 0) and -1
+    (K' = pi/2)."""
+    cases = [ModelParams(N=N, J=J, D=d * J, E0=0.0, V0=v0)
+             for J in (1.0, -1.0) for d in (2.5, 3.0, 4.0, 4.1, 6.0, 10.0)
+             for v0 in (0.05, -0.25, 0.25, -1.0, 1.0, -4.0, 8.0)]
+
+    def poles():
+        return [(r.K_prime, r.K_doubleprime.hex(), r.energy.hex(), float(r.residual).hex())
+                for r in map(scattering.find_pole, cases)]
+
+    lazy = poles()
+    monkeypatch.setattr(scattering, "scan_roots", lambda f, grid: iter(eager_scan(f, grid)))
+    assert lazy == poles()
+    assert {p[0] for p in lazy} == {0.0, math.pi / 2}
