@@ -214,17 +214,18 @@ def cmd_bic(params, sec, out):
         e1 = e2 = math.nan
     e = spec.energies
     near = np.minimum(np.abs(e - e1), np.abs(e - e2))
-    # only candidates near the closed forms are scattered and analyzed; NaN selects none
+    # only candidates near the closed forms are scattered (once) and analyzed; NaN selects none
     idx = np.flatnonzero(near <= 0.5)
+    U = spec.columns(idx)
     rows = [(i, e[i], c.type, c.in_continuum, c.schmidt_number, c.decay_r, c.decay_s,
              near[i] > tol) for i, c in zip(idx, pairbasis.classify_states(
-                 e[idx], spec.columns(idx), params, basis))]
+                 e[idx], U, params, basis))]
     out.table("bic_classification",
               ("index", "energy", "type", "in_continuum", "schmidt_number",
                "decay_r", "decay_s", "mismatch_flag"), rows)
-    if dump and rows:
-        # the state is one of the rows, so it is classified there already
-        _, vec = pairbasis.find_bic_state(params, basis, spec)
+    if dump and rows:   # every state within BIC_WINDOW of E_b1, E_b2 is a candidate
+        _, vec = pairbasis.find_bic_state(
+            params, basis, projected.SpectrumResult(e[idx], lambda k: U[:, k]))
         out.grid("bic_amplitude", pairbasis.folded_amplitudes(vec, basis))
 
 

@@ -190,7 +190,7 @@ def init_wavepacket(config, modes):
 
 def propagate(state, ph, t_target):
     """Spectral propagation u(t) = W exp(-i E (t - t0)) W^H u(t0), with
-    (E, W) = ph.eigensystem(), a ProjectedHamiltonian's or a SpectrumResult's."""
+    (E, W) = ph.eigensystem() of a ProjectedHamiltonian or any SpectrumResult."""
     w, W = ph.eigensystem()
     phase = _phases(w, t_target - state.t)
     return WavepacketState(t_target, W @ (phase * (W.conj().T @ state.u)))

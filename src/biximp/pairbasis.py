@@ -120,10 +120,9 @@ def diagonalize_full(params):
     pairs take the slots after them.  An entry between a free and a
     fixed pair carries sqrt2, and the row of a fixed pair takes only its
     hops to pairs i < Pi.  The even block is built, solved and freed
-    before the odd one.  `projected.sector_spectrum` keeps the blocks'
-    eigenvectors: spec.columns(idx) scatters only the columns idx (all,
-    once, for spec.states), each <v|P|v> = +-1, the even state first at
-    an exact tie.  Traced peak: 3.8 MB at N = 40, 19.1 MB at N = 60.
+    before the odd one.  Its SpectrumResult (projected.sector_spectrum)
+    scatters only the columns a caller reads, each <v|P|v> = +-1, even
+    first at an exact tie.  Traced peak: 3.8 MB (N = 40), 19.1 MB (60).
 
     Before any solve, the entries are checked in O(N^2): J is finite,
     the hop set equals its transpose (H symmetric) and its P-image, and
@@ -344,13 +343,13 @@ def bic_energies(params):
 def find_bic_state(params, basis, spec):
     """Most doubly-localized eigenstate near the in-band closed-form energy.
 
-    `basis, spec` is the pair spectrum of `params` as `diagonalize_full`
-    returns it; the caller solves it once and may reuse it, and nothing
-    here diagonalizes.  Candidates within +-BIC_WINDOW of E_b1 (or E_b2 when
-    that one is in band) are ranked by the probability mass concentrated
-    near the impurity in both coordinates (separation <= 3, CM ring
-    distance <= 8).  Returns (energy, vector); the caller classifies the
-    state if it needs to (classify_state).
+    `spec` is a SpectrumResult of the pair Hamiltonian of `params` on
+    `basis`: diagonalize_full's, or its part on increasing indices that
+    holds every state within +-BIC_WINDOW of E_b1 (or E_b2 when that one
+    is in band), with the same result; nothing here diagonalizes.  Those
+    candidates are ranked by the probability mass near the impurity in
+    both coordinates (separation <= 3, CM ring distance <= 8).  Returns
+    (energy, vector); the caller classifies the state (classify_state).
     """
     e1, e2 = bic_energies(params)
     target = e1 if in_continuum(e1, params) else e2

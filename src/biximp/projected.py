@@ -39,6 +39,7 @@ cut-off.
 import contextlib
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,30 +187,21 @@ def hamiltonian_builder(modes, overlap):
 
 @dataclass
 class SpectrumResult:
-    """Eigenpairs of a Hermitian matrix; columns(idx) reads the columns idx."""
+    """Eigenpairs, the one spectrum form of every solver: columns(idx) gives
+    the eigenvectors idx as columns, and `states`, all of them, once."""
 
     energies: np.ndarray
-    states: np.ndarray          # column i is eigenvector i
+    columns: Callable   # a dense solve slices its matrix, sector_spectrum scatters
 
     def __len__(self):
         return len(self.energies)
 
-    def columns(self, idx):
-        return self.states[:, idx]
+    @functools.cached_property
+    def states(self):
+        return self.columns(np.arange(len(self.energies)))
 
     def eigensystem(self):
         return self.energies, self.states
-
-
-class SectorSpectrum(SpectrumResult):
-    """sector_spectrum's result: `states` scatters every column, once."""
-
-    def __init__(self, energies, columns):
-        self.energies, self.columns = energies, columns
-
-    @functools.cached_property
-    def states(self):   # frees the blocks: SpectrumResult.columns reads states
-        return self.__dict__.pop("columns")(np.arange(len(self.energies)))
 
 
 def _scatter(u, cols, y, sign, pairs, images, fix):
@@ -233,8 +225,8 @@ def sector_spectrum(sectors, pairs, images, what):
     a block runs over its pair states, in the order of `pairs`, then the
     states of its indices `fixed`; (w, y) is its eigh.  The caller
     solves the blocks, so it decides how many live at once.  Energies are
-    stably sorted, even first at an exact tie.  The result keeps the
-    blocks' eigenvectors: columns(idx) scatters only the columns idx, each
+    stably sorted, even first at an exact tie.  The result's column rule
+    keeps the blocks' eigenvectors and scatters only the columns idx, each
     <v|P|v> = +-1, bit for bit as in any batch.  Raises NumericalError
     (prefixed with `what`) when an entry overflowed: an energy not finite.
     """
@@ -250,7 +242,7 @@ def sector_spectrum(sectors, pairs, images, what):
             k = np.flatnonzero((src >= n0) == s)
             _scatter(u, k, y[:, src[k] - s * n0], sign, pairs, images, fix[:, None])
         return u
-    return SectorSpectrum(w[order], columns)
+    return SpectrumResult(w[order], columns)
 
 
 @functools.lru_cache(maxsize=None)
@@ -532,7 +524,7 @@ def count_bound_states(modes, overlap, v0_values):
         y = y[cell, sector, :, j].T
         U = np.zeros((N, len(cell)))
         _scatter(U, np.arange(len(cell)), y, 1.0 - 2.0 * sector, pairs, images, fixed[sector])
-        bound = bound_candidates(SpectrumResult(w[cell, sector, j], U), modes)[0]
+        bound = bound_candidates(SpectrumResult(w[cell, sector, j], lambda k: U[:, k]), modes)[0]
         counts[chunk[finite]] = np.bincount(cell[bound], minlength=len(w))[finite]
     return counts
 

@@ -15,7 +15,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biximp import ModelParams, cli, pairbasis
+from biximp import ModelParams, cli, pairbasis, projected
 from biximp.cli import KEYS, MAX_COUNT, main
 
 
@@ -486,6 +486,30 @@ def test_bic_classifies_each_row_once(monkeypatch, tmp_path):
     basis, spec = pairbasis.diagonalize_full(p)
     idx = [int(r["index"]) for r in rows]
     assert results == [classify_states(spec.energies[idx], spec.states[:, idx], p, basis)]
+
+
+def test_bic_scatters_each_candidate_once(monkeypatch, tmp_path):
+    """A bic run scatters each candidate eigenvector onto the pair basis
+    once: the classification and the BIC search read one candidate
+    matrix, so the sector scatters (projected._scatter) write as many
+    columns as bic_classification.csv has rows, the dumped state among
+    them."""
+    scattered = []
+    scatter = projected._scatter
+
+    def counted(u, cols, *args):
+        scattered.append(len(cols))
+        return scatter(u, cols, *args)
+
+    monkeypatch.setattr(projected, "_scatter", counted)
+    cfg = {"model": {"N": 40, "J": 1.0, "D": 4.1, "V0": 8.0},
+           "bic": {"dump_amplitudes": True}}
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    assert main(["bic", "--config", path, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "bic_amplitude.f64").exists()
+    with open(tmp_path / "bic_classification.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and sum(scattered) == len(rows)
 
 
 def test_bic_holds_one_spectrum(tmp_path):

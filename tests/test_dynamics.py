@@ -278,6 +278,18 @@ def test_entropy_corner_cases():
     assert entropy(np.array([0.0, 1.0])) == pytest.approx(0.0)
 
 
+def test_entropy_clip_counts_1e_11_and_drops_1e_13():
+    """The eigenvalue clip (ENTROPY_EIG_CLIP) sits between 1e-13 and
+    1e-11: a weight of 1e-11 adds its -p log2 p, 3.7e-10 bits, and one
+    of 1e-13 adds nothing, alone or beside a full spectrum."""
+    for p, counted in ((1e-11, True), (1e-13, False)):
+        term = -p * math.log2(p) if counted else 0.0
+        assert entropy(np.array([p])) == pytest.approx(term, rel=1e-12, abs=0.0)
+        rest = np.array([0.5, 0.5 - p])
+        assert entropy(np.append(rest, p)) == pytest.approx(entropy(rest) + term,
+                                                            rel=0.0, abs=1e-15)
+
+
 def test_contrast_matrix(ph, u0):
     rho = reduced_density(propagate(u0, ph, 35.0), ph.modes)
     C = contrast(rho)

@@ -13,7 +13,8 @@ from biximp.pairbasis import (LOCALIZED_TAIL, SITE_CORE_MIN, PairBasis,
                               classify_states, folded_amplitudes, in_continuum,
                               reflection_expectation, schmidt_number)
 from biximp.params import wrap_site
-from biximp.projected import TAIL_FRACTION_MAX, distance_profile, fit_ring_decay
+from biximp.projected import (TAIL_FRACTION_MAX, SpectrumResult, distance_profile,
+                              fit_ring_decay)
 from conftest import EighSpy, dense_scatter
 
 
@@ -407,6 +408,44 @@ def test_one_exciton_bound_band():
             if cls.type == "one_exciton_bound":
                 found += 1
     assert found > 10
+
+
+@pytest.mark.parametrize("share, pinned", [(0.27, False), (0.33, True)])
+def test_site_core_share_pins_one_exciton(share, pinned):
+    """A pair state bound in neither coordinate is one_exciton_bound when
+    at least SITE_CORE_MIN (0.30) of its site occupation lies within 2
+    sites of the impurity: at a core share of 0.33 it is, at 0.27 not.
+    The state holds weight 2 share on the pair (0, 12), one site in the
+    core, and the rest on (8, 20), far from the impurity in both
+    coordinates, so its far-tail masses stay above TAIL_FRACTION_MAX."""
+    p = ModelParams(N=40, J=1.0, D=4.1, V0=8.0)
+    basis = PairBasis(p.N)
+    vec = np.zeros(len(basis))
+    vec[basis.locate(0, 12)], vec[basis.locate(8, 20)] = np.sqrt([2 * share, 1 - 2 * share])
+    w = vec ** 2
+    assert w[basis.cm_dist > p.N // 2].sum() > TAIL_FRACTION_MAX      # not bound in r
+    assert w[basis.sigma > p.N // 4].sum() > TAIL_FRACTION_MAX        # not bound in s
+    core = (np.abs(basis.m) <= 2).astype(float) + (np.abs(basis.n) <= 2)
+    assert w @ core / 2 == pytest.approx(share)
+    cls = classify_state(0.0, vec, p, basis)
+    assert cls.type == ("one_exciton_bound" if pinned else "unclassified")
+
+
+@pytest.mark.parametrize("N", (40, 60))
+def test_find_bic_state_on_the_candidates(N):
+    """find_bic_state gives the same energy and vector bytes on bic's
+    candidates (every state within 0.5 of E_b1 or E_b2, scattered once,
+    as a SpectrumResult of their own) as on the full spectrum."""
+    p = ModelParams(N=N, J=1.0, D=4.1, V0=8.0)
+    basis, spec = diagonalize_full(p)
+    e = spec.energies
+    idx = np.flatnonzero(np.min([np.abs(e - eb) for eb in bic_energies(p)], axis=0) <= 0.5)
+    U = spec.columns(idx)
+    assert 0 < len(idx) < len(e)
+    e_full, v_full = find_bic_state(p, basis, spec)
+    e_sub, v_sub = find_bic_state(p, basis, SpectrumResult(e[idx], lambda k: U[:, k]))
+    assert np.float64(e_sub).tobytes() == np.float64(e_full).tobytes()
+    assert v_sub.tobytes() == v_full.tobytes()
 
 
 def test_reflection_operator_is_symmetry(fig2_params):

@@ -34,6 +34,11 @@ def count_fresh(params):
     return count
 
 
+def dense_spectrum(w, U):
+    """The SpectrumResult of a dense eigh (w, U): its column rule slices U."""
+    return SpectrumResult(w, lambda idx: U[:, idx])
+
+
 def count_reference(modes, G, V0):
     """Bound-state count of one cell, independent of the row counter and
     its gates: M built in full and gated on its own entries (M - M^H,
@@ -47,7 +52,7 @@ def count_reference(modes, G, V0):
                       np.abs(A - P @ A @ P).max()])
     if not res <= 1e-12 * max(abs(modes.params.J), np.abs(M).max()):
         return -1
-    return len(bound_candidates(SpectrumResult(*np.linalg.eigh(A)), modes)[0])
+    return len(bound_candidates(dense_spectrum(*np.linalg.eigh(A)), modes)[0])
 
 
 def test_basis_is_impurity_free(fig2_params):
@@ -381,7 +386,7 @@ def test_records_match_per_record_reference(N, J):
                    for V0 in np.outer((1.0, -1.0), (0.25, 1.0, 4.0, 8.0, 20.0)).ravel()]
         # +20, -20 and +20 again: the repeat ties every split of the first
         merged = [spectra[k] for k in (4, 9, 4)]
-        merged = SpectrumResult(np.concatenate([sp.energies for sp in merged]),
+        merged = dense_spectrum(np.concatenate([sp.energies for sp in merged]),
                                 np.hstack([sp.states for sp in merged]))
         for spec in spectra + [merged]:
             got = classify_bound_states(spec, modes)
@@ -459,7 +464,7 @@ def test_real_spectrum_keeps_bound_states(N, J, D, V0):
     p = ModelParams(N=N, J=J, D=D, V0=V0)
     ph = projected_hamiltonian(p)
     real = bound_candidates(diagonalize_projected(ph), ph.modes)[0].tolist()
-    cplx = SpectrumResult(*np.linalg.eigh(ph.M))
+    cplx = dense_spectrum(*np.linalg.eigh(ph.M))
     assert real == bound_candidates(cplx, ph.modes)[0].tolist()
     assert real
 
@@ -526,7 +531,9 @@ def test_columns_are_the_dense_scatter(monkeypatch, J, V0):
     """columns(idx) of the projected spectrum equals, bit for bit, the
     columns idx of states and of the dense scatter of its sector solve,
     for indices in any order.  V0 = 0 ties every pair state's even and
-    odd energy exactly, and the even column comes first."""
+    odd energy exactly, and the even column comes first.  The dense
+    form of the same eigenpairs (dense_spectrum of the scatter) reads
+    the same columns and states."""
     N = 40
     ph = projected_hamiltonian(ModelParams(N=N, J=J, D=4.1 * J, E0=0.3, V0=V0))
     spy = EighSpy()
@@ -537,9 +544,10 @@ def test_columns_are_the_dense_scatter(monkeypatch, J, V0):
     ref = dense_scatter(((w[0], y[0], fixed[:1]), (w[1], y[1], fixed[1:])),
                         pairs, images)
     pick = np.random.default_rng(7).permutation(N)[:N // 3]
-    assert spec.columns(pick).tobytes() == ref[:, pick].tobytes()
-    assert spec.states.tobytes() == ref.tobytes()
-    assert spec.columns(pick).tobytes() == spec.states[:, pick].tobytes()
+    for form in (spec, dense_spectrum(spec.energies, ref)):
+        assert form.columns(pick).tobytes() == ref[:, pick].tobytes()
+        assert form.states.tobytes() == ref.tobytes()
+        assert form.columns(pick).tobytes() == form.states[:, pick].tobytes()
     tie = np.flatnonzero(spec.energies[1:] == spec.energies[:-1])
     assert len(tie) == (N // 2 - 1 if V0 == 0 else 0)
     parity = np.einsum("im,ij,jm->m", ref, reflection(N), ref)
