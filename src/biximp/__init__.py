@@ -26,10 +26,8 @@ from .projected import (BoundStateRecord, ProjectedHamiltonian, SpectrumResult,
                         build_projected_hamiltonian, classify_bound_states,
                         count_bound_states, diagonalize_projected,
                         impurity_overlap, phase_diagram, potential_matrix)
-from .scattering import (FirstOrderScattering, PoleResult,
-                         biexciton_reflection_amplitude,
-                         continued_fraction_first_order, find_pole,
-                         phi_complex_k, s_function)
+from .scattering import (PoleResult, biexciton_reflection_amplitude,
+                         find_pole, phi_complex_k, s_function)
 
 __version__ = "1.0.0"
 

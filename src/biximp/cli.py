@@ -220,13 +220,17 @@ def cmd_bic(params, sec, out):
     rows = [(i, e[i], c.type, c.in_continuum, c.schmidt_number, c.decay_r, c.decay_s,
              near[i] > tol) for i, c in zip(idx, pairbasis.classify_states(
                  e[idx], U, params, basis))]
-    out.table("bic_classification",
-              ("index", "energy", "type", "in_continuum", "schmidt_number",
-               "decay_r", "decay_s", "mismatch_flag"), rows)
+    # the BIC search can fail, so it runs before any file is written
+    grid = None
     if dump and rows:   # every state within BIC_WINDOW of E_b1, E_b2 is a candidate
         _, vec = pairbasis.find_bic_state(
             params, basis, projected.SpectrumResult(e[idx], lambda k: U[:, k]))
-        out.grid("bic_amplitude", pairbasis.folded_amplitudes(vec, basis))
+        grid = pairbasis.folded_amplitudes(vec, basis)
+    out.table("bic_classification",
+              ("index", "energy", "type", "in_continuum", "schmidt_number",
+               "decay_r", "decay_s", "mismatch_flag"), rows)
+    if grid is not None:
+        out.grid("bic_amplitude", grid)
 
 
 def cmd_wavepacket(params, sec, out):

@@ -23,9 +23,9 @@ K' = pi/2 otherwise, at the K'' root of
 
     sinh(2|K''|) = 2 D V0 S(K', |K''|) / (J^2 cos 2K').
 
-First-order ingredients: beta = <V> = (4 V0/N) S and
-gamma = i N D beta^2 / (2 J^2 sin 2K); the amplitude satisfies
-R_b = gamma / (beta - gamma) identically.
+In the closure's first-order ingredients, beta = <V> = (4 V0/N) S and
+gamma = i N D beta^2 / (2 J^2 sin 2K), the amplitude is
+R_b = gamma / (beta - gamma); the tests check that identity.
 """
 
 import math
@@ -145,43 +145,3 @@ def find_pole(params):
     a = 2.0 * p.J * np.cos(kp + 1j * k) / p.D
     energy = 2.0 * p.E0 + (p.D * (1.0 + a * a)).real
     return PoleResult(kp, k, energy, resid)
-
-
-@dataclass(frozen=True)
-class FirstOrderScattering:
-    beta0: complex
-    gamma1: complex
-    reflection: complex
-    correction: np.ndarray   # scattered-state coefficients over the K grid
-
-
-def continued_fraction_first_order(Kc, modes, V0):
-    """First-order continued-fraction ingredients at (complex) K for the
-    impurity strength V0 on the impurity-free basis `modes`.
-
-    Returns beta = (4 V0/N) S, gamma = i N D beta^2 / (2 J^2 sin 2K),
-    the reconstructed reflection gamma/(beta - gamma), and the
-    first-order scattered-state coefficients
-    c_Q = [beta/(beta-gamma)] V_QK / (E(K) - E(Q)) over the modes' grid.
-    """
-    p = modes.params.replace(V0=V0)
-    Kc = complex(Kc)
-    if p.V0 == 0.0:
-        return FirstOrderScattering(0.0, 0.0, 0.0, np.zeros(len(modes), dtype=complex))
-    sin2K = np.sin(2.0 * Kc)
-    if abs(sin2K) < 1e-12:
-        raise RangeError("sin 2K = 0: first-order correction singular")
-    S = s_function(Kc.real, Kc.imag, p)
-    beta = 4.0 * p.V0 * S / p.N
-    gamma = 1j * p.N * p.D * beta * beta / (2.0 * _j_squared(p) * sin2K)
-    refl = gamma / (beta - gamma)
-    a = 2.0 * p.J * np.cos(Kc) / p.D
-    de = 2.0 * p.E0 + p.D * (1.0 + a * a) - modes.energies
-    # V_QK continued to complex K on the one-period window, all Q at once
-    s = p.sites
-    phase = np.exp(1j * (Kc - modes.K[:, None]) * s)
-    B = modes.phi[:, modes.window] * phase
-    v = 4.0 * p.V0 / p.N * B @ phi_complex_k(Kc, s, p)
-    de[np.abs(de) < 1e-12] = np.inf         # resonant mode: no correction
-    correction = beta / (beta - gamma) * v / de
-    return FirstOrderScattering(beta, gamma, refl, correction)

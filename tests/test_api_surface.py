@@ -74,8 +74,9 @@ def test_every_optional_parameter_is_allowed():
 
 # "module.function", "module.Class" or "module.Class.method" that no src/
 # code names -> why it stays: "traced" (perfbench/run.py's TRACED list
-# times it), "oracle: <test file>::<test>" (the test checks a paper
-# result with it) or "deferred: <ROADMAP item>"
+# times it) or "oracle: <test file>::<test>" (the test checks a paper
+# result with it).  Code that waits for a future caller is deleted, not
+# kept.
 KEPT = {
     "pairbasis.build_pair_hamiltonian": "traced",
     "pairbasis.classify_state": "traced",
@@ -96,8 +97,6 @@ KEPT = {
         "oracle: test_acceptance.py::test_criterion_7_property_suites",
     "projected.participation_ratio":
         "oracle: test_projected.py::test_participation_ratio_invariant",
-    "scattering.continued_fraction_first_order":
-        "deferred: ROADMAP item 9 measures the first-order closure",
 }
 
 
@@ -133,7 +132,7 @@ def test_every_function_has_a_caller():
     traced = set(traced_names())
     for name, reason in KEPT.items():
         kind, _, where = reason.partition(": ")
-        assert kind in ("traced", "oracle", "deferred"), name
+        assert kind in ("traced", "oracle"), name
         if kind == "traced":
             assert name in traced, name
         elif kind == "oracle":

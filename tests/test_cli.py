@@ -562,6 +562,19 @@ def test_bic_dump_off_and_zero_tolerance(tmp_path):
     assert not (tmp_path / "bic_amplitude.f64").exists()
 
 
+def test_bic_failure_writes_nothing(tmp_path, capsys):
+    """At N = 4 no pair eigenvalue lies within BIC_WINDOW of E_b1, so the
+    BIC search fails: the run exits 1 with one line and leaves --out
+    empty, where it used to leave bic_classification.csv behind."""
+    cfg = {"model": {"N": 4, "J": 1.0, "D": 4.1, "V0": 8.0}}
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    out = tmp_path / "out"
+    assert main(["bic", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: no eigenvalue within") and err.count("\n") == 1
+    assert not list(out.iterdir())
+
+
 def test_wavepacket_command(tmp_path):
     cfg = {"model": {"N": 40, "J": -1.0, "D": -4.5, "E0": 0.0, "V0": 0.5474},
            "wavepacket": {"K0": 3 * np.pi / 8, "dK0": np.pi / 24,

@@ -300,6 +300,17 @@ def test_contrast_matrix(ph, u0):
     assert np.isnan(C).any() or np.nanmax(C) < 10
 
 
+@pytest.mark.parametrize("density, defined", [(1e-13, True), (1e-15, False)])
+def test_contrast_floor(density, defined):
+    """Contrast is defined where the mean density exceeds CONTRAST_FLOOR
+    (1e-14): a uniform rho of 1e-13 has contrast 1, one of 1e-15 NaN."""
+    C = contrast(np.full((3, 3), density, dtype=complex))
+    if defined:
+        np.testing.assert_allclose(C, 1.0, rtol=1e-12)
+    else:
+        assert np.isnan(C).all()
+
+
 def test_visibility_no_fringes_for_single_packet(ph):
     # position the packet inside the antipode window without splitting
     cfg = WavepacketConfig(K0=K0, dK0=DK0, t_start=-30.0, t_end=60.0,

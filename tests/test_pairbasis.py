@@ -431,6 +431,23 @@ def test_site_core_share_pins_one_exciton(share, pinned):
     assert cls.type == ("one_exciton_bound" if pinned else "unclassified")
 
 
+@pytest.mark.parametrize("share, localized", [(1e-11, True), (1e-9, False)])
+def test_relative_decay_localized_below_tail_share(share, localized):
+    """The relative decay rate is inf, with no fit, when at most
+    LOCALIZED_TAIL (1e-10) of the relative profile lies at sigma >= 3:
+    at a share of 1e-11 it is, at 1e-9 the fit's finite rate stands.
+    The state holds weight 1 - share on the pair (0, 1) and share on
+    (-1, 3), both within |r| <= 3 of the impurity, where the relative
+    profile is taken."""
+    p = ModelParams(N=40, J=1.0, D=4.1, V0=8.0)
+    basis = PairBasis(p.N)
+    vec = np.zeros(len(basis))
+    vec[basis.locate(0, 1)], vec[basis.locate(-1, 3)] = np.sqrt([1 - share, share])
+    assert basis.sigma[basis.locate(-1, 3)] == 4
+    (cls,) = classify_states(np.zeros(1), vec[:, None], p, basis)
+    assert math.isinf(cls.decay_s) == localized
+
+
 @pytest.mark.parametrize("N", (40, 60))
 def test_find_bic_state_on_the_candidates(N):
     """find_bic_state gives the same energy and vector bytes on bic's

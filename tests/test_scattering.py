@@ -7,10 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from biximp import (ModeBasis, ModelParams, ParameterError,
-                    biexciton_reflection_amplitude,
-                    continued_fraction_first_order, diagonalize_projected,
-                    exciton_bound_wavevector_largen, find_pole, s_function)
+from biximp import (ModelParams, ParameterError, biexciton_reflection_amplitude,
+                    diagonalize_projected, exciton_bound_wavevector_largen,
+                    find_pole, s_function)
 from biximp.scattering import phi_complex_k, pole_branch
 from conftest import projected_hamiltonian
 
@@ -129,45 +128,15 @@ def test_pole_residual_equation():
     assert abs(lhs - rhs) <= 1e-10
 
 
-def test_first_order_identities():
+def test_reflection_from_first_order_ingredients():
+    """The paper identity R_b = gamma / (beta - gamma), with the averaged
+    potential beta = 4 V0 S / N and gamma = i N D beta^2 / (2 J^2 sin 2K)."""
     p = P(V0=0.25)
-    ph = projected_hamiltonian(p)
     for Kc in (0.35 + 0.1j, complex(math.pi / 2 - 0.02, 0.22)):
-        fo = continued_fraction_first_order(Kc, ph.modes, p.V0)
-        # beta is the averaged potential
-        assert fo.beta0 == pytest.approx(
-            4 * p.V0 * s_function(Kc.real, Kc.imag, p) / p.N, rel=1e-12)
-        # the reflection amplitude follows from (beta, gamma)
+        beta = 4 * p.V0 * s_function(Kc.real, Kc.imag, p) / p.N
+        gamma = 1j * p.N * p.D * beta ** 2 / (2 * p.J ** 2 * cmath.sin(2 * Kc))
         rb = biexciton_reflection_amplitude(Kc, p)
-        assert abs(rb - fo.gamma1 / (fo.beta0 - fo.gamma1)) < 1e-10
-        assert fo.correction.shape == (p.N,)
-
-
-def test_first_order_correction_against_scalar_reference():
-    """The (Q x s) correction equals the term-by-term sum over the scalar
-    cmath continuation, whose Norm root is the principal one."""
-    p = P(V0=0.25)
-    modes = ModeBasis(p)
-    N = p.N
-    for Kc in (0.35 + 0.1j, complex(math.pi / 2 - 0.02, 0.22), complex(1.2, 0.05)):
-        fo = continued_fraction_first_order(Kc, modes, p.V0)
-        a = 2 * p.J * cmath.cos(Kc) / p.D
-        k_c = -cmath.log(a)
-        norm = cmath.sqrt((N - 1) + cmath.sinh(k_c * (N - 1)) / cmath.sinh(k_c))
-        for q in range(N):
-            v = sum(modes.phi[q, s + N - 1] * cmath.cosh(k_c * (N / 2 - abs(s))) / norm
-                    * cmath.exp(1j * (Kc - modes.K[q]) * s)
-                    for s in range(-N // 2 + 1, N // 2 + 1) if s != 0)
-            de = 2 * p.E0 + p.D * (1 + a * a) - modes.energies[q]
-            ref = fo.beta0 / (fo.beta0 - fo.gamma1) * 4 * p.V0 / N * v / de
-            assert abs(fo.correction[q] - ref) <= 1e-10 * np.abs(fo.correction).max()
-
-
-def test_first_order_trivial():
-    p = P(V0=0.0)
-    fo = continued_fraction_first_order(0.3 + 0.1j, ModeBasis(p), p.V0)
-    assert fo.beta0 == 0.0 and abs(fo.reflection) == 0.0
-    assert np.array_equal(fo.correction, np.zeros(p.N))
+        assert abs(rb - gamma / (beta - gamma)) < 1e-10
 
 
 def test_exciton_correspondence():
