@@ -11,7 +11,6 @@ import argparse
 import math
 import operator
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -41,45 +40,83 @@ def load_config(path):
     return cfg
 
 
-@contextmanager
-def parsing(name):
-    """Turn a bad or missing value of section `name` into ConfigError."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} section: bad or missing {exc}") from exc
-
-
-def number(value, kind=float):
-    """`kind(value)` for a config number, float or operator.index (which
-    refuses any float, 40.0 too, rather than truncate it), with YAML
-    booleans rejected first (both read them as 1) and NaN or +-inf
-    rejected for a float read: no computation takes them."""
+def real(value):
+    """A finite float or numeric string; a YAML boolean (float reads 1) is refused."""
     if isinstance(value, bool):
-        raise TypeError(f"number (got boolean {value})")
-    x = kind(value)
-    if kind is float and not math.isfinite(x):
-        raise TypeError(f"number (got non-finite {x})")
+        raise TypeError(f"need a number, got boolean {value}")
+    if not math.isfinite(x := float(value)):
+        raise TypeError(f"need a finite number, got {x}")
     return x
 
 
-def flag(sec, name, key, default):
-    """The YAML boolean `key` of section `name`; anything else, such as
-    the string "false" that Python would read as true, is a ConfigError."""
-    value = sec.get(key, default)
+def integer(value):
+    """An integer; a float, 40.0 too, is refused rather than truncated."""
+    if isinstance(value, bool):
+        raise TypeError(f"need an integer, got boolean {value}")
+    return operator.index(value)
+
+
+def boolean(value):
+    """A YAML boolean; the string "false", true to Python, is refused."""
     if not isinstance(value, bool):
-        raise ConfigError(f"{name} section: {key} must be a boolean, got {value!r}")
+        raise TypeError(f"need a boolean, got {value!r}")
     return value
 
 
-def section(cfg, name, keys):
-    """Section `name` ({} when absent): a mapping with no key outside `keys`."""
-    val = cfg.get(name, {})
-    if not isinstance(val, dict):
-        raise ConfigError(f"{name} section: must be a mapping, got {val!r}")
-    if unknown := sorted(map(str, set(val) - set(keys))):
-        raise ConfigError(f"{name} section: unknown key(s) {unknown}, expected {keys}")
-    return val
+def times(value):
+    """A list of distinct finite times; a string is no list of its characters."""
+    if not isinstance(value, list) or len(set(ts := [real(t) for t in value])) < len(ts):
+        raise TypeError(f"need a list of distinct times, got {value!r}")
+    return ts
+
+
+def within(read, lo, hi):
+    """The reader `read` that also refuses a value outside [lo, hi]."""
+    def reader(value):
+        if not lo <= (x := read(value)) <= hi:
+            raise TypeError(f"need a value in [{lo!r}, {hi!r}], got {x!r}")
+        return x
+    return reader
+
+
+# section (a command's name, "-" as "_") -> key -> (reader, default), the one place that
+# types, bounds and defaults a config key: ... marks a required key, None an optional one.
+KEYS = {
+    "model": {"N": (integer, ...), "J": (real, ...), "D": (real, ...),
+              "E0": (real, 0.0), "V0": (real, 0.0)},
+    "exciton": {"sign_cases": (boolean, False)},
+    "biexciton_spectrum": {},
+    "phase_diagram": {"D_min": (real, ...), "D_max": (real, ...),
+                      "n_D": (within(integer, 1, MAX_COUNT), ...),
+                      "V0_min": (real, ...), "V0_max": (real, ...),
+                      "n_V0": (within(integer, 1, MAX_COUNT), ...)},
+    "poles": {"K_doubleprime_max": (within(real, math.nextafter(1e-3, 1.0), math.inf), 2.0),
+              "n_scan": (within(integer, 2, MAX_COUNT), 200)},
+    "bic": {"flag_tolerance": (within(real, 0.0, math.inf), 5e-2),
+            "dump_amplitudes": (boolean, True)},
+    "wavepacket": {"K0": (real, ...), "dK0": (real, ...), "t_start": (real, ...),
+                   "t_end": (real, ...), "sample_dt": (real, 1.0), "r_offset": (real, None),
+                   "split_target": (within(real, 0.0, 1.0), 0.5),
+                   "calibrate_v0": (boolean, False), "snapshots": (times, [])},
+}
+
+
+def section(cfg, name):
+    """Section `name` of `cfg` ({} when absent), typed and defaulted by KEYS[name]."""
+    raw = cfg.get(name, {})
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} section: must be a mapping, got {raw!r}")
+    if unknown := sorted(map(str, set(raw) - set(KEYS[name]))):
+        raise ConfigError(f"{name} section: unknown key(s) {unknown}, known: {list(KEYS[name])}")
+    typed = {}
+    for key, (read, default) in KEYS[name].items():
+        if (value := raw.get(key, default)) is ...:
+            raise ConfigError(f"{name} section: missing key {key}")
+        try:
+            typed[key] = None if value is None and default is None else read(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{name} section: {key}: {exc}") from exc
+    return typed
 
 
 class Output:
@@ -111,7 +148,7 @@ class Output:
 
 def cmd_exciton(params, sec, out):
     cases = [("exciton", params)]
-    if flag(sec, "exciton", "sign_cases", False):
+    if sec["sign_cases"]:
         # the name tags the sign multipliers, so V0 = 0 still gives 4 files
         signs = ((1, "+"), (-1, "-"))
         cases = [(f"exciton_J{a}V{b}", params.replace(J=sj * abs(params.J),
@@ -148,13 +185,8 @@ def cmd_biexciton_spectrum(params, sec, out):
 
 
 def cmd_phase_diagram(params, sec, out):
-    with parsing("phase_diagram"):
-        n = number(sec["n_D"], operator.index), number(sec["n_V0"], operator.index)
-        if not 1 <= min(n) <= max(n) <= MAX_COUNT:    # before np.linspace allocates
-            raise ConfigError(f"phase_diagram section: need integer n_D, n_V0 in "
-                              f"[1, {MAX_COUNT}], got {n}")
-        d_vals = np.linspace(number(sec["D_min"]), number(sec["D_max"]), n[0])
-        v_vals = np.linspace(number(sec["V0_min"]), number(sec["V0_max"]), n[1])
+    d_vals = np.linspace(sec["D_min"], sec["D_max"], sec["n_D"])
+    v_vals = np.linspace(sec["V0_min"], sec["V0_max"], sec["n_V0"])
     counts = projected.phase_diagram(d_vals, v_vals, params)
     rows = [(d_vals[i], v_vals[j], counts[i, j])
             for i in range(len(d_vals)) for j in range(len(v_vals))]
@@ -163,13 +195,7 @@ def cmd_phase_diagram(params, sec, out):
 
 
 def cmd_poles(params, sec, out):
-    with parsing("poles"):
-        kpp_max = number(sec.get("K_doubleprime_max", 2.0))
-        n_scan = number(sec.get("n_scan", 200), operator.index)
-    if not 2 <= n_scan <= MAX_COUNT or not 1e-3 < kpp_max < math.inf:
-        raise ConfigError(f"poles section: need integer n_scan in [2, {MAX_COUNT}] and "
-                          f"finite K_doubleprime_max > 1e-3, got {n_scan}, {kpp_max}")
-    kpp = np.linspace(1e-3, kpp_max, n_scan)
+    kpp = np.linspace(1e-3, sec["K_doubleprime_max"], sec["n_scan"])
     rows, summary = [], []
     modes = G = None
     for v0 in (abs(params.V0), -abs(params.V0)):
@@ -202,11 +228,6 @@ def cmd_poles(params, sec, out):
 
 
 def cmd_bic(params, sec, out):
-    with parsing("bic"):
-        tol = number(sec.get("flag_tolerance", 5e-2))
-    if not 0.0 <= tol < math.inf:
-        raise ConfigError(f"bic section: need finite flag_tolerance >= 0, got {tol}")
-    dump = flag(sec, "bic", "dump_amplitudes", True)
     basis, spec = pairbasis.diagonalize_full(params)
     try:
         e1, e2 = pairbasis.bic_energies(params)
@@ -218,11 +239,11 @@ def cmd_bic(params, sec, out):
     idx = np.flatnonzero(near <= 0.5)
     U = spec.columns(idx)
     rows = [(i, e[i], c.type, c.in_continuum, c.schmidt_number, c.decay_r, c.decay_s,
-             near[i] > tol) for i, c in zip(idx, pairbasis.classify_states(
-                 e[idx], U, params, basis))]
+             near[i] > sec["flag_tolerance"])
+            for i, c in zip(idx, pairbasis.classify_states(e[idx], U, params, basis))]
     # the BIC search can fail, so it runs before any file is written
     grid = None
-    if dump and rows:   # every state within BIC_WINDOW of E_b1, E_b2 is a candidate
+    if sec["dump_amplitudes"] and rows:  # candidates: all within BIC_WINDOW of E_b1, E_b2
         _, vec = pairbasis.find_bic_state(
             params, basis, projected.SpectrumResult(e[idx], lambda k: U[:, k]))
         grid = pairbasis.folded_amplitudes(vec, basis)
@@ -234,39 +255,26 @@ def cmd_bic(params, sec, out):
 
 
 def cmd_wavepacket(params, sec, out):
-    with parsing("wavepacket"):
-        r_offset = sec.get("r_offset")
-        config = dynamics.WavepacketConfig(
-            K0=number(sec["K0"]), dK0=number(sec["dK0"]),
-            t_start=number(sec["t_start"]), t_end=number(sec["t_end"]),
-            sample_dt=number(sec.get("sample_dt", 1.0)),
-            r_offset=None if r_offset is None else number(r_offset))
-        target = number(sec.get("split_target", 0.5))
-        snaps = sec.get("snapshots", [])
-        times = [number(t) for t in snaps] if isinstance(snaps, list) else None
-    if times is None or len(set(times)) < len(times):
-        raise ConfigError(f"wavepacket section: snapshots must be a list of "
-                          f"distinct times, got {snaps!r}")
-    if not 0.0 <= target <= 1.0:     # a reflected probability
-        raise ConfigError(f"wavepacket section: split_target must lie in [0, 1], got {target}")
-    calibrate = flag(sec, "wavepacket", "calibrate_v0", False)
+    config = dynamics.WavepacketConfig(sec["K0"], sec["dK0"], sec["t_start"], sec["t_end"],
+                                       sec["sample_dt"], sec["r_offset"])
+    calibrate = sec["calibrate_v0"]
     # a calibrated run replaces the model's V0: only D is checked here
-    dynamics.validate_dynamics_regime(params.replace(V0=0.0) if calibrate else params)
+    dynamics.validate_packet_regime(params.replace(V0=0.0) if calibrate else params, config)
     # one basis, impurity overlap and initial packet serve the
     # calibration and the run: none depends on V0
     modes = ModeBasis(params)
     G = projected.impurity_overlap(modes)
     u0 = dynamics.init_wavepacket(config, modes)
-    v0 = (dynamics.calibrate_v0(modes, G, u0, config.K0, target) if calibrate
+    v0 = (dynamics.calibrate_v0(modes, G, u0, config.K0, sec["split_target"]) if calibrate
           else params.V0)
     ph = projected.build_projected_hamiltonian(modes, G, v0)
     # every snapshot state is computed, and can fail, before any file is written
-    states = [dynamics.propagate(u0, ph, t) for t in times]
+    states = [dynamics.propagate(u0, ph, t) for t in sec["snapshots"]]
     out.table("wavepacket_timeseries",
               ("t", "entropy_bits", "norm", "energy", "reflected_prob"),
               [(s.t, s.entropy, s.norm, s.energy, s.reflected)
                for s in dynamics.run_trajectory(ph, u0, config)])
-    for t, st in zip(times, states):
+    for t, st in zip(sec["snapshots"], states):
         out.grid(f"snapshot_psi2_t{t}",    # unnamed: freed before rho is built
                  np.abs(dynamics.realspace_amplitude(st, modes)[2]) ** 2)
         rho = dynamics.reduced_density(st, modes)
@@ -286,18 +294,6 @@ COMMANDS = {
     "wavepacket": cmd_wavepacket,
 }
 
-# the keys of the model section and of each command's own section ("-" read as "_")
-KEYS = {
-    "model": ("N", "J", "D", "E0", "V0"),
-    "exciton": ("sign_cases",),
-    "biexciton_spectrum": (),
-    "phase_diagram": ("D_min", "D_max", "n_D", "V0_min", "V0_max", "n_V0"),
-    "poles": ("K_doubleprime_max", "n_scan"),
-    "bic": ("flag_tolerance", "dump_amplitudes"),
-    "wavepacket": ("K0", "dK0", "t_start", "t_end", "sample_dt", "r_offset",
-                   "split_target", "calibrate_v0", "snapshots"),
-}
-
 
 def main(argv=None):
     ap = argparse.ArgumentParser(
@@ -313,14 +309,10 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
-        out = Output(args.out, args.format, args.plots)
-        m = section(cfg, "model", KEYS["model"])
-        with parsing("model"):
-            params = ModelParams(N=number(m["N"], operator.index), J=number(m["J"]),
-                                 D=number(m["D"]), E0=number(m.get("E0", 0.0)),
-                                 V0=number(m.get("V0", 0.0)))
-        name = args.command.replace("-", "_")
-        COMMANDS[args.command](params, section(cfg, name, KEYS[name]), out)
+        # every key is read before --out is made: a config error writes nothing
+        params = ModelParams(**section(cfg, "model"))
+        sec = section(cfg, args.command.replace("-", "_"))
+        COMMANDS[args.command](params, sec, Output(args.out, args.format, args.plots))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

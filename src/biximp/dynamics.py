@@ -163,6 +163,36 @@ def validate_dynamics_regime(params):
         raise RegimeError("wavepacket run needs |V0| not large compared to |D|")
 
 
+def validate_packet_regime(params, config):
+    """validate_dynamics_regime, then refuse a packet whose energies meet
+    the capture band, which the band projection cannot see: one exciton
+    bound to the impurity at E0 + sgn(V0) hypot(V0, 2J), the other free
+    at E0 + 2J cos k.
+
+    The packet's energies are the pair band E_b(K) = 2E0 + D + 4J^2 cos^2 K / D
+    over K0 +- 3 dK0, clipped to the folded zone.  Both bands are compared
+    less 2E0, with 4J^2 / D taken as 2J (2J / D), which |D| > 4|J| keeps
+    below |J|: no finite parameter overflows.
+    """
+    validate_dynamics_regime(params)
+    J, D, V0 = params.J, params.D, params.V0
+    lo, hi = np.clip((config.K0 - 3 * config.dK0, config.K0 + 3 * config.dK0),
+                     -math.pi / 2, math.pi / 2)
+    # cos^2 K is largest at the window's K nearest 0 and smallest at its far end
+    pair = sorted(D + 2 * J * (2 * J / D) * math.cos(k) ** 2
+                  for k in (min(max(lo, 0.0), hi), max(abs(lo), abs(hi))))
+    centre = math.copysign(math.hypot(V0, 2 * J), V0)
+    capture = centre - 2 * abs(J), centre + 2 * abs(J)
+    # at V0 = 0 no exciton is bound
+    if V0 and capture[0] <= pair[1] and pair[0] <= capture[1]:
+        e0 = 2 * params.E0
+        raise RegimeError(
+            f"wavepacket run at V0 = {V0:g} meets the capture band "
+            f"[{e0 + capture[0]:.4g}, {e0 + capture[1]:.4g}] (one exciton bound to "
+            f"the impurity, one free), which the projected run cannot see: the packet "
+            f"spans [{e0 + pair[0]:.4g}, {e0 + pair[1]:.4g}]")
+
+
 def init_wavepacket(config, modes):
     """Normalized Gaussian packet at t = t_start with positioning phase.
 

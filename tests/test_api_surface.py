@@ -26,7 +26,6 @@ ALLOWED = {
     # only tests set it; goes with large_n (ROADMAP item 2)
     "biexciton.ModeBasis.__init__.method":
         "'auto' in the commands; tests force 'exact' or 'large_n'",
-    "cli.number.kind": "float or operator.index reads of a config value",
     "cli.main.argv": "sys.argv for the console script, a list in tests",
     "dynamics.split_ratio.strict": "calibration probes skip the timing gate",
     "params.ModelParams.replace.**kwargs": "any subset of the model fields",

@@ -126,7 +126,7 @@ def _config_error(tmp_path, capsys, command, name, key, value):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {name} section")
     assert err.count("\n") == 1
-    assert not any(out.iterdir())
+    assert not out.exists()
     return err
 
 
@@ -213,6 +213,29 @@ def test_integer_key_exit_code(tmp_path, capsys, command, name, key, value):
     _config_error(tmp_path, capsys, command, name, key, value)
 
 
+@pytest.mark.parametrize("command, name, key, value", [
+    ("poles", "poles", "n_scan", 1), ("poles", "poles", "K_doubleprime_max", 1.0e-3),
+    ("wavepacket", "wavepacket", "split_target", math.nextafter(1.0, 2.0))])
+def test_config_bound_refused(tmp_path, capsys, command, name, key, value):
+    """Just outside its bound a value is refused: n_scan needs 2 points,
+    K_doubleprime_max must exceed 1e-3, and split_target is at most 1."""
+    assert key in _config_error(tmp_path, capsys, command, name, key, value)
+
+
+@pytest.mark.parametrize("command, name, key, value", [
+    ("poles", "poles", "n_scan", 2), ("poles", "poles", "K_doubleprime_max", 1.001e-3),
+    ("wavepacket", "wavepacket", "split_target", 1.0)])
+def test_config_bound_accepted(tmp_path, command, name, key, value):
+    """On or just inside its bound a value runs (exit 0): a calibrated
+    split_target of 1 may warn that it is out of reach, but it runs."""
+    cfg = {sec: dict(vals) for sec, vals in SMALL_RUNS[command].items()}
+    cfg[name][key] = value
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_snapshot_names_from_parsed_time(tmp_path):
     """A snapshot file is named by the parsed time, so -28 and -28.0
     give the same name."""
@@ -252,7 +275,9 @@ def test_plots_with_json_exit_code(tmp_path, capsys):
 
 def test_readme_config_keys():
     """Every section of README's example configuration holds only keys
-    that cli.KEYS lists for it, so the documentation cannot drift."""
+    that cli.KEYS lists for it, and reads through cli.section: a
+    documented value of the wrong type or out of bounds fails here, so
+    the documentation cannot drift."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = readme.split("```yaml\n")
     assert len(blocks) == 2
@@ -260,6 +285,7 @@ def test_readme_config_keys():
     assert set(cfg) == set(KEYS) - {"biexciton_spectrum"}
     for name, sec in cfg.items():
         assert set(sec) <= set(KEYS[name]), name
+        cli.section(cfg, name)
 
 
 def test_regime_violation_exit_code(tmp_path):
@@ -640,6 +666,31 @@ def test_wavepacket_regime_refusal(tmp_path):
                           "t_start": -30.0, "t_end": 0.0}}
     path = write_cfg(tmp_path / "c.yaml", cfg)
     assert main(["wavepacket", "--config", path, "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("J, D, V0, code", [
+    (-1.0, -4.5, -2.0, 3),   # capture band [-4.828, -0.828]: it meets [-4.944, -4.5]
+    (-1.0, -4.5, -1.0, 0),   # capture band [-4.236, -0.236]: clear of the packet
+    (1.0, 4.5, 2.0, 3)])     # the mirror of the first
+def test_wavepacket_capture_refusal(tmp_path, capsys, J, D, V0, code):
+    """A fixed V0 of D's sign binds one exciton to the impurity; with the
+    other free, that capture band (2E0 + sgn(V0) hypot(V0, 2J) +- 2|J|)
+    can meet the packet's pair band, here [-4.944, -4.5] over
+    K0 +- 3 dK0.  The projected run cannot see that channel, so such a
+    run is refused with exit 3 and one line, and writes no file."""
+    cfg = {"model": {"N": 40, "J": J, "D": D, "E0": 0.0, "V0": V0},
+           "wavepacket": {"K0": 3 * np.pi / 8, "dK0": np.pi / 24,
+                          "t_start": -30.0, "t_end": -25.0}}
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    out = tmp_path / "out"
+    assert main(["wavepacket", "--config", path, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("regime violation: ") and "capture band" in err
+        assert err.count("\n") == 1
+        assert not list(out.iterdir())
+    else:
+        assert (out / "wavepacket_timeseries.csv").exists()
 
 
 def test_json_format(tmp_path):
