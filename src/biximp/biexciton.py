@@ -196,13 +196,14 @@ class ModeBasis:
     k_i and the energies are solved for l_K <= 0, in grid order, and for
     l_K = N/2; each l_K > 0 copies -l_K, which has the same cos K and
     parity.  The solve order is kept so that an ExistenceError names the
-    first failing K of the grid.
+    first failing K of the grid.  The decay constants and energies take
+    the form default_method picks from the parameters: the large-N limit
+    when |D/2J| > 2 and N >= 40, the exact finite-N root otherwise.
     """
 
-    def __init__(self, params, method="auto"):
+    def __init__(self, params):
         params.validate_biexciton_regime()
-        if method == "auto":
-            method = default_method(params)
+        method = default_method(params)
         self.params = params = params.replace(V0=0.0)
         self.l_K, self.K = k_grid(params)
         self.parity = np.abs(self.l_K) % 2

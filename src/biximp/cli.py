@@ -122,23 +122,29 @@ def section(cfg, name):
 class Output:
     """The one place that names output files in the --out directory:
     tables as `stem.csv` or `stem.json`, binary grids as `stem.f64`, and
-    under --plots a gnuplot script `script.gp` that reads `stem.csv`."""
+    under --plots a gnuplot script `script.gp` that reads `stem.csv`.
+    The directory is made at the first write, so a run refused or failing
+    before it leaves none."""
 
     def __init__(self, directory, fmt, plots):
         if plots and fmt != "csv":
             raise ConfigError("--plots writes gnuplot scripts of CSV: use --format csv")
         self.directory, self.fmt, self.plots = Path(directory), fmt, plots
+
+    def _path(self, name):
+        """directory / name, the directory made if it is not there yet."""
         self.directory.mkdir(parents=True, exist_ok=True)
+        return self.directory / name
 
     def table(self, stem, header, rows):
-        write_table(self.directory / f"{stem}.{self.fmt}", header, rows, self.fmt)
+        write_table(self._path(f"{stem}.{self.fmt}"), header, rows, self.fmt)
 
     def grid(self, stem, array):
-        write_grid_binary(self.directory / f"{stem}.f64", array)
+        write_grid_binary(self._path(f"{stem}.f64"), array)
 
     def plot(self, script, stem, columns, title):
         if self.plots:
-            write_gnuplot_script(self.directory / f"{script}.gp", f"{stem}.csv",
+            write_gnuplot_script(self._path(f"{script}.gp"), f"{stem}.csv",
                                  columns, title)
 
 

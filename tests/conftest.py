@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from biximp import ModeBasis, ModelParams
+from biximp import ModeBasis, ModelParams, k_grid
+from biximp.biexciton import _pair_energy, closed_phi, default_method, solve_relative_decay
 from biximp.pairbasis import diagonalize_full
 from biximp.projected import build_projected_hamiltonian, impurity_overlap
 
@@ -13,6 +14,36 @@ def projected_hamiltonian(params):
     built for it alone."""
     modes = ModeBasis(params)
     return build_projected_hamiltonian(modes, impurity_overlap(modes), params.V0)
+
+
+def modes_on(params, method):
+    """ModeBasis(params), which must take its `method` form ("exact" or
+    "large_n") from params: a check meant for one form fails here rather
+    than run on the other."""
+    assert default_method(params) == method, (params, method)
+    return ModeBasis(params)
+
+
+def direct_modes(p, method):
+    """k_i, energies and phi of the `method` form at any params, from the
+    per-mode functions as ModeBasis computed them before it used the
+    K -> -K and s -> -s mirror halves: every K solved, in grid order,
+    and closed_phi on the whole s range; the reference."""
+    N = p.N
+    l_K, K = k_grid(p)
+    parity = np.abs(l_K) % 2
+    k_i = np.array([solve_relative_decay(k, p, par, method)
+                    for k, par in zip(K.tolist(), parity.tolist())])
+    energies = np.array([_pair_energy(k, ki, p, method) for k, ki in zip(K.tolist(), k_i.tolist())])
+    s = np.arange(-N + 1, N)
+    delta = np.isinf(k_i)
+    phi = np.zeros((N, 2 * N - 1))
+    for par in (0, 1):
+        rows = ~delta & (parity == par)
+        phi[rows] = closed_phi(k_i[rows, None], s, N, par)
+    phi[np.ix_(delta, np.abs(s) == 1)] = 0.5
+    phi[np.ix_(delta, np.abs(s) == N - 1)] = 0.5 * (-1.0) ** l_K[delta, None]
+    return k_i, energies, phi
 
 
 @pytest.fixture(scope="session")

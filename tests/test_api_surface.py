@@ -4,14 +4,14 @@ reads another module's private names.
 
 Every optional parameter (one with a default, or a **kwargs) doubles the
 settings the tests must cover, so the package keeps only those that a
-caller in src/ or tests/ sets to more than one value.  A new option
-means a visible edit to ALLOWED, with the reason it exists.  Likewise a
-function, class or public method that no src/ code names is either
-deleted or listed in KEPT, with the reason it stays.
+call in src/ sets: an option that only tests set is a setting no run
+uses.  A new option means a visible edit to ALLOWED, with the reason it
+exists.  Likewise a function, class or public method that no src/ code
+uses is either deleted or listed in KEPT, with the reason it stays.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import biximp
@@ -23,9 +23,6 @@ TESTS = Path(__file__).parent
 # "module.qualified_function.parameter" -> why callers vary it
 ALLOWED = {
     "biexciton.closed_phi.parity": "even or odd relative branch",
-    # only tests set it; goes with large_n (ROADMAP item 2)
-    "biexciton.ModeBasis.__init__.method":
-        "'auto' in the commands; tests force 'exact' or 'large_n'",
     "cli.main.argv": "sys.argv for the console script, a list in tests",
     "dynamics.split_ratio.strict": "calibration probes skip the timing gate",
     "params.ModelParams.replace.**kwargs": "any subset of the model fields",
@@ -71,6 +68,58 @@ def test_every_optional_parameter_is_allowed():
     assert sorted(found) == sorted(ALLOWED)
 
 
+# ALLOWED keys that no src/ call sets, each with the caller that does
+NO_SRC_CALLER = {"cli.main.argv": "the console script leaves it to sys.argv"}
+
+
+def parameter_slot(key):
+    """(callee, position, name) of an ALLOWED key: the name a call of the
+    function uses (its class's, for __init__), the parameter's index
+    among a call's positional arguments (None if it has none) and the
+    parameter's name."""
+    module, *scope, name = key.split(".")
+    owner = node = ast.parse((SRC / f"{module}.py").read_text())
+    for part in scope:
+        owner, node = node, next(n for n in node.body if getattr(n, "name", None) == part)
+    positional = [a.arg for a in node.args.posonlyargs + node.args.args]
+    if isinstance(owner, ast.ClassDef):
+        positional = positional[1:]                 # self
+    callee = owner.name if node.name == "__init__" else node.name
+    return callee, positional.index(name) if name in positional else None, name
+
+
+def sets(call, position, name):
+    """Whether the ast.Call `call` passes the parameter `name`, by keyword
+    or at `position`; any keyword passes a **kwargs."""
+    if name.startswith("**"):
+        return any(kw.arg is not None for kw in call.keywords)
+    return (any(kw.arg == name for kw in call.keywords)
+            or position is not None and len(call.args) > position)
+
+
+def src_calls():
+    """Every call in src/biximp, keyed by the name it calls: f() and x.f()."""
+    calls = defaultdict(list)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls[getattr(func, "id", getattr(func, "attr", None))].append(node)
+    return calls
+
+
+def test_every_option_has_a_src_caller():
+    """Each ALLOWED parameter is passed by at least one call in src/."""
+    calls = src_calls()
+    unset = []
+    for key in sorted(set(ALLOWED) - set(NO_SRC_CALLER)):
+        callee, position, name = parameter_slot(key)
+        if not any(sets(call, position, name) for call in calls[callee]):
+            unset.append(key)
+    assert unset == []
+    assert set(NO_SRC_CALLER) <= set(ALLOWED)
+
+
 # "module.function", "module.Class" or "module.Class.method" that no src/
 # code names -> why it stays: "traced" (perfbench/run.py's TRACED list
 # times it) or "oracle: <test file>::<test>" (the test checks a paper
@@ -80,6 +129,7 @@ KEPT = {
     "pairbasis.build_pair_hamiltonian": "traced",
     "pairbasis.classify_state": "traced",
     "pairbasis.reflection_expectation": "traced",
+    "pairbasis.schmidt_number": "traced",
     "biexciton.ModeBasis.pair_amplitudes":
         "oracle: test_projected.py::test_brute_force_projection_oracle",
     "dynamics.fringe_visibility":
@@ -105,21 +155,35 @@ def names_in(node):
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def loads_in(node, modules):
+    """How often each top-level name is used in the AST `node`: a load of
+    the bare name, or `m.name` on a biximp module that the file imports
+    as m.  A field or attribute that shares the name is no use of it."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                   or isinstance(n, ast.Attribute) and dotted(n.value) in modules)
+
+
 def uncalled():
-    """Each top-level function and class, and each public method, of
-    src/biximp that no src/ code names outside its own body, keyed as in
-    KEPT.  Imports and docstrings name nothing."""
+    """Each top-level function and class of src/biximp that no src/ code
+    uses outside its own body (loads_in), and each public method that no
+    src/ code names outside its own body, keyed as in KEPT.  Imports and
+    docstrings use nothing."""
     trees = [(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
-    total = sum((names_in(tree) for _, tree in trees), Counter())
-    defs = []
+    modules = {module: package_modules(tree) for module, tree in trees}
+    loads = sum((loads_in(tree, modules[module]) for module, tree in trees), Counter())
+    names = sum((names_in(tree) for _, tree in trees), Counter())
+    found = []
     for module, tree in trees:
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append((f"{module}.{node.name}", node))
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and loads[node.name] == loads_in(node, modules[module])[node.name]):
+                found.append(f"{module}.{node.name}")
             if isinstance(node, ast.ClassDef):
-                defs += [(f"{module}.{node.name}.{m.name}", m) for m in node.body
-                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
-    return [key for key, node in defs if total[node.name] == names_in(node)[node.name]]
+                found += [f"{module}.{node.name}.{m.name}" for m in node.body
+                          if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                          and names[m.name] == names_in(m)[m.name]]
+    return found
 
 
 def test_every_function_has_a_caller():
@@ -154,6 +218,19 @@ def dotted(node):
     return node.id if isinstance(node, ast.Name) else None
 
 
+def package_modules(tree):
+    """The names under which `tree` imports biximp modules: `from . import
+    m`, `from biximp import m` or `import biximp.m`."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "biximp"):
+            modules.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name.split(".")[0] == "biximp")
+    return modules
+
+
 def private_uses():
     """Each use in src/biximp of another biximp module's private name, as
     "file:line name": `from .m import _x`, or `m._x` on a module m that
@@ -161,19 +238,11 @@ def private_uses():
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        modules = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (
-                    node.level or (node.module or "").split(".")[0] == "biximp"):
-                package = node.module in (None, "biximp")    # from . import m
-                for alias in node.names:
-                    if is_private(alias.name):
-                        found.append(f"{path.name}:{node.lineno} {alias.name}")
-                    elif package:
-                        modules.add(alias.asname or alias.name)
-            elif isinstance(node, ast.Import):
-                modules.update(alias.asname or alias.name for alias in node.names
-                               if alias.name.split(".")[0] == "biximp")
+        modules = package_modules(tree)
+        found += [f"{path.name}:{node.lineno} {alias.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").split(".")[0] == "biximp")
+                  for alias in node.names if is_private(alias.name)]
         found += [f"{path.name}:{node.lineno} {dotted(node)}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and is_private(node.attr)
                   and dotted(node.value) in modules]

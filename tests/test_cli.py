@@ -590,15 +590,15 @@ def test_bic_dump_off_and_zero_tolerance(tmp_path):
 
 def test_bic_failure_writes_nothing(tmp_path, capsys):
     """At N = 4 no pair eigenvalue lies within BIC_WINDOW of E_b1, so the
-    BIC search fails: the run exits 1 with one line and leaves --out
-    empty, where it used to leave bic_classification.csv behind."""
+    BIC search fails: the run exits 1 with one line and makes no --out,
+    where it used to leave bic_classification.csv behind."""
     cfg = {"model": {"N": 4, "J": 1.0, "D": 4.1, "V0": 8.0}}
     path = write_cfg(tmp_path / "c.yaml", cfg)
     out = tmp_path / "out"
     assert main(["bic", "--config", path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: no eigenvalue within") and err.count("\n") == 1
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 def test_wavepacket_command(tmp_path):
@@ -668,6 +668,22 @@ def test_wavepacket_regime_refusal(tmp_path):
     assert main(["wavepacket", "--config", path, "--out", str(tmp_path)]) == 3
 
 
+def test_wavepacket_band_refusal_makes_no_directory(tmp_path, capsys):
+    """At |D| <= 4|J| the pair band meets the two-exciton continuum: the
+    run is refused with exit 3 and one line before its first write, so
+    --out is never made."""
+    cfg = {"model": {"N": 40, "J": -1.0, "D": -4.0, "V0": 1.0},
+           "wavepacket": {"K0": 3 * np.pi / 8, "dK0": np.pi / 24,
+                          "t_start": -30.0, "t_end": -25.0}}
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    out = tmp_path / "out"
+    assert main(["wavepacket", "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("regime violation: wavepacket run needs |D| > 4|J|")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("J, D, V0, code", [
     (-1.0, -4.5, -2.0, 3),   # capture band [-4.828, -0.828]: it meets [-4.944, -4.5]
     (-1.0, -4.5, -1.0, 0),   # capture band [-4.236, -0.236]: clear of the packet
@@ -677,7 +693,7 @@ def test_wavepacket_capture_refusal(tmp_path, capsys, J, D, V0, code):
     other free, that capture band (2E0 + sgn(V0) hypot(V0, 2J) +- 2|J|)
     can meet the packet's pair band, here [-4.944, -4.5] over
     K0 +- 3 dK0.  The projected run cannot see that channel, so such a
-    run is refused with exit 3 and one line, and writes no file."""
+    run is refused with exit 3 and one line, and makes no --out."""
     cfg = {"model": {"N": 40, "J": J, "D": D, "E0": 0.0, "V0": V0},
            "wavepacket": {"K0": 3 * np.pi / 8, "dK0": np.pi / 24,
                           "t_start": -30.0, "t_end": -25.0}}
@@ -688,7 +704,7 @@ def test_wavepacket_capture_refusal(tmp_path, capsys, J, D, V0, code):
     if code:
         assert err.startswith("regime violation: ") and "capture band" in err
         assert err.count("\n") == 1
-        assert not list(out.iterdir())
+        assert not out.exists()
     else:
         assert (out / "wavepacket_timeseries.csv").exists()
 
@@ -1028,7 +1044,7 @@ def test_oversized_time_grid_exit_code(tmp_path, capsys, sample_dt):
     ids=["time_grid", "snapshot"])
 def test_overflowing_phase_exit_code(tmp_path, capsys, N, packet):
     """A time whose phase E (t - t0) overflows ends the run with exit 1
-    and one line, with no numpy warning and no file written: the time
+    and one line, with no numpy warning and no --out made: the time
     grid used to end in a LinAlgError traceback, the snapshot in four
     all-NaN grids and then in a time series left behind."""
     cfg = {"model": {"N": N, "J": -1.0, "D": -4.5, "V0": 0.5},
@@ -1041,7 +1057,7 @@ def test_overflowing_phase_exit_code(tmp_path, capsys, N, packet):
     assert capsys.readouterr().err == ("numerical failure: phase E (t - t0) "
                                        "overflows for |t - t0| up to 1e+308\n")
     assert not [w for w in caught if not issubclass(w.category, UserWarning)]
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+import warnings
 import weakref
 
 import numpy as np
@@ -68,6 +69,15 @@ def test_regime_gate():
     with pytest.raises(RegimeError):
         validate_dynamics_regime(ModelParams(N=40, J=1.0, D=4.5, V0=40.0))
     validate_dynamics_regime(ModelParams(N=40, J=1.0, D=4.5, V0=2.0))
+
+
+def test_regime_gate_takes_v0_up_to_five_d():
+    """|V0| = 5|D| is the strongest impurity a run takes; the next float
+    above it is refused."""
+    p = canonical_params(V0=22.5)
+    validate_dynamics_regime(p)
+    with pytest.raises(RegimeError, match="not large compared to"):
+        validate_dynamics_regime(p.replace(V0=math.nextafter(22.5, math.inf)))
 
 
 def test_initial_packet(ph, u0):
@@ -567,6 +577,25 @@ def test_calibration_warns_target_below_free_reflection():
     with pytest.warns(UserWarning, match=match) as caught:
         calibrate_v0(*calibration_args(p, cfg), target=target)
     assert not any("non-monotone" in str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("low, high, warns", [(0.2, 0.4, True), (0.29, 0.31, False)])
+def test_calibration_warns_beyond_its_tolerance(monkeypatch, low, high, warns):
+    """A reflected fraction that steps from `low` to `high` at |V0| = 2
+    leaves the calibration 0.1 or 0.01 off the target 0.3: it warns
+    beyond CALIBRATION_TOL (0.02) and not within it.  The step stands in
+    for each trial's solve, propagation and split."""
+    monkeypatch.setattr(dynamics, "hamiltonian_builder", lambda modes, overlap: float)
+    monkeypatch.setattr(dynamics, "diagonalize_projected", lambda v0: v0)
+    monkeypatch.setattr(dynamics, "propagate", lambda u0, v0, t: v0)
+    monkeypatch.setattr(dynamics, "split_ratio", lambda v0, modes, K0, strict:
+                        (low if abs(v0) < 2.0 else high, None))
+    modes = ModeBasis(canonical_params(V0=0.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        v0 = calibrate_v0(modes, None, None, K0, 0.3)
+    assert abs(v0 - 2.0) < 1e-12
+    assert ["non-monotone" in str(w.message) for w in caught] == [True] * warns
 
 
 def test_mode_distribution(ph, u0):

@@ -78,6 +78,6 @@ def test_s_function_finite_on_long_ring():
 
 
 def test_large_ring_modes_stay_normalized():
-    from biximp import ModeBasis
-    m = ModeBasis(ModelParams(N=200, J=1.0, D=4.1), "exact")
+    from conftest import modes_on
+    m = modes_on(ModelParams(N=200, J=1.0, D=4.0), "exact")
     assert np.abs((m.phi ** 2).sum(axis=1) - 1.0).max() < 1e-10

@@ -7,9 +7,10 @@ import pytest
 
 from biximp import (ExistenceError, ModeBasis, ModelParams, ParameterError,
                     alpha, k_grid)
-from biximp.biexciton import _pair_energy, closed_phi, default_method, solve_relative_decay
+from biximp.biexciton import default_method, solve_relative_decay
 from biximp.projected import impurity_overlap
 from biximp.pairbasis import build_pair_hamiltonian
+from conftest import direct_modes, modes_on
 
 
 def test_k_grid_n4():
@@ -20,13 +21,13 @@ def test_k_grid_n4():
 
 
 def test_k_grid_n40():
-    p = ModelParams(N=40, J=1.0, D=4.1)
+    p = ModelParams(N=40, J=1.0, D=4.0)
     l_K, K = k_grid(p)
     assert len(K) == 40
     np.testing.assert_allclose(np.diff(K), np.pi / 40)
     assert K.max() == pytest.approx(np.pi / 2)
     assert l_K[-1] == 20
-    assert np.array_equal(ModeBasis(p, "exact").parity, np.abs(l_K) % 2)
+    assert np.array_equal(modes_on(p, "exact").parity, np.abs(l_K) % 2)
 
 
 def test_alpha_values():
@@ -70,22 +71,23 @@ def test_existence_boundary():
 def test_biexciton_energy_values():
     p = ModelParams(N=40, J=1.0, D=4.1, E0=0.0)
     a0 = 2.0 / 4.1
-    large, exact = ModeBasis(p, "large_n"), ModeBasis(p, "exact")
-    i0 = int(np.flatnonzero(large.K == 0.0)[0])
-    assert large.energies[i0] == pytest.approx(4.1 * (1 + a0 * a0), rel=1e-12)
-    assert large.energies[-1] == pytest.approx(4.1)
-    assert abs(exact.energies[i0] - large.energies[i0]) < 1e-3
+    # the basis takes the large-N form here; the exact one is the reference's
+    large, exact = modes_on(p, "large_n").energies, direct_modes(p, "exact")[1]
+    i0 = int(np.flatnonzero(k_grid(p)[1] == 0.0)[0])
+    assert large[i0] == pytest.approx(4.1 * (1 + a0 * a0), rel=1e-12)
+    assert large[-1] == pytest.approx(4.1)
+    assert abs(exact[i0] - large[i0]) < 1e-3
     # the exact energy is 4 J cos K cosh k_i at the finite-N pairing root
     k_i = solve_relative_decay(0.0, p, 0, "exact")
-    assert exact.energies[i0] == pytest.approx(4.0 * math.cosh(k_i), rel=1e-12)
+    assert exact[i0] == pytest.approx(4.0 * math.cosh(k_i), rel=1e-12)
     # every K of the grid: bound energy outside the two-exciton band
-    for basis in (large, exact):
-        assert np.all(np.abs(basis.energies - 2 * p.E0) > 4 * abs(p.J))
+    for energies in (large, exact):
+        assert np.all(np.abs(energies - 2 * p.E0) > 4 * abs(p.J))
 
 
 def test_phi_hard_core_and_norm():
-    p = ModelParams(N=40, J=1.0, D=4.1)
-    basis = ModeBasis(p, "exact")
+    p = ModelParams(N=40, J=1.0, D=4.0)
+    basis = modes_on(p, "exact")
     N = p.N
     assert np.all(basis.phi[:, N - 1] == 0.0)          # s = 0
     # sublattice norm: sum over the redundant domain with r-count N-|s|
@@ -94,8 +96,8 @@ def test_phi_hard_core_and_norm():
 
 
 def test_phi_symmetries_every_mode():
-    p = ModelParams(N=40, J=1.0, D=4.1)
-    basis = ModeBasis(p, "exact")
+    p = ModelParams(N=40, J=1.0, D=4.0)
+    basis = modes_on(p, "exact")
     N = p.N
     phi = basis.phi                      # column of s is s + N - 1
     sign = (-1.0) ** basis.l_K[:, None]
@@ -108,8 +110,8 @@ def test_phi_symmetries_every_mode():
 
 
 def test_delta_limit_mode():
-    p = ModelParams(N=40, J=1.0, D=4.1)
-    basis = ModeBasis(p, "exact")
+    p = ModelParams(N=40, J=1.0, D=4.0)
+    basis = modes_on(p, "exact")
     phi = basis.phi[-1]    # K = pi/2; column of s is s + N - 1
     assert math.isinf(basis.k_i[-1])
     assert phi[1 + p.N - 1] == pytest.approx(0.5)
@@ -127,8 +129,8 @@ def test_default_method_rule():
 def test_orthonormality_and_eigenvector_property(fig2_params):
     """Cross-module oracle: modes are orthonormal eigenvectors of the
     impurity-free pair Hamiltonian at the exact finite-N roots."""
-    p = fig2_params.replace(V0=0.0)
-    basis = ModeBasis(p, "exact")
+    p = fig2_params.replace(D=4.0, V0=0.0)
+    basis = modes_on(p, "exact")
     pb, H0 = build_pair_hamiltonian(p)
     C = basis.pair_amplitudes()
     gram = C.conj() @ C.T
@@ -153,7 +155,7 @@ def test_regime_validation():
 def test_phi_rows_match_normalized_closed_form():
     """Each phi row is the cosh/sinh form divided by its sampled norm."""
     p = ModelParams(N=12, J=1.0, D=4.1)
-    basis = ModeBasis(p, "exact")
+    basis = modes_on(p, "exact")
     s = basis.s
     for phi, k_i, parity in zip(basis.phi, basis.k_i, basis.parity):
         if math.isinf(k_i):
@@ -168,42 +170,28 @@ def test_phi_rows_match_normalized_closed_form():
 @pytest.mark.parametrize("J, D", ((1.0, 4.1), (-1.0, -4.5)))
 @pytest.mark.parametrize("method", ("exact", "large_n"))
 def test_biexciton_energy_equals_basis_energies(N, J, D, method):
-    """The basis energies are the closed forms written out here:
+    """The energies of each form are the closed forms written out here:
     2 E0 + 4 J cos K cosh k_i at each mode's decay constant (exact), or
     2 E0 + D (1 + alpha_K^2) (large N), and 2 E0 + D at the K = pi/2
-    delta-limit mode for both."""
+    delta-limit mode for both.  They are the basis's where the parameters
+    pick `method` (exact at N = 12, large N at N = 40), and the per-mode
+    functions' (direct_modes) where they pick the other form."""
     p = ModelParams(N=N, J=J, D=D, E0=0.3)
-    basis = ModeBasis(p, method)
-    assert math.isinf(basis.k_i[-1])
-    assert basis.energies[-1] == 2 * p.E0 + p.D
-    if method == "exact":
-        want = [2.0 * p.E0 + 4.0 * p.J * math.cos(K) * math.cosh(k_i)
-                for K, k_i in zip(basis.K[:-1].tolist(), basis.k_i[:-1].tolist())]
+    if default_method(p) == method:
+        basis = ModeBasis(p)
+        k_i, energies = basis.k_i, basis.energies
     else:
-        want = [2.0 * p.E0 + p.D * (1.0 + (2.0 * p.J * math.cos(K) / p.D) ** 2)
-                for K in basis.K[:-1].tolist()]
-    assert np.array_equal(basis.energies[:-1], want)
-
-
-def direct_modes(p, method):
-    """k_i, energies and phi as ModeBasis computed them before it used the
-    K -> -K and s -> -s mirror halves: every K solved, in grid order,
-    and closed_phi on the whole s range; the reference."""
-    N = p.N
-    l_K, K = k_grid(p)
-    parity = np.abs(l_K) % 2
-    k_i = np.array([solve_relative_decay(k, p, par, method)
-                    for k, par in zip(K.tolist(), parity.tolist())])
-    energies = np.array([_pair_energy(k, ki, p, method) for k, ki in zip(K.tolist(), k_i.tolist())])
-    s = np.arange(-N + 1, N)
-    delta = np.isinf(k_i)
-    phi = np.zeros((N, 2 * N - 1))
-    for par in (0, 1):
-        rows = ~delta & (parity == par)
-        phi[rows] = closed_phi(k_i[rows, None], s, N, par)
-    phi[np.ix_(delta, np.abs(s) == 1)] = 0.5
-    phi[np.ix_(delta, np.abs(s) == N - 1)] = 0.5 * (-1.0) ** l_K[delta, None]
-    return k_i, energies, phi
+        k_i, energies, _ = direct_modes(p, method)
+    assert math.isinf(k_i[-1])
+    assert energies[-1] == 2 * p.E0 + p.D
+    K = k_grid(p)[1][:-1].tolist()
+    if method == "exact":
+        want = [2.0 * p.E0 + 4.0 * p.J * math.cos(k) * math.cosh(ki)
+                for k, ki in zip(K, k_i[:-1].tolist())]
+    else:
+        want = [2.0 * p.E0 + p.D * (1.0 + (2.0 * p.J * math.cos(k) / p.D) ** 2)
+                for k in K]
+    assert np.array_equal(energies[:-1], want)
 
 
 def same_bits(a, b):
@@ -218,27 +206,27 @@ def test_mirror_halves_are_the_direct_formulas(N, J):
     phi on every s, e^{iKr} on every r and B's phase e^{iKs} on every s
     (G = B* B^T).  D runs from just above 2|J| up; where the basis has no
     bound root, both raise the same ExistenceError.  The K = pi/2 row is
-    the delta limit.  "auto" is large_n at D/J = 4.1 and 40 from N = 40."""
+    the delta limit.  The basis takes the large-N form at D/J = 4.1, 10
+    and 40 from N = 40, the exact one elsewhere; each N builds at least
+    four bases."""
     built = 0
-    for ratio in (2.01, 2.05, 2.1, 2.5, 3.0, 4.1, 40.0):
+    for ratio in (2.01, 2.05, 2.1, 2.5, 3.0, 4.1, 10.0, 40.0):
         p = ModelParams(N=N, J=J, D=ratio * J, E0=0.3)
-        for method in ("auto", "exact"):
-            want_method = default_method(p) if method == "auto" else method
-            try:
-                want = direct_modes(p, want_method)
-            except ExistenceError as exc:
-                with pytest.raises(ExistenceError) as got:
-                    ModeBasis(p, method)
-                assert str(got.value) == str(exc)
-                continue
-            modes = ModeBasis(p, method)
-            built += 1
-            assert all(map(same_bits, (modes.k_i, modes.energies, modes.phi), want))
-            assert math.isinf(modes.k_i[-1])
-            assert same_bits(modes.cm_phase, np.exp(1j * np.outer(modes.r, modes.K)))
-            cols = modes.window[modes.s[modes.window] != 0]
-            B = modes.phi[:, cols] * np.exp(1j * np.outer(modes.K, modes.s[cols]))
-            assert same_bits(impurity_overlap(modes), B.conj() @ B.T)
+        try:
+            want = direct_modes(p, default_method(p))
+        except ExistenceError as exc:
+            with pytest.raises(ExistenceError) as got:
+                ModeBasis(p)
+            assert str(got.value) == str(exc)
+            continue
+        modes = ModeBasis(p)
+        built += 1
+        assert all(map(same_bits, (modes.k_i, modes.energies, modes.phi), want))
+        assert math.isinf(modes.k_i[-1])
+        assert same_bits(modes.cm_phase, np.exp(1j * np.outer(modes.r, modes.K)))
+        cols = modes.window[modes.s[modes.window] != 0]
+        B = modes.phi[:, cols] * np.exp(1j * np.outer(modes.K, modes.s[cols]))
+        assert same_bits(impurity_overlap(modes), B.conj() @ B.T)
     assert built >= 4
 
 

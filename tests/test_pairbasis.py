@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from biximp import (ModeBasis, ModelParams, NumericalError, ParameterError,
-                    RangeError, bic_energies, build_pair_hamiltonian,
-                    diagonalize_full, find_bic_state, pairbasis)
+from biximp import (ModelParams, NumericalError, ParameterError, RangeError,
+                    bic_energies, build_pair_hamiltonian, diagonalize_full,
+                    find_bic_state, pairbasis)
 from biximp.pairbasis import (LOCALIZED_TAIL, SITE_CORE_MIN, PairBasis,
                               StateClassification, classify_state,
                               classify_states, folded_amplitudes, in_continuum,
@@ -15,7 +15,7 @@ from biximp.pairbasis import (LOCALIZED_TAIL, SITE_CORE_MIN, PairBasis,
 from biximp.params import wrap_site
 from biximp.projected import (TAIL_FRACTION_MAX, SpectrumResult, distance_profile,
                               fit_ring_decay)
-from conftest import EighSpy, dense_scatter
+from conftest import EighSpy, dense_scatter, modes_on
 
 
 def test_basis_size_and_uniqueness():
@@ -290,10 +290,11 @@ def test_n4_free_spectrum_matches_quantization():
 
 
 def test_pair_band_matches_modes_exact():
-    """Impurity-free spectra contain the analytic pair band to 1e-8."""
+    """Impurity-free spectra contain the analytic pair band to 1e-8, at
+    |D| = 4|J|: the exact form's largest D from N = 40."""
     for N in (8, 12, 40):
-        p = ModelParams(N=N, J=1.0, D=4.1, V0=0.0)
-        modes = ModeBasis(p, "exact")
+        p = ModelParams(N=N, J=1.0, D=4.0, V0=0.0)
+        modes = modes_on(p, "exact")
         _, spec = diagonalize_full(p)
         for e in modes.energies:
             assert np.min(np.abs(spec.energies - e)) < 1e-8
@@ -301,7 +302,7 @@ def test_pair_band_matches_modes_exact():
 
 def test_pair_band_matches_large_n_form():
     p = ModelParams(N=40, J=1.0, D=12.0, V0=0.0)
-    modes = ModeBasis(p, "large_n")
+    modes = modes_on(p, "large_n")
     _, spec = diagonalize_full(p)
     for e in modes.energies:
         assert np.min(np.abs(spec.energies - e)) < 1e-3
@@ -446,6 +447,68 @@ def test_relative_decay_localized_below_tail_share(share, localized):
     assert basis.sigma[basis.locate(-1, 3)] == 4
     (cls,) = classify_states(np.zeros(1), vec[:, None], p, basis)
     assert math.isinf(cls.decay_s) == localized
+
+
+@pytest.mark.parametrize("share, label", [(0.15, "one_exciton_bound"),
+                                          (0.25, "cm_bound_pair")])
+def test_one_exciton_share_near_the_impurity(share, label):
+    """A state bound in r but not in s is one bound exciton when under
+    0.2 of its far (sigma >= 8) weight lies within cm_dist 6 of the
+    impurity, and a CM-bound pair otherwise.  All weight sits at
+    sigma = 12: `share` on the pair (-6, 6) at r = 0, the rest on (-1, 11)
+    at r = 10."""
+    p = ModelParams(N=40, J=1.0, D=4.1, V0=8.0)
+    basis = PairBasis(p.N)
+    vec = np.zeros(len(basis))
+    vec[basis.locate([-6, -1], [6, 11])] = np.sqrt([share, 1 - share])
+    (cls,) = classify_states(np.zeros(1), vec[:, None], p, basis)
+    assert cls.type == label
+
+
+@pytest.mark.parametrize("far, label", [(1e-5, "one_exciton_bound"),
+                                        (1e-7, "cm_bound_pair")])
+def test_one_exciton_needs_far_weight(far, label):
+    """The one-exciton share is read only when the far (sigma >= 8)
+    weight exceeds 1e-6.  At N = 20 a state can leave the s-bound
+    (sigma > 5) without it: weight at sigma = 6 on (-3, 3), and `far` on
+    (0, 8), at cm_dist 8, none of it near the impurity."""
+    p = ModelParams(N=20, J=1.0, D=4.1, V0=8.0)
+    basis = PairBasis(p.N)
+    vec = np.zeros(len(basis))
+    vec[basis.locate([-3, 0], [3, 8])] = np.sqrt([1 - far, far])
+    (cls,) = classify_states(np.zeros(1), vec[:, None], p, basis)
+    assert cls.type == label
+
+
+@pytest.mark.parametrize("delta, label", [(0.0, "unclassified-symmetric"),
+                                          (1e-7, "unclassified-symmetric"),
+                                          (1e-5, "unclassified")])
+def test_unclassified_symmetry_cut(delta, label):
+    """A state bound in neither coordinate and away from the impurity is
+    "unclassified-symmetric" when <v|P|v> lies within 1e-6 of 1.  It
+    holds a and b on the pair (5, 17) and its mirror (-17, -5), both at
+    sigma = 12 and cm_dist 22, with a - b = sqrt(delta), so that
+    <v|P|v> = 2ab = 1 - delta."""
+    p = ModelParams(N=40, J=1.0, D=4.1, V0=8.0)
+    basis = PairBasis(p.N)
+    vec = np.zeros(len(basis))
+    a, b = np.array([1.0, -1.0]) * math.sqrt(delta) / 2 + math.sqrt(2 - delta) / 2
+    vec[basis.locate([5, -17], [17, -5])] = a, b
+    (cls,) = classify_states(np.zeros(1), vec[:, None], p, basis)
+    assert cls.antisymmetric == pytest.approx(1 - delta, abs=1e-12)
+    assert cls.type == label
+
+
+@pytest.mark.parametrize("tiny, want", [(1e-7, 2.0), (1e-9, 1.0)])
+def test_schmidt_number_counts_each_block_above_its_norm_cut(tiny, want):
+    """Each parity block above norm 1e-8 scores on its own: the even
+    block holds one pair (Schmidt number 1), the odd one two pairs in
+    distinct rows and columns with norm `tiny` (Schmidt number 2)."""
+    basis = PairBasis(40)
+    vec = np.zeros(len(basis))
+    vec[basis.locate(0, 2)] = 1.0
+    vec[basis.locate([0, 0], [1, 3])] = tiny / math.sqrt(2)
+    assert schmidt_number(vec, basis) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("N", (40, 60))

@@ -23,7 +23,7 @@ from biximp.projected import (CLASS_K_SPLIT, PROFILE_FLOOR, BoundStateRecord,
                               bound_candidates, cm_amplitude, distance_profile,
                               fit_ring_decay, participation_ratio,
                               ring_decay_profile)
-from conftest import EighSpy, dense_scatter, projected_hamiltonian
+from conftest import EighSpy, dense_scatter, modes_on, projected_hamiltonian
 
 
 def count_fresh(params):
@@ -72,16 +72,18 @@ def test_basis_is_impurity_free(fig2_params):
 
 
 def test_v0_zero_matrix(fig2_params):
-    modes = ModeBasis(fig2_params, "exact")
-    V = potential_matrix(fig2_params.replace(V0=0.0), impurity_overlap(modes))
+    p = fig2_params.replace(D=4.0)
+    modes = modes_on(p, "exact")
+    V = potential_matrix(p.replace(V0=0.0), impurity_overlap(modes))
     assert np.abs(V).max() == 0.0
 
 
 def test_diagonal_sign_and_reality(fig2_params):
-    modes = ModeBasis(fig2_params, "exact")
+    p = fig2_params.replace(D=4.0)
+    modes = modes_on(p, "exact")
     G = impurity_overlap(modes)
     for v0 in (4.0, -4.0):
-        V = potential_matrix(fig2_params.replace(V0=v0), G)
+        V = potential_matrix(p.replace(V0=v0), G)
         d = np.diag(V)
         assert np.abs(d.imag).max() < 1e-14
         assert np.all(np.sign(d.real) == np.sign(v0))
@@ -89,8 +91,8 @@ def test_diagonal_sign_and_reality(fig2_params):
 
 def test_brute_force_projection_oracle(fig2_params):
     """V_KK' equals the site-basis impurity projected onto the modes."""
-    p = fig2_params
-    modes = ModeBasis(p, "exact")
+    p = fig2_params.replace(D=4.0)
+    modes = modes_on(p, "exact")
     V = potential_matrix(p, impurity_overlap(modes))
     basis, _ = build_pair_hamiltonian(p.replace(V0=0.0))
     vdiag = p.V0 * ((basis.m == 0).astype(float) + (basis.n == 0))
@@ -191,6 +193,13 @@ def test_phase_diagram_structure(fig2_params):
     assert np.all(counts >= 0)
     with pytest.raises(ParameterError):
         phase_diagram([1.5], v_vals, fig2_params)
+
+
+def test_phase_diagram_refuses_d_at_two_j(fig2_params):
+    """A D row with |D| = 2|J| is refused as a cell before any row is
+    counted, not left to the basis of that row."""
+    with pytest.raises(ParameterError, match="phase diagram cell"):
+        phase_diagram([4.1, 2.0], [3.0], fig2_params)
 
 
 def test_phase_diagram_sentinel_cell(fig2_params):
@@ -428,17 +437,18 @@ def test_tail_gate_drops_a_state_just_past_its_bound(J):
 
 def test_potential_matrix_with_reused_overlap(fig2_params):
     """One overlap G serves every V0 and still matches the brute-force oracle."""
-    modes = ModeBasis(fig2_params.replace(V0=0.0), "exact")
+    base = fig2_params.replace(D=4.0, V0=0.0)
+    modes = modes_on(base, "exact")
     G = impurity_overlap(modes)
     C = modes.pair_amplitudes()
-    basis, _ = build_pair_hamiltonian(fig2_params.replace(V0=0.0))
+    basis, _ = build_pair_hamiltonian(base)
     site0 = (basis.m == 0).astype(float) + (basis.n == 0)
     for v0 in (-3.0, 4.0):
-        p = fig2_params.replace(V0=v0)
+        p = base.replace(V0=v0)
         V = potential_matrix(p, G)
         V_exact = np.einsum("ip,p,jp->ij", C.conj(), v0 * site0, C)
         assert np.abs(V - V_exact).max() < 1e-10
-        fresh = ModeBasis(p, "exact")
+        fresh = modes_on(p, "exact")
         assert np.array_equal(V, potential_matrix(p, impurity_overlap(fresh)))
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from biximp import biexciton
 from biximp.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -32,3 +33,17 @@ def test_outputs_match_references(tmp_path, workload):
         if found:
             problems[task.id] = found
     assert not problems
+
+
+def test_phase_sweep_runs_both_basis_forms(tmp_path, monkeypatch):
+    """The seed-0 phase_sweep grids build bases of both forms that
+    default_method picks from N and D/J: the exact finite-N root and its
+    large-N limit.  So the benchmark times both branches of ModeBasis."""
+    picked, pick = [], biexciton.default_method
+    monkeypatch.setattr(biexciton, "default_method",
+                        lambda params: picked.append(pick(params)) or picked[-1])
+    for task in workloads.tasks("phase_sweep"):
+        cfg = tmp_path / f"{task.id}.yaml"
+        cfg.write_text(yaml.safe_dump(task.config))
+        assert main([task.command, "--config", str(cfg), "--out", str(tmp_path / task.id)]) == 0
+    assert set(picked) == {"exact", "large_n"}
